@@ -10,7 +10,7 @@ wastes its data slot, and identifies nobody.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence
 
 from .analytic import phase_durations_for
 from .estimator import AdaptationPolicy, estimate_backlog, next_frame
@@ -129,6 +129,7 @@ def run_afsa_round(
     return RoundTrace(
         observations=tuple(observations),
         bitmap=tuple(bitmap),
+        seq_bits=frame.seq_bits,
         idle_count=idle,
         reserved_true_count=reserved_true,
         detected_collision_count=detected,
@@ -139,24 +140,16 @@ def run_afsa_round(
     )
 
 
-@dataclass(frozen=True)
-class RoundParams:
-    """Frame parameters and load a round actually ran with."""
-
-    slots: int
-    seq_bits: int
-    participation_divisor: int
-    k_active: int
-
-
 @dataclass
 class InventoryResult:
-    """Outcome of one complete inventory run."""
+    """Outcome of one complete inventory run.
+
+    `k_active[i]` is the number of present, unidentified tags when round
+    i started; `traces[i]` records what that round did.
+    """
 
     traces: List[RoundTrace]
-    params: List[RoundParams]
-    total_time_us: float
-    tags_identified: int
+    k_active: List[int]
     completed: bool
 
     @property
@@ -164,13 +157,55 @@ class InventoryResult:
         return len(self.traces)
 
     @property
+    def tags_identified(self) -> int:
+        return sum(len(t.identified_epcs) for t in self.traces)
+
+    @property
+    def total_time_us(self) -> float:
+        return sum(t.total_us for t in self.traces)
+
+    @property
     def per_tag_mean_us(self) -> Optional[float]:
-        if self.tags_identified == 0:
+        identified = self.tags_identified
+        if identified == 0:
             return None
-        return self.total_time_us / self.tags_identified
+        return self.total_time_us / identified
 
 
 BetweenRounds = Callable[[int, RoundTrace], None]
+
+
+def run_inventory(
+    tags: List[Tag],
+    rounds: Iterator[RoundTrace],
+    max_rounds: int,
+    between_rounds: Optional[BetweenRounds] = None,
+) -> InventoryResult:
+    """Play `rounds` until every present tag is identified or the budget runs out.
+
+    This is the one inventory loop every protocol shares; a protocol
+    supplies only its sequence of rounds, each of which runs when it is
+    drawn from `rounds`.  At least one round always runs, so an empty
+    population still pays for one empty frame.  After each non-final
+    round `between_rounds(next_round_index, trace)` may mutate the
+    population (arrivals and departures), so population changes take
+    effect from the next round on.  `completed` is False only when the
+    round budget ran out with tags still pending.
+    """
+    if max_rounds < 1:
+        raise ValueError("max_rounds must be >= 1")
+    traces: List[RoundTrace] = []
+    k_active: List[int] = []
+    while True:
+        k_active.append(active_count(tags))
+        trace = next(rounds)
+        traces.append(trace)
+        if active_count(tags) == 0:
+            return InventoryResult(traces, k_active, completed=True)
+        if len(traces) >= max_rounds:
+            return InventoryResult(traces, k_active, completed=False)
+        if between_rounds is not None:
+            between_rounds(len(traces), trace)
 
 
 def run_afsa_inventory(
@@ -182,50 +217,16 @@ def run_afsa_inventory(
     max_rounds: int = 1000,
     between_rounds: Optional[BetweenRounds] = None,
 ) -> InventoryResult:
-    """Run rounds until every present tag is identified or the budget runs out.
+    """Reservation-protocol inventory under `run_inventory`.
 
-    At least one round always runs, so an empty population still pays for
-    one empty frame.  After each non-final round the reader estimates the
-    backlog from the trace and re-derives the next frame from the policy.
-    `between_rounds(next_round_index, trace)` is invoked after adaptation
-    and may mutate the population (arrivals and departures); population
-    changes therefore take effect from the next round on.  `completed` is
-    False only when the round budget ran out with tags still pending.
+    After each non-final round the reader estimates the backlog from the
+    trace and re-derives the next frame from the policy.
     """
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be >= 1")
+    def rounds() -> Iterator[RoundTrace]:
+        frame = initial_frame
+        while True:
+            trace = run_afsa_round(tags, frame, timing, rng)
+            yield trace
+            frame = next_frame(estimate_backlog(trace), policy)
 
-    traces: List[RoundTrace] = []
-    params: List[RoundParams] = []
-    identified_total = 0
-    frame = initial_frame
-    completed = False
-    while True:
-        params.append(RoundParams(
-            slots=frame.slots,
-            seq_bits=frame.seq_bits,
-            participation_divisor=frame.participation_divisor,
-            k_active=active_count(tags),
-        ))
-        trace = run_afsa_round(tags, frame, timing, rng)
-        traces.append(trace)
-        identified_total += len(trace.identified_epcs)
-
-        if active_count(tags) == 0:
-            completed = True
-            break
-        if len(traces) >= max_rounds:
-            break
-
-        estimate = estimate_backlog(trace, frame.slots)
-        frame = next_frame(estimate, policy)
-        if between_rounds is not None:
-            between_rounds(len(traces), trace)
-
-    return InventoryResult(
-        traces=traces,
-        params=params,
-        total_time_us=sum(t.total_us for t in traces),
-        tags_identified=identified_total,
-        completed=completed,
-    )
+    return run_inventory(tags, rounds(), max_rounds, between_rounds)

@@ -11,11 +11,10 @@ adaptation path evaluates these formulas at non-integer backlog estimates.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .model import ExpectedSlotProfile, PhaseDurations, TimingModel
-
-MAX_SEQ_BITS = 16
+from .model import MAX_SEQ_BITS, PhaseDurations, TimingModel
 
 
 def _check_args(tags: float, slots: int) -> None:
@@ -121,6 +120,17 @@ def expected_undetected_exact(tags: int, slots: int, seq_bits: int) -> float:
 def expected_successful(tags: float, slots: int, seq_bits: int) -> float:
     """Expected apparently-reserved slots S: true reservations plus undetected."""
     return expected_reserved(tags, slots) + expected_undetected(tags, slots, seq_bits)
+
+
+@dataclass(frozen=True)
+class ExpectedSlotProfile:
+    """Closed-form per-round expectations for a given load and frame."""
+
+    e_reserved: float
+    e_idle: float
+    e_unresolved: float
+    e_undetected: float
+    s_expected: float
 
 
 def slot_profile(tags: float, slots: int, seq_bits: int) -> ExpectedSlotProfile:

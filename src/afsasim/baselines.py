@@ -11,9 +11,9 @@ detectably.
 from __future__ import annotations
 
 import math
-from typing import List, NamedTuple, Optional, Sequence
+from typing import Iterator, List, NamedTuple, Optional, Sequence
 
-from .afsa import BetweenRounds, InventoryResult, RoundParams
+from .afsa import BetweenRounds, InventoryResult, run_inventory
 from .estimator import estimate_backlog
 from .model import (
     PhaseDurations,
@@ -22,7 +22,7 @@ from .model import (
     SlotObservation,
     Tag,
     TimingModel,
-    active_count,
+    active_count,  # unused here, but bench/child.py wraps it by this name
 )
 from .rng import RandomSource
 
@@ -86,6 +86,7 @@ def run_fsa_round(
     return RoundTrace(
         observations=tuple(observations),
         bitmap=tuple(bitmap),
+        seq_bits=0,
         idle_count=idle,
         reserved_true_count=reserved,
         detected_collision_count=detected,
@@ -109,33 +110,11 @@ def run_fsa_inventory(
     Plain FSA does not adapt; the frame size stays at `slots` throughout.
     At least one round always runs.
     """
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be >= 1")
-    traces: List[RoundTrace] = []
-    params: List[RoundParams] = []
-    identified_total = 0
-    completed = False
-    while True:
-        params.append(RoundParams(
-            slots=slots, seq_bits=0, participation_divisor=1,
-            k_active=active_count(tags)))
-        trace = run_fsa_round(tags, slots, timing, rng)
-        traces.append(trace)
-        identified_total += len(trace.identified_epcs)
-        if active_count(tags) == 0:
-            completed = True
-            break
-        if len(traces) >= max_rounds:
-            break
-        if between_rounds is not None:
-            between_rounds(len(traces), trace)
-    return InventoryResult(
-        traces=traces,
-        params=params,
-        total_time_us=sum(t.total_us for t in traces),
-        tags_identified=identified_total,
-        completed=completed,
-    )
+    def rounds() -> Iterator[RoundTrace]:
+        while True:
+            yield run_fsa_round(tags, slots, timing, rng)
+
+    return run_inventory(tags, rounds(), max_rounds, between_rounds)
 
 
 class EdfsaPlan(NamedTuple):
@@ -180,45 +159,21 @@ def run_edfsa_inventory(
     observation exists, in the same role as the initial frame size of the
     reservation protocol.
     """
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be >= 1")
     if initial_estimate < 0:
         raise ValueError("initial_estimate must be >= 0")
-    traces: List[RoundTrace] = []
-    params: List[RoundParams] = []
-    identified_total = 0
-    completed = False
-    k_est = initial_estimate
-    done = False
-    while not done:
-        plan = edfsa_plan(k_est)
-        cycle_estimate = 0.0
-        for group in range(plan.groups):
-            responders = [
-                t for t in tags
-                if t.present and not t.identified and t.epc % plan.groups == group
-            ]
-            params.append(RoundParams(
-                slots=plan.slots, seq_bits=0, participation_divisor=1,
-                k_active=active_count(tags)))
-            trace = run_fsa_round(responders, plan.slots, timing, rng)
-            traces.append(trace)
-            identified_total += len(trace.identified_epcs)
-            cycle_estimate += estimate_backlog(trace, plan.slots).k_est
-            if active_count(tags) == 0:
-                completed = True
-                done = True
-                break
-            if len(traces) >= max_rounds:
-                done = True
-                break
-            if between_rounds is not None:
-                between_rounds(len(traces), trace)
-        k_est = cycle_estimate
-    return InventoryResult(
-        traces=traces,
-        params=params,
-        total_time_us=sum(t.total_us for t in traces),
-        tags_identified=identified_total,
-        completed=completed,
-    )
+
+    def rounds() -> Iterator[RoundTrace]:
+        k_est = initial_estimate
+        while True:
+            plan = edfsa_plan(k_est)
+            k_est = 0.0
+            for group in range(plan.groups):
+                responders = [
+                    t for t in tags
+                    if t.present and not t.identified and t.epc % plan.groups == group
+                ]
+                trace = run_fsa_round(responders, plan.slots, timing, rng)
+                yield trace
+                k_est += estimate_backlog(trace).k_est
+
+    return run_inventory(tags, rounds(), max_rounds, between_rounds)

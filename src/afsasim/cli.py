@@ -11,12 +11,14 @@ import sys
 from typing import List, Optional, Sequence, Tuple
 
 from .experiment import (
+    MAX_ARRIVAL_RATE,
     ExperimentConfig,
     run_experiment,
     run_sweep,
     sweep_configs,
     validate_experiment,
 )
+from .model import MAX_SEQ_BITS
 from .report import result_rows, sweep_rows, write_rows
 
 # CLI sweep parameter -> (config field, value parser)
@@ -48,7 +50,7 @@ def _seq_bits(text: str) -> Optional[int]:
         return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"expected an integer in [1, 16] or 'auto', got {text!r}")
+            f"expected an integer in [1, {MAX_SEQ_BITS}] or 'auto', got {text!r}")
 
 
 def _int_arg(text: str) -> int:
@@ -113,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--frame", type=_int_arg, default=128, metavar="N",
                         help="initial frame size in slots (default 128)")
     parser.add_argument("--seq-bits", type=_seq_bits, default=None,
-                        metavar="{1..16|auto}",
+                        metavar=f"{{1..{MAX_SEQ_BITS}|auto}}",
                         help="reservation sequence bits, or auto to re-derive "
                              "each round (default auto)")
     parser.add_argument("--trials", type=_int_arg, default=25,
@@ -124,7 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="round budget per trial (default 1000)")
     parser.add_argument("--arrival-rate", type=_float_arg, default=0.0,
                         metavar="RATE",
-                        help="mean Poisson tag arrivals per round gap (default 0)")
+                        help="mean Poisson tag arrivals per round gap, at most "
+                             f"{MAX_ARRIVAL_RATE} (default 0)")
     parser.add_argument("--departure-prob", type=_float_arg, default=0.0,
                         metavar="P",
                         help="per-tag departure probability per round gap (default 0)")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .analytic import expected_unresolved, optimal_seq_len
-from .model import FrameConfig, RoundTrace
+from .model import MAX_SEQ_BITS, FrameConfig, RoundTrace
 
 # Expected occupants of a slot known to hold a collision, in the Poisson
 # regime the estimator assumes.  Used when no idle slot survives.
@@ -83,16 +83,14 @@ def estimate_from_counts(
     return BacklogEstimate(k_est=max(0.0, k_est), method=method)
 
 
-def estimate_backlog(trace: RoundTrace, slots: int) -> BacklogEstimate:
+def estimate_backlog(trace: RoundTrace) -> BacklogEstimate:
     """Backlog estimate from a completed round trace."""
-    if slots != trace.slots:
-        raise ValueError("slots must match the trace")
     return estimate_from_counts(
         idle=trace.idle_count,
         reserved_apparent=trace.reserved_apparent_count,
         detected_collisions=trace.detected_collision_count,
         identified=len(trace.identified_epcs),
-        slots=slots,
+        slots=trace.slots,
     )
 
 
@@ -123,17 +121,10 @@ class AdaptationPolicy:
     """
 
     fixed_seq_bits: Optional[int] = None
-    frame_min: int = FRAME_MIN
-    frame_max: int = FRAME_MAX
-    overload_ratio: float = OVERLOAD_RATIO
 
     def __post_init__(self) -> None:
-        if self.fixed_seq_bits is not None and not 1 <= self.fixed_seq_bits <= 16:
-            raise ValueError("fixed_seq_bits must be in [1, 16] or None")
-        if self.overload_ratio <= 0:
-            raise ValueError("overload_ratio must be positive")
-        # bound validity delegated to nearest_power_of_two
-        nearest_power_of_two(self.frame_min, self.frame_min, self.frame_max)
+        if self.fixed_seq_bits is not None and not 1 <= self.fixed_seq_bits <= MAX_SEQ_BITS:
+            raise ValueError(f"fixed_seq_bits must be in [1, {MAX_SEQ_BITS}] or None")
 
 
 def auto_seq_bits(k_est: float, slots: int) -> int:
@@ -144,16 +135,16 @@ def auto_seq_bits(k_est: float, slots: int) -> int:
 def next_frame(estimate: BacklogEstimate, policy: AdaptationPolicy) -> FrameConfig:
     """Frame parameters for the next round given the current backlog estimate.
 
-    Frame size is the nearest power of two to k_est within the policy
-    bounds.  The participation divisor engages only when the backlog
-    overloads the chosen frame by more than `overload_ratio`, thinning
+    Frame size is the nearest power of two to k_est within [FRAME_MIN,
+    FRAME_MAX].  The participation divisor engages only when the backlog
+    overloads the chosen frame by more than OVERLOAD_RATIO, thinning
     expected participation back toward one tag per slot; ties in its
     rounding go up.  Sequence length follows `policy.fixed_seq_bits` or
     the collision-load rule evaluated at (k_est, next frame).
     """
     k_est = estimate.k_est
-    slots = nearest_power_of_two(k_est, policy.frame_min, policy.frame_max)
-    if k_est > policy.overload_ratio * slots:
+    slots = nearest_power_of_two(k_est)
+    if k_est > OVERLOAD_RATIO * slots:
         divisor = max(1, int(math.floor(k_est / slots + 0.5)))
     else:
         divisor = 1

@@ -15,12 +15,16 @@ from typing import List, Optional, Sequence, Tuple
 from .afsa import InventoryResult, run_afsa_inventory
 from .baselines import run_edfsa_inventory, run_fsa_inventory
 from .estimator import AdaptationPolicy, initial_seq_bits
-from .model import FrameConfig, Tag, TimingModel, make_population
+from .model import MAX_SEQ_BITS, FrameConfig, Tag, TimingModel, make_population
 from .rng import RngStream
 
 PROTOCOLS = ("afsa", "fsa", "edfsa")
 
-MAX_SEQ_BITS = 16
+# Largest Poisson arrival mean per round gap.  It keeps exp(-rate), the
+# first term of the inverse-transform draw in `_poisson`, a normal float:
+# past about 708 it is subnormal, and from about 745 on it is 0 and every
+# draw returns the loop's cap.
+MAX_ARRIVAL_RATE = 700
 
 
 @dataclass(frozen=True)
@@ -31,8 +35,8 @@ class ExperimentConfig:
     round (and the first round assumes load one); an integer pins it.
     `frame_slots` is the initial frame size; for EDFSA it doubles as the
     initial backlog estimate that seeds planning.  `arrival_rate` is the
-    Poisson mean of tag arrivals per round gap; `departure_prob` is each
-    present tag's chance to leave per round gap.
+    Poisson mean of tag arrivals per round gap, at most MAX_ARRIVAL_RATE;
+    `departure_prob` is each present tag's chance to leave per round gap.
     """
 
     protocol: str = "afsa"
@@ -67,6 +71,8 @@ def validate_experiment(config: ExperimentConfig) -> List[str]:
         problems.append("max_rounds must be >= 1")
     if config.arrival_rate < 0:
         problems.append("arrival_rate must be >= 0")
+    elif not config.arrival_rate <= MAX_ARRIVAL_RATE:  # also rejects nan
+        problems.append(f"arrival_rate must be finite and <= {MAX_ARRIVAL_RATE}")
     if not 0.0 <= config.departure_prob <= 1.0:
         problems.append("departure_prob must be in [0, 1]")
     return problems
@@ -200,9 +206,9 @@ def run_trial(
         RoundRecord(
             trial=trial_id,
             round_index=i + 1,
-            slots=p.slots,
-            seq_bits=p.seq_bits,
-            k_active=p.k_active,
+            slots=t.slots,
+            seq_bits=t.seq_bits,
+            k_active=k_active,
             idle=t.idle_count,
             reserved_true=t.reserved_true_count,
             detected_collisions=t.detected_collision_count,
@@ -210,7 +216,7 @@ def run_trial(
             identified=len(t.identified_epcs),
             time_us=t.total_us,
         )
-        for i, (p, t) in enumerate(zip(result.params, result.traces))
+        for i, (t, k_active) in enumerate(zip(result.traces, result.k_active))
     ]
     trial = TrialRecord(
         trial=trial_id,

@@ -12,6 +12,9 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
+# Longest reservation sequence a frame may announce, in bits.
+MAX_SEQ_BITS = 16
+
 
 @dataclass(frozen=True)
 class TimingModel:
@@ -57,8 +60,8 @@ class FrameConfig:
         problems = []
         if self.slots < 1:
             problems.append("slots must be >= 1")
-        if not 1 <= self.seq_bits <= 16:
-            problems.append("seq_bits must be in [1, 16]")
+        if not 1 <= self.seq_bits <= MAX_SEQ_BITS:
+            problems.append(f"seq_bits must be in [1, {MAX_SEQ_BITS}]")
         if self.participation_divisor < 1:
             problems.append("participation_divisor must be >= 1")
         if problems:
@@ -146,12 +149,15 @@ class RoundTrace:
     """Complete record of one executed round.
 
     `bitmap` is the reservation summary the reader broadcasts: one bit per
-    slot, True exactly where the slot looked reserved.  `identified_epcs`
-    lists tags identified this round in slot order.
+    slot, True exactly where the slot looked reserved.  `seq_bits` is the
+    reservation sequence length the frame announced, 0 for protocols
+    without a reservation phase.  `identified_epcs` lists tags identified
+    this round in slot order.
     """
 
     observations: tuple[SlotObservation, ...]
     bitmap: tuple[bool, ...]
+    seq_bits: int
     idle_count: int
     reserved_true_count: int
     detected_collision_count: int
@@ -215,17 +221,6 @@ def check_round_trace(trace: RoundTrace) -> None:
 def bitmap_string(trace: RoundTrace) -> str:
     """Render the reservation summary as a 0/1 string, slot 0 first."""
     return "".join("1" if b else "0" for b in trace.bitmap)
-
-
-@dataclass(frozen=True)
-class ExpectedSlotProfile:
-    """Closed-form per-round expectations for a given load and frame."""
-
-    e_reserved: float
-    e_idle: float
-    e_unresolved: float
-    e_undetected: float
-    s_expected: float
 
 
 def make_population(count: int, first_epc: int = 0) -> list[Tag]:

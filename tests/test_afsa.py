@@ -10,6 +10,7 @@ from afsasim.afsa import (
     tag_decide,
 )
 from afsasim.analytic import expected_idle, expected_reserved
+from afsasim.baselines import run_edfsa_inventory, run_fsa_inventory
 from afsasim.estimator import AdaptationPolicy
 from afsasim.model import (
     FrameConfig,
@@ -217,18 +218,28 @@ def test_inventory_identifies_everyone():
         result.total_time_us / 20, rel=1e-12)
 
 
-def test_inventory_respects_round_budget():
+# The three protocols' entry points.  EDFSA starts from a 300-tag
+# estimate, which splits its first cycle into two groups, so it also has a
+# round gap inside a cycle.
+INVENTORIES = {
+    "afsa": lambda tags, rng, **kw: run_afsa_inventory(
+        tags, FrameConfig(64, 2), AdaptationPolicy(), TIMING, rng, **kw),
+    "fsa": lambda tags, rng, **kw: run_fsa_inventory(tags, 64, TIMING, rng, **kw),
+    "edfsa": lambda tags, rng, **kw: run_edfsa_inventory(
+        tags, TIMING, rng, initial_estimate=300.0, **kw),
+}
+
+
+@pytest.mark.parametrize("protocol", INVENTORIES)
+def test_inventory_respects_round_budget(protocol):
+    run = INVENTORIES[protocol]
     tags = make_population(100)
-    result = run_afsa_inventory(
-        tags, FrameConfig(128, 2), AdaptationPolicy(), TIMING, RngStream(7, 0),
-        max_rounds=1)
+    result = run(tags, RngStream(7, 0), max_rounds=1)
     assert result.rounds_used == 1
     assert not result.completed
     assert result.tags_identified < 100
     with pytest.raises(ValueError):
-        run_afsa_inventory(
-            tags, FrameConfig(128, 2), AdaptationPolicy(), TIMING,
-            RngStream(7, 0), max_rounds=0)
+        run(tags, RngStream(7, 0), max_rounds=0)
 
 
 def test_inventory_adapts_frame_between_rounds():
@@ -237,30 +248,32 @@ def test_inventory_adapts_frame_between_rounds():
         tags, FrameConfig(128, 2), AdaptationPolicy(), TIMING, RngStream(11, 0),
         max_rounds=200)
     assert result.completed
-    first, second = result.params[0], result.params[1]
+    first, second = result.traces[0], result.traces[1]
     assert first.slots == 128
-    assert first.k_active == 100
+    assert result.k_active[0] == 100
     # the second frame tracks the shrunken backlog
     assert second.slots < 128
-    assert second.k_active == 100 - len(result.traces[0].identified_epcs)
+    assert result.k_active[1] == 100 - len(first.identified_epcs)
     # frames stay powers of two within policy bounds
-    for p in result.params[1:]:
-        assert p.slots & (p.slots - 1) == 0
-        assert 8 <= p.slots <= 1024
+    for t in result.traces[1:]:
+        assert t.slots & (t.slots - 1) == 0
+        assert 8 <= t.slots <= 1024
 
 
-def test_between_rounds_hook_sees_each_gap():
+@pytest.mark.parametrize("protocol", INVENTORIES)
+def test_between_rounds_hook_sees_each_gap(protocol):
     tags = make_population(50)
     calls = []
 
     def hook(next_round_index, trace):
-        calls.append((next_round_index, trace.slots))
+        calls.append((next_round_index, trace))
 
-    result = run_afsa_inventory(
-        tags, FrameConfig(64, 2), AdaptationPolicy(), TIMING, RngStream(3, 0),
-        max_rounds=200, between_rounds=hook)
-    # one call per gap: rounds - 1
+    result = INVENTORIES[protocol](
+        tags, RngStream(3, 0), max_rounds=200, between_rounds=hook)
+    assert result.completed
+    # one call per gap: rounds - 1, each with the round just played
     assert [index for index, _ in calls] == list(range(1, result.rounds_used))
+    assert all(trace is result.traces[index - 1] for index, trace in calls)
 
 
 def test_between_rounds_arrivals_extend_the_inventory():

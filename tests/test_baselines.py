@@ -75,8 +75,8 @@ def test_fsa_inventory_keeps_frame_fixed():
     result = run_fsa_inventory(tags, 32, TIMING, RngStream(4, 0), max_rounds=300)
     assert result.completed
     assert result.tags_identified == 30
-    assert all(p.slots == 32 for p in result.params)
-    assert all(p.seq_bits == 0 for p in result.params)
+    assert all(t.slots == 32 for t in result.traces)
+    assert all(t.seq_bits == 0 for t in result.traces)
 
 
 def test_fsa_inventory_empty_population():
@@ -132,7 +132,7 @@ def test_edfsa_inventory_completes():
     assert result.completed
     assert result.tags_identified == 100
     assert all(t.identified for t in tags)
-    assert all(p.slots in EDFSA_FRAME_CHOICES for p in result.params)
+    assert all(t.slots in EDFSA_FRAME_CHOICES for t in result.traces)
 
 
 def test_edfsa_inventory_empty_population():
@@ -140,7 +140,7 @@ def test_edfsa_inventory_empty_population():
     assert result.rounds_used == 1
     assert result.completed
     # initial estimate of 128 plans a 128-slot frame
-    assert result.params[0].slots == 128
+    assert result.traces[0].slots == 128
 
 
 def test_edfsa_validation():

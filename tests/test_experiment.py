@@ -46,6 +46,9 @@ def test_validation_reports_every_problem_at_once():
     ("trials", 0, "trials must be >= 1"),
     ("max_rounds", 0, "max_rounds must be >= 1"),
     ("arrival_rate", -1.0, "arrival_rate must be >= 0"),
+    ("arrival_rate", float("nan"), "arrival_rate must be finite and <= 700"),
+    ("arrival_rate", float("inf"), "arrival_rate must be finite and <= 700"),
+    ("arrival_rate", 800.0, "arrival_rate must be finite and <= 700"),
     ("departure_prob", -0.1, "departure_prob must be in [0, 1]"),
 ])
 def test_validation_messages_name_field_and_constraint(field, value, fragment):

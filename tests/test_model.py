@@ -95,6 +95,7 @@ def _sample_trace() -> RoundTrace:
     return RoundTrace(
         observations=observations,
         bitmap=(True, False, False, True),
+        seq_bits=2,
         idle_count=1,
         reserved_true_count=1,
         detected_collision_count=1,

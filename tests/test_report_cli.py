@@ -200,13 +200,15 @@ def test_main_bad_flag_exits_one(capsys):
 
 
 def test_main_invalid_config_reports_all_problems(capsys):
-    code = main(["--tags", "-5", "--frame", "0", "--trials", "0"])
+    code = main(["--tags", "-5", "--frame", "0", "--trials", "0",
+                 "--arrival-rate", "nan"])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
     assert "k_initial must be >= 0" in captured.err
     assert "frame_slots must be >= 1" in captured.err
     assert "trials must be >= 1" in captured.err
+    assert "arrival_rate must be finite and <= 700" in captured.err
 
 
 def test_main_seq_bits_out_of_range_exits_one(capsys):
