@@ -10,76 +10,12 @@ wastes its data slot, and identifies nobody.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence
+from typing import Callable, Iterator, List, Optional, Sequence
 
 from .analytic import phase_durations_for
 from .estimator import AdaptationPolicy, estimate_backlog, next_frame
-from .model import (
-    FrameConfig,
-    RoundTrace,
-    SlotKind,
-    SlotObservation,
-    Tag,
-    TagRoundDecision,
-    TimingModel,
-    active_count,
-)
+from .model import FrameConfig, RoundTrace, Tag, TimingModel, active_count
 from .rng import RandomSource
-
-
-def tag_decide(tag: Tag, frame: FrameConfig, rng: RandomSource) -> TagRoundDecision:
-    """One tag's choices for the advertised frame.
-
-    The tag always consumes a participation draw (joining iff the draw is
-    divisible by the participation divisor, so a divisor of one admits
-    everyone); a joining tag then draws a slot uniform over the frame and
-    a reservation sequence uniform over seq_bits-bit values.  Draw order
-    is part of the reproducibility contract.
-    """
-    if not tag.present:
-        raise ValueError("absent tag cannot take part in a round")
-    if tag.identified:
-        raise ValueError("identified tag no longer responds")
-    if rng.randbelow(frame.participation_divisor) != 0:
-        return TagRoundDecision(participating=False)
-    slot = rng.randbelow(frame.slots)
-    sequence = rng.randbelow(1 << frame.seq_bits)
-    return TagRoundDecision(participating=True, slot=slot, sequence=sequence)
-
-
-def reader_observe(
-    decisions: Iterable[TagRoundDecision],
-    frame: FrameConfig,
-) -> List[SlotObservation]:
-    """Classify every slot of the frame from the tags' decisions.
-
-    A slot is idle with no occupants, a detected collision when occupants
-    sent differing sequences, and apparently reserved otherwise; with
-    several occupants on one sequence the reader cannot tell, so the slot
-    reports RESERVED_APPARENT with the ground-truth occupant count
-    carried alongside.
-    """
-    buckets: List[List[int]] = [[] for _ in range(frame.slots)]
-    seq_space = 1 << frame.seq_bits
-    for decision in decisions:
-        if not decision.participating:
-            continue
-        if decision.slot is None or not 0 <= decision.slot < frame.slots:
-            raise ValueError(f"slot {decision.slot!r} outside frame of {frame.slots}")
-        if decision.sequence is None or not 0 <= decision.sequence < seq_space:
-            raise ValueError(f"sequence {decision.sequence!r} outside {frame.seq_bits}-bit range")
-        buckets[decision.slot].append(decision.sequence)
-
-    observations: List[SlotObservation] = []
-    for sequences in buckets:
-        if not sequences:
-            observations.append(SlotObservation(SlotKind.IDLE, 0))
-        elif all(s == sequences[0] for s in sequences):
-            observations.append(
-                SlotObservation(SlotKind.RESERVED_APPARENT, len(sequences), sequences[0]))
-        else:
-            observations.append(SlotObservation(SlotKind.DETECTED_COLLISION, len(sequences)))
-    return observations
 
 
 def run_afsa_round(
@@ -90,53 +26,71 @@ def run_afsa_round(
 ) -> RoundTrace:
     """Execute one round over the present, unidentified tags.
 
-    Tags in truly reserved slots (exactly one occupant) are marked
-    identified in place.  Occupants of an undetected collision transmit
-    garbled data in the shared slot, so the slot's time is spent but
-    nobody is identified.
+    Each such tag, in order, consumes a participation draw and joins iff
+    the draw is divisible by the participation divisor (a divisor of one
+    admits everyone); a joining tag then draws a slot uniform over the
+    frame and a reservation sequence uniform over seq_bits-bit values.
+    Draw order is part of the reproducibility contract.
+
+    A slot is idle with no occupants, a detected collision when its
+    occupants sent differing sequences, and apparently reserved
+    otherwise.  The tag in a truly reserved slot (exactly one occupant)
+    is marked identified in place.  Occupants of an undetected collision
+    transmit garbled data in the shared slot, so the slot's time is spent
+    but nobody is identified.
     """
-    slot_tags: List[List[Tag]] = [[] for _ in range(frame.slots)]
-    decisions: List[TagRoundDecision] = []
+    slots = frame.slots
+    divisor = frame.participation_divisor
+    seq_space = 1 << frame.seq_bits
+    randbelow = rng.randbelow
+    # per slot: first occupant, its sequence, occupant count, and whether
+    # a later occupant sent a different sequence
+    first_tag: List[Optional[Tag]] = [None] * slots
+    first_seq = [0] * slots
+    occupants = [0] * slots
+    clash = [False] * slots
+    responders = 0
     for tag in tags:
         if not tag.present or tag.identified:
             continue
-        decision = tag_decide(tag, frame, rng)
-        decisions.append(decision)
-        if decision.participating:
-            slot_tags[decision.slot].append(tag)
-
-    observations = reader_observe(decisions, frame)
+        if randbelow(divisor) != 0:
+            continue
+        slot = randbelow(slots)
+        sequence = randbelow(seq_space)
+        responders += 1
+        if occupants[slot] == 0:
+            first_tag[slot] = tag
+            first_seq[slot] = sequence
+        elif sequence != first_seq[slot]:
+            clash[slot] = True
+        occupants[slot] += 1
 
     idle = reserved_true = detected = undetected = 0
-    bitmap: List[bool] = []
     identified: List[int] = []
-    for i, obs in enumerate(observations):
-        bitmap.append(obs.kind is SlotKind.RESERVED_APPARENT)
-        if obs.kind is SlotKind.IDLE:
+    for slot, count in enumerate(occupants):
+        if count == 0:
             idle += 1
-        elif obs.kind is SlotKind.DETECTED_COLLISION:
+        elif clash[slot]:
             detected += 1
-        elif obs.occupants == 1:
+        elif count == 1:
             reserved_true += 1
-            winner = slot_tags[i][0]
+            winner = first_tag[slot]
             winner.identified = True
             identified.append(winner.epc)
         else:
             undetected += 1
 
-    phases = phase_durations_for(
-        reserved_true + undetected, frame.slots, frame.seq_bits, timing)
     return RoundTrace(
-        observations=tuple(observations),
-        bitmap=tuple(bitmap),
+        slots=slots,
         seq_bits=frame.seq_bits,
+        responders=responders,
         idle_count=idle,
         reserved_true_count=reserved_true,
         detected_collision_count=detected,
         undetected_collision_count=undetected,
         identified_epcs=tuple(identified),
-        phase_durations_us=phases,
-        total_us=phases.total,
+        phase_durations_us=phase_durations_for(
+            reserved_true + undetected, slots, frame.seq_bits, timing),
     )
 
 

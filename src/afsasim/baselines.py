@@ -18,8 +18,6 @@ from .estimator import estimate_backlog
 from .model import (
     PhaseDurations,
     RoundTrace,
-    SlotKind,
-    SlotObservation,
     Tag,
     TimingModel,
     active_count,  # unused here, but bench/child.py wraps it by this name
@@ -44,56 +42,52 @@ def run_fsa_round(
     slot of the frame costs a full data slot whether idle, reserved, or
     collided; there is no reservation or acknowledgement traffic beyond
     the frame advertisement.  Single-occupant slots identify their tag in
-    place.  The sequence recorded for a reserved slot is 0: these slots
-    carry payloads, not reservation sequences.
+    place.
     """
     if slots < 1:
         raise ValueError("slots must be >= 1")
-    slot_tags: List[List[Tag]] = [[] for _ in range(slots)]
+    randbelow = rng.randbelow
+    first_tag: List[Optional[Tag]] = [None] * slots
+    occupants = [0] * slots
+    responders = 0
     for tag in tags:
         if not tag.present or tag.identified:
             continue
-        slot_tags[rng.randbelow(slots)].append(tag)
+        slot = randbelow(slots)
+        responders += 1
+        if occupants[slot] == 0:
+            first_tag[slot] = tag
+        occupants[slot] += 1
 
-    observations: List[SlotObservation] = []
-    bitmap: List[bool] = []
     identified: List[int] = []
     idle = reserved = detected = 0
-    for occupants in slot_tags:
-        if not occupants:
-            observations.append(SlotObservation(SlotKind.IDLE, 0))
-            bitmap.append(False)
+    for slot, count in enumerate(occupants):
+        if count == 0:
             idle += 1
-        elif len(occupants) == 1:
-            observations.append(SlotObservation(SlotKind.RESERVED_APPARENT, 1, 0))
-            bitmap.append(True)
+        elif count == 1:
             reserved += 1
-            winner = occupants[0]
+            winner = first_tag[slot]
             winner.identified = True
             identified.append(winner.epc)
         else:
-            observations.append(SlotObservation(SlotKind.DETECTED_COLLISION, len(occupants)))
-            bitmap.append(False)
             detected += 1
 
-    phases = PhaseDurations(
-        t_ad=timing.advert_us,
-        t_r=0.0,
-        t_su=0.0,
-        t_d=timing.data_slot_us * slots,
-        t_ack=0.0,
-    )
     return RoundTrace(
-        observations=tuple(observations),
-        bitmap=tuple(bitmap),
+        slots=slots,
         seq_bits=0,
+        responders=responders,
         idle_count=idle,
         reserved_true_count=reserved,
         detected_collision_count=detected,
         undetected_collision_count=0,
         identified_epcs=tuple(identified),
-        phase_durations_us=phases,
-        total_us=phases.total,
+        phase_durations_us=PhaseDurations(
+            t_ad=timing.advert_us,
+            t_r=0.0,
+            t_su=0.0,
+            t_d=timing.data_slot_us * slots,
+            t_ack=0.0,
+        ),
     )
 
 

@@ -7,11 +7,15 @@ unidentified.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional, Sequence, Tuple
 
 from .experiment import (
     MAX_ARRIVAL_RATE,
+    MAX_FRAME_SLOTS,
+    MAX_TAGS,
+    MAX_TRIALS,
     ExperimentConfig,
     run_experiment,
     run_sweep,
@@ -31,6 +35,9 @@ SWEEP_PARAMS = {
     "arrival-rate": ("arrival_rate", float),
     "departure-prob": ("departure_prob", float),
 }
+
+# Most values one --sweep range may expand to; each runs a whole experiment.
+MAX_SWEEP_VALUES = 10_000
 
 
 class CliError(Exception):
@@ -74,12 +81,19 @@ def _sweep_values(start, step, end) -> List:
         raise argparse.ArgumentTypeError(
             "sweep range is empty: end is on the wrong side of start for this step")
     if isinstance(step, int):
-        values = list(range(start, end + (1 if step > 0 else -1), step))
+        count = (end - start) // step + 1
+    elif not all(math.isfinite(v) for v in (start, step, end)):
+        raise argparse.ArgumentTypeError("sweep bounds and step must be finite")
     else:
-        # inclusive end with a small epsilon against float accumulation
-        count = int((end - start) / step + 1e-9) + 1
-        values = [start + i * step for i in range(count)]
-    return values
+        # inclusive end with a small epsilon against float accumulation;
+        # min() keeps a span that overflowed to inf out of int()
+        count = int(min((end - start) / step + 1e-9, MAX_SWEEP_VALUES)) + 1
+    if count > MAX_SWEEP_VALUES:
+        raise argparse.ArgumentTypeError(
+            f"sweep range has more than {MAX_SWEEP_VALUES} values")
+    if isinstance(step, int):
+        return list(range(start, end + (1 if step > 0 else -1), step))
+    return [start + i * step for i in range(count)]
 
 
 def _sweep_spec(text: str) -> Tuple[str, List]:
@@ -111,15 +125,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--protocol", choices=("afsa", "fsa", "edfsa"),
                         default="afsa", help="protocol to run (default afsa)")
     parser.add_argument("--tags", type=_int_arg, default=100, metavar="K",
-                        help="initial tag population (default 100)")
+                        help=f"initial tag population, at most {MAX_TAGS} (default 100)")
     parser.add_argument("--frame", type=_int_arg, default=128, metavar="N",
-                        help="initial frame size in slots (default 128)")
+                        help="initial frame size in slots, at most "
+                             f"{MAX_FRAME_SLOTS} (default 128)")
     parser.add_argument("--seq-bits", type=_seq_bits, default=None,
                         metavar=f"{{1..{MAX_SEQ_BITS}|auto}}",
                         help="reservation sequence bits, or auto to re-derive "
                              "each round (default auto)")
     parser.add_argument("--trials", type=_int_arg, default=25,
-                        help="independent trials to run (default 25)")
+                        help=f"independent trials to run, at most {MAX_TRIALS} (default 25)")
     parser.add_argument("--seed", type=_int_arg, default=1,
                         help="master seed; trial t uses stream (seed, t) (default 1)")
     parser.add_argument("--max-rounds", type=_int_arg, default=1000,
@@ -133,8 +148,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="per-tag departure probability per round gap (default 0)")
     parser.add_argument("--sweep", type=_sweep_spec, default=None,
                         metavar="PARAM=START:STEP:END",
-                        help="sweep one parameter over an inclusive range, "
-                             "e.g. --sweep seq-bits=1:1:6")
+                        help="sweep one parameter over an inclusive range of at "
+                             f"most {MAX_SWEEP_VALUES} values, e.g. "
+                             "--sweep seq-bits=1:1:6")
     parser.add_argument("--out", default=None, metavar="PATH",
                         help="write the report here instead of stdout")
     parser.add_argument("--format", choices=("csv", "json"), default="csv",

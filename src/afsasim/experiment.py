@@ -26,6 +26,13 @@ PROTOCOLS = ("afsa", "fsa", "edfsa")
 # draw returns the loop's cap.
 MAX_ARRIVAL_RATE = 700
 
+# Largest population, initial frame and trial count a config may ask for.
+# Each is allocated up front (tags, per-slot lists, trial tasks), so an
+# unbounded value would exhaust memory instead of failing validation.
+MAX_TAGS = 1_000_000
+MAX_FRAME_SLOTS = 65_536
+MAX_TRIALS = 1_000_000
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -34,9 +41,11 @@ class ExperimentConfig:
     `seq_bits=None` means the reader re-derives the sequence length every
     round (and the first round assumes load one); an integer pins it.
     `frame_slots` is the initial frame size; for EDFSA it doubles as the
-    initial backlog estimate that seeds planning.  `arrival_rate` is the
-    Poisson mean of tag arrivals per round gap, at most MAX_ARRIVAL_RATE;
-    `departure_prob` is each present tag's chance to leave per round gap.
+    initial backlog estimate that seeds planning.  `k_initial`,
+    `frame_slots` and `trials` are capped at MAX_TAGS, MAX_FRAME_SLOTS and
+    MAX_TRIALS.  `arrival_rate` is the Poisson mean of tag arrivals per
+    round gap, at most MAX_ARRIVAL_RATE; `departure_prob` is each present
+    tag's chance to leave per round gap.
     """
 
     protocol: str = "afsa"
@@ -61,12 +70,18 @@ def validate_experiment(config: ExperimentConfig) -> List[str]:
         problems.append(f"protocol must be one of {', '.join(PROTOCOLS)}")
     if config.k_initial < 0:
         problems.append("k_initial must be >= 0")
+    elif config.k_initial > MAX_TAGS:
+        problems.append(f"k_initial must be <= {MAX_TAGS}")
     if config.frame_slots < 1:
         problems.append("frame_slots must be >= 1")
+    elif config.frame_slots > MAX_FRAME_SLOTS:
+        problems.append(f"frame_slots must be <= {MAX_FRAME_SLOTS}")
     if config.seq_bits is not None and not 1 <= config.seq_bits <= MAX_SEQ_BITS:
         problems.append(f"seq_bits must be in [1, {MAX_SEQ_BITS}] or None for auto")
     if config.trials < 1:
         problems.append("trials must be >= 1")
+    elif config.trials > MAX_TRIALS:
+        problems.append(f"trials must be <= {MAX_TRIALS}")
     if config.max_rounds < 1:
         problems.append("max_rounds must be >= 1")
     if config.arrival_rate < 0:

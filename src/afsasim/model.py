@@ -7,10 +7,7 @@ copies.
 """
 from __future__ import annotations
 
-import enum
-import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
 
 # Longest reservation sequence a frame may announce, in bits.
 MAX_SEQ_BITS = 16
@@ -77,58 +74,6 @@ class Tag:
     present: bool = True
 
 
-class TagRoundDecision(NamedTuple):
-    """What a single tag resolved to do for one frame.
-
-    `slot` and `sequence` are meaningful only when `participating` is True;
-    they are None otherwise.
-    """
-
-    participating: bool
-    slot: Optional[int] = None
-    sequence: Optional[int] = None
-
-
-class SlotKind(enum.Enum):
-    IDLE = "idle"
-    RESERVED_APPARENT = "reserved_apparent"
-    DETECTED_COLLISION = "detected_collision"
-
-
-class SlotObservation(NamedTuple):
-    """What the reader can tell about one reservation slot.
-
-    `sequence` is the sequence heard in the slot for RESERVED_APPARENT
-    (every occupant sent that same value, so a multi-occupant slot is
-    indistinguishable from a lone responder); it is None for the other
-    kinds.  `occupants` is ground truth carried along for accounting and
-    is not information the reader could act on.
-    """
-
-    kind: SlotKind
-    occupants: int
-    sequence: Optional[int] = None
-
-
-def check_slot_observation(obs: SlotObservation) -> None:
-    """Raise ValueError unless the observation is internally consistent."""
-    if obs.kind is SlotKind.IDLE:
-        if obs.occupants != 0 or obs.sequence is not None:
-            raise ValueError("idle slot must have no occupants and no sequence")
-    elif obs.kind is SlotKind.RESERVED_APPARENT:
-        if obs.occupants < 1:
-            raise ValueError("apparently reserved slot must have occupants")
-        if obs.sequence is None or obs.sequence < 0:
-            raise ValueError("apparently reserved slot must carry the heard sequence")
-    elif obs.kind is SlotKind.DETECTED_COLLISION:
-        if obs.occupants < 2:
-            raise ValueError("detected collision needs at least two occupants")
-        if obs.sequence is not None:
-            raise ValueError("detected collision carries no single sequence")
-    else:  # pragma: no cover - enum is closed
-        raise ValueError(f"unknown slot kind {obs.kind!r}")
-
-
 @dataclass(frozen=True)
 class PhaseDurations:
     """Time spent in each phase of one round, microseconds."""
@@ -146,29 +91,31 @@ class PhaseDurations:
 
 @dataclass(frozen=True)
 class RoundTrace:
-    """Complete record of one executed round.
+    """Complete record of one executed round, as counts.
 
-    `bitmap` is the reservation summary the reader broadcasts: one bit per
-    slot, True exactly where the slot looked reserved.  `seq_bits` is the
-    reservation sequence length the frame announced, 0 for protocols
-    without a reservation phase.  `identified_epcs` lists tags identified
-    this round in slot order.
+    `responders` is the number of tags that transmitted in the frame.
+    `seq_bits` is the reservation sequence length the frame announced, 0
+    for protocols without a reservation phase.  The four slot counts
+    partition the frame; `identified_epcs` lists tags identified this
+    round in slot order.  The reservation summary the reader broadcasts
+    costs one reader bit per slot (the `t_su` phase); nothing downstream
+    reads which slots it marks, so only their number is kept, as
+    `reserved_apparent_count`.
     """
 
-    observations: tuple[SlotObservation, ...]
-    bitmap: tuple[bool, ...]
+    slots: int
     seq_bits: int
+    responders: int
     idle_count: int
     reserved_true_count: int
     detected_collision_count: int
     undetected_collision_count: int
     identified_epcs: tuple[int, ...]
     phase_durations_us: PhaseDurations
-    total_us: float
 
     @property
-    def slots(self) -> int:
-        return len(self.observations)
+    def total_us(self) -> float:
+        return self.phase_durations_us.total
 
     @property
     def reserved_apparent_count(self) -> int:
@@ -182,45 +129,24 @@ def check_round_trace(trace: RoundTrace) -> None:
     This is the single consistency gate used by tests after every simulated
     round, independent of how the round was produced.
     """
-    n = trace.slots
-    if len(trace.bitmap) != n:
-        raise ValueError("bitmap length must equal slot count")
-
-    idle = reserved_true = detected = undetected = 0
-    for i, obs in enumerate(trace.observations):
-        check_slot_observation(obs)
-        apparent = obs.kind is SlotKind.RESERVED_APPARENT
-        if trace.bitmap[i] != apparent:
-            raise ValueError(f"bitmap bit {i} disagrees with observation kind")
-        if obs.kind is SlotKind.IDLE:
-            idle += 1
-        elif obs.kind is SlotKind.DETECTED_COLLISION:
-            detected += 1
-        elif obs.occupants == 1:
-            reserved_true += 1
-        else:
-            undetected += 1
-
-    if (trace.idle_count, trace.reserved_true_count,
-            trace.detected_collision_count, trace.undetected_collision_count) != (
-            idle, reserved_true, detected, undetected):
-        raise ValueError("stored slot counts disagree with the observations")
-    if (trace.idle_count + trace.reserved_true_count
-            + trace.detected_collision_count + trace.undetected_collision_count) != n:
+    counts = (trace.idle_count, trace.reserved_true_count,
+              trace.detected_collision_count, trace.undetected_collision_count)
+    if trace.slots < 1:
+        raise ValueError("a frame has at least one slot")
+    if min(counts) < 0:
+        raise ValueError("slot counts must be >= 0")
+    if sum(counts) != trace.slots:
         raise ValueError("slot counts must partition the frame")
+    # a truly reserved slot holds one responder, a collided slot two or more
+    if trace.responders < (trace.reserved_true_count + 2 * (
+            trace.detected_collision_count + trace.undetected_collision_count)):
+        raise ValueError("too few responders for the occupied slots")
+    if (trace.responders == 0) != (trace.idle_count == trace.slots):
+        raise ValueError("the frame is all idle exactly when nobody responded")
     if len(trace.identified_epcs) != trace.reserved_true_count:
         raise ValueError("one identification per truly reserved slot")
     if len(set(trace.identified_epcs)) != len(trace.identified_epcs):
         raise ValueError("a tag cannot be identified twice in one round")
-
-    p = trace.phase_durations_us
-    if not math.isclose(trace.total_us, p.total, rel_tol=0.0, abs_tol=1e-9):
-        raise ValueError("total_us must equal the sum of the phase durations")
-
-
-def bitmap_string(trace: RoundTrace) -> str:
-    """Render the reservation summary as a 0/1 string, slot 0 first."""
-    return "".join("1" if b else "0" for b in trace.bitmap)
 
 
 def make_population(count: int, first_epc: int = 0) -> list[Tag]:

@@ -1,11 +1,12 @@
-"""Independent oracles for the closed-form expectations.
+"""Independent oracles for the closed-form expectations and the round kernels.
 
-Everything here derives expectations by brute force, with exact rational
+Everything here derives its results by brute force, with exact rational
 arithmetic where possible, sharing no code or algebra with the package.
 Kept deliberately slow and obvious.
 """
 from fractions import Fraction
 from itertools import product
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -80,3 +81,117 @@ def mc_undetected_mean(tags: int, slots: int, seq_bits: int,
             if len(chosen) >= 2 and (chosen == chosen[0]).all():
                 undetected += 1
     return undetected / rounds
+
+
+# Reference round -----------------------------------------------------------
+#
+# A slow, per-slot model of one round that shares no code with the package:
+# it takes the tags and the random stream, makes the same draws in the same
+# order, buckets every responder into its slot, and builds one observation
+# per slot the way a reader would see it.  The package's round kernels keep
+# only counts; seeded equivalence tests pin them to this model.
+
+IDLE = "idle"
+RESERVED_APPARENT = "reserved_apparent"
+DETECTED_COLLISION = "detected_collision"
+
+
+class SlotObservation(NamedTuple):
+    """What the reader can tell about one slot.
+
+    `sequence` is the value heard in a RESERVED_APPARENT slot (every
+    occupant sent it, so several occupants on one sequence look like a
+    lone responder); it is None for the other kinds.  `occupants` is
+    ground truth carried along for accounting.
+    """
+
+    kind: str
+    occupants: int
+    sequence: Optional[int] = None
+
+
+def check_slot_observation(obs: SlotObservation) -> None:
+    """Raise ValueError unless the observation is internally consistent."""
+    if obs.kind == IDLE:
+        if obs.occupants != 0 or obs.sequence is not None:
+            raise ValueError("idle slot must have no occupants and no sequence")
+    elif obs.kind == RESERVED_APPARENT:
+        if obs.occupants < 1:
+            raise ValueError("apparently reserved slot must have occupants")
+        if obs.sequence is None or obs.sequence < 0:
+            raise ValueError("apparently reserved slot must carry the heard sequence")
+    elif obs.kind == DETECTED_COLLISION:
+        if obs.occupants < 2:
+            raise ValueError("detected collision needs at least two occupants")
+        if obs.sequence is not None:
+            raise ValueError("detected collision carries no single sequence")
+    else:
+        raise ValueError(f"unknown slot kind {obs.kind!r}")
+
+
+class ReferenceRound(NamedTuple):
+    observations: List[SlotObservation]
+    responders: int
+    idle: int
+    reserved_true: int
+    detected: int
+    undetected: int
+    identified_epcs: Tuple[int, ...]
+
+
+def reference_round(tags, slots: int, rng, seq_bits: Optional[int] = None,
+                    divisor: int = 1) -> ReferenceRound:
+    """One round, slot by slot; marks the identified tags in place.
+
+    With `seq_bits` set this is the reservation protocol: each present,
+    unidentified tag draws participation (joining iff the draw is a
+    multiple of `divisor`), then a slot, then a `seq_bits`-bit sequence.
+    With `seq_bits` None it is framed ALOHA: one slot draw per tag, and
+    each occupant sends its full payload (its EPC), so two occupants
+    always differ and every collision is detected.
+    """
+    buckets = [[] for _ in range(slots)]
+    for tag in tags:
+        if not tag.present or tag.identified:
+            continue
+        if seq_bits is None:
+            slot = rng.randbelow(slots)
+            heard = tag.epc
+        else:
+            if rng.randbelow(divisor) != 0:
+                continue
+            slot = rng.randbelow(slots)
+            heard = rng.randbelow(2 ** seq_bits)
+        buckets[slot].append((tag, heard))
+
+    observations = []
+    for bucket in buckets:
+        heard = {value for _, value in bucket}
+        if not bucket:
+            obs = SlotObservation(IDLE, 0)
+        elif len(heard) == 1:
+            obs = SlotObservation(RESERVED_APPARENT, len(bucket), bucket[0][1])
+        else:
+            obs = SlotObservation(DETECTED_COLLISION, len(bucket))
+        check_slot_observation(obs)
+        observations.append(obs)
+
+    winners = [bucket[0][0] for bucket, obs in zip(buckets, observations)
+               if obs.kind == RESERVED_APPARENT and obs.occupants == 1]
+    for tag in winners:
+        tag.identified = True
+    apparent = [obs for obs in observations if obs.kind == RESERVED_APPARENT]
+    result = ReferenceRound(
+        observations=observations,
+        responders=sum(len(bucket) for bucket in buckets),
+        idle=sum(1 for obs in observations if obs.kind == IDLE),
+        reserved_true=sum(1 for obs in apparent if obs.occupants == 1),
+        detected=sum(1 for obs in observations if obs.kind == DETECTED_COLLISION),
+        undetected=sum(1 for obs in apparent if obs.occupants > 1),
+        identified_epcs=tuple(tag.epc for tag in winners),
+    )
+    if result.idle + len(apparent) + result.detected != slots:
+        raise ValueError("slot kinds must partition the frame")
+    if sum(obs.occupants for obs in observations) != result.responders:
+        raise ValueError("every responder occupies exactly one slot")
+    return result

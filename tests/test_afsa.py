@@ -3,94 +3,101 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from afsasim.afsa import (
-    reader_observe,
-    run_afsa_inventory,
-    run_afsa_round,
-    tag_decide,
-)
+from afsasim.afsa import run_afsa_inventory, run_afsa_round
 from afsasim.analytic import expected_idle, expected_reserved
 from afsasim.baselines import run_edfsa_inventory, run_fsa_inventory
-from afsasim.estimator import AdaptationPolicy
+from afsasim.estimator import AdaptationPolicy, estimate_backlog, next_frame
 from afsasim.model import (
     FrameConfig,
-    SlotKind,
     Tag,
-    TagRoundDecision,
     TimingModel,
-    bitmap_string,
     check_round_trace,
     make_population,
 )
 from afsasim.rng import RngStream, ScriptedStream
 
+from oracles import DETECTED_COLLISION, IDLE, RESERVED_APPARENT, reference_round
+
 TIMING = TimingModel()
 
 
+# A tag's decision inside run_afsa_round: one participation draw, then a
+# slot and a sequence only if it joins.
+
 def test_tag_decide_scripted_draws():
-    decision = tag_decide(Tag(epc=0), FrameConfig(4, 2), ScriptedStream([0, 2, 1]))
-    assert decision == TagRoundDecision(participating=True, slot=2, sequence=1)
+    tag = Tag(epc=0)
+    trace = run_afsa_round([tag], FrameConfig(4, 2), TIMING, ScriptedStream([0, 2, 1]))
+    check_round_trace(trace)
+    assert (trace.responders, trace.reserved_true_count, trace.idle_count) == (1, 1, 3)
+    assert trace.identified_epcs == (0,)
+    assert tag.identified
 
 
 def test_tag_decide_consumes_participation_draw_even_without_gating():
     # exactly three draws with divisor 1: participation, slot, sequence
     stream = ScriptedStream([7, 5, 3])
-    decision = tag_decide(Tag(epc=0), FrameConfig(8, 2), stream)
-    assert decision.participating
-    assert decision.slot == 5
-    assert decision.sequence == 3
+    trace = run_afsa_round([Tag(epc=0)], FrameConfig(8, 2), TIMING, stream)
+    assert trace.responders == 1
+    assert trace.identified_epcs == (0,)
     assert stream.remaining == 0
 
 
 def test_tag_decide_gated_out_draws_nothing_more():
     stream = ScriptedStream([1])
-    decision = tag_decide(Tag(epc=0), FrameConfig(8, 2, participation_divisor=2), stream)
-    assert decision == TagRoundDecision(participating=False)
+    tag = Tag(epc=0)
+    trace = run_afsa_round(
+        [tag], FrameConfig(8, 2, participation_divisor=2), TIMING, stream)
+    check_round_trace(trace)
+    assert trace.responders == 0
+    assert trace.idle_count == 8
+    assert not tag.identified
     assert stream.remaining == 0
 
 
 def test_tag_decide_joins_when_draw_divisible():
-    decision = tag_decide(
-        Tag(epc=0), FrameConfig(8, 2, participation_divisor=3),
-        ScriptedStream([6, 4, 2]))
-    assert decision.participating
+    stream = ScriptedStream([6, 4, 2])
+    trace = run_afsa_round(
+        [Tag(epc=0)], FrameConfig(8, 2, participation_divisor=3), TIMING, stream)
+    assert trace.responders == 1
+    assert trace.identified_epcs == (0,)
+    assert stream.remaining == 0
 
 
 def test_tag_decide_rejects_settled_tags():
-    with pytest.raises(ValueError):
-        tag_decide(Tag(epc=0, identified=True), FrameConfig(4, 2), ScriptedStream([0]))
-    with pytest.raises(ValueError):
-        tag_decide(Tag(epc=0, present=False), FrameConfig(4, 2), ScriptedStream([0]))
+    # identified and absent tags are turned away before any draw
+    settled = [Tag(epc=0, identified=True), Tag(epc=1, present=False)]
+    trace = run_afsa_round(settled, FrameConfig(4, 2), TIMING, ScriptedStream([]))
+    check_round_trace(trace)
+    assert trace.responders == 0
+    assert trace.idle_count == 4
 
 
 def test_reader_observe_classifies_each_slot():
-    decisions = [
-        TagRoundDecision(True, 0, 3),   # alone: truly reserved
-        TagRoundDecision(True, 2, 0),   # differing sequences: detected
-        TagRoundDecision(True, 2, 1),
-        TagRoundDecision(True, 3, 1),   # same sequence: looks reserved
-        TagRoundDecision(True, 3, 1),
-        TagRoundDecision(False),
+    # (participation, slot, sequence) per tag; the last tag is gated out
+    script = [
+        0, 0, 3,   # alone in slot 0: truly reserved
+        0, 2, 0,   # slot 2, differing sequences: detected
+        0, 2, 1,
+        0, 3, 1,   # slot 3, same sequence: looks reserved
+        0, 3, 1,
+        1,
     ]
-    obs = reader_observe(decisions, FrameConfig(4, 2))
-    assert [o.kind for o in obs] == [
-        SlotKind.RESERVED_APPARENT,
-        SlotKind.IDLE,
-        SlotKind.DETECTED_COLLISION,
-        SlotKind.RESERVED_APPARENT,
-    ]
-    assert [o.occupants for o in obs] == [1, 0, 2, 2]
-    assert obs[0].sequence == 3
-    assert obs[3].sequence == 1
-
-
-def test_reader_observe_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        reader_observe([TagRoundDecision(True, 4, 0)], FrameConfig(4, 2))
-    with pytest.raises(ValueError):
-        reader_observe([TagRoundDecision(True, 0, 4)], FrameConfig(4, 2))
-    with pytest.raises(ValueError):
-        reader_observe([TagRoundDecision(True, None, None)], FrameConfig(4, 2))
+    frame = FrameConfig(4, 2, participation_divisor=2)
+    tags = make_population(6)
+    trace = run_afsa_round(tags, frame, TIMING, ScriptedStream(script))
+    check_round_trace(trace)
+    assert trace.responders == 5
+    assert (trace.idle_count, trace.reserved_true_count,
+            trace.detected_collision_count, trace.undetected_collision_count) == (1, 1, 1, 1)
+    assert trace.reserved_apparent_count == 2
+    assert trace.identified_epcs == (0,)
+    # the reference round sees the same layout slot by slot
+    ref = reference_round(
+        make_population(6), 4, ScriptedStream(script), seq_bits=2, divisor=2)
+    assert [o.kind for o in ref.observations] == [
+        RESERVED_APPARENT, IDLE, DETECTED_COLLISION, RESERVED_APPARENT]
+    assert [o.occupants for o in ref.observations] == [1, 0, 2, 2]
+    assert [o.sequence for o in ref.observations] == [3, None, None, 1]
 
 
 def test_empty_round_pays_fixed_overhead():
@@ -105,7 +112,7 @@ def test_single_tag_single_slot_identified():
     tag = Tag(epc=7)
     trace = run_afsa_round([tag], FrameConfig(1, 2), TIMING, RngStream(1, 0))
     check_round_trace(trace)
-    assert bitmap_string(trace) == "1"
+    assert trace.reserved_apparent_count == 1
     assert trace.phase_durations_us.t_d == 320.0
     assert trace.identified_epcs == (7,)
     assert tag.identified
@@ -117,7 +124,7 @@ def test_scripted_round_two_clean_reservations():
     tags = [Tag(epc=0), Tag(epc=1)]
     trace = run_afsa_round(tags, FrameConfig(2, 1), TIMING, stream)
     check_round_trace(trace)
-    assert bitmap_string(trace) == "11"
+    assert trace.reserved_apparent_count == 2
     assert trace.phase_durations_us.t_d == 640.0
     assert trace.identified_epcs == (0, 1)
     assert all(t.identified for t in tags)
@@ -132,7 +139,7 @@ def test_scripted_undetected_collision_wastes_slot_quietly():
     assert trace.undetected_collision_count == 1
     assert trace.reserved_true_count == 0
     assert trace.identified_epcs == ()
-    assert bitmap_string(trace) == "0100"
+    assert trace.reserved_apparent_count == 1
     # the ghost reservation still pays data and ack time
     assert trace.phase_durations_us.t_d == 320.0
     assert not any(t.identified for t in tags)
@@ -145,13 +152,13 @@ def test_scripted_detected_collision_costs_no_data_slot():
     check_round_trace(trace)
     assert trace.detected_collision_count == 1
     assert trace.phase_durations_us.t_d == 0.0
-    assert bitmap_string(trace) == "0000"
+    assert trace.reserved_apparent_count == 0
 
 
 def test_skips_identified_and_absent_tags():
     tags = [Tag(epc=0, identified=True), Tag(epc=1, present=False), Tag(epc=2)]
     trace = run_afsa_round(tags, FrameConfig(8, 1), TIMING, RngStream(5, 0))
-    assert sum(o.occupants for o in trace.observations) == 1
+    assert trace.responders == 1
 
 
 def test_round_is_deterministic_for_a_given_stream():
@@ -173,12 +180,40 @@ def test_round_traces_always_consistent(tags, slots, bits, divisor, seed):
     frame = FrameConfig(slots, bits, divisor)
     trace = run_afsa_round(population, frame, TIMING, RngStream(seed, 0))
     check_round_trace(trace)
-    # every participant occupies exactly one slot
-    assert sum(o.occupants for o in trace.observations) <= tags
+    assert trace.responders <= tags
     if divisor == 1:
-        assert sum(o.occupants for o in trace.observations) == tags
+        assert trace.responders == tags
     # identified tags are exactly the flagged ones
     assert sum(1 for t in population if t.identified) == trace.reserved_true_count
+
+
+# Population members as (present, identified) flags, mostly active tags.
+TAG_STATES = st.sampled_from([(True, False)] * 4 + [(True, True), (False, False)])
+
+
+def _population(states):
+    return [Tag(epc=i, present=p, identified=d) for i, (p, d) in enumerate(states)]
+
+
+@given(states=st.lists(TAG_STATES, max_size=70),
+       slots=st.integers(min_value=1, max_value=64),
+       bits=st.integers(min_value=1, max_value=4),
+       divisor=st.integers(min_value=1, max_value=4),
+       seed=st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=250, deadline=None)
+def test_afsa_round_matches_reference(states, slots, bits, divisor, seed):
+    tags, ref_tags = _population(states), _population(states)
+    rng, ref_rng = RngStream(seed, 0), RngStream(seed, 0)
+    trace = run_afsa_round(tags, FrameConfig(slots, bits, divisor), TIMING, rng)
+    ref = reference_round(ref_tags, slots, ref_rng, seq_bits=bits, divisor=divisor)
+    assert (trace.idle_count, trace.reserved_true_count,
+            trace.detected_collision_count, trace.undetected_collision_count) == (
+        ref.idle, ref.reserved_true, ref.detected, ref.undetected)
+    assert trace.responders == ref.responders
+    assert trace.identified_epcs == ref.identified_epcs
+    assert [t.identified for t in tags] == [t.identified for t in ref_tags]
+    # both consumed the same number of draws
+    assert rng.next_u64() == ref_rng.next_u64()
 
 
 def test_round_statistics_match_expectations():
@@ -274,6 +309,37 @@ def test_between_rounds_hook_sees_each_gap(protocol):
     # one call per gap: rounds - 1, each with the round just played
     assert [index for index, _ in calls] == list(range(1, result.rounds_used))
     assert all(trace is result.traces[index - 1] for index, trace in calls)
+
+
+@pytest.mark.parametrize("protocol", INVENTORIES)
+@given(k=st.integers(min_value=0, max_value=120),
+       arrival_rate=st.sampled_from([0.0, 0.5, 3.0]),
+       departure_prob=st.sampled_from([0.0, 0.05, 0.3]),
+       seed=st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=25, deadline=None)
+def test_every_round_of_a_churned_inventory_is_consistent(
+        protocol, k, arrival_rate, departure_prob, seed):
+    tags = make_population(k)
+    churn_rng = RngStream(seed, 1)
+
+    def churn(next_round_index, trace):
+        for tag in tags:
+            if tag.present and churn_rng.uniform01() < departure_prob:
+                tag.present = False
+        while churn_rng.uniform01() < arrival_rate / (1.0 + arrival_rate):
+            tags.append(Tag(epc=len(tags)))
+
+    result = INVENTORIES[protocol](
+        tags, RngStream(seed, 0), max_rounds=60, between_rounds=churn)
+    # AFSA's divisor for round i follows from the trace of round i - 1
+    frame = FrameConfig(64, 2)
+    for trace, k_active in zip(result.traces, result.k_active):
+        check_round_trace(trace)
+        assert trace.responders <= k_active
+        if protocol == "fsa" or (
+                protocol == "afsa" and frame.participation_divisor == 1):
+            assert trace.responders == k_active
+        frame = next_frame(estimate_backlog(trace), AdaptationPolicy())
 
 
 def test_between_rounds_arrivals_extend_the_inventory():

@@ -16,11 +16,14 @@ from afsasim.baselines import (
 from afsasim.estimator import AdaptationPolicy
 from afsasim.model import (
     FrameConfig,
+    Tag,
     TimingModel,
     check_round_trace,
     make_population,
 )
 from afsasim.rng import RngStream
+
+from oracles import reference_round
 
 TIMING = TimingModel()
 
@@ -54,9 +57,33 @@ def test_fsa_collisions_always_detected(tags, slots, seed):
     trace = run_fsa_round(population, slots, TIMING, RngStream(seed, 1))
     check_round_trace(trace)
     assert trace.undetected_collision_count == 0
-    assert sum(o.occupants for o in trace.observations) == tags
+    assert trace.responders == tags
     # frame cost is load-independent
     assert trace.total_us == TIMING.advert_us + slots * TIMING.data_slot_us
+
+
+@given(states=st.lists(
+           st.sampled_from([(True, False)] * 4 + [(True, True), (False, False)]),
+           max_size=80),
+       slots=st.integers(min_value=1, max_value=64),
+       seed=st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=250, deadline=None)
+def test_fsa_round_matches_reference(states, slots, seed):
+    def population():
+        return [Tag(epc=i, present=p, identified=d) for i, (p, d) in enumerate(states)]
+
+    tags, ref_tags = population(), population()
+    rng, ref_rng = RngStream(seed, 2), RngStream(seed, 2)
+    trace = run_fsa_round(tags, slots, TIMING, rng)
+    ref = reference_round(ref_tags, slots, ref_rng)
+    assert (trace.idle_count, trace.reserved_true_count,
+            trace.detected_collision_count, trace.undetected_collision_count) == (
+        ref.idle, ref.reserved_true, ref.detected, ref.undetected)
+    assert trace.responders == ref.responders
+    assert trace.identified_epcs == ref.identified_epcs
+    assert [t.identified for t in tags] == [t.identified for t in ref_tags]
+    # both consumed the same number of draws
+    assert rng.next_u64() == ref_rng.next_u64()
 
 
 def test_fsa_round_statistics_match_expectations():
@@ -117,9 +144,7 @@ def test_edfsa_groups_partition_responders():
     result = run_edfsa_inventory(
         tags, TIMING, RngStream(17, 0), max_rounds=3, initial_estimate=600.0)
     assert result.rounds_used == 3
-    group_sizes = [
-        sum(o.occupants for o in trace.observations) for trace in result.traces
-    ]
+    group_sizes = [trace.responders for trace in result.traces]
     # every tag responded in exactly one of the cycle's rounds
     assert sum(group_sizes) == 600
     expected_sizes = [len([e for e in range(600) if e % 3 == g]) for g in range(3)]

@@ -4,6 +4,9 @@ import dataclasses
 import pytest
 
 from afsasim.experiment import (
+    MAX_FRAME_SLOTS,
+    MAX_TAGS,
+    MAX_TRIALS,
     ExperimentConfig,
     ExperimentConfigError,
     run_experiment,
@@ -50,11 +53,22 @@ def test_validation_reports_every_problem_at_once():
     ("arrival_rate", float("inf"), "arrival_rate must be finite and <= 700"),
     ("arrival_rate", 800.0, "arrival_rate must be finite and <= 700"),
     ("departure_prob", -0.1, "departure_prob must be in [0, 1]"),
+    ("k_initial", MAX_TAGS + 1, f"k_initial must be <= {MAX_TAGS}"),
+    ("frame_slots", MAX_FRAME_SLOTS + 1, f"frame_slots must be <= {MAX_FRAME_SLOTS}"),
+    ("trials", MAX_TRIALS + 1, f"trials must be <= {MAX_TRIALS}"),
 ])
 def test_validation_messages_name_field_and_constraint(field, value, fragment):
     config = dataclasses.replace(ExperimentConfig(), **{field: value})
     problems = validate_experiment(config)
     assert problems == [fragment] or fragment in problems[0]
+
+
+def test_caps_accept_their_own_value():
+    # validation only: a config at the caps is never run here
+    config = dataclasses.replace(
+        ExperimentConfig(), k_initial=MAX_TAGS, frame_slots=MAX_FRAME_SLOTS,
+        trials=MAX_TRIALS)
+    assert validate_experiment(config) == []
 
 
 def test_run_experiment_rejects_invalid_config():

@@ -1,4 +1,4 @@
-"""Domain type validation and the round-trace consistency gate."""
+"""Domain type validation, the round-trace gate, and the reference slot check."""
 import dataclasses
 
 import pytest
@@ -7,15 +7,19 @@ from afsasim.model import (
     FrameConfig,
     PhaseDurations,
     RoundTrace,
-    SlotKind,
-    SlotObservation,
     Tag,
     TimingModel,
     active_count,
-    bitmap_string,
     check_round_trace,
-    check_slot_observation,
     make_population,
+)
+
+from oracles import (
+    DETECTED_COLLISION,
+    IDLE,
+    RESERVED_APPARENT,
+    SlotObservation,
+    check_slot_observation,
 )
 
 
@@ -64,20 +68,24 @@ def test_frame_config_rejects_bad_values(slots, bits):
         FrameConfig(slots=slots, seq_bits=bits)
 
 
+# The per-slot rules the reference round in oracles.py asserts on every
+# slot it builds; a check that accepted anything would make that
+# assertion vacuous.
+
 def test_slot_observation_consistency():
-    check_slot_observation(SlotObservation(SlotKind.IDLE, 0))
-    check_slot_observation(SlotObservation(SlotKind.RESERVED_APPARENT, 1, 3))
-    check_slot_observation(SlotObservation(SlotKind.RESERVED_APPARENT, 4, 0))
-    check_slot_observation(SlotObservation(SlotKind.DETECTED_COLLISION, 2))
+    check_slot_observation(SlotObservation(IDLE, 0))
+    check_slot_observation(SlotObservation(RESERVED_APPARENT, 1, 3))
+    check_slot_observation(SlotObservation(RESERVED_APPARENT, 4, 0))
+    check_slot_observation(SlotObservation(DETECTED_COLLISION, 2))
 
 
 @pytest.mark.parametrize("obs", [
-    SlotObservation(SlotKind.IDLE, 1),
-    SlotObservation(SlotKind.IDLE, 0, 0),
-    SlotObservation(SlotKind.RESERVED_APPARENT, 0, 1),
-    SlotObservation(SlotKind.RESERVED_APPARENT, 1, None),
-    SlotObservation(SlotKind.DETECTED_COLLISION, 1),
-    SlotObservation(SlotKind.DETECTED_COLLISION, 2, 1),
+    SlotObservation(IDLE, 1),
+    SlotObservation(IDLE, 0, 0),
+    SlotObservation(RESERVED_APPARENT, 0, 1),
+    SlotObservation(RESERVED_APPARENT, 1, None),
+    SlotObservation(DETECTED_COLLISION, 1),
+    SlotObservation(DETECTED_COLLISION, 2, 1),
 ])
 def test_slot_observation_rejects_inconsistent(obs):
     with pytest.raises(ValueError):
@@ -85,45 +93,50 @@ def test_slot_observation_rejects_inconsistent(obs):
 
 
 def _sample_trace() -> RoundTrace:
-    observations = (
-        SlotObservation(SlotKind.RESERVED_APPARENT, 1, 2),
-        SlotObservation(SlotKind.IDLE, 0),
-        SlotObservation(SlotKind.DETECTED_COLLISION, 2),
-        SlotObservation(SlotKind.RESERVED_APPARENT, 2, 1),
-    )
-    phases = PhaseDurations(t_ad=200.0, t_r=100.0, t_su=50.0, t_d=640.0, t_ack=25.0)
+    # slots: one lone responder, idle, a two-tag detected collision and a
+    # two-tag undetected one, so five responders
     return RoundTrace(
-        observations=observations,
-        bitmap=(True, False, False, True),
+        slots=4,
         seq_bits=2,
+        responders=5,
         idle_count=1,
         reserved_true_count=1,
         detected_collision_count=1,
         undetected_collision_count=1,
         identified_epcs=(9,),
-        phase_durations_us=phases,
-        total_us=phases.total,
+        phase_durations_us=PhaseDurations(
+            t_ad=200.0, t_r=100.0, t_su=50.0, t_d=640.0, t_ack=25.0),
     )
 
 
 def test_check_round_trace_accepts_consistent():
     trace = _sample_trace()
     check_round_trace(trace)
-    assert trace.slots == 4
     assert trace.reserved_apparent_count == 2
-    assert bitmap_string(trace) == "1001"
+    assert trace.total_us == 1015.0
+
+
+NO_SLOTS = {"slots": 0, "responders": 0, "idle_count": 0, "reserved_true_count": 0,
+            "detected_collision_count": 0, "undetected_collision_count": 0,
+            "identified_epcs": ()}
+ALL_IDLE = {"idle_count": 4, "reserved_true_count": 0, "detected_collision_count": 0,
+            "undetected_collision_count": 0, "identified_epcs": ()}
 
 
 @pytest.mark.parametrize("mutation", [
-    {"bitmap": (True, False, False, False)},
+    NO_SLOTS,
     {"idle_count": 2},
     {"reserved_true_count": 2},
     {"detected_collision_count": 0},
     {"undetected_collision_count": 0},
     {"identified_epcs": ()},
     {"identified_epcs": (9, 9)},
-    {"total_us": 999.0},
-    {"bitmap": (True, False, False)},
+    {"responders": 4},
+    {**ALL_IDLE, "responders": 3},
+    {"responders": 0},
+    {"idle_count": -1, "detected_collision_count": 2,
+     "undetected_collision_count": 2, "responders": 9},
+    {"slots": 5},
 ])
 def test_check_round_trace_rejects_corruption(mutation):
     trace = dataclasses.replace(_sample_trace(), **mutation)

@@ -1,12 +1,23 @@
 """Report schema, serialization round-trips, and the CLI contract."""
+import contextlib
 import csv
 import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from afsasim.cli import main, parse_cli, CliError
-from afsasim.experiment import ExperimentConfig, run_experiment, run_sweep, sweep_configs
+from afsasim.cli import MAX_SWEEP_VALUES, main, parse_cli, CliError
+from afsasim.experiment import (
+    MAX_FRAME_SLOTS,
+    MAX_TAGS,
+    MAX_TRIALS,
+    ExperimentConfig,
+    run_experiment,
+    run_sweep,
+    sweep_configs,
+)
 from afsasim.report import (
     COLUMNS,
     parse_json,
@@ -168,6 +179,11 @@ def test_parse_cli_sweeps():
     (["--sweep", "tags=1:0:5"], "step must not be zero"),
     (["--sweep", "tags=5:1:1"], "empty"),
     (["--sweep", "tags=a:1:5"], "non-numeric"),
+    (["--sweep", "arrival-rate=0:1:inf"], "must be finite"),
+    (["--sweep", "arrival-rate=0:nan:1"], "must be finite"),
+    (["--sweep", "arrival-rate=-1e308:1:1e308"], f"more than {MAX_SWEEP_VALUES}"),
+    (["--sweep", "arrival-rate=0:1e-300:1"], f"more than {MAX_SWEEP_VALUES}"),
+    (["--sweep", f"tags=0:1:{10**30}"], f"more than {MAX_SWEEP_VALUES}"),
 ])
 def test_parse_cli_rejects_malformed(argv, fragment):
     with pytest.raises(CliError) as err:
@@ -209,6 +225,18 @@ def test_main_invalid_config_reports_all_problems(capsys):
     assert "frame_slots must be >= 1" in captured.err
     assert "trials must be >= 1" in captured.err
     assert "arrival_rate must be finite and <= 700" in captured.err
+
+
+def test_main_over_cap_sizes_exit_one(capsys):
+    # validation rejects these before anything is allocated
+    code = main(["--tags", str(MAX_TAGS + 1), "--frame", str(MAX_FRAME_SLOTS + 1),
+                 "--trials", str(MAX_TRIALS + 1)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert f"k_initial must be <= {MAX_TAGS}" in captured.err
+    assert f"frame_slots must be <= {MAX_FRAME_SLOTS}" in captured.err
+    assert f"trials must be <= {MAX_TRIALS}" in captured.err
 
 
 def test_main_seq_bits_out_of_range_exits_one(capsys):
@@ -274,3 +302,60 @@ def test_main_sweep_invalid_cell_exits_one_but_runs_rest(capsys):
     rows = list(csv.DictReader(io.StringIO(captured.out)))
     # cells 1 and 2 still produced rows
     assert sorted({r["n"] for r in rows}) == ["1", "2"]
+
+
+# Fuzzed argument lists.  Every argv starts from a tiny config, and no value
+# below is both accepted and large, so any run the CLI accepts stays small.
+# Each flag maps to (values it accepts, values it must reject).
+SMALL = ["0", "1", "2"]
+MALFORMED = ["-1", "nan", "inf", "-inf", "x", "1e3", ""]
+FUZZ_FLAGS = {
+    "--protocol": (["afsa", "fsa", "edfsa"], ["csma", ""]),
+    "--tags": (SMALL, MALFORMED + [str(MAX_TAGS + 1), str(10**30)]),
+    "--frame": (SMALL[1:], MALFORMED + ["0", str(MAX_FRAME_SLOTS + 1)]),
+    "--seq-bits": (["auto", "1", "2"], MALFORMED + ["0", "17"]),
+    "--trials": (SMALL[1:], MALFORMED + ["0", str(MAX_TRIALS + 1)]),
+    "--seed": (SMALL + ["-1", str(10**30)], ["nan", "x", ""]),
+    "--max-rounds": (SMALL[1:], MALFORMED + ["0"]),
+    "--arrival-rate": (SMALL + ["0.5"], ["-1", "nan", "inf", "x", "701"]),
+    "--departure-prob": (["0", "0.5", "1"], ["-1", "nan", "inf", "x", "1.5"]),
+    "--sweep": (["tags=0:1:2", "frame=2:-1:1", "seq-bits=0:1:2",
+                 "departure-prob=0:0.5:1"],
+                ["trials=1:0:2", "tags=3:1:1", "max-rounds=a:1:2", "power=1:1:2",
+                 "tags", "arrival-rate=0:1:inf", "arrival-rate=0:1e-300:1",
+                 "departure-prob=nan:0.5:1", f"tags=0:1:{10**30}",
+                 f"trials={MAX_TRIALS + 1}:1:{MAX_TRIALS + 2}"]),
+    "--format": (["csv", "json"], ["xml"]),
+    "--per-round": None,
+    "--bogus": None,
+    "--": None,
+}
+TINY_ARGS = ["--tags", "2", "--frame", "4", "--trials", "1", "--max-rounds", "3"]
+
+
+@st.composite
+def fuzz_argv(draw):
+    argv = list(TINY_ARGS)
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        flag = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+        argv.append(flag)
+        values = FUZZ_FLAGS[flag]
+        if values is None:
+            continue
+        accepted, rejected = values
+        # mostly accepted values, and now and then no value at all
+        choice = draw(st.integers(min_value=0, max_value=9))
+        if choice < 6:
+            argv.append(draw(st.sampled_from(accepted)))
+        elif choice < 9:
+            argv.append(draw(st.sampled_from(rejected)))
+    return argv
+
+
+@given(argv=fuzz_argv())
+@settings(max_examples=200, deadline=None)
+def test_main_exit_code_is_always_documented(argv):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
