@@ -50,9 +50,7 @@ from .experiment import (
     ExperimentConfig,
     ExperimentConfigError,
     ExperimentResult,
-    RoundRecord,
     SweepCell,
-    TrialRecord,
     run_experiment,
     run_sweep,
     run_trial,
@@ -100,13 +98,11 @@ __all__ = [
     "PhaseDurations",
     "RandomSource",
     "RngStream",
-    "RoundRecord",
     "RoundTrace",
     "SeqLenChoice",
     "SweepCell",
     "Tag",
     "TimingModel",
-    "TrialRecord",
     "active_count",
     "auto_seq_bits",
     "check_round_trace",

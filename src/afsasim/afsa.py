@@ -89,22 +89,24 @@ def run_afsa_round(
         detected_collision_count=detected,
         undetected_collision_count=undetected,
         identified_epcs=tuple(identified),
-        phase_durations_us=phase_durations_for(
-            reserved_true + undetected, slots, frame.seq_bits, timing),
+        total_us=phase_durations_for(
+            reserved_true + undetected, slots, frame.seq_bits, timing).total,
     )
 
 
-@dataclass
+@dataclass(slots=True)
 class InventoryResult:
     """Outcome of one complete inventory run.
 
     `k_active[i]` is the number of present, unidentified tags when round
-    i started; `traces[i]` records what that round did.
+    i started; `traces[i]` records what that round did.  `ever_present`
+    counts every tag the population held by the end, arrivals included.
     """
 
     traces: List[RoundTrace]
     k_active: List[int]
     completed: bool
+    ever_present: int
 
     @property
     def rounds_used(self) -> int:
@@ -155,9 +157,9 @@ def run_inventory(
         trace = next(rounds)
         traces.append(trace)
         if active_count(tags) == 0:
-            return InventoryResult(traces, k_active, completed=True)
+            return InventoryResult(traces, k_active, True, len(tags))
         if len(traces) >= max_rounds:
-            return InventoryResult(traces, k_active, completed=False)
+            return InventoryResult(traces, k_active, False, len(tags))
         if between_rounds is not None:
             between_rounds(len(traces), trace)
 

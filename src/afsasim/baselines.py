@@ -16,7 +16,6 @@ from typing import Iterator, List, NamedTuple, Optional, Sequence
 from .afsa import BetweenRounds, InventoryResult, run_inventory
 from .estimator import estimate_backlog
 from .model import (
-    PhaseDurations,
     RoundTrace,
     Tag,
     TimingModel,
@@ -81,13 +80,7 @@ def run_fsa_round(
         detected_collision_count=detected,
         undetected_collision_count=0,
         identified_epcs=tuple(identified),
-        phase_durations_us=PhaseDurations(
-            t_ad=timing.advert_us,
-            t_r=0.0,
-            t_su=0.0,
-            t_d=timing.data_slot_us * slots,
-            t_ack=0.0,
-        ),
+        total_us=timing.advert_us + timing.data_slot_us * slots,
     )
 
 

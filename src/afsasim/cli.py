@@ -136,7 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trials", type=_int_arg, default=25,
                         help=f"independent trials to run, at most {MAX_TRIALS} (default 25)")
     parser.add_argument("--seed", type=_int_arg, default=1,
-                        help="master seed; trial t uses stream (seed, t) (default 1)")
+                        help="master seed in [0, 2**64 - 1]; trial t uses "
+                             "stream (seed, t) (default 1)")
     parser.add_argument("--max-rounds", type=_int_arg, default=1000,
                         help="round budget per trial (default 1000)")
     parser.add_argument("--arrival-rate", type=_float_arg, default=0.0,
@@ -203,7 +204,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             incomplete = any(
                 not t.completed
                 for c in cells if c.result is not None
-                for t in c.result.trial_records)
+                for t in c.result.trials)
         else:
             problems = validate_experiment(config)
             if problems:

@@ -7,6 +7,7 @@ for any worker count and any execution order.
 from __future__ import annotations
 
 import math
+import numbers
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -33,6 +34,10 @@ MAX_TAGS = 1_000_000
 MAX_FRAME_SLOTS = 65_536
 MAX_TRIALS = 1_000_000
 
+# Largest master seed; `RngStream` keys on 64 bits, so a larger or negative
+# seed would alias one in range.
+MAX_SEED = (1 << 64) - 1
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -43,9 +48,9 @@ class ExperimentConfig:
     `frame_slots` is the initial frame size; for EDFSA it doubles as the
     initial backlog estimate that seeds planning.  `k_initial`,
     `frame_slots` and `trials` are capped at MAX_TAGS, MAX_FRAME_SLOTS and
-    MAX_TRIALS.  `arrival_rate` is the Poisson mean of tag arrivals per
-    round gap, at most MAX_ARRIVAL_RATE; `departure_prob` is each present
-    tag's chance to leave per round gap.
+    MAX_TRIALS, and `seed` lies in [0, MAX_SEED].  `arrival_rate` is the
+    Poisson mean of tag arrivals per round gap, at most MAX_ARRIVAL_RATE;
+    `departure_prob` is each present tag's chance to leave per round gap.
     """
 
     protocol: str = "afsa"
@@ -59,36 +64,66 @@ class ExperimentConfig:
     departure_prob: float = 0.0
 
 
+def _is_int(value) -> bool:
+    # bool is an int subclass, but True is no count
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def validate_experiment(config: ExperimentConfig) -> List[str]:
     """All constraint violations in `config`, empty when it is runnable.
 
     Every message names the offending field and the constraint so a
-    caller can surface the full list at once.
+    caller can surface the full list at once.  A field of the wrong type
+    gets one message and no range check, so validation never raises.
     """
     problems: List[str] = []
-    if config.protocol not in PROTOCOLS:
+    if not isinstance(config.protocol, str) or config.protocol not in PROTOCOLS:
         problems.append(f"protocol must be one of {', '.join(PROTOCOLS)}")
-    if config.k_initial < 0:
+    if not _is_int(config.k_initial):
+        problems.append("k_initial must be an integer")
+    elif config.k_initial < 0:
         problems.append("k_initial must be >= 0")
     elif config.k_initial > MAX_TAGS:
         problems.append(f"k_initial must be <= {MAX_TAGS}")
-    if config.frame_slots < 1:
+    if not _is_int(config.frame_slots):
+        problems.append("frame_slots must be an integer")
+    elif config.frame_slots < 1:
         problems.append("frame_slots must be >= 1")
     elif config.frame_slots > MAX_FRAME_SLOTS:
         problems.append(f"frame_slots must be <= {MAX_FRAME_SLOTS}")
-    if config.seq_bits is not None and not 1 <= config.seq_bits <= MAX_SEQ_BITS:
+    if config.seq_bits is None:
+        pass
+    elif not _is_int(config.seq_bits):
+        problems.append("seq_bits must be an integer or None for auto")
+    elif not 1 <= config.seq_bits <= MAX_SEQ_BITS:
         problems.append(f"seq_bits must be in [1, {MAX_SEQ_BITS}] or None for auto")
-    if config.trials < 1:
+    if not _is_int(config.trials):
+        problems.append("trials must be an integer")
+    elif config.trials < 1:
         problems.append("trials must be >= 1")
     elif config.trials > MAX_TRIALS:
         problems.append(f"trials must be <= {MAX_TRIALS}")
-    if config.max_rounds < 1:
+    if not _is_int(config.seed):
+        problems.append("seed must be an integer")
+    elif not 0 <= config.seed <= MAX_SEED:
+        problems.append("seed must be in [0, 2**64 - 1]")
+    if not _is_int(config.max_rounds):
+        problems.append("max_rounds must be an integer")
+    elif config.max_rounds < 1:
         problems.append("max_rounds must be >= 1")
-    if config.arrival_rate < 0:
+    if not _is_real(config.arrival_rate):
+        problems.append("arrival_rate must be a real number")
+    elif config.arrival_rate < 0:
         problems.append("arrival_rate must be >= 0")
     elif not config.arrival_rate <= MAX_ARRIVAL_RATE:  # also rejects nan
         problems.append(f"arrival_rate must be finite and <= {MAX_ARRIVAL_RATE}")
-    if not 0.0 <= config.departure_prob <= 1.0:
+    if not _is_real(config.departure_prob):
+        problems.append("departure_prob must be a real number")
+    elif not 0.0 <= config.departure_prob <= 1.0:
         problems.append("departure_prob must be in [0, 1]")
     return problems
 
@@ -102,47 +137,8 @@ class ExperimentConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class RoundRecord:
-    """One round of one trial, flattened for reporting."""
-
-    trial: int
-    round_index: int
-    slots: int
-    seq_bits: int
-    k_active: int
-    idle: int
-    reserved_true: int
-    detected_collisions: int
-    undetected_collisions: int
-    identified: int
-    time_us: float
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """Whole-trial totals."""
-
-    trial: int
-    rounds_used: int
-    ever_present: int
-    tags_identified: int
-    idle_total: int
-    reserved_true_total: int
-    detected_total: int
-    undetected_total: int
-    total_time_us: float
-    completed: bool
-
-    @property
-    def per_tag_mean_us(self) -> Optional[float]:
-        if self.tags_identified == 0:
-            return None
-        return self.total_time_us / self.tags_identified
-
-
-@dataclass(frozen=True)
 class AggregateStats:
-    """Cross-trial summary, recomputable exactly from the trial records."""
+    """Cross-trial summary, recomputable exactly from the trials."""
 
     trials: int
     identification_rate: float
@@ -157,10 +153,11 @@ class AggregateStats:
 
 @dataclass
 class ExperimentResult:
+    """Every trial's inventory in trial order, so `trials[t]` is trial t."""
+
     config: ExperimentConfig
     initial_seq_bits: int
-    trial_records: List[TrialRecord]
-    round_records: List[RoundRecord]
+    trials: List[InventoryResult]
     aggregate: AggregateStats
 
 
@@ -191,7 +188,7 @@ def run_trial(
     config: ExperimentConfig,
     trial_id: int,
     timing: Optional[TimingModel] = None,
-) -> Tuple[TrialRecord, List[RoundRecord]]:
+) -> InventoryResult:
     """Run one trial.  Pure function of (config, trial_id, timing)."""
     if timing is None:
         timing = TimingModel()
@@ -215,37 +212,7 @@ def run_trial(
                     population.append(Tag(epc=next_epc[0]))
                     next_epc[0] += 1
 
-    result = _dispatch(config, population, timing, rng, churn)
-
-    rounds = [
-        RoundRecord(
-            trial=trial_id,
-            round_index=i + 1,
-            slots=t.slots,
-            seq_bits=t.seq_bits,
-            k_active=k_active,
-            idle=t.idle_count,
-            reserved_true=t.reserved_true_count,
-            detected_collisions=t.detected_collision_count,
-            undetected_collisions=t.undetected_collision_count,
-            identified=len(t.identified_epcs),
-            time_us=t.total_us,
-        )
-        for i, (t, k_active) in enumerate(zip(result.traces, result.k_active))
-    ]
-    trial = TrialRecord(
-        trial=trial_id,
-        rounds_used=result.rounds_used,
-        ever_present=len(population),
-        tags_identified=result.tags_identified,
-        idle_total=sum(t.idle_count for t in result.traces),
-        reserved_true_total=sum(t.reserved_true_count for t in result.traces),
-        detected_total=sum(t.detected_collision_count for t in result.traces),
-        undetected_total=sum(t.undetected_collision_count for t in result.traces),
-        total_time_us=result.total_time_us,
-        completed=result.completed,
-    )
-    return trial, rounds
+    return _dispatch(config, population, timing, rng, churn)
 
 
 def _dispatch(config, population, timing, rng, churn) -> InventoryResult:
@@ -276,10 +243,10 @@ def _trial_task(args: Tuple[ExperimentConfig, int, Optional[TimingModel]]):
     return run_trial(*args)
 
 
-def _aggregate(trials: List[TrialRecord]) -> AggregateStats:
+def _aggregate(trials: List[InventoryResult]) -> AggregateStats:
     ever = sum(t.ever_present for t in trials)
     identified = sum(t.tags_identified for t in trials)
-    per_tag = [t.per_tag_mean_us for t in trials if t.per_tag_mean_us is not None]
+    per_tag = [p for p in (t.per_tag_mean_us for t in trials) if p is not None]
     return AggregateStats(
         trials=len(trials),
         identification_rate=identified / ever if ever else 1.0,
@@ -302,8 +269,8 @@ def run_experiment(
     """Run all trials of `config` and aggregate.
 
     `workers` > 1 distributes trials over a process pool.  Because every
-    trial seeds its own stream and records are re-ordered by trial id,
-    the result is bit-identical to the single-process run.
+    trial seeds its own stream and the pool returns trials in order, the
+    result is bit-identical to the single-process run.
     """
     problems = validate_experiment(config)
     if problems:
@@ -313,23 +280,16 @@ def run_experiment(
 
     tasks = [(config, t, timing) for t in range(config.trials)]
     if workers == 1 or config.trials == 1:
-        outcomes = [_trial_task(task) for task in tasks]
+        trials = [_trial_task(task) for task in tasks]
     else:
         chunk = max(1, config.trials // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_trial_task, tasks, chunksize=chunk))
-
-    trial_records: List[TrialRecord] = []
-    round_records: List[RoundRecord] = []
-    for trial, rounds in outcomes:
-        trial_records.append(trial)
-        round_records.extend(rounds)
+            trials = list(pool.map(_trial_task, tasks, chunksize=chunk))
     return ExperimentResult(
         config=config,
         initial_seq_bits=resolved_initial_seq_bits(config),
-        trial_records=trial_records,
-        round_records=round_records,
-        aggregate=_aggregate(trial_records),
+        trials=trials,
+        aggregate=_aggregate(trials),
     )
 
 

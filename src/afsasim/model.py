@@ -7,6 +7,7 @@ copies.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 # Longest reservation sequence a frame may announce, in bits.
@@ -89,7 +90,7 @@ class PhaseDurations:
         return self.t_ad + self.t_r + self.t_su + self.t_d + self.t_ack
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoundTrace:
     """Complete record of one executed round, as counts.
 
@@ -100,7 +101,9 @@ class RoundTrace:
     round in slot order.  The reservation summary the reader broadcasts
     costs one reader bit per slot (the `t_su` phase); nothing downstream
     reads which slots it marks, so only their number is kept, as
-    `reserved_apparent_count`.
+    `reserved_apparent_count`.  `total_us` is the round's air time; its
+    per-phase split follows from the counts through
+    `analytic.phase_durations_for`.
     """
 
     slots: int
@@ -111,11 +114,7 @@ class RoundTrace:
     detected_collision_count: int
     undetected_collision_count: int
     identified_epcs: tuple[int, ...]
-    phase_durations_us: PhaseDurations
-
-    @property
-    def total_us(self) -> float:
-        return self.phase_durations_us.total
+    total_us: float
 
     @property
     def reserved_apparent_count(self) -> int:
@@ -147,6 +146,8 @@ def check_round_trace(trace: RoundTrace) -> None:
         raise ValueError("one identification per truly reserved slot")
     if len(set(trace.identified_epcs)) != len(trace.identified_epcs):
         raise ValueError("a tag cannot be identified twice in one round")
+    if not (math.isfinite(trace.total_us) and trace.total_us > 0):
+        raise ValueError("round time must be finite and > 0")
 
 
 def make_population(count: int, first_epc: int = 0) -> list[Tag]:

@@ -36,42 +36,46 @@ Row = Dict[str, Union[int, float, str]]
 
 
 def result_rows(result: ExperimentResult, per_round: bool = False) -> List[Row]:
-    """Flatten one experiment into report rows."""
+    """Flatten one experiment into report rows; a trial's id is its index."""
     protocol = result.config.protocol
     if per_round:
         return [
             {
-                "trial": r.trial,
-                "round": r.round_index,
+                "trial": trial_id,
+                "round": round_index,
                 "protocol": protocol,
-                "N": r.slots,
-                "n": r.seq_bits,
-                "k_active": r.k_active,
-                "idle": r.idle,
-                "reserved_true": r.reserved_true,
-                "detected_collisions": r.detected_collisions,
-                "undetected_collisions": r.undetected_collisions,
-                "identified": r.identified,
-                "round_time_us": r.time_us,
+                "N": t.slots,
+                "n": t.seq_bits,
+                "k_active": k_active,
+                "idle": t.idle_count,
+                "reserved_true": t.reserved_true_count,
+                "detected_collisions": t.detected_collision_count,
+                "undetected_collisions": t.undetected_collision_count,
+                "identified": len(t.identified_epcs),
+                "round_time_us": t.total_us,
             }
-            for r in result.round_records
+            for trial_id, trial in enumerate(result.trials)
+            for round_index, (t, k_active) in enumerate(
+                zip(trial.traces, trial.k_active), start=1)
         ]
     return [
         {
-            "trial": t.trial,
-            "round": t.rounds_used,
+            "trial": trial_id,
+            "round": trial.rounds_used,
             "protocol": protocol,
             "N": result.config.frame_slots,
             "n": result.initial_seq_bits,
-            "k_active": t.ever_present,
-            "idle": t.idle_total,
-            "reserved_true": t.reserved_true_total,
-            "detected_collisions": t.detected_total,
-            "undetected_collisions": t.undetected_total,
-            "identified": t.tags_identified,
-            "round_time_us": t.total_time_us,
+            "k_active": trial.ever_present,
+            "idle": sum(t.idle_count for t in trial.traces),
+            "reserved_true": sum(t.reserved_true_count for t in trial.traces),
+            "detected_collisions": sum(
+                t.detected_collision_count for t in trial.traces),
+            "undetected_collisions": sum(
+                t.undetected_collision_count for t in trial.traces),
+            "identified": trial.tags_identified,
+            "round_time_us": trial.total_time_us,
         }
-        for t in result.trial_records
+        for trial_id, trial in enumerate(result.trials)
     ]
 
 
@@ -100,14 +104,6 @@ def render_csv(rows: Sequence[Row]) -> str:
 def render_json(rows: Sequence[Row]) -> str:
     """JSON array of row objects mirroring the CSV schema, full precision."""
     return json.dumps(list(rows), indent=2) + "\n"
-
-
-def parse_json(text: str) -> List[Row]:
-    """Inverse of render_json, for round-trip checks and downstream tools."""
-    rows = json.loads(text)
-    if not isinstance(rows, list):
-        raise ValueError("expected a JSON array of row objects")
-    return rows
 
 
 def write_rows(

@@ -12,7 +12,9 @@ import random
 from typing import Iterable, Protocol
 
 _MASK64 = (1 << 64) - 1
-_TWO64 = float(1 << 64)
+# A uniform float keeps the top 53 bits of a draw: `bits / 2**64` would
+# round the top 2**10 draws up to exactly 1.0.
+_ULP53 = 2.0 ** -53
 
 
 class RandomSource(Protocol):
@@ -54,8 +56,8 @@ class RngStream:
         return self._bits(64) % bound
 
     def uniform01(self) -> float:
-        """Uniform float in [0, 1)."""
-        return self._bits(64) / _TWO64
+        """Uniform float in [0, 1) on a grid of 2**-53."""
+        return (self._bits(64) >> 11) * _ULP53
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
@@ -81,7 +83,7 @@ class ScriptedStream:
         return self.next_u64() % bound
 
     def uniform01(self) -> float:
-        return self.next_u64() / _TWO64
+        return (self.next_u64() >> 11) * _ULP53
 
     @property
     def remaining(self) -> int:

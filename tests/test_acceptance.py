@@ -143,8 +143,10 @@ def test_criterion_4_sequence_length_choice():
     if gap > 0.01:
         failures.append(f"adaptive mean {per_tag[None]:.2f}us is {gap:.2%} "
                         f"from fixed n=2 {per_tag[2]:.2f}us, budget 1%")
-    heavy = [r for r in results[None].round_records if r.k_active >= 32]
-    chose_two = sum(1 for r in heavy if r.seq_bits == 2)
+    heavy = [trace for trial in results[None].trials
+             for trace, k_active in zip(trial.traces, trial.k_active)
+             if k_active >= 32]
+    chose_two = sum(1 for trace in heavy if trace.seq_bits == 2)
     fraction = chose_two / len(heavy)
     if fraction < 0.95:
         failures.append(

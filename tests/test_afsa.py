@@ -113,7 +113,8 @@ def test_single_tag_single_slot_identified():
     trace = run_afsa_round([tag], FrameConfig(1, 2), TIMING, RngStream(1, 0))
     check_round_trace(trace)
     assert trace.reserved_apparent_count == 1
-    assert trace.phase_durations_us.t_d == 320.0
+    # advert, 1x2 reservation bits, 1 summary bit, one data slot and its ack
+    assert trace.total_us == 200.0 + 25.0 + 12.5 + 320.0 + 12.5
     assert trace.identified_epcs == (7,)
     assert tag.identified
 
@@ -125,7 +126,8 @@ def test_scripted_round_two_clean_reservations():
     trace = run_afsa_round(tags, FrameConfig(2, 1), TIMING, stream)
     check_round_trace(trace)
     assert trace.reserved_apparent_count == 2
-    assert trace.phase_durations_us.t_d == 640.0
+    # advert, 2x1 reservation bits, 2 summary bits, two data slots and acks
+    assert trace.total_us == 200.0 + 25.0 + 25.0 + 640.0 + 25.0
     assert trace.identified_epcs == (0, 1)
     assert all(t.identified for t in tags)
 
@@ -141,7 +143,7 @@ def test_scripted_undetected_collision_wastes_slot_quietly():
     assert trace.identified_epcs == ()
     assert trace.reserved_apparent_count == 1
     # the ghost reservation still pays data and ack time
-    assert trace.phase_durations_us.t_d == 320.0
+    assert trace.total_us == 200.0 + 100.0 + 50.0 + 320.0 + 12.5
     assert not any(t.identified for t in tags)
 
 
@@ -151,7 +153,8 @@ def test_scripted_detected_collision_costs_no_data_slot():
     trace = run_afsa_round(tags, FrameConfig(4, 2), TIMING, stream)
     check_round_trace(trace)
     assert trace.detected_collision_count == 1
-    assert trace.phase_durations_us.t_d == 0.0
+    # advert, 4x2 reservation bits and 4 summary bits only
+    assert trace.total_us == 200.0 + 100.0 + 50.0
     assert trace.reserved_apparent_count == 0
 
 

@@ -32,11 +32,7 @@ def test_empty_fsa_round_costs_full_frame():
     trace = run_fsa_round([], 4, TIMING, RngStream(1, 0))
     check_round_trace(trace)
     # no reservation phase, but every slot is a full data slot
-    assert trace.total_us == 1480.0
-    assert trace.phase_durations_us.t_r == 0.0
-    assert trace.phase_durations_us.t_su == 0.0
-    assert trace.phase_durations_us.t_ack == 0.0
-    assert trace.phase_durations_us.t_d == 4 * 320.0
+    assert trace.total_us == 1480.0 == TIMING.advert_us + 4 * TIMING.data_slot_us
 
 
 def test_fsa_round_identifies_singletons():

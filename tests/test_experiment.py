@@ -5,6 +5,7 @@ import pytest
 
 from afsasim.experiment import (
     MAX_FRAME_SLOTS,
+    MAX_SEED,
     MAX_TAGS,
     MAX_TRIALS,
     ExperimentConfig,
@@ -21,6 +22,8 @@ FAST = ExperimentConfig(k_initial=20, frame_slots=16, trials=5, seed=3, max_roun
 
 def test_default_config_is_valid():
     assert validate_experiment(ExperimentConfig()) == []
+    # integers are real numbers too
+    assert validate_experiment(ExperimentConfig(arrival_rate=1, departure_prob=0)) == []
 
 
 def test_validation_reports_every_problem_at_once():
@@ -56,6 +59,9 @@ def test_validation_reports_every_problem_at_once():
     ("k_initial", MAX_TAGS + 1, f"k_initial must be <= {MAX_TAGS}"),
     ("frame_slots", MAX_FRAME_SLOTS + 1, f"frame_slots must be <= {MAX_FRAME_SLOTS}"),
     ("trials", MAX_TRIALS + 1, f"trials must be <= {MAX_TRIALS}"),
+    ("seed", -1, "seed must be in [0, 2**64 - 1]"),
+    ("seed", MAX_SEED + 1, "seed must be in [0, 2**64 - 1]"),
+    ("seed", -MAX_SEED, "seed must be in [0, 2**64 - 1]"),
 ])
 def test_validation_messages_name_field_and_constraint(field, value, fragment):
     config = dataclasses.replace(ExperimentConfig(), **{field: value})
@@ -63,12 +69,42 @@ def test_validation_messages_name_field_and_constraint(field, value, fragment):
     assert problems == [fragment] or fragment in problems[0]
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("k_initial", 2.5, "k_initial must be an integer"),
+    ("k_initial", "5", "k_initial must be an integer"),
+    ("k_initial", True, "k_initial must be an integer"),
+    ("frame_slots", 16.0, "frame_slots must be an integer"),
+    ("frame_slots", None, "frame_slots must be an integer"),
+    ("trials", 1.5, "trials must be an integer"),
+    ("trials", "3", "trials must be an integer"),
+    ("seed", 1.0, "seed must be an integer"),
+    ("seed", "1", "seed must be an integer"),
+    ("max_rounds", float("inf"), "max_rounds must be an integer"),
+    ("max_rounds", [1], "max_rounds must be an integer"),
+    ("seq_bits", 2.0, "seq_bits must be an integer or None for auto"),
+    ("seq_bits", "auto", "seq_bits must be an integer or None for auto"),
+    ("arrival_rate", "0.5", "arrival_rate must be a real number"),
+    ("arrival_rate", None, "arrival_rate must be a real number"),
+    ("departure_prob", "0.1", "departure_prob must be a real number"),
+    ("departure_prob", 1j, "departure_prob must be a real number"),
+    ("protocol", ["afsa"], "protocol must be one of afsa, fsa, edfsa"),
+])
+def test_validation_checks_types_without_raising(field, value, message):
+    config = dataclasses.replace(ExperimentConfig(), **{field: value})
+    # one message for the field, and no range check on the wrong type
+    assert validate_experiment(config) == [message]
+    with pytest.raises(ExperimentConfigError) as err:
+        run_experiment(config)
+    assert err.value.problems == [message]
+
+
 def test_caps_accept_their_own_value():
     # validation only: a config at the caps is never run here
     config = dataclasses.replace(
         ExperimentConfig(), k_initial=MAX_TAGS, frame_slots=MAX_FRAME_SLOTS,
-        trials=MAX_TRIALS)
+        trials=MAX_TRIALS, seed=MAX_SEED)
     assert validate_experiment(config) == []
+    assert validate_experiment(dataclasses.replace(config, seed=0)) == []
 
 
 def test_run_experiment_rejects_invalid_config():
@@ -81,24 +117,23 @@ def test_trials_are_independent_streams():
     # trial t's outcome does not depend on how many trials surround it
     few = run_experiment(dataclasses.replace(FAST, trials=3))
     many = run_experiment(dataclasses.replace(FAST, trials=6))
-    assert many.trial_records[:3] == few.trial_records
-    direct = run_trial(FAST, 2)
-    assert direct[0] == few.trial_records[2]
+    assert many.trials[:3] == few.trials
+    assert run_trial(FAST, 2) == few.trials[2]
 
 
 def test_same_config_reproduces_exactly():
     a = run_experiment(FAST)
     b = run_experiment(FAST)
-    assert a.trial_records == b.trial_records
-    assert a.round_records == b.round_records
+    assert a.trials == b.trials
     assert a.aggregate == b.aggregate
 
 
 def test_worker_count_does_not_change_results():
-    serial = run_experiment(dataclasses.replace(FAST, trials=12), workers=1)
-    parallel = run_experiment(dataclasses.replace(FAST, trials=12), workers=4)
-    assert serial.trial_records == parallel.trial_records
-    assert serial.round_records == parallel.round_records
+    churned = dataclasses.replace(FAST, trials=12, arrival_rate=1.0, departure_prob=0.1)
+    serial = run_experiment(churned, workers=1)
+    parallel = run_experiment(churned, workers=4)
+    assert serial.trials == parallel.trials
+    assert serial.aggregate == parallel.aggregate
     with pytest.raises(ValueError):
         run_experiment(FAST, workers=0)
 
@@ -109,28 +144,16 @@ def test_static_run_completes_and_aggregates():
     assert agg.trials == 5
     assert agg.all_completed
     assert agg.identification_rate == 1.0
-    total_identified = sum(t.tags_identified for t in result.trial_records)
-    total_ever = sum(t.ever_present for t in result.trial_records)
+    total_identified = sum(t.tags_identified for t in result.trials)
+    total_ever = sum(t.ever_present for t in result.trials)
     assert total_identified == total_ever == 100
-    # aggregate is recomputable from the trial records
-    per_tag = [t.per_tag_mean_us for t in result.trial_records]
+    # aggregate is recomputable from the trials
+    per_tag = [t.per_tag_mean_us for t in result.trials]
     assert agg.mean_per_tag_us == pytest.approx(sum(per_tag) / len(per_tag))
     assert agg.min_per_tag_us == min(per_tag)
     assert agg.max_per_tag_us == max(per_tag)
     assert agg.mean_rounds == pytest.approx(
-        sum(t.rounds_used for t in result.trial_records) / 5)
-
-
-def test_round_records_reconcile_with_trials():
-    result = run_experiment(FAST)
-    for t in result.trial_records:
-        rounds = [r for r in result.round_records if r.trial == t.trial]
-        assert len(rounds) == t.rounds_used
-        assert [r.round_index for r in rounds] == list(range(1, t.rounds_used + 1))
-        assert sum(r.identified for r in rounds) == t.tags_identified
-        assert sum(r.time_us for r in rounds) == pytest.approx(t.total_time_us)
-        assert sum(r.idle for r in rounds) == t.idle_total
-        assert sum(r.undetected_collisions for r in rounds) == t.undetected_total
+        sum(t.rounds_used for t in result.trials) / 5)
 
 
 def test_empty_population_trial():
@@ -138,7 +161,7 @@ def test_empty_population_trial():
     assert result.aggregate.all_completed
     assert result.aggregate.identification_rate == 1.0
     assert result.aggregate.mean_per_tag_us is None
-    for t in result.trial_records:
+    for t in result.trials:
         assert t.rounds_used == 1
         assert t.ever_present == 0
 
@@ -147,13 +170,13 @@ def test_zero_churn_matches_static_run():
     static = run_experiment(FAST)
     churned = run_experiment(
         dataclasses.replace(FAST, arrival_rate=0.0, departure_prob=0.0))
-    assert static.trial_records == churned.trial_records
+    assert static.trials == churned.trials
 
 
 def test_departures_cut_inventories_short():
     result = run_experiment(
         dataclasses.replace(FAST, k_initial=100, frame_slots=128, departure_prob=1.0))
-    for t in result.trial_records:
+    for t in result.trials:
         # everyone not identified in round one left before round two
         assert t.completed
         assert t.rounds_used <= 2
@@ -164,8 +187,8 @@ def test_departures_cut_inventories_short():
 def test_arrivals_join_the_population():
     result = run_experiment(
         dataclasses.replace(FAST, trials=8, arrival_rate=3.0))
-    assert any(t.ever_present > 20 for t in result.trial_records)
-    for t in result.trial_records:
+    assert any(t.ever_present > 20 for t in result.trials)
+    for t in result.trials:
         assert t.tags_identified <= t.ever_present
         if t.completed:
             present_identified = t.tags_identified
@@ -182,7 +205,7 @@ def test_arrivals_with_departures_still_terminate():
 def test_budget_exhaustion_flags_incomplete():
     result = run_experiment(dataclasses.replace(FAST, k_initial=100, max_rounds=1))
     assert not result.aggregate.all_completed
-    assert all(not t.completed for t in result.trial_records)
+    assert all(not t.completed for t in result.trials)
 
 
 def test_baseline_protocols_run():
@@ -192,20 +215,20 @@ def test_baseline_protocols_run():
     edfsa = run_experiment(dataclasses.replace(FAST, protocol="edfsa"))
     assert edfsa.initial_seq_bits == 0
     assert edfsa.aggregate.all_completed
-    assert all(r.seq_bits == 0 for r in fsa.round_records)
+    assert all(t.seq_bits == 0 for trial in fsa.trials for t in trial.traces)
 
 
 def test_fixed_seq_bits_config():
     result = run_experiment(dataclasses.replace(FAST, seq_bits=3))
     assert result.initial_seq_bits == 3
-    assert all(r.seq_bits == 3 for r in result.round_records)
+    assert all(t.seq_bits == 3 for trial in result.trials for t in trial.traces)
 
 
 def test_auto_seq_bits_config():
     result = run_experiment(FAST)
     assert result.initial_seq_bits == 2
-    assert all(r.seq_bits >= 1 for r in result.round_records)
-    assert all(r.round_index > 1 or r.seq_bits == 2 for r in result.round_records)
+    assert all(t.seq_bits >= 1 for trial in result.trials for t in trial.traces)
+    assert all(trial.traces[0].seq_bits == 2 for trial in result.trials)
 
 
 def test_sweep_runs_each_valid_cell():

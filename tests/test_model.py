@@ -5,7 +5,6 @@ import pytest
 
 from afsasim.model import (
     FrameConfig,
-    PhaseDurations,
     RoundTrace,
     Tag,
     TimingModel,
@@ -104,8 +103,7 @@ def _sample_trace() -> RoundTrace:
         detected_collision_count=1,
         undetected_collision_count=1,
         identified_epcs=(9,),
-        phase_durations_us=PhaseDurations(
-            t_ad=200.0, t_r=100.0, t_su=50.0, t_d=640.0, t_ack=25.0),
+        total_us=1015.0,
     )
 
 
@@ -137,6 +135,10 @@ ALL_IDLE = {"idle_count": 4, "reserved_true_count": 0, "detected_collision_count
     {"idle_count": -1, "detected_collision_count": 2,
      "undetected_collision_count": 2, "responders": 9},
     {"slots": 5},
+    {"total_us": 0.0},
+    {"total_us": -1015.0},
+    {"total_us": float("nan")},
+    {"total_us": float("inf")},
 ])
 def test_check_round_trace_rejects_corruption(mutation):
     trace = dataclasses.replace(_sample_trace(), **mutation)

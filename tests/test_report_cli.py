@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from afsasim.cli import MAX_SWEEP_VALUES, main, parse_cli, CliError
 from afsasim.experiment import (
     MAX_FRAME_SLOTS,
+    MAX_SEED,
     MAX_TAGS,
     MAX_TRIALS,
+    PROTOCOLS,
     ExperimentConfig,
     run_experiment,
     run_sweep,
@@ -20,7 +22,6 @@ from afsasim.experiment import (
 )
 from afsasim.report import (
     COLUMNS,
-    parse_json,
     render_csv,
     render_json,
     result_rows,
@@ -48,9 +49,9 @@ def test_aggregate_rows_one_per_trial():
     result = _fast_result()
     rows = result_rows(result)
     assert len(rows) == 4
-    for row, trial in zip(rows, result.trial_records):
+    for trial_id, (row, trial) in enumerate(zip(rows, result.trials)):
         assert set(row) == set(COLUMNS)
-        assert row["trial"] == trial.trial
+        assert row["trial"] == trial_id
         assert row["round"] == trial.rounds_used
         assert row["protocol"] == "afsa"
         assert row["N"] == 16
@@ -63,7 +64,7 @@ def test_aggregate_rows_one_per_trial():
 def test_per_round_rows_one_per_round():
     result = _fast_result()
     rows = result_rows(result, per_round=True)
-    assert len(rows) == len(result.round_records)
+    assert len(rows) == sum(trial.rounds_used for trial in result.trials)
     first = rows[0]
     assert first["trial"] == 0
     assert first["round"] == 1
@@ -73,6 +74,48 @@ def test_per_round_rows_one_per_round():
     for row in rows:
         assert (row["idle"] + row["reserved_true"] + row["detected_collisions"]
                 + row["undetected_collisions"]) == row["N"]
+
+
+COUNT_COLUMNS = ("idle", "reserved_true", "detected_collisions",
+                 "undetected_collisions", "identified")
+
+
+@given(protocol=st.sampled_from(PROTOCOLS),
+       k_initial=st.integers(min_value=0, max_value=40),
+       frame_slots=st.sampled_from([1, 4, 16, 64]),
+       seq_bits=st.one_of(st.none(), st.integers(min_value=1, max_value=4)),
+       trials=st.integers(min_value=1, max_value=3),
+       seed=st.integers(min_value=0, max_value=MAX_SEED),
+       max_rounds=st.integers(min_value=1, max_value=30),
+       arrival_rate=st.sampled_from([0.0, 0.5, 2.0]),
+       departure_prob=st.sampled_from([0.0, 0.1, 1.0]))
+@settings(max_examples=80, deadline=None)
+def test_report_granularities_reconcile(protocol, k_initial, frame_slots, seq_bits,
+                                        trials, seed, max_rounds, arrival_rate,
+                                        departure_prob):
+    result = run_experiment(ExperimentConfig(
+        protocol=protocol, k_initial=k_initial, frame_slots=frame_slots,
+        seq_bits=seq_bits, trials=trials, seed=seed, max_rounds=max_rounds,
+        arrival_rate=arrival_rate, departure_prob=departure_prob))
+    aggregate = result_rows(result)
+    per_round = result_rows(result, per_round=True)
+    assert [row["trial"] for row in aggregate] == list(range(trials))
+    # per-round rows come grouped by trial, in trial order
+    assert [row["trial"] for row in per_round] == sorted(
+        row["trial"] for row in per_round)
+    for row in aggregate:
+        rounds = [r for r in per_round if r["trial"] == row["trial"]]
+        assert row["round"] == len(rounds) >= 1
+        assert [r["round"] for r in rounds] == list(range(1, len(rounds) + 1))
+        for column in COUNT_COLUMNS:
+            assert row[column] == sum(r[column] for r in rounds), column
+        # the same floats summed in the same order: exactly equal
+        total = 0.0
+        for r in rounds:
+            total += r["round_time_us"]
+        assert row["round_time_us"] == total
+        assert rounds[0]["k_active"] == k_initial
+        assert row["k_active"] >= k_initial
 
 
 def test_csv_always_has_header():
@@ -95,9 +138,7 @@ def test_json_round_trips_exactly():
     result = _fast_result()
     for per_round in (False, True):
         rows = result_rows(result, per_round=per_round)
-        assert parse_json(render_json(rows)) == rows
-    with pytest.raises(ValueError):
-        parse_json('{"not": "a list"}')
+        assert json.loads(render_json(rows)) == rows
 
 
 def test_write_rows_to_file(tmp_path):
@@ -239,6 +280,15 @@ def test_main_over_cap_sizes_exit_one(capsys):
     assert f"trials must be <= {MAX_TRIALS}" in captured.err
 
 
+@pytest.mark.parametrize("seed", ["-1", str(MAX_SEED + 1), str(10**30)])
+def test_main_seed_out_of_range_exits_one(capsys, seed):
+    # seeds outside 64 bits would alias one inside
+    assert main(FAST_ARGS + ["--seed", seed]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "seed must be in [0, 2**64 - 1]" in captured.err
+
+
 def test_main_seq_bits_out_of_range_exits_one(capsys):
     assert main(["--seq-bits", "17"]) == 1
     assert "seq_bits must be in [1, 16]" in capsys.readouterr().err
@@ -246,7 +296,7 @@ def test_main_seq_bits_out_of_range_exits_one(capsys):
 
 def test_main_json_matches_csv_data(capsys):
     assert main(FAST_ARGS + ["--format", "json"]) == 0
-    rows = parse_json(capsys.readouterr().out)
+    rows = json.loads(capsys.readouterr().out)
     assert main(FAST_ARGS) == 0
     csv_rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
     assert len(rows) == len(csv_rows) == 4
@@ -257,9 +307,9 @@ def test_main_json_matches_csv_data(capsys):
 
 def test_main_per_round_rows(capsys):
     assert main(FAST_ARGS + ["--per-round", "--format", "json"]) == 0
-    per_round = parse_json(capsys.readouterr().out)
+    per_round = json.loads(capsys.readouterr().out)
     assert main(FAST_ARGS + ["--format", "json"]) == 0
-    aggregate = parse_json(capsys.readouterr().out)
+    aggregate = json.loads(capsys.readouterr().out)
     assert len(per_round) == sum(row["round"] for row in aggregate)
 
 
@@ -315,7 +365,8 @@ FUZZ_FLAGS = {
     "--frame": (SMALL[1:], MALFORMED + ["0", str(MAX_FRAME_SLOTS + 1)]),
     "--seq-bits": (["auto", "1", "2"], MALFORMED + ["0", "17"]),
     "--trials": (SMALL[1:], MALFORMED + ["0", str(MAX_TRIALS + 1)]),
-    "--seed": (SMALL + ["-1", str(10**30)], ["nan", "x", ""]),
+    "--seed": (SMALL + [str(MAX_SEED)],
+               ["-1", str(MAX_SEED + 1), str(10**30), "nan", "x", ""]),
     "--max-rounds": (SMALL[1:], MALFORMED + ["0"]),
     "--arrival-rate": (SMALL + ["0.5"], ["-1", "nan", "inf", "x", "701"]),
     "--departure-prob": (["0", "0.5", "1"], ["-1", "nan", "inf", "x", "1.5"]),

@@ -63,3 +63,12 @@ def test_scripted_uniform01():
     s = ScriptedStream([0, 1 << 63])
     assert s.uniform01() == 0.0
     assert s.uniform01() == 0.5
+
+
+def test_uniform01_stays_below_one_at_the_largest_draw():
+    # 2**64 - 1 divided by 2**64 would round to 1.0
+    top = (1 << 64) - 1
+    assert ScriptedStream([top]).uniform01() == 1.0 - 2.0 ** -53
+    rng = RngStream(seed=5)
+    rng._bits = lambda bits: (1 << bits) - 1
+    assert rng.uniform01() == 1.0 - 2.0 ** -53
