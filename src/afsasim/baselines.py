@@ -11,9 +11,15 @@ detectably.
 from __future__ import annotations
 
 import math
-from typing import Iterator, List, NamedTuple, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
-from .afsa import BetweenRounds, InventoryResult, run_inventory
+from .afsa import (
+    DRAW_CHUNK_TAGS,
+    BetweenRounds,
+    InventoryResult,
+    Rounds,
+    run_inventory,
+)
 from .estimator import estimate_backlog
 from .model import (
     RoundTrace,
@@ -37,26 +43,26 @@ def run_fsa_round(
 ) -> RoundTrace:
     """One framed-ALOHA round: every responder transmits its payload directly.
 
-    Each present, unidentified tag consumes one draw (its slot).  Every
-    slot of the frame costs a full data slot whether idle, reserved, or
-    collided; there is no reservation or acknowledgement traffic beyond
-    the frame advertisement.  Single-occupant slots identify their tag in
-    place.
+    Each present, unidentified tag consumes one draw (its slot), and the
+    round takes no other draw from `rng`.  Every slot of the frame costs a
+    full data slot whether idle, reserved, or collided; there is no
+    reservation or acknowledgement traffic beyond the frame advertisement.
+    Single-occupant slots identify their tag in place.
     """
     if slots < 1:
         raise ValueError("slots must be >= 1")
-    randbelow = rng.randbelow
     first_tag: List[Optional[Tag]] = [None] * slots
     occupants = [0] * slots
     responders = 0
-    for tag in tags:
-        if not tag.present or tag.identified:
-            continue
-        slot = randbelow(slots)
-        responders += 1
-        if occupants[slot] == 0:
-            first_tag[slot] = tag
-        occupants[slot] += 1
+    for start in range(0, len(tags), DRAW_CHUNK_TAGS):
+        batch = [t for t in tags[start:start + DRAW_CHUNK_TAGS]
+                 if t.present and not t.identified]
+        responders += len(batch)
+        for tag, draw in zip(batch, rng.draws(len(batch))):
+            slot = draw % slots
+            if occupants[slot] == 0:
+                first_tag[slot] = tag
+            occupants[slot] += 1
 
     identified: List[int] = []
     idle = reserved = detected = 0
@@ -97,9 +103,10 @@ def run_fsa_inventory(
     Plain FSA does not adapt; the frame size stays at `slots` throughout.
     At least one round always runs.
     """
-    def rounds() -> Iterator[RoundTrace]:
+    def rounds() -> Rounds:
+        active = yield
         while True:
-            yield run_fsa_round(tags, slots, timing, rng)
+            active = yield run_fsa_round(active, slots, timing, rng)
 
     return run_inventory(tags, rounds(), max_rounds, between_rounds)
 
@@ -149,18 +156,16 @@ def run_edfsa_inventory(
     if initial_estimate < 0:
         raise ValueError("initial_estimate must be >= 0")
 
-    def rounds() -> Iterator[RoundTrace]:
+    def rounds() -> Rounds:
         k_est = initial_estimate
+        active = yield
         while True:
             plan = edfsa_plan(k_est)
             k_est = 0.0
             for group in range(plan.groups):
-                responders = [
-                    t for t in tags
-                    if t.present and not t.identified and t.epc % plan.groups == group
-                ]
+                responders = [t for t in active if t.epc % plan.groups == group]
                 trace = run_fsa_round(responders, plan.slots, timing, rng)
-                yield trace
+                active = yield trace
                 k_est += estimate_backlog(trace).k_est
 
     return run_inventory(tags, rounds(), max_rounds, between_rounds)

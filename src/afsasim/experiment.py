@@ -17,14 +17,14 @@ from .afsa import InventoryResult, run_afsa_inventory
 from .baselines import run_edfsa_inventory, run_fsa_inventory
 from .estimator import AdaptationPolicy, initial_seq_bits
 from .model import MAX_SEQ_BITS, FrameConfig, Tag, TimingModel, make_population
-from .rng import RngStream
+from .rng import RngStream, unit_float
 
 PROTOCOLS = ("afsa", "fsa", "edfsa")
 
 # Largest Poisson arrival mean per round gap.  It keeps exp(-rate), the
 # first term of the inverse-transform draw in `_poisson`, a normal float:
-# past about 708 it is subnormal, and from about 745 on it is 0 and every
-# draw returns the loop's cap.
+# past about 708 it is subnormal, and from about 745 on it is 0, so the
+# CDF never grows and every nonzero draw returns 1.
 MAX_ARRIVAL_RATE = 700
 
 # Largest population, initial frame and trial count a config may ask for.
@@ -162,15 +162,21 @@ class ExperimentResult:
 
 
 def _poisson(rate: float, rng: RngStream) -> int:
-    """Poisson draw by inverse transform on a single uniform."""
+    """Poisson draw by inverse transform on a single uniform.
+
+    Past the mode the running CDF can stop growing a few ulps below 1; a
+    uniform above it lies in a tail the floats cannot resolve, and the
+    draw is the first count whose term no longer moves the CDF.
+    """
     u = rng.uniform01()
     k = 0
     p = math.exp(-rate)
     cdf = p
-    # cap guards against pathological rates; unreachable for sane ones
-    while u > cdf and k < 100_000:
+    while u > cdf:
         k += 1
         p *= rate / k
+        if cdf + p == cdf:
+            break
         cdf += p
     return k
 
@@ -204,8 +210,9 @@ def run_trial(
             # order, then a single arrivals draw; zero-rate parts draw
             # nothing at all
             if config.departure_prob > 0:
-                for tag in population:
-                    if tag.present and rng.uniform01() < config.departure_prob:
+                present = [tag for tag in population if tag.present]
+                for tag, bits in zip(present, rng.draws(len(present))):
+                    if unit_float(bits) < config.departure_prob:
                         tag.present = False
             if config.arrival_rate > 0:
                 for _ in range(_poisson(config.arrival_rate, rng)):

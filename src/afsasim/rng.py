@@ -9,6 +9,8 @@ tests that pin exact protocol behaviour.
 from __future__ import annotations
 
 import random
+import sys
+from array import array
 from typing import Iterable, Protocol
 
 _MASK64 = (1 << 64) - 1
@@ -17,10 +19,17 @@ _MASK64 = (1 << 64) - 1
 _ULP53 = 2.0 ** -53
 
 
+def unit_float(bits: int) -> float:
+    """The uniform float in [0, 1) that a u64 draw stands for, on a grid of 2**-53."""
+    return (bits >> 11) * _ULP53
+
+
 class RandomSource(Protocol):
     """Anything the protocol code can draw from."""
 
     def next_u64(self) -> int: ...
+
+    def draws(self, count: int) -> array: ...
 
     def randbelow(self, bound: int) -> int: ...
 
@@ -45,6 +54,18 @@ class RngStream:
     def next_u64(self) -> int:
         return self._bits(64)
 
+    def draws(self, count: int) -> array:
+        """The next `count` draws as an `array("Q")`, equal to `count` calls
+        of `next_u64()`, and leaving the stream where those calls would.
+
+        One `getrandbits(64 * count)` holds the same bits as `count` calls of
+        `getrandbits(64)`, the first call in its lowest 64 bits.
+        """
+        values = array("Q", self._bits(64 * count).to_bytes(8 * count, "little"))
+        if sys.byteorder == "big":
+            values.byteswap()
+        return values
+
     def randbelow(self, bound: int) -> int:
         """Uniform-ish draw in [0, bound) by modulo reduction.
 
@@ -57,7 +78,7 @@ class RngStream:
 
     def uniform01(self) -> float:
         """Uniform float in [0, 1) on a grid of 2**-53."""
-        return (self._bits(64) >> 11) * _ULP53
+        return unit_float(self._bits(64))
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
@@ -77,13 +98,18 @@ class ScriptedStream:
         self._pos += 1
         return value & _MASK64
 
+    def draws(self, count: int) -> array:
+        if count > self.remaining:
+            raise IndexError("scripted stream exhausted")
+        return array("Q", [self.next_u64() for _ in range(count)])
+
     def randbelow(self, bound: int) -> int:
         if bound < 1:
             raise ValueError("bound must be >= 1")
         return self.next_u64() % bound
 
     def uniform01(self) -> float:
-        return (self.next_u64() >> 11) * _ULP53
+        return unit_float(self.next_u64())
 
     @property
     def remaining(self) -> int:

@@ -195,3 +195,42 @@ def reference_round(tags, slots: int, rng, seq_bits: Optional[int] = None,
     if sum(obs.occupants for obs in observations) != result.responders:
         raise ValueError("every responder occupies exactly one slot")
     return result
+
+
+# Reference inventory -------------------------------------------------------
+#
+# A slow inventory loop that keeps no list of the tags still answering: it
+# counts them by scanning the whole population before and after every
+# round, and sends every protocol round the whole population, leaving it to
+# the round kernels to turn away the absent and identified tags.  Tests run
+# a protocol's rounds under it and under `afsa.run_inventory` and compare.
+
+class ReferenceInventory(NamedTuple):
+    traces: list
+    k_active: List[int]
+    completed: bool
+    ever_present: int
+
+
+def _answering(tags) -> int:
+    return sum(1 for t in tags if t.present and not t.identified)
+
+
+def reference_inventory(tags, rounds, max_rounds: int,
+                        between_rounds=None) -> ReferenceInventory:
+    """Drop-in for `afsa.run_inventory` that rescans `tags` every time."""
+    if max_rounds < 1:
+        raise ValueError("max_rounds must be >= 1")
+    traces: list = []
+    k_active: List[int] = []
+    next(rounds)
+    while True:
+        k_active.append(_answering(tags))
+        trace = rounds.send(tags)
+        traces.append(trace)
+        if _answering(tags) == 0:
+            return ReferenceInventory(traces, k_active, True, len(tags))
+        if len(traces) >= max_rounds:
+            return ReferenceInventory(traces, k_active, False, len(tags))
+        if between_rounds is not None:
+            between_rounds(len(traces), trace)

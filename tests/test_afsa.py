@@ -1,9 +1,10 @@
 """Protocol engine: scripted rounds, trace invariants, inventory loop."""
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from afsasim.afsa import run_afsa_inventory, run_afsa_round
+from afsasim import afsa, baselines
+from afsasim.afsa import DRAW_CHUNK_TAGS, run_afsa_inventory, run_afsa_round
 from afsasim.analytic import expected_idle, expected_reserved
 from afsasim.baselines import run_edfsa_inventory, run_fsa_inventory
 from afsasim.estimator import AdaptationPolicy, estimate_backlog, next_frame
@@ -16,7 +17,13 @@ from afsasim.model import (
 )
 from afsasim.rng import RngStream, ScriptedStream
 
-from oracles import DETECTED_COLLISION, IDLE, RESERVED_APPARENT, reference_round
+from oracles import (
+    DETECTED_COLLISION,
+    IDLE,
+    RESERVED_APPARENT,
+    reference_inventory,
+    reference_round,
+)
 
 TIMING = TimingModel()
 
@@ -204,6 +211,13 @@ def _population(states):
        divisor=st.integers(min_value=1, max_value=4),
        seed=st.integers(min_value=0, max_value=2**32))
 @settings(max_examples=250, deadline=None)
+# rounds longer than one bulk fetch of draws, with and without gating
+@example(states=[(True, False)] * (2 * DRAW_CHUNK_TAGS + 7), slots=64, bits=2,
+         divisor=1, seed=3)
+@example(states=([(True, False)] * 4 + [(True, True), (False, False)]) * 400,
+         slots=512, bits=3, divisor=2, seed=4)
+@example(states=[(True, False)] * (3 * DRAW_CHUNK_TAGS + 1), slots=1024, bits=2,
+         divisor=5, seed=5)
 def test_afsa_round_matches_reference(states, slots, bits, divisor, seed):
     tags, ref_tags = _population(states), _population(states)
     rng, ref_rng = RngStream(seed, 0), RngStream(seed, 0)
@@ -343,6 +357,44 @@ def test_every_round_of_a_churned_inventory_is_consistent(
                 protocol == "afsa" and frame.participation_divisor == 1):
             assert trace.responders == k_active
         frame = next_frame(estimate_backlog(trace), AdaptationPolicy())
+
+
+@pytest.mark.parametrize("protocol", INVENTORIES)
+@given(k=st.integers(min_value=0, max_value=150),
+       churned=st.booleans(),
+       seed=st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=30, deadline=None)
+# AFSA engages the participation divisor at this size
+@example(k=5000, churned=True, seed=1)
+def test_inventory_matches_the_scanning_reference(protocol, k, churned, seed):
+    def run(loop):
+        tags = make_population(k)
+        rng = RngStream(seed, 0)
+
+        # churn draws from the rounds' stream, as a trial's churn does
+        def churn(next_round_index, trace):
+            for tag in tags:
+                if tag.present and rng.uniform01() < 0.1:
+                    tag.present = False
+            while rng.uniform01() < 0.6:
+                tags.append(Tag(epc=len(tags)))
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(afsa, "run_inventory", loop)
+            patch.setattr(baselines, "run_inventory", loop)
+            result = INVENTORIES[protocol](
+                tags, rng, max_rounds=60,
+                between_rounds=churn if churned else None)
+        return result, [(t.present, t.identified) for t in tags], rng.next_u64()
+
+    result, tags, next_draw = run(afsa.run_inventory)
+    ref, ref_tags, ref_next_draw = run(reference_inventory)
+    assert result.traces == ref.traces
+    assert result.k_active == ref.k_active
+    assert (result.completed, result.ever_present) == (ref.completed, ref.ever_present)
+    assert tags == ref_tags
+    # both took the same number of draws
+    assert next_draw == ref_next_draw
 
 
 def test_between_rounds_arrivals_extend_the_inventory():

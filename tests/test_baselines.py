@@ -1,9 +1,9 @@
 """FSA and EDFSA baselines: cost structure, planning, and comparisons."""
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from afsasim.afsa import run_afsa_inventory
+from afsasim.afsa import DRAW_CHUNK_TAGS, run_afsa_inventory
 from afsasim.analytic import expected_reserved
 from afsasim.baselines import (
     EDFSA_FRAME_CHOICES,
@@ -64,6 +64,8 @@ def test_fsa_collisions_always_detected(tags, slots, seed):
        slots=st.integers(min_value=1, max_value=64),
        seed=st.integers(min_value=0, max_value=2**32))
 @settings(max_examples=250, deadline=None)
+# a round longer than one bulk fetch of draws
+@example(states=[(True, False), (True, True)] * (DRAW_CHUNK_TAGS + 5), slots=64, seed=1)
 def test_fsa_round_matches_reference(states, slots, seed):
     def population():
         return [Tag(epc=i, present=p, identified=d) for i, (p, d) in enumerate(states)]

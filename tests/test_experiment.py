@@ -14,8 +14,14 @@ from afsasim.experiment import (
     run_sweep,
     run_trial,
     sweep_configs,
+    _poisson,
+    resolved_initial_seq_bits,
     validate_experiment,
 )
+from afsasim.afsa import run_afsa_inventory
+from afsasim.estimator import AdaptationPolicy
+from afsasim.model import FrameConfig, Tag, TimingModel, make_population
+from afsasim.rng import RngStream, ScriptedStream
 
 FAST = ExperimentConfig(k_initial=20, frame_slots=16, trials=5, seed=3, max_rounds=200)
 
@@ -194,6 +200,41 @@ def test_arrivals_join_the_population():
             present_identified = t.tags_identified
             assert present_identified >= 20 or t.rounds_used == 1
     assert 0.0 < result.aggregate.identification_rate <= 1.0
+
+
+@pytest.mark.parametrize("rate, bits, arrivals", [
+    # under this top draw the running CDF stops growing 2.2e-16 below 1,
+    # and the draw is the first count that no longer moves it
+    (7.064220183486238, 2**64 - 1, 39),
+    # a CDF that reaches the draw keeps its value
+    (2.0, 2**64 - 1, 22),
+    (2.0, 1 << 63, 2),
+])
+def test_poisson_tail_draws(rate, bits, arrivals):
+    assert _poisson(rate, ScriptedStream([bits])) == arrivals
+
+
+def test_churn_draws_match_one_draw_per_present_tag():
+    # the trial's churn against the plain loop it takes its draws in bulk for:
+    # one uniform per present tag in population order, then the arrivals
+    config = dataclasses.replace(
+        FAST, k_initial=60, frame_slots=32, arrival_rate=1.5, departure_prob=0.2)
+    for trial in range(3):
+        rng = RngStream(config.seed, trial)
+        population = make_population(config.k_initial)
+
+        def churn(next_round_index, trace):
+            for tag in population:
+                if tag.present and rng.uniform01() < config.departure_prob:
+                    tag.present = False
+            for _ in range(_poisson(config.arrival_rate, rng)):
+                population.append(Tag(epc=len(population)))
+
+        expected = run_afsa_inventory(
+            population, FrameConfig(32, resolved_initial_seq_bits(config)),
+            AdaptationPolicy(), TimingModel(), rng,
+            max_rounds=config.max_rounds, between_rounds=churn)
+        assert run_trial(config, trial) == expected
 
 
 def test_arrivals_with_departures_still_terminate():

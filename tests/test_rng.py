@@ -72,3 +72,20 @@ def test_uniform01_stays_below_one_at_the_largest_draw():
     rng = RngStream(seed=5)
     rng._bits = lambda bits: (1 << bits) - 1
     assert rng.uniform01() == 1.0 - 2.0 ** -53
+
+
+@pytest.mark.parametrize("count", [0, 1, 3, 3 * 1024 + 1])
+def test_draws_equal_that_many_single_draws(count):
+    bulk, single = RngStream(seed=13, stream_id=2), RngStream(seed=13, stream_id=2)
+    assert list(bulk.draws(count)) == [single.next_u64() for _ in range(count)]
+    # and both streams go on from the same state
+    assert bulk.next_u64() == single.next_u64()
+
+
+def test_scripted_draws_replay_then_raise():
+    s = ScriptedStream([5, 1 << 64, 7])
+    assert list(s.draws(2)) == [5, 0]
+    assert list(s.draws(0)) == []
+    with pytest.raises(IndexError):
+        s.draws(2)
+    assert list(s.draws(1)) == [7]
