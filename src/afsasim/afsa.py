@@ -10,9 +10,7 @@ wastes its data slot, and identifies nobody.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    Callable, Generator, Iterable, Iterator, List, Optional, Sequence, Tuple,
-)
+from typing import Callable, Generator, List, Optional, Sequence
 
 from .analytic import phase_durations_for
 from .estimator import AdaptationPolicy, estimate_backlog, next_frame
@@ -24,51 +22,6 @@ from .model import (
     active_count,  # unused here, but bench/child.py wraps it by this name
 )
 from .rng import RandomSource
-
-
-# Most tags whose draws a round kernel fetches at once.  A fetch briefly
-# holds its draws three times over (the integer, its bytes, the array); at
-# 1 024 tags a fetch, a 5 000-tag run peaked ~0.15 MB higher in resident
-# memory than at 256, with no measurable speed gain.
-DRAW_CHUNK_TAGS = 256
-
-
-def _joiner_batches(
-    tags: Sequence[Tag], divisor: int, rng: RandomSource,
-) -> Iterator[Iterable[Tuple[Tag, int, int]]]:
-    """(tag, slot draw, sequence draw) of every tag that joins, in batches.
-
-    Each present, unidentified tag takes a participation draw and joins iff
-    it is divisible by `divisor`; a joining tag then takes its slot draw and
-    its sequence draw.  Draws are fetched in bulk, DRAW_CHUNK_TAGS tags at a
-    time, and never more than the round is sure to take: with a divisor of
-    one that is exactly three per tag; otherwise one per tag still to come,
-    plus two once a tag has joined.
-    """
-    for start in range(0, len(tags), DRAW_CHUNK_TAGS):
-        batch = [t for t in tags[start:start + DRAW_CHUNK_TAGS]
-                 if t.present and not t.identified]
-        if divisor == 1:
-            values = rng.draws(3 * len(batch))
-            yield zip(batch, values[1::3], values[2::3])
-            continue
-        joined: List[Tuple[Tag, int, int]] = []
-        remaining = len(batch)  # tags whose participation draw is still to come
-        values: Sequence[int] = ()
-        pos = 0
-        for tag in batch:
-            if pos == len(values):
-                values, pos = rng.draws(remaining), 0
-            remaining -= 1
-            pos += 1
-            if values[pos - 1] % divisor:
-                continue
-            if len(values) - pos < 2:
-                held = len(values) - pos
-                values, pos = values[pos:] + rng.draws(remaining + 2 - held), 0
-            joined.append((tag, values[pos], values[pos + 1]))
-            pos += 2
-        yield joined
 
 
 def run_afsa_round(
@@ -101,18 +54,29 @@ def run_afsa_round(
     first_seq = [0] * slots
     occupants = [0] * slots
     clash = [False] * slots
+    answering = [t for t in tags if t.present and not t.identified]
+    draws = iter(rng)
+    divisor = frame.participation_divisor
+    # (tag, _, slot draw, sequence draw) per joining tag
+    if divisor == 1:
+        # every tag joins, and `_` is its participation draw; the tags come
+        # first, so the zip ends at the last tag without another draw
+        joiners = zip(answering, draws, draws, draws)
+    else:
+        # a tag takes its slot and sequence draws only once it has joined
+        joiners = ((tag, 0, next(draws), next(draws))
+                   for tag in answering if not next(draws) % divisor)
     responders = 0
-    for batch in _joiner_batches(tags, frame.participation_divisor, rng):
-        for tag, slot_draw, seq_draw in batch:
-            slot = slot_draw % slots
-            sequence = seq_draw % seq_space
-            responders += 1
-            if occupants[slot] == 0:
-                first_tag[slot] = tag
-                first_seq[slot] = sequence
-            elif sequence != first_seq[slot]:
-                clash[slot] = True
-            occupants[slot] += 1
+    for tag, _, slot_draw, seq_draw in joiners:
+        slot = slot_draw % slots
+        sequence = seq_draw % seq_space
+        responders += 1
+        if occupants[slot] == 0:
+            first_tag[slot] = tag
+            first_seq[slot] = sequence
+        elif sequence != first_seq[slot]:
+            clash[slot] = True
+        occupants[slot] += 1
 
     idle = reserved_true = detected = undetected = 0
     identified: List[int] = []

@@ -13,13 +13,7 @@ from __future__ import annotations
 import math
 from typing import List, NamedTuple, Optional, Sequence
 
-from .afsa import (
-    DRAW_CHUNK_TAGS,
-    BetweenRounds,
-    InventoryResult,
-    Rounds,
-    run_inventory,
-)
+from .afsa import BetweenRounds, InventoryResult, Rounds, run_inventory
 from .estimator import estimate_backlog
 from .model import (
     RoundTrace,
@@ -53,16 +47,14 @@ def run_fsa_round(
         raise ValueError("slots must be >= 1")
     first_tag: List[Optional[Tag]] = [None] * slots
     occupants = [0] * slots
-    responders = 0
-    for start in range(0, len(tags), DRAW_CHUNK_TAGS):
-        batch = [t for t in tags[start:start + DRAW_CHUNK_TAGS]
-                 if t.present and not t.identified]
-        responders += len(batch)
-        for tag, draw in zip(batch, rng.draws(len(batch))):
-            slot = draw % slots
-            if occupants[slot] == 0:
-                first_tag[slot] = tag
-            occupants[slot] += 1
+    answering = [t for t in tags if t.present and not t.identified]
+    responders = len(answering)
+    # the tags come first, so the zip ends at the last tag without a draw
+    for tag, draw in zip(answering, rng):
+        slot = draw % slots
+        if occupants[slot] == 0:
+            first_tag[slot] = tag
+        occupants[slot] += 1
 
     identified: List[int] = []
     idle = reserved = detected = 0

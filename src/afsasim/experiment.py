@@ -17,7 +17,7 @@ from .afsa import InventoryResult, run_afsa_inventory
 from .baselines import run_edfsa_inventory, run_fsa_inventory
 from .estimator import AdaptationPolicy, initial_seq_bits
 from .model import MAX_SEQ_BITS, FrameConfig, Tag, TimingModel, make_population
-from .rng import RngStream, unit_float
+from .rng import RandomSource, RngStream, unit_float
 
 PROTOCOLS = ("afsa", "fsa", "edfsa")
 
@@ -161,14 +161,14 @@ class ExperimentResult:
     aggregate: AggregateStats
 
 
-def _poisson(rate: float, rng: RngStream) -> int:
+def _poisson(rate: float, rng: RandomSource) -> int:
     """Poisson draw by inverse transform on a single uniform.
 
     Past the mode the running CDF can stop growing a few ulps below 1; a
     uniform above it lies in a tail the floats cannot resolve, and the
     draw is the first count whose term no longer moves the CDF.
     """
-    u = rng.uniform01()
+    u = unit_float(rng.next_u64())
     k = 0
     p = math.exp(-rate)
     cdf = p
@@ -211,7 +211,7 @@ def run_trial(
             # nothing at all
             if config.departure_prob > 0:
                 present = [tag for tag in population if tag.present]
-                for tag, bits in zip(present, rng.draws(len(present))):
+                for tag, bits in zip(present, rng):
                     if unit_float(bits) < config.departure_prob:
                         tag.present = False
             if config.arrival_rate > 0:

@@ -11,12 +11,16 @@ from __future__ import annotations
 import random
 import sys
 from array import array
-from typing import Iterable, Protocol
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Protocol
 
 _MASK64 = (1 << 64) - 1
 # A uniform float keeps the top 53 bits of a draw: `bits / 2**64` would
 # round the top 2**10 draws up to exactly 1.0.
 _ULP53 = 2.0 ** -53
+
+# Draws an `RngStream` fetches from its generator at once.
+BLOCK_DRAWS = 256
 
 
 def unit_float(bits: int) -> float:
@@ -25,71 +29,67 @@ def unit_float(bits: int) -> float:
 
 
 class RandomSource(Protocol):
-    """Anything the protocol code can draw from."""
+    """Anything the protocol code can draw from: u64 draws one at a time,
+    or by iterating it, all from one shared sequence."""
+
+    def __iter__(self) -> Iterator[int]: ...
 
     def next_u64(self) -> int: ...
 
-    def draws(self, count: int) -> array: ...
 
-    def randbelow(self, bound: int) -> int: ...
-
-    def uniform01(self) -> float: ...
+def _blocks(bits: Callable[[int], int]) -> Iterator[array]:
+    # One `getrandbits(64 * m)` holds the same bits as m calls of
+    # `getrandbits(64)`, the first call in its lowest 64 bits.
+    while True:
+        block = array("Q", bits(64 * BLOCK_DRAWS).to_bytes(8 * BLOCK_DRAWS, "little"))
+        if sys.byteorder == "big":
+            block.byteswap()
+        yield block
 
 
 class RngStream:
     """Named substream of a master seed.
 
     The same (seed, stream_id) pair yields the same draw sequence on any
-    platform; distinct pairs are treated as independent.
+    platform; distinct pairs are treated as independent.  Draw i is the
+    i-th `getrandbits(64)` of `random.Random((seed << 64) | stream_id)`.
+    The stream fetches them BLOCK_DRAWS at a time, but only it reads its
+    generator, so fetching ahead never shifts a draw.
     """
 
-    __slots__ = ("seed", "stream_id", "_bits")
+    __slots__ = ("seed", "stream_id", "_draws")
 
     def __init__(self, seed: int, stream_id: int = 0):
         self.seed = seed & _MASK64
         self.stream_id = stream_id & _MASK64
         rng = random.Random((self.seed << 64) | self.stream_id)
-        self._bits = rng.getrandbits
+        self._draws = chain.from_iterable(_blocks(rng.getrandbits))
+
+    def __iter__(self) -> Iterator[int]:
+        """The stream's draws, shared: every iterator and `next_u64` take
+        from the same sequence, and it never ends."""
+        return self._draws
 
     def next_u64(self) -> int:
-        return self._bits(64)
-
-    def draws(self, count: int) -> array:
-        """The next `count` draws as an `array("Q")`, equal to `count` calls
-        of `next_u64()`, and leaving the stream where those calls would.
-
-        One `getrandbits(64 * count)` holds the same bits as `count` calls of
-        `getrandbits(64)`, the first call in its lowest 64 bits.
-        """
-        values = array("Q", self._bits(64 * count).to_bytes(8 * count, "little"))
-        if sys.byteorder == "big":
-            values.byteswap()
-        return values
-
-    def randbelow(self, bound: int) -> int:
-        """Uniform-ish draw in [0, bound) by modulo reduction.
-
-        Bounds here are at most 2**16, so the modulo bias is below 2**-48
-        and irrelevant next to the sampling noise of any experiment.
-        """
-        if bound < 1:
-            raise ValueError("bound must be >= 1")
-        return self._bits(64) % bound
-
-    def uniform01(self) -> float:
-        """Uniform float in [0, 1) on a grid of 2**-53."""
-        return unit_float(self._bits(64))
+        return next(self._draws)
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 
 
 class ScriptedStream:
-    """Test double that replays a fixed list of u64 draws, then raises."""
+    """Test double that replays a fixed list of u64 draws, then raises.
+
+    It raises IndexError, never StopIteration, so a script too short for a
+    round fails loudly instead of quietly ending a `zip` over the tags.
+    """
 
     def __init__(self, values: Iterable[int]):
         self._values = list(values)
         self._pos = 0
+
+    def __iter__(self) -> ScriptedStream:
+        return self
 
     def next_u64(self) -> int:
         if self._pos >= len(self._values):
@@ -98,18 +98,7 @@ class ScriptedStream:
         self._pos += 1
         return value & _MASK64
 
-    def draws(self, count: int) -> array:
-        if count > self.remaining:
-            raise IndexError("scripted stream exhausted")
-        return array("Q", [self.next_u64() for _ in range(count)])
-
-    def randbelow(self, bound: int) -> int:
-        if bound < 1:
-            raise ValueError("bound must be >= 1")
-        return self.next_u64() % bound
-
-    def uniform01(self) -> float:
-        return unit_float(self.next_u64())
+    __next__ = next_u64
 
     @property
     def remaining(self) -> int:

@@ -155,13 +155,13 @@ def reference_round(tags, slots: int, rng, seq_bits: Optional[int] = None,
         if not tag.present or tag.identified:
             continue
         if seq_bits is None:
-            slot = rng.randbelow(slots)
+            slot = rng.next_u64() % slots
             heard = tag.epc
         else:
-            if rng.randbelow(divisor) != 0:
+            if rng.next_u64() % divisor != 0:
                 continue
-            slot = rng.randbelow(slots)
-            heard = rng.randbelow(2 ** seq_bits)
+            slot = rng.next_u64() % slots
+            heard = rng.next_u64() % 2 ** seq_bits
         buckets[slot].append((tag, heard))
 
     observations = []

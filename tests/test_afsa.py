@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from afsasim import afsa, baselines
-from afsasim.afsa import DRAW_CHUNK_TAGS, run_afsa_inventory, run_afsa_round
+from afsasim.afsa import run_afsa_inventory, run_afsa_round
 from afsasim.analytic import expected_idle, expected_reserved
 from afsasim.baselines import run_edfsa_inventory, run_fsa_inventory
 from afsasim.estimator import AdaptationPolicy, estimate_backlog, next_frame
@@ -15,7 +15,7 @@ from afsasim.model import (
     check_round_trace,
     make_population,
 )
-from afsasim.rng import RngStream, ScriptedStream
+from afsasim.rng import BLOCK_DRAWS, RngStream, ScriptedStream, unit_float
 
 from oracles import (
     DETECTED_COLLISION,
@@ -77,6 +77,21 @@ def test_tag_decide_rejects_settled_tags():
     check_round_trace(trace)
     assert trace.responders == 0
     assert trace.idle_count == 4
+
+
+@pytest.mark.parametrize("divisor, script", [
+    # two tags, three draws each, and the last sequence draw missing
+    (1, [0, 1, 2, 0, 3]),
+    # both join; the second tag's sequence draw is missing
+    (2, [0, 1, 2, 4, 3]),
+    # the first is gated out; the second's participation draw is missing
+    (2, [1]),
+])
+def test_a_script_one_draw_short_raises(divisor, script):
+    # the round never ends early on a short stream, dropping the last tag
+    with pytest.raises(IndexError):
+        run_afsa_round(make_population(2), FrameConfig(8, 2, divisor), TIMING,
+                       ScriptedStream(script))
 
 
 def test_reader_observe_classifies_each_slot():
@@ -211,12 +226,12 @@ def _population(states):
        divisor=st.integers(min_value=1, max_value=4),
        seed=st.integers(min_value=0, max_value=2**32))
 @settings(max_examples=250, deadline=None)
-# rounds longer than one bulk fetch of draws, with and without gating
-@example(states=[(True, False)] * (2 * DRAW_CHUNK_TAGS + 7), slots=64, bits=2,
+# rounds spanning several of the stream's blocks, with and without gating
+@example(states=[(True, False)] * (2 * BLOCK_DRAWS + 7), slots=64, bits=2,
          divisor=1, seed=3)
 @example(states=([(True, False)] * 4 + [(True, True), (False, False)]) * 400,
          slots=512, bits=3, divisor=2, seed=4)
-@example(states=[(True, False)] * (3 * DRAW_CHUNK_TAGS + 1), slots=1024, bits=2,
+@example(states=[(True, False)] * (3 * BLOCK_DRAWS + 1), slots=1024, bits=2,
          divisor=5, seed=5)
 def test_afsa_round_matches_reference(states, slots, bits, divisor, seed):
     tags, ref_tags = _population(states), _population(states)
@@ -341,9 +356,9 @@ def test_every_round_of_a_churned_inventory_is_consistent(
 
     def churn(next_round_index, trace):
         for tag in tags:
-            if tag.present and churn_rng.uniform01() < departure_prob:
+            if tag.present and unit_float(churn_rng.next_u64()) < departure_prob:
                 tag.present = False
-        while churn_rng.uniform01() < arrival_rate / (1.0 + arrival_rate):
+        while unit_float(churn_rng.next_u64()) < arrival_rate / (1.0 + arrival_rate):
             tags.append(Tag(epc=len(tags)))
 
     result = INVENTORIES[protocol](
@@ -374,9 +389,9 @@ def test_inventory_matches_the_scanning_reference(protocol, k, churned, seed):
         # churn draws from the rounds' stream, as a trial's churn does
         def churn(next_round_index, trace):
             for tag in tags:
-                if tag.present and rng.uniform01() < 0.1:
+                if tag.present and unit_float(rng.next_u64()) < 0.1:
                     tag.present = False
-            while rng.uniform01() < 0.6:
+            while unit_float(rng.next_u64()) < 0.6:
                 tags.append(Tag(epc=len(tags)))
 
         with pytest.MonkeyPatch.context() as patch:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from afsasim.afsa import DRAW_CHUNK_TAGS, run_afsa_inventory
+from afsasim.afsa import run_afsa_inventory
 from afsasim.analytic import expected_reserved
 from afsasim.baselines import (
     EDFSA_FRAME_CHOICES,
@@ -21,7 +21,7 @@ from afsasim.model import (
     check_round_trace,
     make_population,
 )
-from afsasim.rng import RngStream
+from afsasim.rng import BLOCK_DRAWS, RngStream, ScriptedStream
 
 from oracles import reference_round
 
@@ -44,6 +44,12 @@ def test_fsa_round_identifies_singletons():
     assert all(t.identified for t in tags)
 
 
+def test_fsa_round_raises_on_a_script_one_draw_short():
+    # one slot draw per tag: three tags, two draws
+    with pytest.raises(IndexError):
+        run_fsa_round(make_population(3), 8, TIMING, ScriptedStream([0, 1]))
+
+
 @given(tags=st.integers(min_value=0, max_value=80),
        slots=st.integers(min_value=1, max_value=64),
        seed=st.integers(min_value=0, max_value=2**32))
@@ -64,8 +70,8 @@ def test_fsa_collisions_always_detected(tags, slots, seed):
        slots=st.integers(min_value=1, max_value=64),
        seed=st.integers(min_value=0, max_value=2**32))
 @settings(max_examples=250, deadline=None)
-# a round longer than one bulk fetch of draws
-@example(states=[(True, False), (True, True)] * (DRAW_CHUNK_TAGS + 5), slots=64, seed=1)
+# a round spanning several of the stream's blocks
+@example(states=[(True, False), (True, True)] * (BLOCK_DRAWS + 5), slots=64, seed=1)
 def test_fsa_round_matches_reference(states, slots, seed):
     def population():
         return [Tag(epc=i, present=p, identified=d) for i, (p, d) in enumerate(states)]
