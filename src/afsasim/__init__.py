@@ -14,11 +14,8 @@ from .experiment import (
     ExperimentConfig,
     ExperimentConfigError,
     ExperimentResult,
-    SweepCell,
     run_experiment,
-    run_sweep,
     run_trial,
-    sweep_configs,
     validate_experiment,
 )
 from .model import TimingModel
@@ -27,7 +24,6 @@ from .report import (
     render_csv,
     render_json,
     result_rows,
-    sweep_rows,
     write_rows,
 )
 
@@ -42,16 +38,12 @@ __all__ = [
     "ExperimentConfigError",
     "ExperimentResult",
     "InventoryResult",
-    "SweepCell",
     "TimingModel",
     "render_csv",
     "render_json",
     "result_rows",
     "run_experiment",
-    "run_sweep",
     "run_trial",
-    "sweep_configs",
-    "sweep_rows",
     "validate_experiment",
     "write_rows",
 ]

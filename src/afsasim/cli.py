@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from typing import List, Optional, Sequence, Tuple
 
 from .experiment import (
@@ -18,12 +19,10 @@ from .experiment import (
     MAX_TRIALS,
     ExperimentConfig,
     run_experiment,
-    run_sweep,
-    sweep_configs,
     validate_experiment,
 )
 from .model import MAX_SEQ_BITS
-from .report import result_rows, sweep_rows, write_rows
+from .report import Row, result_rows, write_rows
 
 # CLI sweep parameter -> (config field, value parser)
 SWEEP_PARAMS = {
@@ -189,31 +188,32 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         departure_prob=ns.departure_prob,
     )
 
-    invalid = False
+    if ns.sweep is None:
+        problems = validate_experiment(config)
+        if problems:
+            for problem in problems:
+                _fail(problem)
+            return 1
+        configs = [config]
+    else:
+        param, values = ns.sweep
+        field, _ = SWEEP_PARAMS[param]
+        configs = [replace(config, **{field: value}) for value in values]
+
+    rows: List[Row] = []
+    invalid = incomplete = False
     try:
-        if ns.sweep is not None:
-            param, values = ns.sweep
-            field, _ = SWEEP_PARAMS[param]
-            cells = run_sweep(sweep_configs(config, field, values))
-            for cell in cells:
-                if cell.error is not None:
-                    value = getattr(cell.config, field)
-                    _fail(f"sweep cell {param}={value}: {cell.error}")
-                    invalid = True
-            rows = sweep_rows(cells, per_round=ns.per_round)
-            incomplete = any(
-                not t.completed
-                for c in cells if c.result is not None
-                for t in c.result.trials)
-        else:
-            problems = validate_experiment(config)
+        for cell in configs:
+            problems = validate_experiment(cell)
             if problems:
-                for problem in problems:
-                    _fail(problem)
-                return 1
-            result = run_experiment(config)
-            rows = result_rows(result, per_round=ns.per_round)
-            incomplete = not result.aggregate.all_completed
+                # only a sweep cell: a single config was checked above
+                _fail(f"sweep cell {param}={getattr(cell, field)}: "
+                      + "; ".join(problems))
+                invalid = True
+                continue
+            result = run_experiment(cell)
+            rows.extend(result_rows(result, per_round=ns.per_round))
+            incomplete |= not result.aggregate.all_completed
     except Exception as err:  # noqa: BLE001 - CLI boundary
         _fail(f"runtime failure: {err}")
         return 2

@@ -1,4 +1,4 @@
-"""Experiment layer: multi-trial runs, population churn, and sweeps.
+"""Experiment layer: multi-trial runs and population churn.
 
 A trial is one complete inventory over a fresh population.  Trial t of an
 experiment draws from RngStream(seed, t), so results are bit-identical
@@ -10,8 +10,9 @@ import math
 import numbers
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from itertools import repeat
+from typing import List, Optional, Sequence
 
 from .afsa import InventoryResult, run_afsa_inventory
 from .baselines import run_edfsa_inventory, run_fsa_inventory
@@ -33,6 +34,11 @@ MAX_ARRIVAL_RATE = 700
 MAX_TAGS = 1_000_000
 MAX_FRAME_SLOTS = 65_536
 MAX_TRIALS = 1_000_000
+
+# Largest process pool `run_experiment` may be asked for.  Every worker is
+# a whole interpreter, started when the pool takes its first task, so an
+# unbounded count would exhaust process ids or memory before a trial ran.
+MAX_WORKERS = 256
 
 # Largest master seed; `RngStream` keys on 64 bits, so a larger or negative
 # seed would alias one in range.
@@ -156,7 +162,6 @@ class ExperimentResult:
     """Every trial's inventory in trial order, so `trials[t]` is trial t."""
 
     config: ExperimentConfig
-    initial_seq_bits: int
     trials: List[InventoryResult]
     aggregate: AggregateStats
 
@@ -181,23 +186,19 @@ def _poisson(rate: float, rng: RandomSource) -> int:
     return k
 
 
-def resolved_initial_seq_bits(config: ExperimentConfig) -> int:
-    """Sequence length of the first round; 0 for protocols without one."""
-    if config.protocol != "afsa":
-        return 0
-    if config.seq_bits is not None:
-        return config.seq_bits
-    return initial_seq_bits(config.frame_slots)
+def run_trial(config: ExperimentConfig, trial_id: int) -> InventoryResult:
+    """Run one trial.  Pure function of (config, trial_id).
 
-
-def run_trial(
-    config: ExperimentConfig,
-    trial_id: int,
-    timing: Optional[TimingModel] = None,
-) -> InventoryResult:
-    """Run one trial.  Pure function of (config, trial_id, timing)."""
-    if timing is None:
-        timing = TimingModel()
+    Raises ExperimentConfigError when `config` has problems, and
+    ValueError unless `trial_id` is an integer in [0, config.trials);
+    both before anything is allocated.
+    """
+    problems = validate_experiment(config)
+    if problems:
+        raise ExperimentConfigError(problems)
+    if not _is_int(trial_id) or not 0 <= trial_id < config.trials:
+        raise ValueError(f"trial_id must be an integer in [0, {config.trials})")
+    timing = TimingModel()
     rng = RngStream(config.seed, trial_id)
     population = make_population(config.k_initial)
 
@@ -224,9 +225,11 @@ def run_trial(
 
 def _dispatch(config, population, timing, rng, churn) -> InventoryResult:
     if config.protocol == "afsa":
+        seq_bits = (initial_seq_bits(config.frame_slots)
+                    if config.seq_bits is None else config.seq_bits)
         frame = FrameConfig(
             slots=config.frame_slots,
-            seq_bits=resolved_initial_seq_bits(config),
+            seq_bits=seq_bits,
             participation_divisor=1,
         )
         policy = AdaptationPolicy(fixed_seq_bits=config.seq_bits)
@@ -244,10 +247,6 @@ def _dispatch(config, population, timing, rng, churn) -> InventoryResult:
             initial_estimate=float(config.frame_slots),
             between_rounds=churn)
     raise ExperimentConfigError([f"protocol must be one of {', '.join(PROTOCOLS)}"])
-
-
-def _trial_task(args: Tuple[ExperimentConfig, int, Optional[TimingModel]]):
-    return run_trial(*args)
 
 
 def _aggregate(trials: List[InventoryResult]) -> AggregateStats:
@@ -268,69 +267,28 @@ def _aggregate(trials: List[InventoryResult]) -> AggregateStats:
     )
 
 
-def run_experiment(
-    config: ExperimentConfig,
-    workers: int = 1,
-    timing: Optional[TimingModel] = None,
-) -> ExperimentResult:
+def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """Run all trials of `config` and aggregate.
 
-    `workers` > 1 distributes trials over a process pool.  Because every
+    `workers` > 1 distributes trials over a process pool of at most that
+    many processes, and never more than there are trials.  Because every
     trial seeds its own stream and the pool returns trials in order, the
-    result is bit-identical to the single-process run.
+    result is bit-identical to the single-process run.  `workers` must be
+    an integer in [1, MAX_WORKERS].
     """
     problems = validate_experiment(config)
     if problems:
         raise ExperimentConfigError(problems)
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    if not _is_int(workers) or not 1 <= workers <= MAX_WORKERS:
+        raise ValueError(f"workers must be an integer in [1, {MAX_WORKERS}]")
 
-    tasks = [(config, t, timing) for t in range(config.trials)]
-    if workers == 1 or config.trials == 1:
-        trials = [_trial_task(task) for task in tasks]
+    count = config.trials
+    size = min(workers, count)
+    if size == 1:
+        trials = [run_trial(config, t) for t in range(count)]
     else:
-        chunk = max(1, config.trials // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            trials = list(pool.map(_trial_task, tasks, chunksize=chunk))
-    return ExperimentResult(
-        config=config,
-        initial_seq_bits=resolved_initial_seq_bits(config),
-        trials=trials,
-        aggregate=_aggregate(trials),
-    )
-
-
-@dataclass
-class SweepCell:
-    """One point of a parameter sweep: a config and its result or error."""
-
-    config: ExperimentConfig
-    result: Optional[ExperimentResult] = None
-    error: Optional[str] = None
-
-
-def sweep_configs(
-    base: ExperimentConfig,
-    field: str,
-    values: Sequence,
-) -> List[ExperimentConfig]:
-    """Copies of `base` with `field` set to each value, in order."""
-    return [replace(base, **{field: v}) for v in values]
-
-
-def run_sweep(
-    configs: Sequence[ExperimentConfig],
-    workers: int = 1,
-    timing: Optional[TimingModel] = None,
-) -> List[SweepCell]:
-    """Run each config; invalid cells are reported, valid ones still run."""
-    cells: List[SweepCell] = []
-    for config in configs:
-        problems = validate_experiment(config)
-        if problems:
-            cells.append(SweepCell(config=config, error="; ".join(problems)))
-            continue
-        cells.append(SweepCell(
-            config=config,
-            result=run_experiment(config, workers=workers, timing=timing)))
-    return cells
+        chunk = max(1, count // (size * 4))
+        with ProcessPoolExecutor(max_workers=size) as pool:
+            trials = list(pool.map(
+                run_trial, repeat(config, count), range(count), chunksize=chunk))
+    return ExperimentResult(config=config, trials=trials, aggregate=_aggregate(trials))

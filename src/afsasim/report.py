@@ -15,7 +15,7 @@ import json
 import sys
 from typing import Dict, List, Optional, Sequence, Union
 
-from .experiment import ExperimentResult, SweepCell
+from .experiment import ExperimentResult
 
 COLUMNS = (
     "trial",
@@ -64,7 +64,7 @@ def result_rows(result: ExperimentResult, per_round: bool = False) -> List[Row]:
             "round": trial.rounds_used,
             "protocol": protocol,
             "N": result.config.frame_slots,
-            "n": result.initial_seq_bits,
+            "n": trial.traces[0].seq_bits,
             "k_active": trial.ever_present,
             "idle": sum(t.idle_count for t in trial.traces),
             "reserved_true": sum(t.reserved_true_count for t in trial.traces),
@@ -77,15 +77,6 @@ def result_rows(result: ExperimentResult, per_round: bool = False) -> List[Row]:
         }
         for trial_id, trial in enumerate(result.trials)
     ]
-
-
-def sweep_rows(cells: Sequence[SweepCell], per_round: bool = False) -> List[Row]:
-    """Rows for every cell that ran, in sweep order."""
-    rows: List[Row] = []
-    for cell in cells:
-        if cell.result is not None:
-            rows.extend(result_rows(cell.result, per_round=per_round))
-    return rows
 
 
 def render_csv(rows: Sequence[Row]) -> str:

@@ -16,16 +16,12 @@ def test_root_exports_what_a_caller_needs_to_run_and_report():
         "ExperimentConfigError",
         "ExperimentResult",
         "InventoryResult",
-        "SweepCell",
         "TimingModel",
         "render_csv",
         "render_json",
         "result_rows",
         "run_experiment",
-        "run_sweep",
         "run_trial",
-        "sweep_configs",
-        "sweep_rows",
         "validate_experiment",
         "write_rows",
     ]

@@ -1,25 +1,24 @@
-"""Experiment harness: validation, determinism, churn, aggregation, sweeps."""
+"""Experiment harness: validation, determinism, churn, aggregation, workers."""
 import dataclasses
 
 import pytest
 
+from afsasim import experiment
 from afsasim.experiment import (
     MAX_FRAME_SLOTS,
     MAX_SEED,
     MAX_TAGS,
     MAX_TRIALS,
+    MAX_WORKERS,
     ExperimentConfig,
     ExperimentConfigError,
     run_experiment,
-    run_sweep,
     run_trial,
-    sweep_configs,
     _poisson,
-    resolved_initial_seq_bits,
     validate_experiment,
 )
 from afsasim.afsa import run_afsa_inventory
-from afsasim.estimator import AdaptationPolicy
+from afsasim.estimator import AdaptationPolicy, initial_seq_bits
 from afsasim.model import FrameConfig, Tag, TimingModel, make_population
 from afsasim.rng import RngStream, ScriptedStream, unit_float
 
@@ -144,6 +143,67 @@ def test_worker_count_does_not_change_results():
         run_experiment(FAST, workers=0)
 
 
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables, chunksize=1):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("trials,workers,size", [
+    (5, 2, 2),
+    (3, MAX_WORKERS, 3),
+    (MAX_WORKERS + 1, MAX_WORKERS, MAX_WORKERS),
+])
+def test_pool_never_outnumbers_the_trials(monkeypatch, trials, workers, size):
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    config = dataclasses.replace(FAST, k_initial=2, trials=trials)
+    pooled = run_experiment(config, workers=workers)
+    assert _SerialPool.sizes == [size]
+    assert pooled.trials == run_experiment(config).trials
+
+
+@pytest.mark.parametrize("workers", [0, -1, MAX_WORKERS + 1, 10**9, "2", 2.0, True, None])
+def test_workers_must_be_an_integer_in_range(monkeypatch, workers):
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    with pytest.raises(ValueError, match=rf"workers must be an integer in \[1, {MAX_WORKERS}\]"):
+        run_experiment(FAST, workers=workers)
+    assert _SerialPool.sizes == []
+
+
+def _no_allocation(*args, **kwargs):
+    raise AssertionError("a trial allocated before its checks")
+
+
+@pytest.mark.parametrize("trial_id", [-1, FAST.trials, 2**64 - 1, 1.0, True, "0", None])
+def test_run_trial_rejects_an_id_outside_the_experiment(monkeypatch, trial_id):
+    monkeypatch.setattr(experiment, "RngStream", _no_allocation)
+    monkeypatch.setattr(experiment, "make_population", _no_allocation)
+    with pytest.raises(ValueError, match=r"trial_id must be an integer in \[0, 5\)"):
+        run_trial(FAST, trial_id)
+
+
+def test_run_trial_rejects_an_invalid_config(monkeypatch):
+    monkeypatch.setattr(experiment, "RngStream", _no_allocation)
+    monkeypatch.setattr(experiment, "make_population", _no_allocation)
+    with pytest.raises(ExperimentConfigError) as err:
+        run_trial(ExperimentConfig(frame_slots=MAX_FRAME_SLOTS + 1), 0)
+    assert err.value.problems == [f"frame_slots must be <= {MAX_FRAME_SLOTS}"]
+
+
 def test_static_run_completes_and_aggregates():
     result = run_experiment(FAST)
     agg = result.aggregate
@@ -231,7 +291,7 @@ def test_churn_draws_match_one_draw_per_present_tag():
                 population.append(Tag(epc=len(population)))
 
         expected = run_afsa_inventory(
-            population, FrameConfig(32, resolved_initial_seq_bits(config)),
+            population, FrameConfig(32, initial_seq_bits(config.frame_slots)),
             AdaptationPolicy(), TimingModel(), rng,
             max_rounds=config.max_rounds, between_rounds=churn)
         assert run_trial(config, trial) == expected
@@ -251,37 +311,20 @@ def test_budget_exhaustion_flags_incomplete():
 
 def test_baseline_protocols_run():
     fsa = run_experiment(dataclasses.replace(FAST, protocol="fsa"))
-    assert fsa.initial_seq_bits == 0
+    assert all(trial.traces[0].seq_bits == 0 for trial in fsa.trials)
     assert fsa.aggregate.all_completed
     edfsa = run_experiment(dataclasses.replace(FAST, protocol="edfsa"))
-    assert edfsa.initial_seq_bits == 0
+    assert all(trial.traces[0].seq_bits == 0 for trial in edfsa.trials)
     assert edfsa.aggregate.all_completed
     assert all(t.seq_bits == 0 for trial in fsa.trials for t in trial.traces)
 
 
 def test_fixed_seq_bits_config():
     result = run_experiment(dataclasses.replace(FAST, seq_bits=3))
-    assert result.initial_seq_bits == 3
     assert all(t.seq_bits == 3 for trial in result.trials for t in trial.traces)
 
 
 def test_auto_seq_bits_config():
     result = run_experiment(FAST)
-    assert result.initial_seq_bits == 2
     assert all(t.seq_bits >= 1 for trial in result.trials for t in trial.traces)
     assert all(trial.traces[0].seq_bits == 2 for trial in result.trials)
-
-
-def test_sweep_runs_each_valid_cell():
-    configs = sweep_configs(FAST, "seq_bits", [1, 2, 3])
-    cells = run_sweep(configs)
-    assert [c.config.seq_bits for c in cells] == [1, 2, 3]
-    assert all(c.error is None and c.result is not None for c in cells)
-
-
-def test_sweep_reports_invalid_cells_and_runs_the_rest():
-    configs = sweep_configs(FAST, "seq_bits", [0, 2])
-    cells = run_sweep(configs)
-    assert cells[0].result is None
-    assert "seq_bits" in cells[0].error
-    assert cells[1].result is not None

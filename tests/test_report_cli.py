@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from afsasim import cli
 from afsasim.cli import MAX_SWEEP_VALUES, main, parse_cli, CliError
 from afsasim.experiment import (
     MAX_FRAME_SLOTS,
@@ -17,15 +18,12 @@ from afsasim.experiment import (
     PROTOCOLS,
     ExperimentConfig,
     run_experiment,
-    run_sweep,
-    sweep_configs,
 )
 from afsasim.report import (
     COLUMNS,
     render_csv,
     render_json,
     result_rows,
-    sweep_rows,
     write_rows,
 )
 
@@ -148,15 +146,6 @@ def test_write_rows_to_file(tmp_path):
     assert out.read_text().splitlines()[0] == ",".join(COLUMNS)
     with pytest.raises(ValueError):
         write_rows(rows, fmt="yaml")
-
-
-def test_sweep_rows_concatenate_in_order():
-    cells = run_sweep(sweep_configs(
-        ExperimentConfig(k_initial=10, frame_slots=16, trials=2, max_rounds=200),
-        "seq_bits", [1, 2]))
-    rows = sweep_rows(cells)
-    assert len(rows) == 4
-    assert [r["n"] for r in rows] == [1, 1, 2, 2]
 
 
 def test_parse_cli_defaults():
@@ -348,10 +337,51 @@ def test_main_sweep_invalid_cell_exits_one_but_runs_rest(capsys):
     code = main(FAST_ARGS + ["--sweep", "seq-bits=0:1:2"])
     captured = capsys.readouterr()
     assert code == 1
-    assert "seq-bits=0" in captured.err
+    assert captured.err == ("afsasim: error: sweep cell seq-bits=0: "
+                            "seq_bits must be in [1, 16] or None for auto\n")
     rows = list(csv.DictReader(io.StringIO(captured.out)))
     # cells 1 and 2 still produced rows
     assert sorted({r["n"] for r in rows}) == ["1", "2"]
+
+
+def test_main_sweep_cell_lists_every_problem(capsys):
+    assert main(FAST_ARGS + ["--trials", "0", "--sweep", "seq-bits=0:1:1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ",".join(COLUMNS) + "\n"
+    assert captured.err.splitlines() == [
+        "afsasim: error: sweep cell seq-bits=0: "
+        "seq_bits must be in [1, 16] or None for auto; trials must be >= 1",
+        "afsasim: error: sweep cell seq-bits=1: trials must be >= 1",
+    ]
+
+
+@pytest.mark.parametrize("per_round", [[], ["--per-round"]], ids=["aggregate", "per-round"])
+def test_main_sweep_equals_the_single_runs_in_order(capsys, per_round):
+    assert main(FAST_ARGS + per_round + ["--sweep", "seq-bits=1:1:3"]) == 0
+    swept = capsys.readouterr().out
+    header = ",".join(COLUMNS) + "\n"
+    bodies = []
+    for n in ("1", "2", "3"):
+        assert main(FAST_ARGS + per_round + ["--seq-bits", n]) == 0
+        single = capsys.readouterr().out
+        assert single.startswith(header)
+        bodies.append(single[len(header):])
+    assert swept == header + "".join(bodies)
+
+
+def test_main_sweep_runtime_failure_keeps_the_invalid_cells(capsys, monkeypatch):
+    def fail(config):
+        raise RuntimeError(f"cell seq_bits={config.seq_bits} failed")
+
+    monkeypatch.setattr(cli, "run_experiment", fail)
+    assert main(FAST_ARGS + ["--sweep", "seq-bits=0:1:2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "afsasim: error: sweep cell seq-bits=0: "
+        "seq_bits must be in [1, 16] or None for auto",
+        "afsasim: error: runtime failure: cell seq_bits=1 failed",
+    ]
 
 
 # Fuzzed argument lists.  Every argv starts from a tiny config, and no value
