@@ -10,7 +10,9 @@ import argparse
 import math
 import sys
 from dataclasses import replace
-from typing import List, Optional, Sequence, Tuple
+from decimal import Decimal
+from fractions import Fraction
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .experiment import (
     MAX_ARRIVAL_RATE,
@@ -18,11 +20,18 @@ from .experiment import (
     MAX_TAGS,
     MAX_TRIALS,
     ExperimentConfig,
-    run_experiment,
+    iter_trials,
+    run_experiment,  # unused here, but bench/child.py wraps it by this name
     validate_experiment,
 )
 from .model import MAX_SEQ_BITS
-from .report import Row, result_rows, write_rows
+from .report import (
+    Row,
+    result_rows,  # unused here, but bench/child.py wraps it by this name
+    trial_rows,
+    write_report,
+    write_rows,  # unused here, but bench/child.py wraps it by this name
+)
 
 # CLI sweep parameter -> (config field, value parser)
 SWEEP_PARAMS = {
@@ -73,26 +82,32 @@ def _float_arg(text: str) -> float:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
 
 
-def _sweep_values(start, step, end) -> List:
+def _exact(text: str, value: float) -> Fraction:
+    # the decimal a finite bound's text spells; one whose exponent lies far
+    # outside the floats' 1e-324..1e308 (0e999999999) stands for its float
+    # instead, so the exact value never needs a huge power of ten
+    decimal = Decimal(text)
+    return Fraction(decimal if abs(decimal.adjusted()) <= 400 else value)
+
+
+def _sweep_values(texts: Sequence[str], parse) -> List:
+    start, step, end = (parse(t) for t in texts)
     if step == 0:
         raise argparse.ArgumentTypeError("sweep step must not be zero")
     if (end - start) * step < 0:
         raise argparse.ArgumentTypeError(
             "sweep range is empty: end is on the wrong side of start for this step")
-    if isinstance(step, int):
-        count = (end - start) // step + 1
-    elif not all(math.isfinite(v) for v in (start, step, end)):
-        raise argparse.ArgumentTypeError("sweep bounds and step must be finite")
-    else:
-        # inclusive end with a small epsilon against float accumulation;
-        # min() keeps a span that overflowed to inf out of int()
-        count = int(min((end - start) / step + 1e-9, MAX_SWEEP_VALUES)) + 1
+    if parse is float:
+        if not all(math.isfinite(v) for v in (start, step, end)):
+            raise argparse.ArgumentTypeError("sweep bounds and step must be finite")
+        # cell i is the float nearest start + i * step in exact decimals, so
+        # no rounding error builds up from cell to cell
+        start, step, end = (_exact(t, v) for t, v in zip(texts, (start, step, end)))
+    count = (end - start) // step + 1
     if count > MAX_SWEEP_VALUES:
         raise argparse.ArgumentTypeError(
             f"sweep range has more than {MAX_SWEEP_VALUES} values")
-    if isinstance(step, int):
-        return list(range(start, end + (1 if step > 0 else -1), step))
-    return [start + i * step for i in range(count)]
+    return [parse(start + i * step) for i in range(count)]
 
 
 def _sweep_spec(text: str) -> Tuple[str, List]:
@@ -108,11 +123,10 @@ def _sweep_spec(text: str) -> Tuple[str, List]:
         raise argparse.ArgumentTypeError(f"{expected}; range {spec!r} is not START:STEP:END")
     _, parse = SWEEP_PARAMS[param]
     try:
-        start, step, end = (parse(p) for p in parts)
+        return param, _sweep_values(parts, parse)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"{expected}; range {spec!r} has a non-numeric bound")
-    return param, _sweep_values(start, step, end)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -165,6 +179,11 @@ def parse_cli(argv: Sequence[str]) -> argparse.Namespace:
     return build_parser().parse_args(list(argv))
 
 
+class _RuntimeFailure(Exception):
+    """A trial raised the error this wraps; it keeps that error apart from
+    a failed write of the report, which is an OSError."""
+
+
 def _fail(message: str) -> None:
     print(f"afsasim: error: {message}", file=sys.stderr)
 
@@ -200,9 +219,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         field, _ = SWEEP_PARAMS[param]
         configs = [replace(config, **{field: value}) for value in values]
 
-    rows: List[Row] = []
     invalid = incomplete = False
-    try:
+
+    def batches() -> Iterator[List[Row]]:
+        # each trial's rows as soon as it ends; of the trial itself only
+        # whether it completed is kept
+        nonlocal invalid, incomplete
         for cell in configs:
             problems = validate_experiment(cell)
             if problems:
@@ -211,15 +233,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                       + "; ".join(problems))
                 invalid = True
                 continue
-            result = run_experiment(cell)
-            rows.extend(result_rows(result, per_round=ns.per_round))
-            incomplete |= not result.aggregate.all_completed
-    except Exception as err:  # noqa: BLE001 - CLI boundary
-        _fail(f"runtime failure: {err}")
-        return 2
+            try:
+                for trial_id, trial in enumerate(iter_trials(cell)):
+                    incomplete |= not trial.completed
+                    yield trial_rows(cell, trial_id, trial, per_round=ns.per_round)
+            except Exception as err:  # noqa: BLE001 - CLI boundary
+                raise _RuntimeFailure(err) from err
 
     try:
-        write_rows(rows, fmt=ns.fmt, destination=ns.out)
+        write_report(batches(), fmt=ns.fmt, destination=ns.out)
+    except _RuntimeFailure as failure:
+        _fail(f"runtime failure: {failure}")
+        return 2
     except OSError as err:
         _fail(f"cannot write {ns.out or 'stdout'}: {err}")
         return 2

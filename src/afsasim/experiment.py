@@ -9,16 +9,15 @@ from __future__ import annotations
 import math
 import numbers
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
-from typing import List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 from .afsa import InventoryResult, run_afsa_inventory
 from .baselines import run_edfsa_inventory, run_fsa_inventory
 from .estimator import AdaptationPolicy, initial_seq_bits
 from .model import MAX_SEQ_BITS, FrameConfig, Tag, TimingModel, make_population
-from .rng import RandomSource, RngStream, unit_float
+from .rng import RandomSource, RngStream, unit_cut, unit_float
 
 PROTOCOLS = ("afsa", "fsa", "edfsa")
 
@@ -205,6 +204,7 @@ def run_trial(config: ExperimentConfig, trial_id: int) -> InventoryResult:
     churn = None
     if config.arrival_rate > 0 or config.departure_prob > 0:
         next_epc = [config.k_initial]
+        departs = unit_cut(config.departure_prob)
 
         def churn(next_round_index: int, trace) -> None:
             # departure draws first, one per present tag in population
@@ -213,7 +213,7 @@ def run_trial(config: ExperimentConfig, trial_id: int) -> InventoryResult:
             if config.departure_prob > 0:
                 present = [tag for tag in population if tag.present]
                 for tag, bits in zip(present, rng):
-                    if unit_float(bits) < config.departure_prob:
+                    if bits < departs:
                         tag.present = False
             if config.arrival_rate > 0:
                 for _ in range(_poisson(config.arrival_rate, rng)):
@@ -267,28 +267,38 @@ def _aggregate(trials: List[InventoryResult]) -> AggregateStats:
     )
 
 
-def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
-    """Run all trials of `config` and aggregate.
+def iter_trials(config: ExperimentConfig, workers: int = 1) -> Iterator[InventoryResult]:
+    """The trials of `config` in trial order, each as soon as it is done.
 
-    `workers` > 1 distributes trials over a process pool of at most that
-    many processes, and never more than there are trials.  Because every
-    trial seeds its own stream and the pool returns trials in order, the
-    result is bit-identical to the single-process run.  `workers` must be
-    an integer in [1, MAX_WORKERS].
+    `workers` > 1 runs them over a process pool of at most that many
+    processes, and never more than there are trials; every trial seeds its
+    own stream and the pool hands them back in order, so they are
+    bit-identical to the single-process run.  `workers` must be an integer
+    in [1, MAX_WORKERS].  Both checks happen at the call, before any trial.
     """
     problems = validate_experiment(config)
     if problems:
         raise ExperimentConfigError(problems)
     if not _is_int(workers) or not 1 <= workers <= MAX_WORKERS:
         raise ValueError(f"workers must be an integer in [1, {MAX_WORKERS}]")
+    return _trials(config, min(workers, config.trials))
 
+
+def _trials(config: ExperimentConfig, size: int) -> Iterator[InventoryResult]:
     count = config.trials
-    size = min(workers, count)
     if size == 1:
-        trials = [run_trial(config, t) for t in range(count)]
-    else:
-        chunk = max(1, count // (size * 4))
-        with ProcessPoolExecutor(max_workers=size) as pool:
-            trials = list(pool.map(
-                run_trial, repeat(config, count), range(count), chunksize=chunk))
+        for t in range(count):
+            yield run_trial(config, t)
+        return
+    # a pool costs a whole set of modules, so only a pooled run imports it
+    from concurrent.futures import ProcessPoolExecutor
+
+    chunk = max(1, count // (size * 4))
+    with ProcessPoolExecutor(max_workers=size) as pool:
+        yield from pool.map(run_trial, repeat(config, count), range(count), chunksize=chunk)
+
+
+def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
+    """Run all trials of `config`, as `iter_trials` does, and aggregate."""
+    trials = list(iter_trials(config, workers))
     return ExperimentResult(config=config, trials=trials, aggregate=_aggregate(trials))

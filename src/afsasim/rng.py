@@ -8,6 +8,7 @@ tests that pin exact protocol behaviour.
 """
 from __future__ import annotations
 
+import math
 import random
 import sys
 from array import array
@@ -26,6 +27,14 @@ BLOCK_DRAWS = 256
 def unit_float(bits: int) -> float:
     """The uniform float in [0, 1) that a u64 draw stands for, on a grid of 2**-53."""
     return (bits >> 11) * _ULP53
+
+
+def unit_cut(p: float) -> int:
+    """The bound with `bits < unit_cut(p)` exactly when `unit_float(bits) < p`,
+    for p in [0, 1]; a loop can test its raw draws against it."""
+    # m * 2**-53 < p holds for an integer m exactly when m < ceil(p * 2**53),
+    # and both products are exact; `bits >> 11 < c` is `bits < c << 11`
+    return math.ceil(p * 2.0 ** 53) << 11
 
 
 class RandomSource(Protocol):

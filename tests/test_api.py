@@ -54,3 +54,18 @@ def test_the_cli_imports_only_the_standard_library():
     foreign = [name for name in added
                if name.partition(".")[0] not in sys.stdlib_module_names | {"afsasim"}]
     assert foreign == []
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # only a pooled run imports concurrent.futures, and multiprocessing with it
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(SRC)!r})\n"
+        "import afsasim.cli\n"
+        "print(*sorted(sys.modules), sep='\\n')\n"
+    )
+    out = subprocess.run([sys.executable, "-I", "-c", code],
+                         capture_output=True, text=True, check=True).stdout
+    loaded = [name for name in out.split()
+              if name.partition(".")[0] in ("multiprocessing", "concurrent")]
+    assert loaded == []

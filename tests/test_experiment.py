@@ -1,4 +1,5 @@
 """Experiment harness: validation, determinism, churn, aggregation, workers."""
+import concurrent.futures
 import dataclasses
 
 import pytest
@@ -12,6 +13,7 @@ from afsasim.experiment import (
     MAX_WORKERS,
     ExperimentConfig,
     ExperimentConfigError,
+    iter_trials,
     run_experiment,
     run_trial,
     _poisson,
@@ -118,6 +120,19 @@ def test_run_experiment_rejects_invalid_config():
     assert "trials" in str(err.value)
 
 
+def test_iter_trials_checks_at_the_call_and_yields_in_trial_order():
+    # both checks raise before the first trial is asked for
+    with pytest.raises(ExperimentConfigError):
+        iter_trials(ExperimentConfig(trials=0))
+    with pytest.raises(ValueError):
+        iter_trials(FAST, workers=0)
+    trials = iter_trials(FAST)
+    assert next(trials) == run_trial(FAST, 0)
+    assert [next(trials) for _ in range(FAST.trials - 1)] == [
+        run_trial(FAST, t) for t in range(1, FAST.trials)]
+    assert next(trials, None) is None
+
+
 def test_trials_are_independent_streams():
     # trial t's outcome does not depend on how many trials surround it
     few = run_experiment(dataclasses.replace(FAST, trials=3))
@@ -167,7 +182,8 @@ class _SerialPool:
     (MAX_WORKERS + 1, MAX_WORKERS, MAX_WORKERS),
 ])
 def test_pool_never_outnumbers_the_trials(monkeypatch, trials, workers, size):
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", _SerialPool)
+    # a pooled run imports the pool class from here when it starts
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(_SerialPool, "sizes", [])
     config = dataclasses.replace(FAST, k_initial=2, trials=trials)
     pooled = run_experiment(config, workers=workers)
@@ -177,7 +193,8 @@ def test_pool_never_outnumbers_the_trials(monkeypatch, trials, workers, size):
 
 @pytest.mark.parametrize("workers", [0, -1, MAX_WORKERS + 1, 10**9, "2", 2.0, True, None])
 def test_workers_must_be_an_integer_in_range(monkeypatch, workers):
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", _SerialPool)
+    # a pooled run imports the pool class from here when it starts
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(_SerialPool, "sizes", [])
     with pytest.raises(ValueError, match=rf"workers must be an integer in \[1, {MAX_WORKERS}\]"):
         run_experiment(FAST, workers=workers)

@@ -3,12 +3,14 @@ import contextlib
 import csv
 import io
 import json
+import tracemalloc
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from afsasim import cli
+from afsasim import cli, experiment
 from afsasim.cli import MAX_SWEEP_VALUES, main, parse_cli, CliError
 from afsasim.experiment import (
     MAX_FRAME_SLOTS,
@@ -186,7 +188,7 @@ def test_parse_cli_seq_bits_auto():
     assert parse_cli(["--seq-bits", "AUTO"]).seq_bits is None
 
 
-def test_parse_cli_sweeps():
+def test_parse_cli_sweeps(capsys):
     param, values = parse_cli(["--sweep", "seq-bits=1:1:6"]).sweep
     assert param == "seq-bits"
     assert values == [1, 2, 3, 4, 5, 6]
@@ -196,6 +198,20 @@ def test_parse_cli_sweeps():
     assert values == pytest.approx([0.0, 0.5, 1.0, 1.5, 2.0])
     param, values = parse_cli(["--sweep", "frame=256:-64:64"]).sweep
     assert values == [256, 192, 128, 64]
+    # float cells are the exact decimals, so the last one is the end itself
+    # and no rounding error builds up along the range
+    param, values = parse_cli(["--sweep", "arrival-rate=0:0.1:0.3"]).sweep
+    assert values == [0.0, 0.1, 0.2, 0.3]
+    param, values = parse_cli(["--sweep", "departure-prob=0:0.4:1.2"]).sweep
+    assert values == [0.0, 0.4, 0.8, 1.2]
+    assert main(FAST_ARGS + ["--sweep", "departure-prob=0:0.4:1.2"]) == 1
+    assert capsys.readouterr().err == (
+        "afsasim: error: sweep cell departure-prob=1.2: "
+        "departure_prob must be in [0, 1]\n")
+    # a bound whose exponent alone is far outside the float range stands
+    # for its float, instead of for a huge exact power of ten
+    param, values = parse_cli(["--sweep", "arrival-rate=0e999999999:1:2"]).sweep
+    assert values == [0.0, 1.0, 2.0]
 
 
 @pytest.mark.parametrize("argv,fragment", [
@@ -370,10 +386,11 @@ def test_main_sweep_equals_the_single_runs_in_order(capsys, per_round):
 
 
 def test_main_sweep_runtime_failure_keeps_the_invalid_cells(capsys, monkeypatch):
+    # the CLI takes each cell's trials from iter_trials; fail there
     def fail(config):
         raise RuntimeError(f"cell seq_bits={config.seq_bits} failed")
 
-    monkeypatch.setattr(cli, "run_experiment", fail)
+    monkeypatch.setattr(cli, "iter_trials", fail)
     assert main(FAST_ARGS + ["--sweep", "seq-bits=0:1:2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -382,6 +399,88 @@ def test_main_sweep_runtime_failure_keeps_the_invalid_cells(capsys, monkeypatch)
         "seq_bits must be in [1, 16] or None for auto",
         "afsasim: error: runtime failure: cell seq_bits=1 failed",
     ]
+
+
+FAST_CONFIG = ExperimentConfig(k_initial=20, frame_slots=16, trials=4, max_rounds=200)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("per_round", [False, True], ids=["aggregate", "per-round"])
+@pytest.mark.parametrize("extra,configs,code", [
+    ([], [FAST_CONFIG], 0),
+    # the first cell is invalid, and the rest still stream
+    (["--sweep", "seq-bits=0:1:2"],
+     [replace(FAST_CONFIG, seq_bits=n) for n in (1, 2)], 1),
+    # the first cell has no tags, so its trials hold one empty round each
+    (["--sweep", "tags=0:10:10"],
+     [replace(FAST_CONFIG, k_initial=k) for k in (0, 10)], 0),
+    # no cell is valid: the report holds no row at all
+    (["--trials", "0", "--sweep", "seq-bits=0:1:1"], [], 1),
+], ids=["single", "invalid-first-cell", "empty-first-cell", "no-rows"])
+def test_streamed_report_equals_the_whole_list_rendered(capsys, tmp_path, fmt, per_round,
+                                                        extra, configs, code):
+    argv = FAST_ARGS + ["--format", fmt] + extra + (["--per-round"] if per_round else [])
+    rows = [row for config in configs
+            for row in result_rows(run_experiment(config), per_round=per_round)]
+    expected = render_csv(rows) if fmt == "csv" else render_json(rows)
+    if not rows:
+        assert expected == (",".join(COLUMNS) + "\n" if fmt == "csv" else "[]\n")
+    assert main(argv) == code
+    assert capsys.readouterr().out == expected
+    out = tmp_path / "report"
+    assert main(argv + ["--out", str(out)]) == code
+    assert out.read_text(encoding="utf-8") == expected
+
+
+def test_memory_stays_flat_in_the_trial_count(tmp_path):
+    out = tmp_path / "report.json"
+    tiny = ["--tags", "2", "--frame", "4", "--per-round", "--format", "json",
+            "--out", str(out)]
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            assert main(tiny + ["--trials", str(trials)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10)  # first-use allocations, such as compiled patterns, out of the way
+    assert peak(1000) <= 2 * peak(100)
+
+
+def _raising_at(trial_id, monkeypatch):
+    real = experiment.run_trial
+
+    def run_trial(config, t):
+        if t == trial_id:
+            raise RuntimeError(f"trial {t} failed")
+        return real(config, t)
+
+    monkeypatch.setattr(experiment, "run_trial", run_trial)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_nothing_is_created_before_the_first_trial_ends(capsys, tmp_path, monkeypatch, fmt):
+    _raising_at(0, monkeypatch)
+    out = tmp_path / "report"
+    assert main(FAST_ARGS + ["--format", fmt, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert main(FAST_ARGS + ["--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["afsasim: error: runtime failure: trial 0 failed"] * 2
+
+
+def test_a_failed_trial_leaves_the_rows_of_the_trials_before_it(capsys, tmp_path, monkeypatch):
+    assert main(FAST_ARGS) == 0
+    whole = capsys.readouterr().out.splitlines(keepends=True)
+    _raising_at(2, monkeypatch)
+    out = tmp_path / "report.csv"
+    assert main(FAST_ARGS + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == "afsasim: error: runtime failure: trial 2 failed\n"
+    # the header and trials 0 and 1: the report is cut short, not lost
+    assert out.read_text(encoding="utf-8") == "".join(whole[:3])
 
 
 # Fuzzed argument lists.  Every argv starts from a tiny config, and no value

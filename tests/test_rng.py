@@ -2,8 +2,10 @@
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from afsasim.rng import BLOCK_DRAWS, RngStream, ScriptedStream, unit_float
+from afsasim.rng import BLOCK_DRAWS, RngStream, ScriptedStream, unit_cut, unit_float
 
 
 def test_same_key_same_draws():
@@ -45,6 +47,23 @@ def test_draws_equal_that_many_single_draws(count):
 ], ids=["zero", "half", "top"])
 def test_unit_float(bits, value):
     assert unit_float(bits) == value
+
+
+def _at_the_edges(test):
+    # the first and last draw, the last and first draw on each side of the
+    # lowest 53-bit step, against the ends of [0, 1], the least subnormal,
+    # a typical probability and the largest float below 1
+    for bits in (0, 2**11 - 1, 2**11, 2**64 - 1):
+        for p in (0.0, 5e-324, 0.02, 1.0 - 2.0 ** -53, 1.0):
+            test = example(bits=bits, p=p)(test)
+    return test
+
+
+@given(bits=st.integers(min_value=0, max_value=2**64 - 1),
+       p=st.floats(min_value=0.0, max_value=1.0))
+@_at_the_edges
+def test_unit_cut_matches_unit_float(bits, p):
+    assert (bits < unit_cut(p)) == (unit_float(bits) < p)
 
 
 def test_uniform01_range():
