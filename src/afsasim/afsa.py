@@ -10,10 +10,16 @@ wastes its data slot, and identifies nobody.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Generator, List, Optional, Sequence
 
 from .analytic import phase_durations_for
-from .estimator import AdaptationPolicy, estimate_backlog, next_frame
+from .estimator import (
+    AdaptationPolicy,
+    estimate_backlog,  # unused here, but bench/child.py wraps it by this name
+    estimate_from_counts,
+    next_frame,
+)
 from .model import (
     FrameConfig,
     RoundTrace,
@@ -22,6 +28,43 @@ from .model import (
     active_count,  # unused here, but bench/child.py wraps it by this name
 )
 from .rng import RandomSource
+
+# Entries kept by each memo below.  A round's air time and the reader's
+# next frame depend on a few small counts, whose combinations recur
+# within and across trials; the bound keeps a long run's memos small.
+_MEMO_ENTRIES = 1024
+
+
+@lru_cache(maxsize=_MEMO_ENTRIES)
+def _round_time(successes: int, slots: int, seq_bits: int, timing: TimingModel) -> float:
+    """Air time of a round with `successes` apparently-reserved slots."""
+    return phase_durations_for(successes, slots, seq_bits, timing).total
+
+
+@lru_cache(maxsize=_MEMO_ENTRIES)
+def _interned(frame: FrameConfig) -> FrameConfig:
+    """The first frame seen equal to `frame`, so equal memo values share one object."""
+    return frame
+
+
+@lru_cache(maxsize=_MEMO_ENTRIES)
+def _next_frame(
+    idle: int,
+    reserved_true: int,
+    detected: int,
+    undetected: int,
+    slots: int,
+    fixed_seq_bits: Optional[int],
+) -> FrameConfig:
+    """The frame the reader announces after a round with these slot counts.
+
+    Equals `next_frame(estimate_backlog(trace), AdaptationPolicy(fixed_seq_bits))`
+    for a trace with these counts, since a round identifies exactly one tag
+    per truly reserved slot.  The key holds every input of the decision.
+    """
+    estimate = estimate_from_counts(
+        idle, reserved_true + undetected, detected, reserved_true, slots)
+    return _interned(next_frame(estimate, AdaptationPolicy(fixed_seq_bits)))
 
 
 def run_afsa_round(
@@ -102,8 +145,7 @@ def run_afsa_round(
         detected_collision_count=detected,
         undetected_collision_count=undetected,
         identified_epcs=tuple(identified),
-        total_us=phase_durations_for(
-            reserved_true + undetected, slots, frame.seq_bits, timing).total,
+        total_us=_round_time(reserved_true + undetected, slots, frame.seq_bits, timing),
     )
 
 
@@ -200,14 +242,19 @@ def run_afsa_inventory(
     """Reservation-protocol inventory under `run_inventory`.
 
     After each non-final round the reader estimates the backlog from the
-    trace and re-derives the next frame from the policy.
+    trace's slot counts and re-derives the next frame from the policy.
     """
+    fixed_seq_bits = policy.fixed_seq_bits
+
     def rounds() -> Rounds:
         frame = initial_frame
         active = yield
         while True:
             trace = run_afsa_round(active, frame, timing, rng)
             active = yield trace
-            frame = next_frame(estimate_backlog(trace), policy)
+            frame = _next_frame(
+                trace.idle_count, trace.reserved_true_count,
+                trace.detected_collision_count, trace.undetected_collision_count,
+                trace.slots, fixed_seq_bits)
 
     return run_inventory(tags, rounds(), max_rounds, between_rounds)

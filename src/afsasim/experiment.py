@@ -43,6 +43,10 @@ MAX_WORKERS = 256
 # seed would alias one in range.
 MAX_SEED = (1 << 64) - 1
 
+# The air-interface timing every trial runs with.  One object for all
+# trials, so the round-time memo in `afsa` finds its key by identity.
+_TIMING = TimingModel()
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -197,7 +201,6 @@ def run_trial(config: ExperimentConfig, trial_id: int) -> InventoryResult:
         raise ExperimentConfigError(problems)
     if not _is_int(trial_id) or not 0 <= trial_id < config.trials:
         raise ValueError(f"trial_id must be an integer in [0, {config.trials})")
-    timing = TimingModel()
     rng = RngStream(config.seed, trial_id)
     population = make_population(config.k_initial)
 
@@ -220,7 +223,7 @@ def run_trial(config: ExperimentConfig, trial_id: int) -> InventoryResult:
                     population.append(Tag(epc=next_epc[0]))
                     next_epc[0] += 1
 
-    return _dispatch(config, population, timing, rng, churn)
+    return _dispatch(config, population, _TIMING, rng, churn)
 
 
 def _dispatch(config, population, timing, rng, churn) -> InventoryResult:

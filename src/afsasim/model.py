@@ -154,7 +154,8 @@ def make_population(count: int, first_epc: int = 0) -> list[Tag]:
     """Fresh population of `count` present, unidentified tags with distinct EPCs."""
     if count < 0:
         raise ValueError("count must be >= 0")
-    return [Tag(epc=first_epc + i) for i in range(count)]
+    # positional: a keyword argument costs a parse per tag
+    return [Tag(epc) for epc in range(first_epc, first_epc + count)]
 
 
 def active_count(tags) -> int:

@@ -17,7 +17,9 @@ import contextlib
 import csv
 import io
 import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
 from .afsa import InventoryResult
@@ -103,6 +105,36 @@ def _drain(buf: io.StringIO) -> str:
 
 _JSON = json.JSONEncoder(indent=2)
 
+# What precedes a value in an indented JSON row object, per column.
+_JSON_KEYS = {column: f'    "{column}": ' for column in COLUMNS}
+
+
+def _json_item(row: Row) -> str:
+    """`row` as `json.dumps(rows, indent=2)` writes it inside the array.
+
+    A dict of strings, ints and finite floats under COLUMNS keys, which
+    is what a report row holds, is written here; anything else goes
+    through the stdlib encoder, which with an indent runs in pure Python
+    and is rebuilt on every call.
+    """
+    fields = []
+    for key, value in row.items() if type(row) is dict else ():
+        kind = type(value)
+        if kind is str:
+            text = encode_basestring_ascii(value)
+        elif kind is int or (kind is float and math.isfinite(value)):
+            text = repr(value)
+        else:
+            break
+        prefix = _JSON_KEYS.get(key)
+        if prefix is None:
+            break
+        fields.append(prefix + text)
+    else:
+        if fields:
+            return "  {\n" + ",\n".join(fields) + "\n  }"
+    return _JSON.encode([row])[2:-2]
+
 
 def _report_text(batches: Iterable[Sequence[Row]], fmt: str = "csv") -> Iterator[str]:
     """The report of all rows in `batches`, as one piece of text per batch
@@ -129,7 +161,7 @@ def _report_text(batches: Iterable[Sequence[Row]], fmt: str = "csv") -> Iterator
         opening = "[\n"
         for rows in batches:
             if rows:
-                yield opening + _JSON.encode(list(rows))[2:-2]
+                yield opening + ",\n".join(map(_json_item, rows))
                 opening = ",\n"
         yield "[]\n" if opening == "[\n" else "\n]\n"
     else:

@@ -5,11 +5,13 @@ from hypothesis import strategies as st
 
 from afsasim import afsa, baselines
 from afsasim.afsa import run_afsa_inventory, run_afsa_round
-from afsasim.analytic import expected_idle, expected_reserved
+from afsasim.analytic import expected_idle, expected_reserved, phase_durations_for
 from afsasim.baselines import run_edfsa_inventory, run_fsa_inventory
 from afsasim.estimator import AdaptationPolicy, estimate_backlog, next_frame
+from afsasim.experiment import ExperimentConfig, run_trial
 from afsasim.model import (
     FrameConfig,
+    RoundTrace,
     Tag,
     TimingModel,
     check_round_trace,
@@ -428,3 +430,109 @@ def test_between_rounds_arrivals_extend_the_inventory():
     assert result.completed
     assert added and added[0].identified
     assert result.tags_identified == 6
+
+
+# The memos behind a round's air time and the reader's next frame.
+
+def _clear_memos():
+    for memo in (afsa._round_time, afsa._next_frame, afsa._interned):
+        memo.cache_clear()
+
+
+@pytest.mark.parametrize("tags, slots, seq_bits, trials", [
+    (20, 16, None, 6),
+    (100, 128, None, 3),
+    (100, 128, 3, 3),
+    # frames at the cap with the participation divisor engaged
+    (5000, 1024, None, 1),
+], ids=["criterion-8", "paper", "seq-bits-3", "divisor"])
+def test_memoised_rounds_equal_the_direct_arithmetic(monkeypatch, tags, slots, seq_bits, trials):
+    config = ExperimentConfig(k_initial=tags, frame_slots=slots, seq_bits=seq_bits,
+                              trials=trials, seed=5)
+    policy = AdaptationPolicy(seq_bits)
+    frames = []
+
+    def recording_round(tags, frame, timing, rng):
+        frames.append(frame)
+        return run_afsa_round(tags, frame, timing, rng)
+
+    monkeypatch.setattr(afsa, "run_afsa_round", recording_round)
+    _clear_memos()
+    passes = []
+    for _ in ("cold", "warm"):
+        passes.append([])
+        for t in range(trials):
+            frames.clear()
+            result = run_trial(config, t)
+            passes[-1].append(result)
+            played = list(frames)
+            assert len(played) == result.rounds_used
+            for i, trace in enumerate(result.traces):
+                assert trace.total_us == phase_durations_for(
+                    trace.reserved_apparent_count, trace.slots, trace.seq_bits).total
+                if i + 1 < len(played):
+                    assert played[i + 1] == next_frame(estimate_backlog(trace), policy)
+    assert passes[0] == passes[1]
+    assert afsa._next_frame.cache_info().hits > 0
+    if tags == 5000:
+        assert max(f.participation_divisor for f in played) > 1
+
+
+def _partitions(max_slots):
+    """(idle, reserved_true, detected, undetected) counts that fill a frame."""
+    return st.integers(min_value=1, max_value=max_slots).flatmap(
+        lambda slots: st.lists(st.integers(min_value=0, max_value=slots),
+                               min_size=3, max_size=3).map(
+            lambda cuts: [b - a for a, b in zip([0] + sorted(cuts), sorted(cuts) + [slots])]))
+
+
+@given(counts=_partitions(4096),
+       fixed_seq_bits=st.none() | st.integers(min_value=1, max_value=16))
+@settings(max_examples=300, deadline=None)
+@example(counts=[0, 0, 1024, 0], fixed_seq_bits=None)
+@example(counts=[0, 0, 0, 1], fixed_seq_bits=None)
+@example(counts=[30, 40, 20, 6], fixed_seq_bits=5)
+def test_next_frame_memo_equals_the_uncached_decision(counts, fixed_seq_bits):
+    idle, reserved_true, detected, undetected = counts
+    slots = sum(counts)
+    trace = RoundTrace(
+        slots=slots, seq_bits=2, responders=reserved_true + 2 * (detected + undetected),
+        idle_count=idle, reserved_true_count=reserved_true,
+        detected_collision_count=detected, undetected_collision_count=undetected,
+        identified_epcs=tuple(range(reserved_true)), total_us=1.0)
+    # the same counts under both policies, each a miss and then a hit
+    for fixed in (None, fixed_seq_bits, None, fixed_seq_bits):
+        expected = next_frame(estimate_backlog(trace), AdaptationPolicy(fixed))
+        assert afsa._next_frame(*counts, slots, fixed) == expected
+
+
+def test_memos_stay_within_their_bound():
+    _clear_memos()
+    slots = afsa._MEMO_ENTRIES + 100
+    for successes in range(slots + 1):
+        afsa._round_time(successes, slots, 2, TIMING)
+        afsa._next_frame(slots - successes, successes, 0, 0, slots, None)
+    for memo in (afsa._round_time, afsa._next_frame, afsa._interned):
+        info = memo.cache_info()
+        assert info.maxsize == afsa._MEMO_ENTRIES
+        assert info.currsize <= afsa._MEMO_ENTRIES
+    assert afsa._round_time.cache_info().misses > afsa._MEMO_ENTRIES
+    assert afsa._next_frame.cache_info().misses > afsa._MEMO_ENTRIES
+
+
+def test_a_custom_timing_model_gets_its_own_round_times():
+    slow = TimingModel(tag_bit_time_us=5.0, reader_bit_time_us=20.0)
+
+    def run(timing):
+        return run_afsa_inventory(
+            make_population(100), FrameConfig(128, 2), AdaptationPolicy(), timing,
+            RngStream(9, 0))
+
+    default = run(TIMING)
+    custom = run(slow)
+    # the default model's round times are in the memo first
+    assert [t.slots for t in custom.traces] == [t.slots for t in default.traces]
+    for trace, default_trace in zip(custom.traces, default.traces):
+        assert trace.total_us == phase_durations_for(
+            trace.reserved_apparent_count, trace.slots, trace.seq_bits, slow).total
+        assert trace.total_us > default_trace.total_us

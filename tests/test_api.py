@@ -1,7 +1,10 @@
 """The package's public surface."""
+import importlib
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import afsasim
 
@@ -69,3 +72,38 @@ def test_importing_the_cli_loads_no_process_pool():
     loaded = [name for name in out.split()
               if name.partition(".")[0] in ("multiprocessing", "concurrent")]
     assert loaded == []
+
+
+# Every (module, attribute) pair that bench/child.py replaces with a timing
+# wrapper, by the name it patches; a missing one makes a traced benchmark
+# run raise AttributeError.
+BENCHMARK_PATCHES = [
+    ("cli", "parse_cli"),
+    ("cli", "run_experiment"),
+    ("cli", "result_rows"),
+    ("cli", "write_rows"),
+    ("report", "render_csv"),
+    ("report", "render_json"),
+    ("experiment", "run_trial"),
+    ("experiment", "_aggregate"),
+    ("experiment", "RngStream"),
+    ("experiment", "make_population"),
+    ("experiment", "run_afsa_inventory"),
+    ("experiment", "run_fsa_inventory"),
+    ("experiment", "run_edfsa_inventory"),
+    ("afsa", "run_afsa_round"),
+    ("afsa", "next_frame"),
+    ("afsa", "phase_durations_for"),
+    ("afsa", "active_count"),
+    ("afsa", "estimate_backlog"),
+    ("estimator", "optimal_seq_len"),
+    ("baselines", "run_fsa_round"),
+    ("baselines", "active_count"),
+    ("baselines", "estimate_backlog"),
+]
+
+
+@pytest.mark.parametrize("module, attr", BENCHMARK_PATCHES,
+                         ids=[f"{m}.{a}" for m, a in BENCHMARK_PATCHES])
+def test_the_names_the_benchmark_wraps_exist(module, attr):
+    assert hasattr(importlib.import_module(f"afsasim.{module}"), attr)

@@ -26,6 +26,7 @@ from afsasim.report import (
     render_csv,
     render_json,
     result_rows,
+    write_report,
     write_rows,
 )
 
@@ -139,6 +140,28 @@ def test_json_round_trips_exactly():
     for per_round in (False, True):
         rows = result_rows(result, per_round=per_round)
         assert json.loads(render_json(rows)) == rows
+
+
+JSON_CASES = {
+    "empty": [],
+    "one-row": [{column: 0 for column in COLUMNS}],
+    "floats": [{"trial": 0.1, "round": 1e-07, "N": 1e16, "n": -0.0},
+               {"trial": 1, "round_time_us": 1234.5}],
+    "big-int": [{"k_active": 2**64 + 1}],
+    "escapes": [{"protocol": 'quote " backslash \\ non-ascii \u00e9'}],
+    "nan": [{"trial": 0, "round_time_us": float("nan")}, {"trial": 1}],
+    "other-values": [{"trial": True, "round": None, "N": [1, 2]}, {}, {"extra": 1}, [3]],
+    "report": result_rows(_fast_result(), per_round=True)[:5],
+}
+
+
+@pytest.mark.parametrize("rows", JSON_CASES.values(), ids=JSON_CASES.keys())
+def test_json_reports_equal_the_stdlib_encoding(capsys, rows):
+    expected = json.dumps(rows, indent=2) + "\n"
+    assert render_json(rows) == expected
+    # streamed one row per batch, as the CLI writes a trial's rows
+    write_report(([row] for row in rows), fmt="json")
+    assert capsys.readouterr().out == expected
 
 
 def test_write_rows_to_file(tmp_path):
