@@ -59,28 +59,18 @@ def expected_unresolved(tags: float, slots: int) -> float:
     return max(0.0, slots - expected_idle(tags, slots) - expected_reserved(tags, slots))
 
 
-def expected_undetected(
-    tags: float,
-    slots: int,
-    seq_bits: int,
-    same_seq_prob: Optional[float] = None,
-) -> float:
+def expected_undetected(tags: float, slots: int, seq_bits: int) -> float:
     """Expected collided slots that still look reserved, first-order model.
 
     A collided slot goes unnoticed when every occupant sent the same
     n-bit sequence.  This model charges each unresolved slot a flat
-    probability `same_seq_prob`, defaulting to 2**-seq_bits (the exact
-    value for two occupants); pass a different probability, e.g.
-    2**-(seq_bits - 1), for sensitivity analysis.  It ignores the lower
-    agreement probability of 3+ occupant slots and therefore
-    overestimates; `expected_undetected_exact` carries the full sum.
+    probability 2**-seq_bits, the exact value for two occupants.  It
+    ignores the lower agreement probability of 3+ occupant slots and
+    therefore overestimates; `expected_undetected_exact` carries the full
+    sum.
     """
     _check_seq_bits(seq_bits)
-    if same_seq_prob is None:
-        same_seq_prob = 2.0 ** -seq_bits
-    if not 0.0 <= same_seq_prob <= 1.0:
-        raise ValueError("same_seq_prob must be in [0, 1]")
-    return expected_unresolved(tags, slots) * same_seq_prob
+    return expected_unresolved(tags, slots) * 2.0 ** -seq_bits
 
 
 def expected_undetected_exact(tags: int, slots: int, seq_bits: int) -> float:
@@ -148,14 +138,9 @@ def slot_profile(tags: float, slots: int, seq_bits: int) -> ExpectedSlotProfile:
     )
 
 
-class OptimalSeqConstants(NamedTuple):
-    """Fitted constants of the sequence-length rule."""
-
-    log_coeff: float = 3.32
-    arg_coeff: float = 19.13
-
-
-DEFAULT_SEQ_CONSTANTS = OptimalSeqConstants()
+# Fitted constants of the sequence-length rule in `optimal_seq_len`.
+SEQ_LOG_COEFF = 3.32
+SEQ_ARG_COEFF = 19.13
 
 
 class SeqLenChoice(NamedTuple):
@@ -163,14 +148,10 @@ class SeqLenChoice(NamedTuple):
     rounded: int
 
 
-def optimal_seq_len(
-    e_unresolved: float,
-    slots: int,
-    constants: OptimalSeqConstants = DEFAULT_SEQ_CONSTANTS,
-) -> SeqLenChoice:
+def optimal_seq_len(e_unresolved: float, slots: int) -> SeqLenChoice:
     """Reservation sequence length balancing overhead against misses.
 
-    raw = log_coeff * log10(arg_coeff * E[unresolved] / N) when the
+    raw = SEQ_LOG_COEFF * log10(SEQ_ARG_COEFF * E[unresolved] / N) when the
     argument exceeds 1, else 0 (the overhead term dominates at light
     collision load).  The usable length rounds half-up and is floored at
     one bit.
@@ -179,8 +160,8 @@ def optimal_seq_len(
         raise ValueError("e_unresolved must be >= 0")
     if slots < 1:
         raise ValueError("slots must be >= 1")
-    arg = constants.arg_coeff * e_unresolved / slots
-    raw = constants.log_coeff * math.log10(arg) if arg > 1.0 else 0.0
+    arg = SEQ_ARG_COEFF * e_unresolved / slots
+    raw = SEQ_LOG_COEFF * math.log10(arg) if arg > 1.0 else 0.0
     # round() would take ties to even; the rule takes ties up
     rounded = max(1, math.floor(raw + 0.5))
     return SeqLenChoice(raw=raw, rounded=rounded)

@@ -94,22 +94,18 @@ def estimate_backlog(trace: RoundTrace) -> BacklogEstimate:
     )
 
 
-def nearest_power_of_two(value: float, lo: int = FRAME_MIN, hi: int = FRAME_MAX) -> int:
-    """Power of two nearest to `value` (linear distance, ties up), clamped to [lo, hi].
+def nearest_power_of_two(value: float) -> int:
+    """Power of two nearest to `value`, clamped to [FRAME_MIN, FRAME_MAX].
 
-    `lo` and `hi` must themselves be powers of two.
+    Distance is linear, and a tie between neighbours goes up.
     """
-    if lo < 1 or lo & (lo - 1) or hi & (hi - 1) or lo > hi:
-        raise ValueError("bounds must be powers of two with lo <= hi")
-    if value <= lo:
-        return lo
-    if value >= hi:
-        return hi
+    if value <= FRAME_MIN:
+        return FRAME_MIN
+    if value >= FRAME_MAX:
+        return FRAME_MAX
     below = 1 << int(math.floor(math.log2(value)))
     above = below * 2
-    # tie between neighbours goes to the larger frame
-    chosen = above if (value - below) >= (above - value) else below
-    return max(lo, min(hi, chosen))
+    return above if (value - below) >= (above - value) else below
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 A trial is one complete inventory over a fresh population.  Trial t of an
 experiment draws from RngStream(seed, t), so results are bit-identical
-for any worker count and any execution order.
+for any execution order.
 """
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import math
 import numbers
 import statistics
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Iterator, List, Optional, Sequence
 
 from .afsa import InventoryResult, run_afsa_inventory
@@ -28,16 +27,12 @@ PROTOCOLS = ("afsa", "fsa", "edfsa")
 MAX_ARRIVAL_RATE = 700
 
 # Largest population, initial frame and trial count a config may ask for.
-# Each is allocated up front (tags, per-slot lists, trial tasks), so an
-# unbounded value would exhaust memory instead of failing validation.
+# Each is allocated up front (tags, per-slot lists, the trial results
+# `run_experiment` keeps), so an unbounded value would exhaust memory
+# instead of failing validation.
 MAX_TAGS = 1_000_000
 MAX_FRAME_SLOTS = 65_536
 MAX_TRIALS = 1_000_000
-
-# Largest process pool `run_experiment` may be asked for.  Every worker is
-# a whole interpreter, started when the pool takes its first task, so an
-# unbounded count would exhaust process ids or memory before a trial ran.
-MAX_WORKERS = 256
 
 # Largest master seed; `RngStream` keys on 64 bits, so a larger or negative
 # seed would alias one in range.
@@ -270,38 +265,18 @@ def _aggregate(trials: List[InventoryResult]) -> AggregateStats:
     )
 
 
-def iter_trials(config: ExperimentConfig, workers: int = 1) -> Iterator[InventoryResult]:
+def iter_trials(config: ExperimentConfig) -> Iterator[InventoryResult]:
     """The trials of `config` in trial order, each as soon as it is done.
 
-    `workers` > 1 runs them over a process pool of at most that many
-    processes, and never more than there are trials; every trial seeds its
-    own stream and the pool hands them back in order, so they are
-    bit-identical to the single-process run.  `workers` must be an integer
-    in [1, MAX_WORKERS].  Both checks happen at the call, before any trial.
+    The config is checked at the call, before any trial runs.
     """
     problems = validate_experiment(config)
     if problems:
         raise ExperimentConfigError(problems)
-    if not _is_int(workers) or not 1 <= workers <= MAX_WORKERS:
-        raise ValueError(f"workers must be an integer in [1, {MAX_WORKERS}]")
-    return _trials(config, min(workers, config.trials))
+    return (run_trial(config, t) for t in range(config.trials))
 
 
-def _trials(config: ExperimentConfig, size: int) -> Iterator[InventoryResult]:
-    count = config.trials
-    if size == 1:
-        for t in range(count):
-            yield run_trial(config, t)
-        return
-    # a pool costs a whole set of modules, so only a pooled run imports it
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunk = max(1, count // (size * 4))
-    with ProcessPoolExecutor(max_workers=size) as pool:
-        yield from pool.map(run_trial, repeat(config, count), range(count), chunksize=chunk)
-
-
-def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run all trials of `config`, as `iter_trials` does, and aggregate."""
-    trials = list(iter_trials(config, workers))
+    trials = list(iter_trials(config))
     return ExperimentResult(config=config, trials=trials, aggregate=_aggregate(trials))

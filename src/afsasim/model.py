@@ -8,6 +8,7 @@ copies.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 # Longest reservation sequence a frame may announce, in bits.
@@ -30,10 +31,21 @@ class TimingModel:
     advert_bits: int = 16
 
     def __post_init__(self) -> None:
-        if self.tag_bit_time_us <= 0 or self.reader_bit_time_us <= 0:
-            raise ValueError("bit times must be positive")
-        if self.epc_bits < 1 or self.crc_bits < 0 or self.advert_bits < 1:
-            raise ValueError("bit counts must be positive (crc_bits may be 0)")
+        problems = []
+        for name in ("tag_bit_time_us", "reader_bit_time_us"):
+            value = getattr(self, name)
+            # bool is a number, but True is no duration
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not 0 < value < math.inf):  # also rejects nan
+                problems.append(f"{name} must be finite and > 0")
+        for name, least in (("epc_bits", 1), ("crc_bits", 0), ("advert_bits", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                problems.append(f"{name} must be an integer")
+            elif value < least:
+                problems.append(f"{name} must be >= {least}")
+        if problems:
+            raise ValueError("; ".join(problems))
 
     @property
     def data_slot_us(self) -> float:
@@ -150,12 +162,12 @@ def check_round_trace(trace: RoundTrace) -> None:
         raise ValueError("round time must be finite and > 0")
 
 
-def make_population(count: int, first_epc: int = 0) -> list[Tag]:
+def make_population(count: int) -> list[Tag]:
     """Fresh population of `count` present, unidentified tags with distinct EPCs."""
     if count < 0:
         raise ValueError("count must be >= 0")
     # positional: a keyword argument costs a parse per tag
-    return [Tag(epc) for epc in range(first_epc, first_epc + count)]
+    return [Tag(epc) for epc in range(count)]
 
 
 def active_count(tags) -> int:

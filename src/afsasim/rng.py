@@ -3,7 +3,7 @@
 Every stochastic component draws from an `RngStream` keyed by
 (seed, stream_id).  Trial t of an experiment uses stream_id = t, so trials
 are independent, reorderable, and bit-identical across runs and across
-worker counts.  `ScriptedStream` substitutes a fixed draw sequence in
+execution orders.  `ScriptedStream` substitutes a fixed draw sequence in
 tests that pin exact protocol behaviour.
 """
 from __future__ import annotations

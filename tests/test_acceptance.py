@@ -16,6 +16,7 @@ import sys
 import time
 from fractions import Fraction
 
+from afsasim import afsa
 from afsasim.afsa import run_afsa_round
 from afsasim.analytic import (
     expected_idle,
@@ -26,9 +27,9 @@ from afsasim.analytic import (
     phase_durations_for,
 )
 from afsasim.estimator import nearest_power_of_two
-from afsasim.experiment import ExperimentConfig, run_experiment
+from afsasim.experiment import ExperimentConfig, run_experiment, run_trial
 from afsasim.model import FrameConfig, TimingModel, check_round_trace, make_population
-from afsasim.report import result_rows, render_csv
+from afsasim.report import result_rows, render_csv, trial_rows
 from afsasim.rng import RngStream
 
 from oracles import enum_slot_stats
@@ -212,12 +213,18 @@ def test_criterion_7_bit_identical_output():
     if not first.stdout.startswith(b"trial,round,protocol,"):
         failures.append("CLI output does not start with the CSV header")
 
+    # trials run last to first from cold memos, so the round-time and
+    # next-frame memos fill in another order than the in-order run sees
     config = ExperimentConfig()
-    serial = render_csv(result_rows(run_experiment(config, workers=1), per_round=True))
-    parallel = render_csv(result_rows(run_experiment(config, workers=8), per_round=True))
-    if serial != parallel:
-        failures.append("1-worker and 8-worker reports differ byte for byte")
-    _finish(7, "byte-identical reruns and worker-count invariance", failures)
+    for memo in (afsa._round_time, afsa._next_frame, afsa._interned):
+        memo.cache_clear()
+    reverse = {t: run_trial(config, t) for t in reversed(range(config.trials))}
+    reordered = render_csv([row for t in range(config.trials)
+                            for row in trial_rows(config, t, reverse[t], per_round=True)])
+    in_order = render_csv(result_rows(run_experiment(config), per_round=True))
+    if reordered != in_order:
+        failures.append("trials run in reverse order give a different report")
+    _finish(7, "byte-identical reruns and execution-order invariance", failures)
 
 
 def test_criterion_8_ten_thousand_inventories_all_complete():

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from afsasim import analytic
 from afsasim.analytic import (
-    OptimalSeqConstants,
     expected_idle,
     expected_per_tag_us,
     expected_reserved,
@@ -135,15 +135,7 @@ def test_exact_undetected_edge_cases():
         expected_undetected_exact(2.5, 8, 2)
 
 
-def test_undetected_same_seq_prob_override():
-    base = expected_unresolved(100, 128)
-    assert expected_undetected(100, 128, 2, same_seq_prob=0.5) == pytest.approx(
-        base * 0.5, rel=1e-12)
-    # the doubled variant equals dropping one bit
-    assert expected_undetected(100, 128, 3, same_seq_prob=2.0 ** -2) == pytest.approx(
-        expected_undetected(100, 128, 2), rel=1e-12)
-    with pytest.raises(ValueError):
-        expected_undetected(100, 128, 2, same_seq_prob=1.5)
+def test_undetected_rejects_zero_seq_bits():
     with pytest.raises(ValueError):
         expected_undetected(100, 128, 0)
 
@@ -174,10 +166,11 @@ def test_optimal_seq_len_floor_at_light_load():
     assert optimal_seq_len(0.0, 8) == (0.0, 1)
 
 
-def test_optimal_seq_len_rounds_half_up():
+def test_optimal_seq_len_rounds_half_up(monkeypatch):
     # log10(arg) == 1 exactly, so raw is exactly 2.5; half-way goes up
-    constants = OptimalSeqConstants(log_coeff=2.5, arg_coeff=10.0)
-    choice = optimal_seq_len(64.0, 64, constants)
+    monkeypatch.setattr(analytic, "SEQ_LOG_COEFF", 2.5)
+    monkeypatch.setattr(analytic, "SEQ_ARG_COEFF", 10.0)
+    choice = optimal_seq_len(64.0, 64)
     assert choice.raw == 2.5
     assert choice.rounded == 3
 

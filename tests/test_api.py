@@ -60,7 +60,7 @@ def test_the_cli_imports_only_the_standard_library():
 
 
 def test_importing_the_cli_loads_no_process_pool():
-    # only a pooled run imports concurrent.futures, and multiprocessing with it
+    # trials run in this process, so nothing may pull in a pool's modules
     code = (
         "import sys\n"
         f"sys.path.insert(0, {str(SRC)!r})\n"

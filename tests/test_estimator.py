@@ -123,11 +123,6 @@ def test_nearest_power_of_two():
     assert nearest_power_of_two(767) == 512
     assert nearest_power_of_two(769) == 1024
     assert nearest_power_of_two(5000) == 1024
-    assert nearest_power_of_two(3, lo=1, hi=4) == 4
-    with pytest.raises(ValueError):
-        nearest_power_of_two(10, lo=3, hi=8)
-    with pytest.raises(ValueError):
-        nearest_power_of_two(10, lo=16, hi=8)
 
 
 def test_next_frame_reference_points():

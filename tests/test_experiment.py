@@ -1,5 +1,4 @@
-"""Experiment harness: validation, determinism, churn, aggregation, workers."""
-import concurrent.futures
+"""Experiment harness: validation, determinism, churn, aggregation."""
 import dataclasses
 
 import pytest
@@ -10,7 +9,6 @@ from afsasim.experiment import (
     MAX_SEED,
     MAX_TAGS,
     MAX_TRIALS,
-    MAX_WORKERS,
     ExperimentConfig,
     ExperimentConfigError,
     iter_trials,
@@ -121,11 +119,9 @@ def test_run_experiment_rejects_invalid_config():
 
 
 def test_iter_trials_checks_at_the_call_and_yields_in_trial_order():
-    # both checks raise before the first trial is asked for
+    # the check raises before the first trial is asked for
     with pytest.raises(ExperimentConfigError):
         iter_trials(ExperimentConfig(trials=0))
-    with pytest.raises(ValueError):
-        iter_trials(FAST, workers=0)
     trials = iter_trials(FAST)
     assert next(trials) == run_trial(FAST, 0)
     assert [next(trials) for _ in range(FAST.trials - 1)] == [
@@ -139,6 +135,10 @@ def test_trials_are_independent_streams():
     many = run_experiment(dataclasses.replace(FAST, trials=6))
     assert many.trials[:3] == few.trials
     assert run_trial(FAST, 2) == few.trials[2]
+    # nor on the order trials run in, churn included
+    churned = dataclasses.replace(FAST, trials=12, arrival_rate=1.0, departure_prob=0.1)
+    reverse = [run_trial(churned, t) for t in reversed(range(churned.trials))]
+    assert reverse[::-1] == run_experiment(churned).trials
 
 
 def test_same_config_reproduces_exactly():
@@ -146,59 +146,6 @@ def test_same_config_reproduces_exactly():
     b = run_experiment(FAST)
     assert a.trials == b.trials
     assert a.aggregate == b.aggregate
-
-
-def test_worker_count_does_not_change_results():
-    churned = dataclasses.replace(FAST, trials=12, arrival_rate=1.0, departure_prob=0.1)
-    serial = run_experiment(churned, workers=1)
-    parallel = run_experiment(churned, workers=4)
-    assert serial.trials == parallel.trials
-    assert serial.aggregate == parallel.aggregate
-    with pytest.raises(ValueError):
-        run_experiment(FAST, workers=0)
-
-
-class _SerialPool:
-    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
-
-    sizes = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables, chunksize=1):
-        return map(fn, *iterables)
-
-
-@pytest.mark.parametrize("trials,workers,size", [
-    (5, 2, 2),
-    (3, MAX_WORKERS, 3),
-    (MAX_WORKERS + 1, MAX_WORKERS, MAX_WORKERS),
-])
-def test_pool_never_outnumbers_the_trials(monkeypatch, trials, workers, size):
-    # a pooled run imports the pool class from here when it starts
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
-    monkeypatch.setattr(_SerialPool, "sizes", [])
-    config = dataclasses.replace(FAST, k_initial=2, trials=trials)
-    pooled = run_experiment(config, workers=workers)
-    assert _SerialPool.sizes == [size]
-    assert pooled.trials == run_experiment(config).trials
-
-
-@pytest.mark.parametrize("workers", [0, -1, MAX_WORKERS + 1, 10**9, "2", 2.0, True, None])
-def test_workers_must_be_an_integer_in_range(monkeypatch, workers):
-    # a pooled run imports the pool class from here when it starts
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
-    monkeypatch.setattr(_SerialPool, "sizes", [])
-    with pytest.raises(ValueError, match=rf"workers must be an integer in \[1, {MAX_WORKERS}\]"):
-        run_experiment(FAST, workers=workers)
-    assert _SerialPool.sizes == []
 
 
 def _no_allocation(*args, **kwargs):

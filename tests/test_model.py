@@ -41,9 +41,14 @@ def test_timing_derived_quantities_track_fields():
     {"epc_bits": 0},
     {"crc_bits": -1},
     {"advert_bits": 0},
+    {"tag_bit_time_us": float("nan")},
+    {"reader_bit_time_us": float("inf")},
+    {"epc_bits": 2.5},
+    {"crc_bits": True},
 ])
 def test_timing_rejects_nonpositive(kwargs):
-    with pytest.raises(ValueError):
+    (field,) = kwargs
+    with pytest.raises(ValueError, match=field):
         TimingModel(**kwargs)
 
 
@@ -147,8 +152,8 @@ def test_check_round_trace_rejects_corruption(mutation):
 
 
 def test_make_population_and_active_count():
-    tags = make_population(5, first_epc=10)
-    assert [t.epc for t in tags] == [10, 11, 12, 13, 14]
+    tags = make_population(5)
+    assert [t.epc for t in tags] == [0, 1, 2, 3, 4]
     assert active_count(tags) == 5
     tags[0].identified = True
     tags[1].present = False
