@@ -18,7 +18,6 @@ from .experiment import (
     run_trial,
     validate_experiment,
 )
-from .model import TimingModel
 from .report import (
     COLUMNS,
     render_csv,
@@ -38,7 +37,6 @@ __all__ = [
     "ExperimentConfigError",
     "ExperimentResult",
     "InventoryResult",
-    "TimingModel",
     "render_csv",
     "render_json",
     "result_rows",

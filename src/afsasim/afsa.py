@@ -15,17 +15,17 @@ from typing import Callable, Generator, List, Optional, Sequence
 
 from .analytic import phase_durations_for
 from .estimator import (
-    AdaptationPolicy,
     estimate_backlog,  # unused here, but bench/child.py wraps it by this name
     estimate_from_counts,
     next_frame,
 )
 from .model import (
+    MAX_SEQ_BITS,
     FrameConfig,
     RoundTrace,
     Tag,
-    TimingModel,
     active_count,  # unused here, but bench/child.py wraps it by this name
+    is_int,
 )
 from .rng import RandomSource
 
@@ -36,9 +36,9 @@ _MEMO_ENTRIES = 1024
 
 
 @lru_cache(maxsize=_MEMO_ENTRIES)
-def _round_time(successes: int, slots: int, seq_bits: int, timing: TimingModel) -> float:
+def _round_time(successes: int, slots: int, seq_bits: int) -> float:
     """Air time of a round with `successes` apparently-reserved slots."""
-    return phase_durations_for(successes, slots, seq_bits, timing).total
+    return phase_durations_for(successes, slots, seq_bits).total
 
 
 @lru_cache(maxsize=_MEMO_ENTRIES)
@@ -58,19 +58,18 @@ def _next_frame(
 ) -> FrameConfig:
     """The frame the reader announces after a round with these slot counts.
 
-    Equals `next_frame(estimate_backlog(trace), AdaptationPolicy(fixed_seq_bits))`
-    for a trace with these counts, since a round identifies exactly one tag
-    per truly reserved slot.  The key holds every input of the decision.
+    Equals `next_frame(estimate_backlog(trace), fixed_seq_bits)` for a trace
+    with these counts, since a round identifies exactly one tag per truly
+    reserved slot.  The key holds every input of the decision.
     """
     estimate = estimate_from_counts(
         idle, reserved_true + undetected, detected, reserved_true, slots)
-    return _interned(next_frame(estimate, AdaptationPolicy(fixed_seq_bits)))
+    return _interned(next_frame(estimate, fixed_seq_bits))
 
 
 def run_afsa_round(
     tags: Sequence[Tag],
     frame: FrameConfig,
-    timing: TimingModel,
     rng: RandomSource,
 ) -> RoundTrace:
     """Execute one round over the present, unidentified tags.
@@ -145,7 +144,7 @@ def run_afsa_round(
         detected_collision_count=detected,
         undetected_collision_count=undetected,
         identified_epcs=tuple(identified),
-        total_us=_round_time(reserved_true + undetected, slots, frame.seq_bits, timing),
+        total_us=_round_time(reserved_true + undetected, slots, frame.seq_bits),
     )
 
 
@@ -183,7 +182,7 @@ class InventoryResult:
         return self.total_time_us / identified
 
 
-BetweenRounds = Callable[[int, RoundTrace], None]
+BetweenRounds = Callable[[], None]
 
 # A protocol's rounds: primed with `next`, then sent the present,
 # unidentified tags in population order before each round, it plays the
@@ -203,10 +202,10 @@ def run_inventory(
     supplies only its sequence of rounds, each of which runs when it is
     sent the tags still answering.  At least one round always runs, so an
     empty population still pays for one empty frame.  After each
-    non-final round `between_rounds(next_round_index, trace)` may mutate
-    the population (arrivals and departures), so population changes take
-    effect from the next round on.  `completed` is False only when the
-    round budget ran out with tags still pending.
+    non-final round `between_rounds()` may mutate the population
+    (arrivals and departures), so population changes take effect from the
+    next round on.  `completed` is False only when the round budget ran
+    out with tags still pending.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
@@ -226,15 +225,14 @@ def run_inventory(
         if len(traces) >= max_rounds:
             return InventoryResult(traces, k_active, False, len(tags))
         if between_rounds is not None:
-            between_rounds(len(traces), trace)
+            between_rounds()
             active = [t for t in tags if t.present and not t.identified]
 
 
 def run_afsa_inventory(
     tags: List[Tag],
     initial_frame: FrameConfig,
-    policy: AdaptationPolicy,
-    timing: TimingModel,
+    fixed_seq_bits: Optional[int],
     rng: RandomSource,
     max_rounds: int = 1000,
     between_rounds: Optional[BetweenRounds] = None,
@@ -242,15 +240,19 @@ def run_afsa_inventory(
     """Reservation-protocol inventory under `run_inventory`.
 
     After each non-final round the reader estimates the backlog from the
-    trace's slot counts and re-derives the next frame from the policy.
+    trace's slot counts and derives the next frame with `next_frame`,
+    whose sequence length `fixed_seq_bits` pins (None: re-derived each
+    round).  A bad `fixed_seq_bits` raises ValueError before any draw.
     """
-    fixed_seq_bits = policy.fixed_seq_bits
+    if fixed_seq_bits is not None and not (
+            is_int(fixed_seq_bits) and 1 <= fixed_seq_bits <= MAX_SEQ_BITS):
+        raise ValueError(f"fixed_seq_bits must be an integer in [1, {MAX_SEQ_BITS}] or None")
 
     def rounds() -> Rounds:
         frame = initial_frame
         active = yield
         while True:
-            trace = run_afsa_round(active, frame, timing, rng)
+            trace = run_afsa_round(active, frame, rng)
             active = yield trace
             frame = _next_frame(
                 trace.idle_count, trace.reserved_true_count,

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
-from .model import MAX_SEQ_BITS, PhaseDurations, TimingModel
+from .model import MAX_SEQ_BITS, TIMING, PhaseDurations, TimingModel
 
 
 def _check_args(tags: float, slots: int) -> None:
-    if tags < 0:
-        raise ValueError("tags must be >= 0")
+    if not 0 <= tags < math.inf:  # also rejects nan
+        raise ValueError("tags must be finite and >= 0")
     if slots < 1:
         raise ValueError("slots must be >= 1")
 
@@ -171,15 +171,13 @@ def phase_durations_for(
     successes: float,
     slots: int,
     seq_bits: int,
-    timing: Optional[TimingModel] = None,
+    timing: TimingModel = TIMING,
 ) -> PhaseDurations:
     """Per-phase durations of one round with `successes` apparently-reserved slots.
 
     Shared by the simulator (integer count) and the expectation model
     (fractional count) so both sides evaluate the identical expression.
     """
-    if timing is None:
-        timing = TimingModel()
     if slots < 1:
         raise ValueError("slots must be >= 1")
     _check_seq_bits(seq_bits)
@@ -195,25 +193,15 @@ def phase_durations_for(
     )
 
 
-def round_duration(
-    tags: float,
-    slots: int,
-    seq_bits: int,
-    timing: Optional[TimingModel] = None,
-) -> float:
+def round_duration(tags: float, slots: int, seq_bits: int) -> float:
     """Expected duration of one full round, microseconds."""
     s = expected_successful(tags, slots, seq_bits)
-    return phase_durations_for(s, slots, seq_bits, timing).total
+    return phase_durations_for(s, slots, seq_bits).total
 
 
-def expected_per_tag_us(
-    tags: float,
-    slots: int,
-    seq_bits: int,
-    timing: Optional[TimingModel] = None,
-) -> float:
+def expected_per_tag_us(tags: float, slots: int, seq_bits: int) -> float:
     """Expected time per identified tag in one round, microseconds."""
     r = expected_reserved(tags, slots)
     if r == 0.0:
         raise ValueError("no expected identifications at this operating point")
-    return round_duration(tags, slots, seq_bits, timing) / r
+    return round_duration(tags, slots, seq_bits) / r

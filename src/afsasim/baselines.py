@@ -16,10 +16,11 @@ from typing import List, NamedTuple, Optional, Sequence
 from .afsa import BetweenRounds, InventoryResult, Rounds, run_inventory
 from .estimator import estimate_backlog
 from .model import (
+    TIMING,
     RoundTrace,
     Tag,
-    TimingModel,
     active_count,  # unused here, but bench/child.py wraps it by this name
+    is_int,
 )
 from .rng import RandomSource
 
@@ -29,12 +30,7 @@ EDFSA_FRAME_CHOICES = (16, 32, 64, 128, 256)
 EDFSA_MAX_FRAME = EDFSA_FRAME_CHOICES[-1]
 
 
-def run_fsa_round(
-    tags: Sequence[Tag],
-    slots: int,
-    timing: TimingModel,
-    rng: RandomSource,
-) -> RoundTrace:
+def run_fsa_round(tags: Sequence[Tag], slots: int, rng: RandomSource) -> RoundTrace:
     """One framed-ALOHA round: every responder transmits its payload directly.
 
     Each present, unidentified tag consumes one draw (its slot), and the
@@ -43,6 +39,8 @@ def run_fsa_round(
     reservation or acknowledgement traffic beyond the frame advertisement.
     Single-occupant slots identify their tag in place.
     """
+    if not is_int(slots):
+        raise ValueError("slots must be an integer")
     if slots < 1:
         raise ValueError("slots must be >= 1")
     first_tag: List[Optional[Tag]] = [None] * slots
@@ -78,14 +76,13 @@ def run_fsa_round(
         detected_collision_count=detected,
         undetected_collision_count=0,
         identified_epcs=tuple(identified),
-        total_us=timing.advert_us + timing.data_slot_us * slots,
+        total_us=TIMING.advert_us + TIMING.data_slot_us * slots,
     )
 
 
 def run_fsa_inventory(
     tags: List[Tag],
     slots: int,
-    timing: TimingModel,
     rng: RandomSource,
     max_rounds: int = 1000,
     between_rounds: Optional[BetweenRounds] = None,
@@ -98,7 +95,7 @@ def run_fsa_inventory(
     def rounds() -> Rounds:
         active = yield
         while True:
-            active = yield run_fsa_round(active, slots, timing, rng)
+            active = yield run_fsa_round(active, slots, rng)
 
     return run_inventory(tags, rounds(), max_rounds, between_rounds)
 
@@ -130,7 +127,6 @@ def edfsa_plan(k_est: float) -> EdfsaPlan:
 
 def run_edfsa_inventory(
     tags: List[Tag],
-    timing: TimingModel,
     rng: RandomSource,
     max_rounds: int = 1000,
     initial_estimate: float = 128.0,
@@ -145,8 +141,8 @@ def run_edfsa_inventory(
     observation exists, in the same role as the initial frame size of the
     reservation protocol.
     """
-    if initial_estimate < 0:
-        raise ValueError("initial_estimate must be >= 0")
+    if not 0 <= initial_estimate < math.inf:  # also rejects nan
+        raise ValueError("initial_estimate must be finite and >= 0")
 
     def rounds() -> Rounds:
         k_est = initial_estimate
@@ -156,7 +152,7 @@ def run_edfsa_inventory(
             k_est = 0.0
             for group in range(plan.groups):
                 responders = [t for t in active if t.epc % plan.groups == group]
-                trace = run_fsa_round(responders, plan.slots, timing, rng)
+                trace = run_fsa_round(responders, plan.slots, rng)
                 active = yield trace
                 k_est += estimate_backlog(trace).k_est
 

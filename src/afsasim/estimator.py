@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .analytic import expected_unresolved, optimal_seq_len
-from .model import MAX_SEQ_BITS, FrameConfig, RoundTrace
+from .model import FrameConfig, RoundTrace
 
 # Expected occupants of a slot known to hold a collision, in the Poisson
 # regime the estimator assumes.  Used when no idle slot survives.
@@ -108,35 +108,22 @@ def nearest_power_of_two(value: float) -> int:
     return above if (value - below) >= (above - value) else below
 
 
-@dataclass(frozen=True)
-class AdaptationPolicy:
-    """How the reader re-parameterizes between rounds.
-
-    `fixed_seq_bits` pins the sequence length; None re-derives it each
-    round from the predicted collision load of the upcoming frame.
-    """
-
-    fixed_seq_bits: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.fixed_seq_bits is not None and not 1 <= self.fixed_seq_bits <= MAX_SEQ_BITS:
-            raise ValueError(f"fixed_seq_bits must be in [1, {MAX_SEQ_BITS}] or None")
-
-
 def auto_seq_bits(k_est: float, slots: int) -> int:
     """Sequence length chosen for an upcoming frame of `slots` at backlog `k_est`."""
     return optimal_seq_len(expected_unresolved(k_est, slots), slots).rounded
 
 
-def next_frame(estimate: BacklogEstimate, policy: AdaptationPolicy) -> FrameConfig:
+def next_frame(estimate: BacklogEstimate,
+               fixed_seq_bits: Optional[int] = None) -> FrameConfig:
     """Frame parameters for the next round given the current backlog estimate.
 
     Frame size is the nearest power of two to k_est within [FRAME_MIN,
     FRAME_MAX].  The participation divisor engages only when the backlog
     overloads the chosen frame by more than OVERLOAD_RATIO, thinning
     expected participation back toward one tag per slot; ties in its
-    rounding go up.  Sequence length follows `policy.fixed_seq_bits` or
-    the collision-load rule evaluated at (k_est, next frame).
+    rounding go up.  Sequence length is `fixed_seq_bits` when given, and
+    otherwise the collision-load rule evaluated at (k_est, next frame);
+    the returned `FrameConfig` rejects a pinned length out of range.
     """
     k_est = estimate.k_est
     slots = nearest_power_of_two(k_est)
@@ -144,8 +131,8 @@ def next_frame(estimate: BacklogEstimate, policy: AdaptationPolicy) -> FrameConf
         divisor = max(1, int(math.floor(k_est / slots + 0.5)))
     else:
         divisor = 1
-    if policy.fixed_seq_bits is not None:
-        seq_bits = policy.fixed_seq_bits
+    if fixed_seq_bits is not None:
+        seq_bits = fixed_seq_bits
     else:
         seq_bits = auto_seq_bits(k_est, slots)
     return FrameConfig(slots=slots, seq_bits=seq_bits, participation_divisor=divisor)

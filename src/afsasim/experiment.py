@@ -14,8 +14,8 @@ from typing import Iterator, List, Optional, Sequence
 
 from .afsa import InventoryResult, run_afsa_inventory
 from .baselines import run_edfsa_inventory, run_fsa_inventory
-from .estimator import AdaptationPolicy, initial_seq_bits
-from .model import MAX_SEQ_BITS, FrameConfig, Tag, TimingModel, make_population
+from .estimator import initial_seq_bits
+from .model import MAX_SEQ_BITS, FrameConfig, Tag, is_int, make_population
 from .rng import RandomSource, RngStream, unit_cut, unit_float
 
 PROTOCOLS = ("afsa", "fsa", "edfsa")
@@ -37,10 +37,6 @@ MAX_TRIALS = 1_000_000
 # Largest master seed; `RngStream` keys on 64 bits, so a larger or negative
 # seed would alias one in range.
 MAX_SEED = (1 << 64) - 1
-
-# The air-interface timing every trial runs with.  One object for all
-# trials, so the round-time memo in `afsa` finds its key by identity.
-_TIMING = TimingModel()
 
 
 @dataclass(frozen=True)
@@ -68,11 +64,6 @@ class ExperimentConfig:
     departure_prob: float = 0.0
 
 
-def _is_int(value) -> bool:
-    # bool is an int subclass, but True is no count
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
@@ -87,13 +78,13 @@ def validate_experiment(config: ExperimentConfig) -> List[str]:
     problems: List[str] = []
     if not isinstance(config.protocol, str) or config.protocol not in PROTOCOLS:
         problems.append(f"protocol must be one of {', '.join(PROTOCOLS)}")
-    if not _is_int(config.k_initial):
+    if not is_int(config.k_initial):
         problems.append("k_initial must be an integer")
     elif config.k_initial < 0:
         problems.append("k_initial must be >= 0")
     elif config.k_initial > MAX_TAGS:
         problems.append(f"k_initial must be <= {MAX_TAGS}")
-    if not _is_int(config.frame_slots):
+    if not is_int(config.frame_slots):
         problems.append("frame_slots must be an integer")
     elif config.frame_slots < 1:
         problems.append("frame_slots must be >= 1")
@@ -101,21 +92,21 @@ def validate_experiment(config: ExperimentConfig) -> List[str]:
         problems.append(f"frame_slots must be <= {MAX_FRAME_SLOTS}")
     if config.seq_bits is None:
         pass
-    elif not _is_int(config.seq_bits):
+    elif not is_int(config.seq_bits):
         problems.append("seq_bits must be an integer or None for auto")
     elif not 1 <= config.seq_bits <= MAX_SEQ_BITS:
         problems.append(f"seq_bits must be in [1, {MAX_SEQ_BITS}] or None for auto")
-    if not _is_int(config.trials):
+    if not is_int(config.trials):
         problems.append("trials must be an integer")
     elif config.trials < 1:
         problems.append("trials must be >= 1")
     elif config.trials > MAX_TRIALS:
         problems.append(f"trials must be <= {MAX_TRIALS}")
-    if not _is_int(config.seed):
+    if not is_int(config.seed):
         problems.append("seed must be an integer")
     elif not 0 <= config.seed <= MAX_SEED:
         problems.append("seed must be in [0, 2**64 - 1]")
-    if not _is_int(config.max_rounds):
+    if not is_int(config.max_rounds):
         problems.append("max_rounds must be an integer")
     elif config.max_rounds < 1:
         problems.append("max_rounds must be >= 1")
@@ -194,7 +185,7 @@ def run_trial(config: ExperimentConfig, trial_id: int) -> InventoryResult:
     problems = validate_experiment(config)
     if problems:
         raise ExperimentConfigError(problems)
-    if not _is_int(trial_id) or not 0 <= trial_id < config.trials:
+    if not is_int(trial_id) or not 0 <= trial_id < config.trials:
         raise ValueError(f"trial_id must be an integer in [0, {config.trials})")
     rng = RngStream(config.seed, trial_id)
     population = make_population(config.k_initial)
@@ -204,7 +195,7 @@ def run_trial(config: ExperimentConfig, trial_id: int) -> InventoryResult:
         next_epc = [config.k_initial]
         departs = unit_cut(config.departure_prob)
 
-        def churn(next_round_index: int, trace) -> None:
+        def churn() -> None:
             # departure draws first, one per present tag in population
             # order, then a single arrivals draw; zero-rate parts draw
             # nothing at all
@@ -218,29 +209,23 @@ def run_trial(config: ExperimentConfig, trial_id: int) -> InventoryResult:
                     population.append(Tag(epc=next_epc[0]))
                     next_epc[0] += 1
 
-    return _dispatch(config, population, _TIMING, rng, churn)
+    return _dispatch(config, population, rng, churn)
 
 
-def _dispatch(config, population, timing, rng, churn) -> InventoryResult:
+def _dispatch(config, population, rng, churn) -> InventoryResult:
     if config.protocol == "afsa":
         seq_bits = (initial_seq_bits(config.frame_slots)
                     if config.seq_bits is None else config.seq_bits)
-        frame = FrameConfig(
-            slots=config.frame_slots,
-            seq_bits=seq_bits,
-            participation_divisor=1,
-        )
-        policy = AdaptationPolicy(fixed_seq_bits=config.seq_bits)
         return run_afsa_inventory(
-            population, frame, policy, timing, rng,
+            population, FrameConfig(config.frame_slots, seq_bits), config.seq_bits, rng,
             max_rounds=config.max_rounds, between_rounds=churn)
     if config.protocol == "fsa":
         return run_fsa_inventory(
-            population, config.frame_slots, timing, rng,
+            population, config.frame_slots, rng,
             max_rounds=config.max_rounds, between_rounds=churn)
     if config.protocol == "edfsa":
         return run_edfsa_inventory(
-            population, timing, rng,
+            population, rng,
             max_rounds=config.max_rounds,
             initial_estimate=float(config.frame_slots),
             between_rounds=churn)

@@ -15,6 +15,11 @@ from dataclasses import dataclass
 MAX_SEQ_BITS = 16
 
 
+def is_int(value) -> bool:
+    """True for an integer; bool is an int subclass, but True is no count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TimingModel:
     """Air-interface timing parameters, all durations in microseconds.
@@ -40,7 +45,7 @@ class TimingModel:
                 problems.append(f"{name} must be finite and > 0")
         for name, least in (("epc_bits", 1), ("crc_bits", 0), ("advert_bits", 1)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
+            if not is_int(value):
                 problems.append(f"{name} must be an integer")
             elif value < least:
                 problems.append(f"{name} must be >= {least}")
@@ -58,6 +63,10 @@ class TimingModel:
         return self.advert_bits * self.reader_bit_time_us
 
 
+# The air interface every simulated round runs with.
+TIMING = TimingModel()
+
+
 @dataclass(frozen=True)
 class FrameConfig:
     """Per-round frame parameters announced by the reader."""
@@ -68,11 +77,17 @@ class FrameConfig:
 
     def __post_init__(self) -> None:
         problems = []
-        if self.slots < 1:
+        if not is_int(self.slots):
+            problems.append("slots must be an integer")
+        elif self.slots < 1:
             problems.append("slots must be >= 1")
-        if not 1 <= self.seq_bits <= MAX_SEQ_BITS:
+        if not is_int(self.seq_bits):
+            problems.append("seq_bits must be an integer")
+        elif not 1 <= self.seq_bits <= MAX_SEQ_BITS:
             problems.append(f"seq_bits must be in [1, {MAX_SEQ_BITS}]")
-        if self.participation_divisor < 1:
+        if not is_int(self.participation_divisor):
+            problems.append("participation_divisor must be an integer")
+        elif self.participation_divisor < 1:
             problems.append("participation_divisor must be >= 1")
         if problems:
             raise ValueError("; ".join(problems))

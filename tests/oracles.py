@@ -233,4 +233,4 @@ def reference_inventory(tags, rounds, max_rounds: int,
         if len(traces) >= max_rounds:
             return ReferenceInventory(traces, k_active, False, len(tags))
         if between_rounds is not None:
-            between_rounds(len(traces), trace)
+            between_rounds()

@@ -28,13 +28,11 @@ from afsasim.analytic import (
 )
 from afsasim.estimator import nearest_power_of_two
 from afsasim.experiment import ExperimentConfig, run_experiment, run_trial
-from afsasim.model import FrameConfig, TimingModel, check_round_trace, make_population
+from afsasim.model import FrameConfig, check_round_trace, make_population
 from afsasim.report import result_rows, render_csv, trial_rows
 from afsasim.rng import RngStream
 
 from oracles import enum_slot_stats
-
-TIMING = TimingModel()
 
 
 def _finish(num: int, title: str, failures: list, detail: str = "") -> None:
@@ -71,7 +69,7 @@ def test_criterion_2_simulated_means_match_model_within_two_percent():
     idle_total = reserved_total = 0
     started = time.monotonic()
     for _ in range(rounds):
-        trace = run_afsa_round(make_population(100), frame, TIMING, rng)
+        trace = run_afsa_round(make_population(100), frame, rng)
         idle_total += trace.idle_count
         reserved_total += trace.reserved_true_count
     elapsed = time.monotonic() - started
@@ -103,7 +101,7 @@ def test_criterion_3_undetected_collisions_track_the_exact_occupancy_model():
         frame = FrameConfig(64, bits)
         counts = []
         for _ in range(rounds):
-            trace = run_afsa_round(make_population(100), frame, TIMING, rng)
+            trace = run_afsa_round(make_population(100), frame, rng)
             counts.append(trace.undetected_collision_count)
         mean = statistics.fmean(counts)
         se = statistics.stdev(counts) / math.sqrt(rounds)
@@ -188,11 +186,11 @@ def test_criterion_6_round_time_identity():
         slots = prng.choice([8, 16, 32, 64, 128, 256, 512])
         bits = prng.randint(1, 6)
         trace = run_afsa_round(
-            make_population(tags), FrameConfig(slots, bits), TIMING,
+            make_population(tags), FrameConfig(slots, bits),
             RngStream(seed=6, stream_id=case))
         check_round_trace(trace)
         realized = trace.reserved_true_count + trace.undetected_collision_count
-        want = phase_durations_for(realized, slots, bits, TIMING).total
+        want = phase_durations_for(realized, slots, bits).total
         if abs(trace.total_us - want) > 1e-6:
             failures.append(
                 f"case {case} (k={tags}, N={slots}, n={bits}): "
@@ -274,7 +272,7 @@ def test_criterion_9_idle_inversion_recovers_the_population():
         idle_sum = 0
         for _ in range(rounds):
             idle_sum += run_afsa_round(
-                make_population(tags), frame, TIMING, rng).idle_count
+                make_population(tags), frame, rng).idle_count
         simulated = math.log((idle_sum / rounds) / slots) / log_base
         if abs(simulated - tags) > tolerance:
             failures.append(

@@ -1,4 +1,6 @@
 """Protocol engine: scripted rounds, trace invariants, inventory loop."""
+from itertools import accumulate
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -7,13 +9,12 @@ from afsasim import afsa, baselines
 from afsasim.afsa import run_afsa_inventory, run_afsa_round
 from afsasim.analytic import expected_idle, expected_reserved, phase_durations_for
 from afsasim.baselines import run_edfsa_inventory, run_fsa_inventory
-from afsasim.estimator import AdaptationPolicy, estimate_backlog, next_frame
+from afsasim.estimator import estimate_backlog, next_frame
 from afsasim.experiment import ExperimentConfig, run_trial
 from afsasim.model import (
     FrameConfig,
     RoundTrace,
     Tag,
-    TimingModel,
     check_round_trace,
     make_population,
 )
@@ -27,15 +28,13 @@ from oracles import (
     reference_round,
 )
 
-TIMING = TimingModel()
-
 
 # A tag's decision inside run_afsa_round: one participation draw, then a
 # slot and a sequence only if it joins.
 
 def test_tag_decide_scripted_draws():
     tag = Tag(epc=0)
-    trace = run_afsa_round([tag], FrameConfig(4, 2), TIMING, ScriptedStream([0, 2, 1]))
+    trace = run_afsa_round([tag], FrameConfig(4, 2), ScriptedStream([0, 2, 1]))
     check_round_trace(trace)
     assert (trace.responders, trace.reserved_true_count, trace.idle_count) == (1, 1, 3)
     assert trace.identified_epcs == (0,)
@@ -45,7 +44,7 @@ def test_tag_decide_scripted_draws():
 def test_tag_decide_consumes_participation_draw_even_without_gating():
     # exactly three draws with divisor 1: participation, slot, sequence
     stream = ScriptedStream([7, 5, 3])
-    trace = run_afsa_round([Tag(epc=0)], FrameConfig(8, 2), TIMING, stream)
+    trace = run_afsa_round([Tag(epc=0)], FrameConfig(8, 2), stream)
     assert trace.responders == 1
     assert trace.identified_epcs == (0,)
     assert stream.remaining == 0
@@ -55,7 +54,7 @@ def test_tag_decide_gated_out_draws_nothing_more():
     stream = ScriptedStream([1])
     tag = Tag(epc=0)
     trace = run_afsa_round(
-        [tag], FrameConfig(8, 2, participation_divisor=2), TIMING, stream)
+        [tag], FrameConfig(8, 2, participation_divisor=2), stream)
     check_round_trace(trace)
     assert trace.responders == 0
     assert trace.idle_count == 8
@@ -66,7 +65,7 @@ def test_tag_decide_gated_out_draws_nothing_more():
 def test_tag_decide_joins_when_draw_divisible():
     stream = ScriptedStream([6, 4, 2])
     trace = run_afsa_round(
-        [Tag(epc=0)], FrameConfig(8, 2, participation_divisor=3), TIMING, stream)
+        [Tag(epc=0)], FrameConfig(8, 2, participation_divisor=3), stream)
     assert trace.responders == 1
     assert trace.identified_epcs == (0,)
     assert stream.remaining == 0
@@ -75,7 +74,7 @@ def test_tag_decide_joins_when_draw_divisible():
 def test_tag_decide_rejects_settled_tags():
     # identified and absent tags are turned away before any draw
     settled = [Tag(epc=0, identified=True), Tag(epc=1, present=False)]
-    trace = run_afsa_round(settled, FrameConfig(4, 2), TIMING, ScriptedStream([]))
+    trace = run_afsa_round(settled, FrameConfig(4, 2), ScriptedStream([]))
     check_round_trace(trace)
     assert trace.responders == 0
     assert trace.idle_count == 4
@@ -92,7 +91,7 @@ def test_tag_decide_rejects_settled_tags():
 def test_a_script_one_draw_short_raises(divisor, script):
     # the round never ends early on a short stream, dropping the last tag
     with pytest.raises(IndexError):
-        run_afsa_round(make_population(2), FrameConfig(8, 2, divisor), TIMING,
+        run_afsa_round(make_population(2), FrameConfig(8, 2, divisor),
                        ScriptedStream(script))
 
 
@@ -108,7 +107,7 @@ def test_reader_observe_classifies_each_slot():
     ]
     frame = FrameConfig(4, 2, participation_divisor=2)
     tags = make_population(6)
-    trace = run_afsa_round(tags, frame, TIMING, ScriptedStream(script))
+    trace = run_afsa_round(tags, frame, ScriptedStream(script))
     check_round_trace(trace)
     assert trace.responders == 5
     assert (trace.idle_count, trace.reserved_true_count,
@@ -125,7 +124,7 @@ def test_reader_observe_classifies_each_slot():
 
 
 def test_empty_round_pays_fixed_overhead():
-    trace = run_afsa_round([], FrameConfig(4, 2), TIMING, RngStream(1, 0))
+    trace = run_afsa_round([], FrameConfig(4, 2), RngStream(1, 0))
     check_round_trace(trace)
     assert trace.idle_count == 4
     assert trace.total_us == 350.0
@@ -134,7 +133,7 @@ def test_empty_round_pays_fixed_overhead():
 
 def test_single_tag_single_slot_identified():
     tag = Tag(epc=7)
-    trace = run_afsa_round([tag], FrameConfig(1, 2), TIMING, RngStream(1, 0))
+    trace = run_afsa_round([tag], FrameConfig(1, 2), RngStream(1, 0))
     check_round_trace(trace)
     assert trace.reserved_apparent_count == 1
     # advert, 1x2 reservation bits, 1 summary bit, one data slot and its ack
@@ -147,7 +146,7 @@ def test_scripted_round_two_clean_reservations():
     # tag 0 -> slot 0 seq 1, tag 1 -> slot 1 seq 0: both identified
     stream = ScriptedStream([0, 0, 1, 0, 1, 0])
     tags = [Tag(epc=0), Tag(epc=1)]
-    trace = run_afsa_round(tags, FrameConfig(2, 1), TIMING, stream)
+    trace = run_afsa_round(tags, FrameConfig(2, 1), stream)
     check_round_trace(trace)
     assert trace.reserved_apparent_count == 2
     # advert, 2x1 reservation bits, 2 summary bits, two data slots and acks
@@ -160,7 +159,7 @@ def test_scripted_undetected_collision_wastes_slot_quietly():
     # both tags: slot 1, sequence 2 -> slot looks reserved, nobody identified
     stream = ScriptedStream([0, 1, 2, 0, 1, 2])
     tags = [Tag(epc=0), Tag(epc=1)]
-    trace = run_afsa_round(tags, FrameConfig(4, 2), TIMING, stream)
+    trace = run_afsa_round(tags, FrameConfig(4, 2), stream)
     check_round_trace(trace)
     assert trace.undetected_collision_count == 1
     assert trace.reserved_true_count == 0
@@ -174,7 +173,7 @@ def test_scripted_undetected_collision_wastes_slot_quietly():
 def test_scripted_detected_collision_costs_no_data_slot():
     stream = ScriptedStream([0, 1, 2, 0, 1, 3])
     tags = [Tag(epc=0), Tag(epc=1)]
-    trace = run_afsa_round(tags, FrameConfig(4, 2), TIMING, stream)
+    trace = run_afsa_round(tags, FrameConfig(4, 2), stream)
     check_round_trace(trace)
     assert trace.detected_collision_count == 1
     # advert, 4x2 reservation bits and 4 summary bits only
@@ -184,15 +183,15 @@ def test_scripted_detected_collision_costs_no_data_slot():
 
 def test_skips_identified_and_absent_tags():
     tags = [Tag(epc=0, identified=True), Tag(epc=1, present=False), Tag(epc=2)]
-    trace = run_afsa_round(tags, FrameConfig(8, 1), TIMING, RngStream(5, 0))
+    trace = run_afsa_round(tags, FrameConfig(8, 1), RngStream(5, 0))
     assert trace.responders == 1
 
 
 def test_round_is_deterministic_for_a_given_stream():
     tags_a = make_population(30)
     tags_b = make_population(30)
-    a = run_afsa_round(tags_a, FrameConfig(32, 2), TIMING, RngStream(9, 4))
-    b = run_afsa_round(tags_b, FrameConfig(32, 2), TIMING, RngStream(9, 4))
+    a = run_afsa_round(tags_a, FrameConfig(32, 2), RngStream(9, 4))
+    b = run_afsa_round(tags_b, FrameConfig(32, 2), RngStream(9, 4))
     assert a == b
 
 
@@ -205,7 +204,7 @@ def test_round_is_deterministic_for_a_given_stream():
 def test_round_traces_always_consistent(tags, slots, bits, divisor, seed):
     population = make_population(tags)
     frame = FrameConfig(slots, bits, divisor)
-    trace = run_afsa_round(population, frame, TIMING, RngStream(seed, 0))
+    trace = run_afsa_round(population, frame, RngStream(seed, 0))
     check_round_trace(trace)
     assert trace.responders <= tags
     if divisor == 1:
@@ -238,7 +237,7 @@ def _population(states):
 def test_afsa_round_matches_reference(states, slots, bits, divisor, seed):
     tags, ref_tags = _population(states), _population(states)
     rng, ref_rng = RngStream(seed, 0), RngStream(seed, 0)
-    trace = run_afsa_round(tags, FrameConfig(slots, bits, divisor), TIMING, rng)
+    trace = run_afsa_round(tags, FrameConfig(slots, bits, divisor), rng)
     ref = reference_round(ref_tags, slots, ref_rng, seq_bits=bits, divisor=divisor)
     assert (trace.idle_count, trace.reserved_true_count,
             trace.detected_collision_count, trace.undetected_collision_count) == (
@@ -256,7 +255,7 @@ def test_round_statistics_match_expectations():
     idle_total = reserved_total = 0
     frame = FrameConfig(128, 2)
     for _ in range(rounds):
-        trace = run_afsa_round(make_population(100), frame, TIMING, rng)
+        trace = run_afsa_round(make_population(100), frame, rng)
         idle_total += trace.idle_count
         reserved_total += trace.reserved_true_count
     assert idle_total / rounds == pytest.approx(expected_idle(100, 128), rel=0.05)
@@ -265,7 +264,7 @@ def test_round_statistics_match_expectations():
 
 def test_empty_inventory_still_runs_one_round():
     result = run_afsa_inventory(
-        [], FrameConfig(4, 2), AdaptationPolicy(), TIMING, RngStream(1, 0))
+        [], FrameConfig(4, 2), None, RngStream(1, 0))
     assert result.rounds_used == 1
     assert result.completed
     assert result.total_time_us == 350.0
@@ -273,10 +272,18 @@ def test_empty_inventory_still_runs_one_round():
     assert result.per_tag_mean_us is None
 
 
+@pytest.mark.parametrize("fixed_seq_bits", [0, 17, 2.5, True])
+def test_a_bad_fixed_seq_bits_fails_before_any_draw(fixed_seq_bits):
+    # a round would draw from the empty script and raise IndexError
+    with pytest.raises(ValueError, match="fixed_seq_bits"):
+        run_afsa_inventory(make_population(3), FrameConfig(8, 2), fixed_seq_bits,
+                           ScriptedStream([]))
+
+
 def test_inventory_identifies_everyone():
     tags = make_population(20)
     result = run_afsa_inventory(
-        tags, FrameConfig(16, 2), AdaptationPolicy(), TIMING, RngStream(7, 0),
+        tags, FrameConfig(16, 2), None, RngStream(7, 0),
         max_rounds=200)
     assert result.completed
     assert result.tags_identified == 20
@@ -292,10 +299,10 @@ def test_inventory_identifies_everyone():
 # round gap inside a cycle.
 INVENTORIES = {
     "afsa": lambda tags, rng, **kw: run_afsa_inventory(
-        tags, FrameConfig(64, 2), AdaptationPolicy(), TIMING, rng, **kw),
-    "fsa": lambda tags, rng, **kw: run_fsa_inventory(tags, 64, TIMING, rng, **kw),
+        tags, FrameConfig(64, 2), None, rng, **kw),
+    "fsa": lambda tags, rng, **kw: run_fsa_inventory(tags, 64, rng, **kw),
     "edfsa": lambda tags, rng, **kw: run_edfsa_inventory(
-        tags, TIMING, rng, initial_estimate=300.0, **kw),
+        tags, rng, initial_estimate=300.0, **kw),
 }
 
 
@@ -314,7 +321,7 @@ def test_inventory_respects_round_budget(protocol):
 def test_inventory_adapts_frame_between_rounds():
     tags = make_population(100)
     result = run_afsa_inventory(
-        tags, FrameConfig(128, 2), AdaptationPolicy(), TIMING, RngStream(11, 0),
+        tags, FrameConfig(128, 2), None, RngStream(11, 0),
         max_rounds=200)
     assert result.completed
     first, second = result.traces[0], result.traces[1]
@@ -334,15 +341,15 @@ def test_between_rounds_hook_sees_each_gap(protocol):
     tags = make_population(50)
     calls = []
 
-    def hook(next_round_index, trace):
-        calls.append((next_round_index, trace))
+    def hook():
+        calls.append(sum(tag.identified for tag in tags))
 
     result = INVENTORIES[protocol](
         tags, RngStream(3, 0), max_rounds=200, between_rounds=hook)
     assert result.completed
-    # one call per gap: rounds - 1, each with the round just played
-    assert [index for index, _ in calls] == list(range(1, result.rounds_used))
-    assert all(trace is result.traces[index - 1] for index, trace in calls)
+    # one call per gap: rounds - 1, each right after the round just played
+    identified = accumulate(len(t.identified_epcs) for t in result.traces)
+    assert calls == list(identified)[:-1]
 
 
 @pytest.mark.parametrize("protocol", INVENTORIES)
@@ -356,7 +363,7 @@ def test_every_round_of_a_churned_inventory_is_consistent(
     tags = make_population(k)
     churn_rng = RngStream(seed, 1)
 
-    def churn(next_round_index, trace):
+    def churn():
         for tag in tags:
             if tag.present and unit_float(churn_rng.next_u64()) < departure_prob:
                 tag.present = False
@@ -373,7 +380,7 @@ def test_every_round_of_a_churned_inventory_is_consistent(
         if protocol == "fsa" or (
                 protocol == "afsa" and frame.participation_divisor == 1):
             assert trace.responders == k_active
-        frame = next_frame(estimate_backlog(trace), AdaptationPolicy())
+        frame = next_frame(estimate_backlog(trace))
 
 
 @pytest.mark.parametrize("protocol", INVENTORIES)
@@ -389,7 +396,7 @@ def test_inventory_matches_the_scanning_reference(protocol, k, churned, seed):
         rng = RngStream(seed, 0)
 
         # churn draws from the rounds' stream, as a trial's churn does
-        def churn(next_round_index, trace):
+        def churn():
             for tag in tags:
                 if tag.present and unit_float(rng.next_u64()) < 0.1:
                     tag.present = False
@@ -418,14 +425,14 @@ def test_between_rounds_arrivals_extend_the_inventory():
     tags = make_population(5)
     added = []
 
-    def hook(next_round_index, trace):
-        if next_round_index == 1:
+    def hook():
+        if not added:
             tag = Tag(epc=1000)
             tags.append(tag)
             added.append(tag)
 
     result = run_afsa_inventory(
-        tags, FrameConfig(8, 2), AdaptationPolicy(), TIMING, RngStream(21, 0),
+        tags, FrameConfig(8, 2), None, RngStream(21, 0),
         max_rounds=200, between_rounds=hook)
     assert result.completed
     assert added and added[0].identified
@@ -449,12 +456,11 @@ def _clear_memos():
 def test_memoised_rounds_equal_the_direct_arithmetic(monkeypatch, tags, slots, seq_bits, trials):
     config = ExperimentConfig(k_initial=tags, frame_slots=slots, seq_bits=seq_bits,
                               trials=trials, seed=5)
-    policy = AdaptationPolicy(seq_bits)
     frames = []
 
-    def recording_round(tags, frame, timing, rng):
+    def recording_round(tags, frame, rng):
         frames.append(frame)
-        return run_afsa_round(tags, frame, timing, rng)
+        return run_afsa_round(tags, frame, rng)
 
     monkeypatch.setattr(afsa, "run_afsa_round", recording_round)
     _clear_memos()
@@ -471,7 +477,7 @@ def test_memoised_rounds_equal_the_direct_arithmetic(monkeypatch, tags, slots, s
                 assert trace.total_us == phase_durations_for(
                     trace.reserved_apparent_count, trace.slots, trace.seq_bits).total
                 if i + 1 < len(played):
-                    assert played[i + 1] == next_frame(estimate_backlog(trace), policy)
+                    assert played[i + 1] == next_frame(estimate_backlog(trace), seq_bits)
     assert passes[0] == passes[1]
     assert afsa._next_frame.cache_info().hits > 0
     if tags == 5000:
@@ -502,7 +508,7 @@ def test_next_frame_memo_equals_the_uncached_decision(counts, fixed_seq_bits):
         identified_epcs=tuple(range(reserved_true)), total_us=1.0)
     # the same counts under both policies, each a miss and then a hit
     for fixed in (None, fixed_seq_bits, None, fixed_seq_bits):
-        expected = next_frame(estimate_backlog(trace), AdaptationPolicy(fixed))
+        expected = next_frame(estimate_backlog(trace), fixed)
         assert afsa._next_frame(*counts, slots, fixed) == expected
 
 
@@ -510,7 +516,7 @@ def test_memos_stay_within_their_bound():
     _clear_memos()
     slots = afsa._MEMO_ENTRIES + 100
     for successes in range(slots + 1):
-        afsa._round_time(successes, slots, 2, TIMING)
+        afsa._round_time(successes, slots, 2)
         afsa._next_frame(slots - successes, successes, 0, 0, slots, None)
     for memo in (afsa._round_time, afsa._next_frame, afsa._interned):
         info = memo.cache_info()
@@ -519,20 +525,3 @@ def test_memos_stay_within_their_bound():
     assert afsa._round_time.cache_info().misses > afsa._MEMO_ENTRIES
     assert afsa._next_frame.cache_info().misses > afsa._MEMO_ENTRIES
 
-
-def test_a_custom_timing_model_gets_its_own_round_times():
-    slow = TimingModel(tag_bit_time_us=5.0, reader_bit_time_us=20.0)
-
-    def run(timing):
-        return run_afsa_inventory(
-            make_population(100), FrameConfig(128, 2), AdaptationPolicy(), timing,
-            RngStream(9, 0))
-
-    default = run(TIMING)
-    custom = run(slow)
-    # the default model's round times are in the memo first
-    assert [t.slots for t in custom.traces] == [t.slots for t in default.traces]
-    for trace, default_trace in zip(custom.traces, default.traces):
-        assert trace.total_us == phase_durations_for(
-            trace.reserved_apparent_count, trace.slots, trace.seq_bits, slow).total
-        assert trace.total_us > default_trace.total_us

@@ -73,11 +73,13 @@ def test_fractional_tags_accepted():
     assert expected_unresolved(54, 64) < mid < expected_unresolved(55, 64)
 
 
-@pytest.mark.parametrize("bad", [(-1, 4), (2, 0), (2, -3)])
+@pytest.mark.parametrize("bad", [(-1, 4), (2, 0), (2, -3), (math.nan, 4), (math.inf, 4)])
 def test_argument_validation(bad):
     tags, slots = bad
-    for fn in (expected_reserved, expected_idle, expected_unresolved):
-        with pytest.raises(ValueError):
+    for fn in (expected_reserved, expected_idle, expected_unresolved,
+               lambda tags, slots: slot_profile(tags, slots, 2)):
+        with pytest.raises(ValueError, match="slots" if tags == 2 else
+                           r"^tags must be finite and >= 0$"):
             fn(tags, slots)
 
 

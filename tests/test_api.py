@@ -1,5 +1,6 @@
 """The package's public surface."""
 import importlib
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +20,6 @@ def test_root_exports_what_a_caller_needs_to_run_and_report():
         "ExperimentConfigError",
         "ExperimentResult",
         "InventoryResult",
-        "TimingModel",
         "render_csv",
         "render_json",
         "result_rows",
@@ -107,3 +107,26 @@ BENCHMARK_PATCHES = [
                          ids=[f"{m}.{a}" for m, a in BENCHMARK_PATCHES])
 def test_the_names_the_benchmark_wraps_exist(module, attr):
     assert hasattr(importlib.import_module(f"afsasim.{module}"), attr)
+
+
+@pytest.mark.parametrize("protocol, inventory, kernel", [
+    ("afsa", "afsa.inventory", "afsa.round"),
+    ("fsa", "baselines.fsa_inventory", "baselines.fsa_round"),
+])
+def test_the_traced_benchmark_times_churn_on_every_gap(tmp_path, protocol, inventory, kernel):
+    # bench/child.py times churn by wrapping the `between_rounds` keyword of
+    # the inventory calls in `experiment`
+    report, result = tmp_path / "report.json", tmp_path / "result.json"
+    trials = 3
+    cli_args = ["--protocol", protocol, "--tags", "30", "--frame", "16",
+                "--trials", str(trials), "--arrival-rate", "1", "--departure-prob", "0.05",
+                "--format", "json", "--out", str(report)]
+    subprocess.run([sys.executable, "-I", str(SRC.parent / "bench" / "child.py"),
+                    str(SRC), "trace", str(result), *cli_args], check=True)
+    traced = json.loads(result.read_text(encoding="utf-8"))
+    assert traced["exit_code"] == 0
+    calls = {name: layer["calls"] for name, layer in traced["layers"].items()}
+    rounds = sum(row["round"] for row in json.loads(report.read_text(encoding="utf-8")))
+    assert calls[inventory] == trials
+    assert calls[kernel] == rounds
+    assert calls["experiment.churn"] == rounds - trials

@@ -1,4 +1,6 @@
 """FSA and EDFSA baselines: cost structure, planning, and comparisons."""
+import math
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -13,11 +15,10 @@ from afsasim.baselines import (
     run_fsa_inventory,
     run_fsa_round,
 )
-from afsasim.estimator import AdaptationPolicy
 from afsasim.model import (
+    TIMING,
     FrameConfig,
     Tag,
-    TimingModel,
     check_round_trace,
     make_population,
 )
@@ -25,11 +26,9 @@ from afsasim.rng import BLOCK_DRAWS, RngStream, ScriptedStream
 
 from oracles import reference_round
 
-TIMING = TimingModel()
-
 
 def test_empty_fsa_round_costs_full_frame():
-    trace = run_fsa_round([], 4, TIMING, RngStream(1, 0))
+    trace = run_fsa_round([], 4, RngStream(1, 0))
     check_round_trace(trace)
     # no reservation phase, but every slot is a full data slot
     assert trace.total_us == 1480.0 == TIMING.advert_us + 4 * TIMING.data_slot_us
@@ -37,7 +36,7 @@ def test_empty_fsa_round_costs_full_frame():
 
 def test_fsa_round_identifies_singletons():
     tags = make_population(3)
-    trace = run_fsa_round(tags, 64, TIMING, RngStream(12, 0))
+    trace = run_fsa_round(tags, 64, RngStream(12, 0))
     check_round_trace(trace)
     # 3 tags in 64 slots landed apart for this stream
     assert trace.reserved_true_count == 3
@@ -47,7 +46,7 @@ def test_fsa_round_identifies_singletons():
 def test_fsa_round_raises_on_a_script_one_draw_short():
     # one slot draw per tag: three tags, two draws
     with pytest.raises(IndexError):
-        run_fsa_round(make_population(3), 8, TIMING, ScriptedStream([0, 1]))
+        run_fsa_round(make_population(3), 8, ScriptedStream([0, 1]))
 
 
 @given(tags=st.integers(min_value=0, max_value=80),
@@ -56,7 +55,7 @@ def test_fsa_round_raises_on_a_script_one_draw_short():
 @settings(max_examples=150, deadline=None)
 def test_fsa_collisions_always_detected(tags, slots, seed):
     population = make_population(tags)
-    trace = run_fsa_round(population, slots, TIMING, RngStream(seed, 1))
+    trace = run_fsa_round(population, slots, RngStream(seed, 1))
     check_round_trace(trace)
     assert trace.undetected_collision_count == 0
     assert trace.responders == tags
@@ -78,7 +77,7 @@ def test_fsa_round_matches_reference(states, slots, seed):
 
     tags, ref_tags = population(), population()
     rng, ref_rng = RngStream(seed, 2), RngStream(seed, 2)
-    trace = run_fsa_round(tags, slots, TIMING, rng)
+    trace = run_fsa_round(tags, slots, rng)
     ref = reference_round(ref_tags, slots, ref_rng)
     assert (trace.idle_count, trace.reserved_true_count,
             trace.detected_collision_count, trace.undetected_collision_count) == (
@@ -95,7 +94,7 @@ def test_fsa_round_statistics_match_expectations():
     rounds = 2000
     reserved_total = 0
     for _ in range(rounds):
-        trace = run_fsa_round(make_population(100), 128, TIMING, rng)
+        trace = run_fsa_round(make_population(100), 128, rng)
         reserved_total += trace.reserved_true_count
     assert reserved_total / rounds == pytest.approx(
         expected_reserved(100, 128), rel=0.05)
@@ -103,7 +102,7 @@ def test_fsa_round_statistics_match_expectations():
 
 def test_fsa_inventory_keeps_frame_fixed():
     tags = make_population(30)
-    result = run_fsa_inventory(tags, 32, TIMING, RngStream(4, 0), max_rounds=300)
+    result = run_fsa_inventory(tags, 32, RngStream(4, 0), max_rounds=300)
     assert result.completed
     assert result.tags_identified == 30
     assert all(t.slots == 32 for t in result.traces)
@@ -111,7 +110,7 @@ def test_fsa_inventory_keeps_frame_fixed():
 
 
 def test_fsa_inventory_empty_population():
-    result = run_fsa_inventory([], 16, TIMING, RngStream(4, 0))
+    result = run_fsa_inventory([], 16, RngStream(4, 0))
     assert result.rounds_used == 1
     assert result.completed
     assert result.total_time_us == TIMING.advert_us + 16 * TIMING.data_slot_us
@@ -146,7 +145,7 @@ def test_edfsa_groups_partition_responders():
     # backlog estimate of 600 forces a 3-group first cycle
     tags = make_population(600)
     result = run_edfsa_inventory(
-        tags, TIMING, RngStream(17, 0), max_rounds=3, initial_estimate=600.0)
+        tags, RngStream(17, 0), max_rounds=3, initial_estimate=600.0)
     assert result.rounds_used == 3
     group_sizes = [trace.responders for trace in result.traces]
     # every tag responded in exactly one of the cycle's rounds
@@ -157,7 +156,7 @@ def test_edfsa_groups_partition_responders():
 
 def test_edfsa_inventory_completes():
     tags = make_population(100)
-    result = run_edfsa_inventory(tags, TIMING, RngStream(6, 0), max_rounds=500)
+    result = run_edfsa_inventory(tags, RngStream(6, 0), max_rounds=500)
     assert result.completed
     assert result.tags_identified == 100
     assert all(t.identified for t in tags)
@@ -165,7 +164,7 @@ def test_edfsa_inventory_completes():
 
 
 def test_edfsa_inventory_empty_population():
-    result = run_edfsa_inventory([], TIMING, RngStream(6, 0))
+    result = run_edfsa_inventory([], RngStream(6, 0))
     assert result.rounds_used == 1
     assert result.completed
     # initial estimate of 128 plans a 128-slot frame
@@ -174,9 +173,15 @@ def test_edfsa_inventory_empty_population():
 
 def test_edfsa_validation():
     with pytest.raises(ValueError):
-        run_edfsa_inventory([], TIMING, RngStream(1, 0), max_rounds=0)
-    with pytest.raises(ValueError):
-        run_edfsa_inventory([], TIMING, RngStream(1, 0), initial_estimate=-5.0)
+        run_edfsa_inventory([], RngStream(1, 0), max_rounds=0)
+    for estimate in (-5.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"^initial_estimate must be finite and >= 0$"):
+            run_edfsa_inventory([], ScriptedStream([]), initial_estimate=estimate)
+    # the FSA kernel takes a whole number of slots, at least one
+    for slots, message in ((2.5, "slots must be an integer"),
+                           (True, "slots must be an integer"), (0, "slots must be >= 1")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_fsa_round(make_population(3), slots, ScriptedStream([]))
 
 
 def test_reservation_beats_edfsa_per_tag():
@@ -186,14 +191,13 @@ def test_reservation_beats_edfsa_per_tag():
     for seed in range(seeds):
         tags = make_population(100)
         r = run_afsa_inventory(
-            tags, FrameConfig(128, 2), AdaptationPolicy(fixed_seq_bits=2),
-            TIMING, RngStream(seed, 0), max_rounds=1000)
+            tags, FrameConfig(128, 2), 2, RngStream(seed, 0), max_rounds=1000)
         assert r.completed
         afsa_total += r.total_time_us
         afsa_identified += r.tags_identified
         tags = make_population(100)
         r = run_edfsa_inventory(
-            tags, TIMING, RngStream(seed, 1), max_rounds=1000,
+            tags, RngStream(seed, 1), max_rounds=1000,
             initial_estimate=128.0)
         assert r.completed
         edfsa_total += r.total_time_us

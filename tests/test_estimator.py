@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from afsasim.analytic import expected_idle
 from afsasim.estimator import (
     COLLISION_TAG_MULTIPLIER,
-    AdaptationPolicy,
     BacklogEstimate,
     EstimateMethod,
     auto_seq_bits,
@@ -18,7 +17,7 @@ from afsasim.estimator import (
     nearest_power_of_two,
     next_frame,
 )
-from afsasim.model import FrameConfig, TimingModel, make_population
+from afsasim.model import FrameConfig, make_population
 from afsasim.afsa import run_afsa_round
 from afsasim.rng import RngStream
 
@@ -74,7 +73,7 @@ def test_estimate_input_validation():
 
 def test_estimate_backlog_reads_trace():
     tags = make_population(40)
-    trace = run_afsa_round(tags, FrameConfig(32, 2), TimingModel(), RngStream(3, 0))
+    trace = run_afsa_round(tags, FrameConfig(32, 2), RngStream(3, 0))
     est = estimate_backlog(trace)
     direct = estimate_from_counts(
         trace.idle_count,
@@ -126,39 +125,32 @@ def test_nearest_power_of_two():
 
 
 def test_next_frame_reference_points():
-    policy = AdaptationPolicy()
-
-    empty = next_frame(BacklogEstimate(0.0, EstimateMethod.IDLE_INVERSION), policy)
+    empty = next_frame(BacklogEstimate(0.0, EstimateMethod.IDLE_INVERSION))
     assert empty == FrameConfig(slots=8, seq_bits=1, participation_divisor=1)
 
-    nominal = next_frame(BacklogEstimate(100.0, EstimateMethod.IDLE_INVERSION), policy)
+    nominal = next_frame(BacklogEstimate(100.0, EstimateMethod.IDLE_INVERSION))
     assert nominal == FrameConfig(slots=128, seq_bits=2, participation_divisor=1)
 
-    flooded = next_frame(BacklogEstimate(10000.0, EstimateMethod.COLLISION_FLOOR), policy)
+    flooded = next_frame(BacklogEstimate(10000.0, EstimateMethod.COLLISION_FLOOR))
     assert flooded.slots == 1024
     assert flooded.participation_divisor == 10
 
 
 def test_divisor_engages_only_beyond_overload():
-    policy = AdaptationPolicy()
-    at_threshold = next_frame(
-        BacklogEstimate(4.0 * 1024, EstimateMethod.COLLISION_FLOOR), policy)
+    at_threshold = next_frame(BacklogEstimate(4.0 * 1024, EstimateMethod.COLLISION_FLOOR))
     assert at_threshold.participation_divisor == 1
-    just_over = next_frame(
-        BacklogEstimate(4.0 * 1024 + 1, EstimateMethod.COLLISION_FLOOR), policy)
+    just_over = next_frame(BacklogEstimate(4.0 * 1024 + 1, EstimateMethod.COLLISION_FLOOR))
     assert just_over.participation_divisor == 4
     # divisor rounding takes ties up: 4608/1024 = 4.5
     assert next_frame(
-        BacklogEstimate(4608.0, EstimateMethod.COLLISION_FLOOR),
-        policy).participation_divisor == 5
+        BacklogEstimate(4608.0, EstimateMethod.COLLISION_FLOOR)).participation_divisor == 5
 
 
 def test_fixed_seq_bits_policy_pins_length():
-    policy = AdaptationPolicy(fixed_seq_bits=5)
-    frame = next_frame(BacklogEstimate(100.0, EstimateMethod.IDLE_INVERSION), policy)
-    assert frame.seq_bits == 5
-    with pytest.raises(ValueError):
-        AdaptationPolicy(fixed_seq_bits=0)
+    estimate = BacklogEstimate(100.0, EstimateMethod.IDLE_INVERSION)
+    assert next_frame(estimate, 5).seq_bits == 5
+    with pytest.raises(ValueError, match="seq_bits"):
+        next_frame(estimate, 0)
 
 
 @given(k_est=st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
@@ -167,7 +159,7 @@ def test_fixed_seq_bits_policy_pins_length():
 def test_next_frame_always_valid(k_est, bits):
     frame = next_frame(
         BacklogEstimate(k_est, EstimateMethod.IDLE_INVERSION),
-        AdaptationPolicy(fixed_seq_bits=bits))
+        bits)
     assert frame.slots & (frame.slots - 1) == 0
     assert 8 <= frame.slots <= 1024
     assert 1 <= frame.seq_bits <= 16

@@ -18,8 +18,8 @@ from afsasim.experiment import (
     validate_experiment,
 )
 from afsasim.afsa import run_afsa_inventory
-from afsasim.estimator import AdaptationPolicy, initial_seq_bits
-from afsasim.model import FrameConfig, Tag, TimingModel, make_population
+from afsasim.estimator import initial_seq_bits
+from afsasim.model import FrameConfig, Tag, make_population
 from afsasim.rng import RngStream, ScriptedStream, unit_float
 
 FAST = ExperimentConfig(k_initial=20, frame_slots=16, trials=5, seed=3, max_rounds=200)
@@ -247,7 +247,7 @@ def test_churn_draws_match_one_draw_per_present_tag():
         rng = RngStream(config.seed, trial)
         population = make_population(config.k_initial)
 
-        def churn(next_round_index, trace):
+        def churn():
             for tag in population:
                 if tag.present and unit_float(rng.next_u64()) < config.departure_prob:
                     tag.present = False
@@ -256,7 +256,7 @@ def test_churn_draws_match_one_draw_per_present_tag():
 
         expected = run_afsa_inventory(
             population, FrameConfig(32, initial_seq_bits(config.frame_slots)),
-            AdaptationPolicy(), TimingModel(), rng,
+            None, rng,
             max_rounds=config.max_rounds, between_rounds=churn)
         assert run_trial(config, trial) == expected
 

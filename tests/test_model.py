@@ -1,5 +1,6 @@
 """Domain type validation, the round-trace gate, and the reference slot check."""
 import dataclasses
+import math
 
 import pytest
 
@@ -64,9 +65,15 @@ def test_frame_config_collects_every_problem():
     assert "slots" in message
     assert "seq_bits" in message
     assert "participation_divisor" in message
+    # a float or bool would otherwise fail deep in a kernel, or run silently
+    with pytest.raises(ValueError) as err:
+        FrameConfig(slots=2.5, seq_bits=True, participation_divisor=1.5)
+    assert str(err.value) == ("slots must be an integer; seq_bits must be an integer; "
+                              "participation_divisor must be an integer")
 
 
-@pytest.mark.parametrize("slots,bits", [(0, 2), (4, 0), (4, 17), (-1, 1)])
+@pytest.mark.parametrize("slots,bits", [(0, 2), (4, 0), (4, 17), (-1, 1),
+                                       (2.5, 2), (math.nan, 2), (True, 2), (4, 2.5)])
 def test_frame_config_rejects_bad_values(slots, bits):
     with pytest.raises(ValueError):
         FrameConfig(slots=slots, seq_bits=bits)
