@@ -67,19 +67,25 @@ def _next_frame(
     return _interned(next_frame(estimate, fixed_seq_bits))
 
 
+# A round kernel's `heard[slot]` is None while the slot is idle, its first
+# occupant until a second arrives, and COLLIDED from then on.
+COLLIDED = object()
+
+
 def run_afsa_round(
     tags: Sequence[Tag],
     frame: FrameConfig,
     rng: RandomSource,
 ) -> RoundTrace:
-    """Execute one round over the present, unidentified tags.
+    """Play one round over `tags`, the tags answering this frame.
 
-    Each such tag, in order, consumes a participation draw and joins iff
-    the draw is divisible by the participation divisor (a divisor of one
-    admits everyone); a joining tag then draws a slot uniform over the
-    frame and a reservation sequence uniform over seq_bits-bit values.
-    Draw order is part of the reproducibility contract, and the round
-    takes exactly those draws from `rng`, no more.
+    The caller picks who answers (`run_inventory` sends the present,
+    unidentified tags).  Each tag, in order, consumes a participation draw
+    and joins iff the draw is divisible by the participation divisor (a
+    divisor of one admits everyone); a joining tag then draws a slot
+    uniform over the frame and a reservation sequence uniform over
+    seq_bits-bit values.  Draw order is part of the reproducibility
+    contract, and the round takes exactly those draws from `rng`, no more.
 
     A slot is idle with no occupants, a detected collision when its
     occupants sent differing sequences, and apparently reserved
@@ -90,48 +96,43 @@ def run_afsa_round(
     """
     slots = frame.slots
     seq_space = 1 << frame.seq_bits
-    # per slot: first occupant, its sequence, occupant count, and whether
-    # a later occupant sent a different sequence
-    first_tag: List[Optional[Tag]] = [None] * slots
+    # per slot: see COLLIDED; and the first sequence, -1 once another differs
+    heard: List[object] = [None] * slots
     first_seq = [0] * slots
-    occupants = [0] * slots
-    clash = [False] * slots
-    answering = [t for t in tags if t.present and not t.identified]
     draws = iter(rng)
     divisor = frame.participation_divisor
     # (tag, _, slot draw, sequence draw) per joining tag
     if divisor == 1:
         # every tag joins, and `_` is its participation draw; the tags come
         # first, so the zip ends at the last tag without another draw
-        joiners = zip(answering, draws, draws, draws)
+        joiners = zip(tags, draws, draws, draws)
     else:
         # a tag takes its slot and sequence draws only once it has joined
         joiners = ((tag, 0, next(draws), next(draws))
-                   for tag in answering if not next(draws) % divisor)
+                   for tag in tags if not next(draws) % divisor)
     responders = 0
     for tag, _, slot_draw, seq_draw in joiners:
         slot = slot_draw % slots
         sequence = seq_draw % seq_space
         responders += 1
-        if occupants[slot] == 0:
-            first_tag[slot] = tag
+        if heard[slot] is None:
+            heard[slot] = tag
             first_seq[slot] = sequence
-        elif sequence != first_seq[slot]:
-            clash[slot] = True
-        occupants[slot] += 1
+        else:
+            heard[slot] = COLLIDED
+            if sequence != first_seq[slot]:
+                first_seq[slot] = -1
 
-    idle = reserved_true = detected = undetected = 0
+    idle = detected = undetected = 0
     identified: List[int] = []
-    for slot, count in enumerate(occupants):
-        if count == 0:
+    for occupant, sequence in zip(heard, first_seq):
+        if occupant is None:
             idle += 1
-        elif clash[slot]:
+        elif occupant is not COLLIDED:
+            occupant.identified = True
+            identified.append(occupant.epc)
+        elif sequence < 0:
             detected += 1
-        elif count == 1:
-            reserved_true += 1
-            winner = first_tag[slot]
-            winner.identified = True
-            identified.append(winner.epc)
         else:
             undetected += 1
 
@@ -140,11 +141,11 @@ def run_afsa_round(
         seq_bits=frame.seq_bits,
         responders=responders,
         idle_count=idle,
-        reserved_true_count=reserved_true,
+        reserved_true_count=len(identified),
         detected_collision_count=detected,
         undetected_collision_count=undetected,
         identified_epcs=tuple(identified),
-        total_us=_round_time(reserved_true + undetected, slots, frame.seq_bits),
+        total_us=_round_time(len(identified) + undetected, slots, frame.seq_bits),
     )
 
 
@@ -207,8 +208,8 @@ def run_inventory(
     next round on.  `completed` is False only when the round budget ran
     out with tags still pending.
     """
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be >= 1")
+    if not (is_int(max_rounds) and max_rounds >= 1):
+        raise ValueError("max_rounds must be an integer >= 1")
     traces: List[RoundTrace] = []
     k_active: List[int] = []
     # A round only marks tags identified, so between population changes

@@ -14,19 +14,19 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .model import MAX_SEQ_BITS, TIMING, PhaseDurations, TimingModel
+from .model import MAX_SEQ_BITS, TIMING, PhaseDurations, TimingModel, is_int
 
 
 def _check_args(tags: float, slots: int) -> None:
     if not 0 <= tags < math.inf:  # also rejects nan
         raise ValueError("tags must be finite and >= 0")
-    if slots < 1:
-        raise ValueError("slots must be >= 1")
+    if not (is_int(slots) and slots >= 1):
+        raise ValueError("slots must be an integer >= 1")
 
 
 def _check_seq_bits(seq_bits: int) -> None:
-    if not 1 <= seq_bits <= MAX_SEQ_BITS:
-        raise ValueError(f"seq_bits must be in [1, {MAX_SEQ_BITS}]")
+    if not (is_int(seq_bits) and 1 <= seq_bits <= MAX_SEQ_BITS):
+        raise ValueError(f"seq_bits must be an integer in [1, {MAX_SEQ_BITS}]")
 
 
 def expected_reserved(tags: float, slots: int) -> float:
@@ -178,8 +178,8 @@ def phase_durations_for(
     Shared by the simulator (integer count) and the expectation model
     (fractional count) so both sides evaluate the identical expression.
     """
-    if slots < 1:
-        raise ValueError("slots must be >= 1")
+    if not (is_int(slots) and slots >= 1):
+        raise ValueError("slots must be an integer >= 1")
     _check_seq_bits(seq_bits)
     if not 0 <= successes <= slots:
         raise ValueError("successes must be in [0, slots]")

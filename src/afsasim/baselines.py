@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import List, NamedTuple, Optional, Sequence
 
-from .afsa import BetweenRounds, InventoryResult, Rounds, run_inventory
+from .afsa import COLLIDED, BetweenRounds, InventoryResult, Rounds, run_inventory
 from .estimator import estimate_backlog
 from .model import (
     TIMING,
@@ -31,48 +31,44 @@ EDFSA_MAX_FRAME = EDFSA_FRAME_CHOICES[-1]
 
 
 def run_fsa_round(tags: Sequence[Tag], slots: int, rng: RandomSource) -> RoundTrace:
-    """One framed-ALOHA round: every responder transmits its payload directly.
+    """One framed-ALOHA round: every tag in `tags` sends its payload directly.
 
-    Each present, unidentified tag consumes one draw (its slot), and the
-    round takes no other draw from `rng`.  Every slot of the frame costs a
-    full data slot whether idle, reserved, or collided; there is no
-    reservation or acknowledgement traffic beyond the frame advertisement.
-    Single-occupant slots identify their tag in place.
+    The caller picks who answers, as for `afsa.run_afsa_round`.  Each tag
+    consumes one draw (its slot), and the round takes no other draw from
+    `rng`.  Every slot of the frame costs a full data slot whether idle,
+    reserved, or collided; there is no reservation or acknowledgement
+    traffic beyond the frame advertisement.  Single-occupant slots
+    identify their tag in place; full payloads always differ, so every
+    collision is detected.
     """
     if not is_int(slots):
         raise ValueError("slots must be an integer")
     if slots < 1:
         raise ValueError("slots must be >= 1")
-    first_tag: List[Optional[Tag]] = [None] * slots
-    occupants = [0] * slots
-    answering = [t for t in tags if t.present and not t.identified]
-    responders = len(answering)
+    # per slot: None, the lone occupant or COLLIDED
+    heard: List[object] = [None] * slots
     # the tags come first, so the zip ends at the last tag without a draw
-    for tag, draw in zip(answering, rng):
+    for tag, draw in zip(tags, rng):
         slot = draw % slots
-        if occupants[slot] == 0:
-            first_tag[slot] = tag
-        occupants[slot] += 1
+        heard[slot] = tag if heard[slot] is None else COLLIDED
 
     identified: List[int] = []
-    idle = reserved = detected = 0
-    for slot, count in enumerate(occupants):
-        if count == 0:
+    idle = detected = 0
+    for occupant in heard:
+        if occupant is None:
             idle += 1
-        elif count == 1:
-            reserved += 1
-            winner = first_tag[slot]
-            winner.identified = True
-            identified.append(winner.epc)
-        else:
+        elif occupant is COLLIDED:
             detected += 1
+        else:
+            occupant.identified = True
+            identified.append(occupant.epc)
 
     return RoundTrace(
         slots=slots,
         seq_bits=0,
-        responders=responders,
+        responders=len(tags),
         idle_count=idle,
-        reserved_true_count=reserved,
+        reserved_true_count=len(identified),
         detected_collision_count=detected,
         undetected_collision_count=0,
         identified_epcs=tuple(identified),
@@ -115,8 +111,8 @@ def edfsa_plan(k_est: float) -> EdfsaPlan:
     split into ceil(k_est / max_frame) groups that respond in separate
     rounds, one group per round within the cycle.
     """
-    if k_est < 0:
-        raise ValueError("k_est must be >= 0")
+    if not 0 <= k_est < math.inf:  # also rejects nan
+        raise ValueError("k_est must be finite and >= 0")
     slots = min(EDFSA_FRAME_CHOICES, key=lambda c: (abs(c - k_est), -c))
     if k_est > EDFSA_MAX_FRAME:
         groups = math.ceil(k_est / EDFSA_MAX_FRAME)

@@ -19,6 +19,7 @@ from .experiment import (
     MAX_FRAME_SLOTS,
     MAX_TAGS,
     MAX_TRIALS,
+    PROTOCOLS,
     ExperimentConfig,
     iter_trials,
     run_experiment,  # unused here, but bench/child.py wraps it by this name
@@ -135,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate reservation-based framed slotted ALOHA inventories "
                     "and baseline protocols.",
     )
-    parser.add_argument("--protocol", choices=("afsa", "fsa", "edfsa"),
+    parser.add_argument("--protocol", choices=PROTOCOLS,
                         default="afsa", help="protocol to run (default afsa)")
     parser.add_argument("--tags", type=_int_arg, default=100, metavar="K",
                         help=f"initial tag population, at most {MAX_TAGS} (default 100)")

@@ -200,10 +200,10 @@ def reference_round(tags, slots: int, rng, seq_bits: Optional[int] = None,
 # Reference inventory -------------------------------------------------------
 #
 # A slow inventory loop that keeps no list of the tags still answering: it
-# counts them by scanning the whole population before and after every
-# round, and sends every protocol round the whole population, leaving it to
-# the round kernels to turn away the absent and identified tags.  Tests run
-# a protocol's rounds under it and under `afsa.run_inventory` and compare.
+# rescans the whole population before and after every round, and sends
+# every protocol round the answering tags found by the scan before it.
+# Tests run a protocol's rounds under it and under `afsa.run_inventory`
+# and compare.
 
 class ReferenceInventory(NamedTuple):
     traces: list
@@ -212,8 +212,8 @@ class ReferenceInventory(NamedTuple):
     ever_present: int
 
 
-def _answering(tags) -> int:
-    return sum(1 for t in tags if t.present and not t.identified)
+def _answering(tags) -> list:
+    return [t for t in tags if t.present and not t.identified]
 
 
 def reference_inventory(tags, rounds, max_rounds: int,
@@ -225,10 +225,11 @@ def reference_inventory(tags, rounds, max_rounds: int,
     k_active: List[int] = []
     next(rounds)
     while True:
-        k_active.append(_answering(tags))
-        trace = rounds.send(tags)
+        answering = _answering(tags)
+        k_active.append(len(answering))
+        trace = rounds.send(answering)
         traces.append(trace)
-        if _answering(tags) == 0:
+        if not _answering(tags):
             return ReferenceInventory(traces, k_active, True, len(tags))
         if len(traces) >= max_rounds:
             return ReferenceInventory(traces, k_active, False, len(tags))

@@ -71,15 +71,6 @@ def test_tag_decide_joins_when_draw_divisible():
     assert stream.remaining == 0
 
 
-def test_tag_decide_rejects_settled_tags():
-    # identified and absent tags are turned away before any draw
-    settled = [Tag(epc=0, identified=True), Tag(epc=1, present=False)]
-    trace = run_afsa_round(settled, FrameConfig(4, 2), ScriptedStream([]))
-    check_round_trace(trace)
-    assert trace.responders == 0
-    assert trace.idle_count == 4
-
-
 @pytest.mark.parametrize("divisor, script", [
     # two tags, three draws each, and the last sequence draw missing
     (1, [0, 1, 2, 0, 3]),
@@ -121,6 +112,26 @@ def test_reader_observe_classifies_each_slot():
         RESERVED_APPARENT, IDLE, DETECTED_COLLISION, RESERVED_APPARENT]
     assert [o.occupants for o in ref.observations] == [1, 0, 2, 2]
     assert [o.sequence for o in ref.observations] == [3, None, None, 1]
+
+
+@pytest.mark.parametrize("sequences, detected", [
+    ((1, 1, 2), True),
+    ((1, 2, 1), True),
+    ((2, 1, 1), True),
+    ((1, 1, 1), False),
+], ids=["s,s,t", "s,t,s", "t,s,s", "s,s,s"])
+def test_three_occupants_are_detected_iff_any_sequence_differs(sequences, detected):
+    # all three tags join slot 1; a disagreement is never forgotten
+    script = [draw for seq in sequences for draw in (0, 1, seq)]
+    tags = make_population(3)
+    trace = run_afsa_round(tags, FrameConfig(4, 2), ScriptedStream(script))
+    check_round_trace(trace)
+    assert trace.responders == 3
+    assert (trace.idle_count, trace.reserved_true_count,
+            trace.detected_collision_count, trace.undetected_collision_count) == (
+        3, 0, int(detected), int(not detected))
+    assert trace.identified_epcs == ()
+    assert not any(t.identified for t in tags)
 
 
 def test_empty_round_pays_fixed_overhead():
@@ -181,12 +192,6 @@ def test_scripted_detected_collision_costs_no_data_slot():
     assert trace.reserved_apparent_count == 0
 
 
-def test_skips_identified_and_absent_tags():
-    tags = [Tag(epc=0, identified=True), Tag(epc=1, present=False), Tag(epc=2)]
-    trace = run_afsa_round(tags, FrameConfig(8, 1), RngStream(5, 0))
-    assert trace.responders == 1
-
-
 def test_round_is_deterministic_for_a_given_stream():
     tags_a = make_population(30)
     tags_b = make_population(30)
@@ -221,6 +226,10 @@ def _population(states):
     return [Tag(epc=i, present=p, identified=d) for i, (p, d) in enumerate(states)]
 
 
+def _answering(tags):
+    return [t for t in tags if t.present and not t.identified]
+
+
 @given(states=st.lists(TAG_STATES, max_size=70),
        slots=st.integers(min_value=1, max_value=64),
        bits=st.integers(min_value=1, max_value=4),
@@ -237,7 +246,8 @@ def _population(states):
 def test_afsa_round_matches_reference(states, slots, bits, divisor, seed):
     tags, ref_tags = _population(states), _population(states)
     rng, ref_rng = RngStream(seed, 0), RngStream(seed, 0)
-    trace = run_afsa_round(tags, FrameConfig(slots, bits, divisor), rng)
+    # the kernel is handed the answering tags; the reference picks its own
+    trace = run_afsa_round(_answering(tags), FrameConfig(slots, bits, divisor), rng)
     ref = reference_round(ref_tags, slots, ref_rng, seq_bits=bits, divisor=divisor)
     assert (trace.idle_count, trace.reserved_true_count,
             trace.detected_collision_count, trace.undetected_collision_count) == (
@@ -314,8 +324,12 @@ def test_inventory_respects_round_budget(protocol):
     assert result.rounds_used == 1
     assert not result.completed
     assert result.tags_identified < 100
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="max_rounds must be an integer >= 1"):
         run(tags, RngStream(7, 0), max_rounds=0)
+    # a non-integer budget fails before any draw from the empty script
+    for bad in (2.5, True):
+        with pytest.raises(ValueError, match="max_rounds must be an integer"):
+            run(make_population(100), ScriptedStream([]), max_rounds=bad)
 
 
 def test_inventory_adapts_frame_between_rounds():

@@ -73,7 +73,8 @@ def test_fractional_tags_accepted():
     assert expected_unresolved(54, 64) < mid < expected_unresolved(55, 64)
 
 
-@pytest.mark.parametrize("bad", [(-1, 4), (2, 0), (2, -3), (math.nan, 4), (math.inf, 4)])
+@pytest.mark.parametrize("bad", [(-1, 4), (2, 0), (2, -3), (math.nan, 4), (math.inf, 4),
+                                 (2, 2.5), (2, True)])
 def test_argument_validation(bad):
     tags, slots = bad
     for fn in (expected_reserved, expected_idle, expected_unresolved,
@@ -209,6 +210,12 @@ def test_phase_durations_validation():
         phase_durations_for(9, 8, 2)
     with pytest.raises(ValueError):
         phase_durations_for(1, 8, 0)
+    # counts of slots and bits are integers; bool is no count
+    for slots, bits in ((8.5, 2), (True, 2), (8, 2.5), (8, True)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            phase_durations_for(1, slots, bits)
+    with pytest.raises(ValueError, match="seq_bits must be an integer"):
+        expected_undetected(10, 64, 2.5)
 
 
 @given(successes=st.floats(min_value=0, max_value=64),

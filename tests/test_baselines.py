@@ -43,6 +43,14 @@ def test_fsa_round_identifies_singletons():
     assert all(t.identified for t in tags)
 
 
+def test_fsa_detects_a_slot_of_three():
+    trace = run_fsa_round(make_population(3), 4, ScriptedStream([2, 2, 2]))
+    check_round_trace(trace)
+    assert (trace.idle_count, trace.reserved_true_count,
+            trace.detected_collision_count, trace.undetected_collision_count) == (3, 0, 1, 0)
+    assert trace.responders == 3
+
+
 def test_fsa_round_raises_on_a_script_one_draw_short():
     # one slot draw per tag: three tags, two draws
     with pytest.raises(IndexError):
@@ -77,7 +85,8 @@ def test_fsa_round_matches_reference(states, slots, seed):
 
     tags, ref_tags = population(), population()
     rng, ref_rng = RngStream(seed, 2), RngStream(seed, 2)
-    trace = run_fsa_round(tags, slots, rng)
+    # the kernel is handed the answering tags; the reference picks its own
+    trace = run_fsa_round([t for t in tags if t.present and not t.identified], slots, rng)
     ref = reference_round(ref_tags, slots, ref_rng)
     assert (trace.idle_count, trace.reserved_true_count,
             trace.detected_collision_count, trace.undetected_collision_count) == (
@@ -137,8 +146,9 @@ def test_edfsa_plan_menu_and_validation():
         assert plan.groups >= 1
         # groups are sized so that no group exceeds the largest frame
         assert estimate / plan.groups <= 256
-    with pytest.raises(ValueError):
-        edfsa_plan(-1)
+    for bad in (-1, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=r"^k_est must be finite and >= 0$"):
+            edfsa_plan(bad)
 
 
 def test_edfsa_groups_partition_responders():
