@@ -9,9 +9,8 @@ wastes its data slot, and identifies nobody.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Generator, List, Optional, Sequence
+from typing import Callable, Generator, List, NamedTuple, Optional, Sequence
 
 from .analytic import phase_durations_for
 from .estimator import (
@@ -149,8 +148,7 @@ def run_afsa_round(
     )
 
 
-@dataclass(slots=True)
-class InventoryResult:
+class InventoryResult(NamedTuple):
     """Outcome of one complete inventory run.
 
     `k_active[i]` is the number of present, unidentified tags when round

@@ -11,7 +11,6 @@ adaptation path evaluates these formulas at non-integer backlog estimates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .model import MAX_SEQ_BITS, TIMING, PhaseDurations, TimingModel, is_int
@@ -112,8 +111,7 @@ def expected_successful(tags: float, slots: int, seq_bits: int) -> float:
     return expected_reserved(tags, slots) + expected_undetected(tags, slots, seq_bits)
 
 
-@dataclass(frozen=True)
-class ExpectedSlotProfile:
+class ExpectedSlotProfile(NamedTuple):
     """Closed-form per-round expectations for a given load and frame."""
 
     e_reserved: float
@@ -158,8 +156,8 @@ def optimal_seq_len(e_unresolved: float, slots: int) -> SeqLenChoice:
     """
     if e_unresolved < 0:
         raise ValueError("e_unresolved must be >= 0")
-    if slots < 1:
-        raise ValueError("slots must be >= 1")
+    if not (is_int(slots) and slots >= 1):
+        raise ValueError("slots must be an integer >= 1")
     arg = SEQ_ARG_COEFF * e_unresolved / slots
     raw = SEQ_LOG_COEFF * math.log10(arg) if arg > 1.0 else 0.0
     # round() would take ties to even; the rule takes ties up

@@ -9,10 +9,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
-from decimal import Decimal
-from fractions import Fraction
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
 
 from .experiment import (
     MAX_ARRIVAL_RATE,
@@ -33,6 +30,9 @@ from .report import (
     write_report,
     write_rows,  # unused here, but bench/child.py wraps it by this name
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # CLI sweep parameter -> (config field, value parser)
 SWEEP_PARAMS = {
@@ -84,6 +84,10 @@ def _float_arg(text: str) -> float:
 
 
 def _exact(text: str, value: float) -> Fraction:
+    # only a float sweep needs these, so a plain run does not import them
+    from decimal import Decimal
+    from fractions import Fraction
+
     # the decimal a finite bound's text spells; one whose exponent lies far
     # outside the floats' 1e-324..1e308 (0e999999999) stands for its float
     # instead, so the exact value never needs a huge power of ten
@@ -218,7 +222,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     else:
         param, values = ns.sweep
         field, _ = SWEEP_PARAMS[param]
-        configs = [replace(config, **{field: value}) for value in values]
+        configs = [config._replace(**{field: value}) for value in values]
 
     invalid = incomplete = False
 

@@ -8,11 +8,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .analytic import expected_unresolved, optimal_seq_len
-from .model import FrameConfig, RoundTrace
+from .model import FrameConfig, RoundTrace, is_int
 
 # Expected occupants of a slot known to hold a collision, in the Poisson
 # regime the estimator assumes.  Used when no idle slot survives.
@@ -31,8 +30,7 @@ class EstimateMethod(enum.Enum):
     COLLISION_FLOOR = "collision_floor"
 
 
-@dataclass(frozen=True)
-class BacklogEstimate:
+class BacklogEstimate(NamedTuple):
     """Estimated unidentified-tag count and the rule that produced it."""
 
     k_est: float
@@ -62,13 +60,13 @@ def estimate_from_counts(
     A one-slot frame carries no idle-count information worth inverting,
     so it always uses the floor rule.  Estimates clamp at zero.
     """
-    if slots < 1:
-        raise ValueError("slots must be >= 1")
-    for name, value in (("idle", idle), ("reserved_apparent", reserved_apparent),
-                        ("detected_collisions", detected_collisions),
-                        ("identified", identified)):
-        if value < 0:
-            raise ValueError(f"{name} must be >= 0")
+    for name, value, least in (("slots", slots, 1), ("idle", idle, 0),
+                               ("reserved_apparent", reserved_apparent, 0),
+                               ("detected_collisions", detected_collisions, 0),
+                               ("identified", identified, 0)):
+        # a fractional or bool count would give a plausible estimate
+        if not (is_int(value) and value >= least):
+            raise ValueError(f"{name} must be an integer >= {least}")
     if idle + reserved_apparent + detected_collisions != slots:
         raise ValueError("slot counts must partition the frame")
 

@@ -8,9 +8,7 @@ from __future__ import annotations
 
 import math
 import numbers
-import statistics
-from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, NamedTuple, Optional, Sequence
 
 from .afsa import InventoryResult, run_afsa_inventory
 from .baselines import run_edfsa_inventory, run_fsa_inventory
@@ -39,8 +37,7 @@ MAX_TRIALS = 1_000_000
 MAX_SEED = (1 << 64) - 1
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     """Everything one experiment depends on.
 
     `seq_bits=None` means the reader re-derives the sequence length every
@@ -131,8 +128,7 @@ class ExperimentConfigError(ValueError):
         self.problems = list(problems)
 
 
-@dataclass(frozen=True)
-class AggregateStats:
+class AggregateStats(NamedTuple):
     """Cross-trial summary, recomputable exactly from the trials."""
 
     trials: int
@@ -146,8 +142,7 @@ class AggregateStats:
     max_per_tag_us: Optional[float]
 
 
-@dataclass
-class ExperimentResult:
+class ExperimentResult(NamedTuple):
     """Every trial's inventory in trial order, so `trials[t]` is trial t."""
 
     config: ExperimentConfig
@@ -233,6 +228,8 @@ def _dispatch(config, population, rng, churn) -> InventoryResult:
 
 
 def _aggregate(trials: List[InventoryResult]) -> AggregateStats:
+    import statistics  # here, not at the top: a CLI run never aggregates
+
     ever = sum(t.ever_present for t in trials)
     identified = sum(t.tags_identified for t in trials)
     per_tag = [p for p in (t.per_tag_mean_us for t in trials) if p is not None]

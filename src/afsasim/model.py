@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # Longest reservation sequence a frame may announce, in bits.
 MAX_SEQ_BITS = 16
@@ -20,8 +20,15 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
-class TimingModel:
+class _TimingFields(NamedTuple):
+    tag_bit_time_us: float = 4.0
+    reader_bit_time_us: float = 12.5
+    epc_bits: int = 64
+    crc_bits: int = 16
+    advert_bits: int = 16
+
+
+class TimingModel(_TimingFields):
     """Air-interface timing parameters, all durations in microseconds.
 
     Derived quantities (`data_slot_us`, `advert_us`) are properties rather
@@ -29,13 +36,10 @@ class TimingModel:
     parameters they are defined by.
     """
 
-    tag_bit_time_us: float = 4.0
-    reader_bit_time_us: float = 12.5
-    epc_bits: int = 64
-    crc_bits: int = 16
-    advert_bits: int = 16
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> TimingModel:
+        self = super().__new__(cls, *args, **kwargs)
         problems = []
         for name in ("tag_bit_time_us", "reader_bit_time_us"):
             value = getattr(self, name)
@@ -51,6 +55,12 @@ class TimingModel:
                 problems.append(f"{name} must be >= {least}")
         if problems:
             raise ValueError("; ".join(problems))
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> TimingModel:
+        # `_replace` builds through `_make`, so it validates too
+        return cls(*iterable)
 
     @property
     def data_slot_us(self) -> float:
@@ -67,15 +77,19 @@ class TimingModel:
 TIMING = TimingModel()
 
 
-@dataclass(frozen=True)
-class FrameConfig:
-    """Per-round frame parameters announced by the reader."""
-
+class _FrameFields(NamedTuple):
     slots: int
     seq_bits: int
     participation_divisor: int = 1
 
-    def __post_init__(self) -> None:
+
+class FrameConfig(_FrameFields):
+    """Per-round frame parameters announced by the reader."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> FrameConfig:
+        self = super().__new__(cls, *args, **kwargs)
         problems = []
         if not is_int(self.slots):
             problems.append("slots must be an integer")
@@ -91,19 +105,40 @@ class FrameConfig:
             problems.append("participation_divisor must be >= 1")
         if problems:
             raise ValueError("; ".join(problems))
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> FrameConfig:
+        # `_replace` builds through `_make`, so it validates too
+        return cls(*iterable)
 
 
-@dataclass
 class Tag:
-    """One tag in the population.  Mutated only by its owning inventory run."""
+    """One tag in the population.  Mutated only by its owning inventory run.
 
-    epc: int
-    identified: bool = False
-    present: bool = True
+    Equal to a tag with the same fields; defining `__eq__` leaves it
+    unhashable, as a mutable value should be.
+    """
+
+    __slots__ = ("epc", "identified", "present")
+
+    def __init__(self, epc: int, identified: bool = False, present: bool = True) -> None:
+        self.epc = epc
+        self.identified = identified
+        self.present = present
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.epc, self.identified, self.present)
+                == (other.epc, other.identified, other.present))
+
+    def __repr__(self) -> str:
+        return (f"Tag(epc={self.epc!r}, identified={self.identified!r}, "
+                f"present={self.present!r})")
 
 
-@dataclass(frozen=True)
-class PhaseDurations:
+class PhaseDurations(NamedTuple):
     """Time spent in each phase of one round, microseconds."""
 
     t_ad: float
@@ -117,8 +152,7 @@ class PhaseDurations:
         return self.t_ad + self.t_r + self.t_su + self.t_d + self.t_ack
 
 
-@dataclass(frozen=True, slots=True)
-class RoundTrace:
+class RoundTrace(NamedTuple):
     """Complete record of one executed round, as counts.
 
     `responders` is the number of tags that transmitted in the frame.
@@ -179,8 +213,8 @@ def check_round_trace(trace: RoundTrace) -> None:
 
 def make_population(count: int) -> list[Tag]:
     """Fresh population of `count` present, unidentified tags with distinct EPCs."""
-    if count < 0:
-        raise ValueError("count must be >= 0")
+    if not (is_int(count) and count >= 0):
+        raise ValueError("count must be an integer >= 0")
     # positional: a keyword argument costs a parse per tag
     return [Tag(epc) for epc in range(count)]
 

@@ -185,6 +185,13 @@ def test_optimal_seq_len_validation():
         optimal_seq_len(1.0, 0)
 
 
+@pytest.mark.parametrize("slots", [2.5, True])
+def test_optimal_seq_len_rejects_a_fractional_or_bool_frame(slots):
+    # either would otherwise get a plausible length (6 and 8 bits)
+    with pytest.raises(ValueError, match="^slots must be an integer"):
+        optimal_seq_len(10, slots)
+
+
 def test_chosen_lengths_stay_small_across_loads():
     # frame adaptation keeps load near one, where 2 or 3 bits suffice
     seen = set()

@@ -59,19 +59,31 @@ def test_the_cli_imports_only_the_standard_library():
     assert foreign == []
 
 
-def test_importing_the_cli_loads_no_process_pool():
-    # trials run in this process, so nothing may pull in a pool's modules
+def _modules_after_importing_the_cli() -> list:
     code = (
         "import sys\n"
         f"sys.path.insert(0, {str(SRC)!r})\n"
         "import afsasim.cli\n"
         "print(*sorted(sys.modules), sep='\\n')\n"
     )
-    out = subprocess.run([sys.executable, "-I", "-c", code],
-                         capture_output=True, text=True, check=True).stdout
-    loaded = [name for name in out.split()
+    return subprocess.run([sys.executable, "-I", "-c", code],
+                          capture_output=True, text=True, check=True).stdout.split()
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # trials run in this process, so nothing may pull in a pool's modules
+    loaded = [name for name in _modules_after_importing_the_cli()
               if name.partition(".")[0] in ("multiprocessing", "concurrent")]
     assert loaded == []
+
+
+def test_importing_the_cli_loads_no_module_a_plain_run_does_not_use():
+    # records are NamedTuples, so nothing loads dataclasses (and with it
+    # inspect, ast and dis); statistics, decimal and fractions wait for the
+    # calls that need them, which test_parse_cli_sweeps and the
+    # run_experiment tests exercise
+    deferred = ("dataclasses", "inspect", "statistics", "decimal", "fractions")
+    assert [name for name in _modules_after_importing_the_cli() if name in deferred] == []
 
 
 # Every (module, attribute) pair that bench/child.py replaces with a timing

@@ -69,6 +69,19 @@ def test_estimate_input_validation():
         estimate_from_counts(-1, 5, 4, 0, 8)
     with pytest.raises(ValueError):
         estimate_from_counts(0, 0, 0, 0, 0)
+    # fractional counts that sum to the frame would otherwise get an estimate
+    with pytest.raises(ValueError, match="^idle must be an integer"):
+        estimate_from_counts(1.5, 2, 0.5, 0, 4)
+
+
+@pytest.mark.parametrize("bad", [0.5, True])
+@pytest.mark.parametrize("position, field", enumerate(
+    ["idle", "reserved_apparent", "detected_collisions", "identified", "slots"]))
+def test_estimate_rejects_a_fractional_or_bool_count(position, field, bad):
+    counts = [1, 2, 1, 0, 4]
+    counts[position] = bad
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        estimate_from_counts(*counts)
 
 
 def test_estimate_backlog_reads_trace():

@@ -1,6 +1,4 @@
 """Experiment harness: validation, determinism, churn, aggregation."""
-import dataclasses
-
 import pytest
 
 from afsasim import experiment
@@ -69,7 +67,7 @@ def test_validation_reports_every_problem_at_once():
     ("seed", -MAX_SEED, "seed must be in [0, 2**64 - 1]"),
 ])
 def test_validation_messages_name_field_and_constraint(field, value, fragment):
-    config = dataclasses.replace(ExperimentConfig(), **{field: value})
+    config = ExperimentConfig()._replace(**{field: value})
     problems = validate_experiment(config)
     assert problems == [fragment] or fragment in problems[0]
 
@@ -95,7 +93,7 @@ def test_validation_messages_name_field_and_constraint(field, value, fragment):
     ("protocol", ["afsa"], "protocol must be one of afsa, fsa, edfsa"),
 ])
 def test_validation_checks_types_without_raising(field, value, message):
-    config = dataclasses.replace(ExperimentConfig(), **{field: value})
+    config = ExperimentConfig()._replace(**{field: value})
     # one message for the field, and no range check on the wrong type
     assert validate_experiment(config) == [message]
     with pytest.raises(ExperimentConfigError) as err:
@@ -105,11 +103,10 @@ def test_validation_checks_types_without_raising(field, value, message):
 
 def test_caps_accept_their_own_value():
     # validation only: a config at the caps is never run here
-    config = dataclasses.replace(
-        ExperimentConfig(), k_initial=MAX_TAGS, frame_slots=MAX_FRAME_SLOTS,
-        trials=MAX_TRIALS, seed=MAX_SEED)
+    config = ExperimentConfig()._replace(
+        k_initial=MAX_TAGS, frame_slots=MAX_FRAME_SLOTS, trials=MAX_TRIALS, seed=MAX_SEED)
     assert validate_experiment(config) == []
-    assert validate_experiment(dataclasses.replace(config, seed=0)) == []
+    assert validate_experiment(config._replace(seed=0)) == []
 
 
 def test_run_experiment_rejects_invalid_config():
@@ -131,12 +128,12 @@ def test_iter_trials_checks_at_the_call_and_yields_in_trial_order():
 
 def test_trials_are_independent_streams():
     # trial t's outcome does not depend on how many trials surround it
-    few = run_experiment(dataclasses.replace(FAST, trials=3))
-    many = run_experiment(dataclasses.replace(FAST, trials=6))
+    few = run_experiment(FAST._replace(trials=3))
+    many = run_experiment(FAST._replace(trials=6))
     assert many.trials[:3] == few.trials
     assert run_trial(FAST, 2) == few.trials[2]
     # nor on the order trials run in, churn included
-    churned = dataclasses.replace(FAST, trials=12, arrival_rate=1.0, departure_prob=0.1)
+    churned = FAST._replace(trials=12, arrival_rate=1.0, departure_prob=0.1)
     reverse = [run_trial(churned, t) for t in reversed(range(churned.trials))]
     assert reverse[::-1] == run_experiment(churned).trials
 
@@ -187,7 +184,7 @@ def test_static_run_completes_and_aggregates():
 
 
 def test_empty_population_trial():
-    result = run_experiment(dataclasses.replace(FAST, k_initial=0, trials=2))
+    result = run_experiment(FAST._replace(k_initial=0, trials=2))
     assert result.aggregate.all_completed
     assert result.aggregate.identification_rate == 1.0
     assert result.aggregate.mean_per_tag_us is None
@@ -199,13 +196,13 @@ def test_empty_population_trial():
 def test_zero_churn_matches_static_run():
     static = run_experiment(FAST)
     churned = run_experiment(
-        dataclasses.replace(FAST, arrival_rate=0.0, departure_prob=0.0))
+        FAST._replace(arrival_rate=0.0, departure_prob=0.0))
     assert static.trials == churned.trials
 
 
 def test_departures_cut_inventories_short():
     result = run_experiment(
-        dataclasses.replace(FAST, k_initial=100, frame_slots=128, departure_prob=1.0))
+        FAST._replace(k_initial=100, frame_slots=128, departure_prob=1.0))
     for t in result.trials:
         # everyone not identified in round one left before round two
         assert t.completed
@@ -216,7 +213,7 @@ def test_departures_cut_inventories_short():
 
 def test_arrivals_join_the_population():
     result = run_experiment(
-        dataclasses.replace(FAST, trials=8, arrival_rate=3.0))
+        FAST._replace(trials=8, arrival_rate=3.0))
     assert any(t.ever_present > 20 for t in result.trials)
     for t in result.trials:
         assert t.tags_identified <= t.ever_present
@@ -241,8 +238,7 @@ def test_poisson_tail_draws(rate, bits, arrivals):
 def test_churn_draws_match_one_draw_per_present_tag():
     # the trial's churn against the plain loop it takes its draws in bulk for:
     # one uniform per present tag in population order, then the arrivals
-    config = dataclasses.replace(
-        FAST, k_initial=60, frame_slots=32, arrival_rate=1.5, departure_prob=0.2)
+    config = FAST._replace(k_initial=60, frame_slots=32, arrival_rate=1.5, departure_prob=0.2)
     for trial in range(3):
         rng = RngStream(config.seed, trial)
         population = make_population(config.k_initial)
@@ -262,29 +258,28 @@ def test_churn_draws_match_one_draw_per_present_tag():
 
 
 def test_arrivals_with_departures_still_terminate():
-    result = run_experiment(dataclasses.replace(
-        FAST, trials=4, arrival_rate=1.0, departure_prob=0.2))
+    result = run_experiment(FAST._replace(trials=4, arrival_rate=1.0, departure_prob=0.2))
     assert result.aggregate.all_completed
 
 
 def test_budget_exhaustion_flags_incomplete():
-    result = run_experiment(dataclasses.replace(FAST, k_initial=100, max_rounds=1))
+    result = run_experiment(FAST._replace(k_initial=100, max_rounds=1))
     assert not result.aggregate.all_completed
     assert all(not t.completed for t in result.trials)
 
 
 def test_baseline_protocols_run():
-    fsa = run_experiment(dataclasses.replace(FAST, protocol="fsa"))
+    fsa = run_experiment(FAST._replace(protocol="fsa"))
     assert all(trial.traces[0].seq_bits == 0 for trial in fsa.trials)
     assert fsa.aggregate.all_completed
-    edfsa = run_experiment(dataclasses.replace(FAST, protocol="edfsa"))
+    edfsa = run_experiment(FAST._replace(protocol="edfsa"))
     assert all(trial.traces[0].seq_bits == 0 for trial in edfsa.trials)
     assert edfsa.aggregate.all_completed
     assert all(t.seq_bits == 0 for trial in fsa.trials for t in trial.traces)
 
 
 def test_fixed_seq_bits_config():
-    result = run_experiment(dataclasses.replace(FAST, seq_bits=3))
+    result = run_experiment(FAST._replace(seq_bits=3))
     assert all(t.seq_bits == 3 for trial in result.trials for t in trial.traces)
 
 

@@ -1,5 +1,4 @@
 """Domain type validation, the round-trace gate, and the reference slot check."""
-import dataclasses
 import math
 
 import pytest
@@ -70,6 +69,61 @@ def test_frame_config_collects_every_problem():
         FrameConfig(slots=2.5, seq_bits=True, participation_divisor=1.5)
     assert str(err.value) == ("slots must be an integer; seq_bits must be an integer; "
                               "participation_divisor must be an integer")
+
+
+@pytest.mark.parametrize("record, field, value", [
+    (FrameConfig(8, 2), "slots", 0),
+    (FrameConfig(8, 2), "seq_bits", 2.5),
+    (FrameConfig(8, 2), "participation_divisor", True),
+    (TimingModel(), "epc_bits", 0),
+    (TimingModel(), "tag_bit_time_us", math.nan),
+    (TimingModel(), "crc_bits", -1),
+])
+def test_replace_and_make_validate_as_the_constructor_does(record, field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        record._replace(**{field: value})
+    fields = record._asdict()
+    fields[field] = value
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        type(record)._make(fields.values())
+
+
+def test_replacing_a_field_keeps_the_type_and_the_rest():
+    frame = FrameConfig(8, 2)._replace(participation_divisor=3)
+    assert type(frame) is FrameConfig
+    assert frame == FrameConfig(slots=8, seq_bits=2, participation_divisor=3)
+    timing = TimingModel()._replace(epc_bits=96)
+    assert type(timing) is TimingModel
+    assert timing.data_slot_us == (96 + 16) * 4.0
+
+
+def test_equal_frames_are_equal_and_hash_equal():
+    # `afsa._interned` and the frame memos key on this
+    a, b = FrameConfig(128, 2), FrameConfig(slots=128, seq_bits=2, participation_divisor=1)
+    assert a == b and hash(a) == hash(b)
+    assert {a: "first"}[b] == "first"
+    assert FrameConfig(128, 2) != FrameConfig(128, 3)
+    assert FrameConfig(128, 2) != FrameConfig(128, 2, 2)
+    assert TimingModel() == TimingModel(4.0) and hash(TimingModel()) == hash(TimingModel(4.0))
+
+
+def test_records_are_immutable():
+    for record in (FrameConfig(8, 2), TimingModel(), _sample_trace()):
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], 1)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+
+def test_tags_compare_by_fields_and_are_unhashable():
+    assert Tag(3) == Tag(epc=3, identified=False, present=True)
+    assert Tag(3) != Tag(3, True) and Tag(3) != Tag(3, present=False)
+    assert Tag(3) != 3
+    assert repr(Tag(3, True)) == "Tag(epc=3, identified=True, present=True)"
+    with pytest.raises(TypeError):
+        hash(Tag(3))
+    with pytest.raises(AttributeError):
+        Tag(3).extra = 1
 
 
 @pytest.mark.parametrize("slots,bits", [(0, 2), (4, 0), (4, 17), (-1, 1),
@@ -153,7 +207,7 @@ ALL_IDLE = {"idle_count": 4, "reserved_true_count": 0, "detected_collision_count
     {"total_us": float("inf")},
 ])
 def test_check_round_trace_rejects_corruption(mutation):
-    trace = dataclasses.replace(_sample_trace(), **mutation)
+    trace = _sample_trace()._replace(**mutation)
     with pytest.raises(ValueError):
         check_round_trace(trace)
 
@@ -167,6 +221,13 @@ def test_make_population_and_active_count():
     assert active_count(tags) == 3
     with pytest.raises(ValueError):
         make_population(-1)
+
+
+@pytest.mark.parametrize("count", [True, 2.5])
+def test_make_population_rejects_a_fractional_or_bool_count(count):
+    # True would otherwise build one tag
+    with pytest.raises(ValueError, match="^count must be an integer"):
+        make_population(count)
 
 
 def test_tag_defaults():

@@ -4,7 +4,6 @@ import csv
 import io
 import json
 import tracemalloc
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -433,10 +432,10 @@ FAST_CONFIG = ExperimentConfig(k_initial=20, frame_slots=16, trials=4, max_round
     ([], [FAST_CONFIG], 0),
     # the first cell is invalid, and the rest still stream
     (["--sweep", "seq-bits=0:1:2"],
-     [replace(FAST_CONFIG, seq_bits=n) for n in (1, 2)], 1),
+     [FAST_CONFIG._replace(seq_bits=n) for n in (1, 2)], 1),
     # the first cell has no tags, so its trials hold one empty round each
     (["--sweep", "tags=0:10:10"],
-     [replace(FAST_CONFIG, k_initial=k) for k in (0, 10)], 0),
+     [FAST_CONFIG._replace(k_initial=k) for k in (0, 10)], 0),
     # no cell is valid: the report holds no row at all
     (["--trials", "0", "--sweep", "seq-bits=0:1:1"], [], 1),
 ], ids=["single", "invalid-first-cell", "empty-first-cell", "no-rows"])
