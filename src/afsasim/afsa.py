@@ -41,12 +41,6 @@ def _round_time(successes: int, slots: int, seq_bits: int) -> float:
 
 
 @lru_cache(maxsize=_MEMO_ENTRIES)
-def _interned(frame: FrameConfig) -> FrameConfig:
-    """The first frame seen equal to `frame`, so equal memo values share one object."""
-    return frame
-
-
-@lru_cache(maxsize=_MEMO_ENTRIES)
 def _next_frame(
     idle: int,
     reserved_true: int,
@@ -63,7 +57,7 @@ def _next_frame(
     """
     estimate = estimate_from_counts(
         idle, reserved_true + undetected, detected, reserved_true, slots)
-    return _interned(next_frame(estimate, fixed_seq_bits))
+    return next_frame(estimate, fixed_seq_bits)
 
 
 # A round kernel's `heard[slot]` is None while the slot is idle, its first

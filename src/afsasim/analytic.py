@@ -175,6 +175,7 @@ def phase_durations_for(
 
     Shared by the simulator (integer count) and the expectation model
     (fractional count) so both sides evaluate the identical expression.
+    `timing` is kept only because `bench/gate.py` passes `TimingModel()`.
     """
     if not (is_int(slots) and slots >= 1):
         raise ValueError("slots must be an integer >= 1")

@@ -124,6 +124,8 @@ def next_frame(estimate: BacklogEstimate,
     the returned `FrameConfig` rejects a pinned length out of range.
     """
     k_est = estimate.k_est
+    if not 0 <= k_est < math.inf:  # also rejects nan
+        raise ValueError("k_est must be finite and >= 0")
     slots = nearest_power_of_two(k_est)
     if k_est > OVERLOAD_RATIO * slots:
         divisor = max(1, int(math.floor(k_est / slots + 0.5)))
@@ -140,8 +142,8 @@ def initial_seq_bits(slots: int) -> int:
     """Sequence length for the first round, before any observation exists.
 
     With nothing observed yet the reader assumes load one (about as many
-    tags as slots), which yields two bits for every frame size in the
-    supported range.
+    tags as slots), which yields one bit for a one-slot frame and two bits
+    for every other frame size up to 65 536.
     """
     if slots < 1:
         raise ValueError("slots must be >= 1")

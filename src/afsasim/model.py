@@ -8,7 +8,6 @@ copies.
 from __future__ import annotations
 
 import math
-import numbers
 from typing import NamedTuple
 
 # Longest reservation sequence a frame may announce, in bits.
@@ -20,57 +19,23 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-class _TimingFields(NamedTuple):
-    tag_bit_time_us: float = 4.0
-    reader_bit_time_us: float = 12.5
-    epc_bits: int = 64
-    crc_bits: int = 16
-    advert_bits: int = 16
+class TimingModel:
+    """The air interface, all durations in microseconds.
 
-
-class TimingModel(_TimingFields):
-    """Air-interface timing parameters, all durations in microseconds.
-
-    Derived quantities (`data_slot_us`, `advert_us`) are properties rather
-    than fields so they can never drift out of sync with the bit-level
-    parameters they are defined by.
+    Its values are constants of the paper's setting, so nothing can be set.
     """
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs) -> TimingModel:
-        self = super().__new__(cls, *args, **kwargs)
-        problems = []
-        for name in ("tag_bit_time_us", "reader_bit_time_us"):
-            value = getattr(self, name)
-            # bool is a number, but True is no duration
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not 0 < value < math.inf):  # also rejects nan
-                problems.append(f"{name} must be finite and > 0")
-        for name, least in (("epc_bits", 1), ("crc_bits", 0), ("advert_bits", 1)):
-            value = getattr(self, name)
-            if not is_int(value):
-                problems.append(f"{name} must be an integer")
-            elif value < least:
-                problems.append(f"{name} must be >= {least}")
-        if problems:
-            raise ValueError("; ".join(problems))
-        return self
-
-    @classmethod
-    def _make(cls, iterable) -> TimingModel:
-        # `_replace` builds through `_make`, so it validates too
-        return cls(*iterable)
-
-    @property
-    def data_slot_us(self) -> float:
-        """Duration of one data slot: EPC plus CRC at the tag bit rate."""
-        return (self.epc_bits + self.crc_bits) * self.tag_bit_time_us
-
-    @property
-    def advert_us(self) -> float:
-        """Duration of the frame advertisement broadcast."""
-        return self.advert_bits * self.reader_bit_time_us
+    tag_bit_time_us = 4.0
+    reader_bit_time_us = 12.5
+    epc_bits = 64
+    crc_bits = 16
+    advert_bits = 16
+    # one data slot: EPC plus CRC at the tag bit rate
+    data_slot_us = (epc_bits + crc_bits) * tag_bit_time_us
+    # the frame advertisement broadcast
+    advert_us = advert_bits * reader_bit_time_us
 
 
 # The air interface every simulated round runs with.

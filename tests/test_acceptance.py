@@ -214,7 +214,7 @@ def test_criterion_7_bit_identical_output():
     # trials run last to first from cold memos, so the round-time and
     # next-frame memos fill in another order than the in-order run sees
     config = ExperimentConfig()
-    for memo in (afsa._round_time, afsa._next_frame, afsa._interned):
+    for memo in (afsa._round_time, afsa._next_frame):
         memo.cache_clear()
     reverse = {t: run_trial(config, t) for t in reversed(range(config.trials))}
     reordered = render_csv([row for t in range(config.trials)

@@ -456,7 +456,7 @@ def test_between_rounds_arrivals_extend_the_inventory():
 # The memos behind a round's air time and the reader's next frame.
 
 def _clear_memos():
-    for memo in (afsa._round_time, afsa._next_frame, afsa._interned):
+    for memo in (afsa._round_time, afsa._next_frame):
         memo.cache_clear()
 
 
@@ -532,7 +532,7 @@ def test_memos_stay_within_their_bound():
     for successes in range(slots + 1):
         afsa._round_time(successes, slots, 2)
         afsa._next_frame(slots - successes, successes, 0, 0, slots, None)
-    for memo in (afsa._round_time, afsa._next_frame, afsa._interned):
+    for memo in (afsa._round_time, afsa._next_frame):
         info = memo.cache_info()
         assert info.maxsize == afsa._MEMO_ENTRIES
         assert info.currsize <= afsa._MEMO_ENTRIES

@@ -121,6 +121,20 @@ def test_the_names_the_benchmark_wraps_exist(module, attr):
     assert hasattr(importlib.import_module(f"afsasim.{module}"), attr)
 
 
+# Every (module, attribute) pair that bench/gate.py imports to check each
+# round's time; a missing one makes every benchmark run fail its gate.
+BENCHMARK_GATE_IMPORTS = [
+    ("analytic", "phase_durations_for"),
+    ("model", "TimingModel"),
+]
+
+
+@pytest.mark.parametrize("module, attr", BENCHMARK_GATE_IMPORTS,
+                         ids=[f"{m}.{a}" for m, a in BENCHMARK_GATE_IMPORTS])
+def test_the_names_the_benchmark_gate_imports_exist(module, attr):
+    assert hasattr(importlib.import_module(f"afsasim.{module}"), attr)
+
+
 @pytest.mark.parametrize("protocol, inventory, kernel", [
     ("afsa", "afsa.inventory", "afsa.round"),
     ("fsa", "baselines.fsa_inventory", "baselines.fsa_round"),

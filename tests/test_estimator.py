@@ -148,6 +148,12 @@ def test_next_frame_reference_points():
     assert flooded.slots == 1024
     assert flooded.participation_divisor == 10
 
+    # rejected before any arithmetic, under either sequence policy
+    for bad in (math.nan, math.inf, -math.inf, -5.0):
+        for fixed in (None, 3):
+            with pytest.raises(ValueError, match="^k_est must be finite and >= 0$"):
+                next_frame(BacklogEstimate(bad, EstimateMethod.COLLISION_FLOOR), fixed)
+
 
 def test_divisor_engages_only_beyond_overload():
     at_threshold = next_frame(BacklogEstimate(4.0 * 1024, EstimateMethod.COLLISION_FLOOR))
@@ -183,8 +189,9 @@ def test_next_frame_always_valid(k_est, bits):
 
 
 def test_first_round_seq_bits_assume_load_one():
-    for slots in (8, 16, 64, 128, 512, 1024):
+    for slots in (8, 16, 64, 128, 512, 1024, 65536):
         assert initial_seq_bits(slots) == 2
+    assert initial_seq_bits(1) == 1
     assert auto_seq_bits(100.0, 128) == 2
     with pytest.raises(ValueError):
         initial_seq_bits(0)
