@@ -10,7 +10,7 @@ wastes its data slot, and identifies nobody.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Generator, List, NamedTuple, Optional, Sequence
+from typing import Callable, Generator, Iterator, List, NamedTuple, Optional, Sequence
 
 from .analytic import phase_durations_for
 from .estimator import (
@@ -26,7 +26,6 @@ from .model import (
     active_count,  # unused here, but bench/child.py wraps it by this name
     is_int,
 )
-from .rng import RandomSource
 
 # Entries kept by each memo below.  A round's air time and the reader's
 # next frame depend on a few small counts, whose combinations recur
@@ -68,7 +67,7 @@ COLLIDED = object()
 def run_afsa_round(
     tags: Sequence[Tag],
     frame: FrameConfig,
-    rng: RandomSource,
+    rng: Iterator[int],
 ) -> RoundTrace:
     """Play one round over `tags`, the tags answering this frame.
 
@@ -92,17 +91,16 @@ def run_afsa_round(
     # per slot: see COLLIDED; and the first sequence, -1 once another differs
     heard: List[object] = [None] * slots
     first_seq = [0] * slots
-    draws = iter(rng)
     divisor = frame.participation_divisor
     # (tag, _, slot draw, sequence draw) per joining tag
     if divisor == 1:
         # every tag joins, and `_` is its participation draw; the tags come
         # first, so the zip ends at the last tag without another draw
-        joiners = zip(tags, draws, draws, draws)
+        joiners = zip(tags, rng, rng, rng)
     else:
         # a tag takes its slot and sequence draws only once it has joined
-        joiners = ((tag, 0, next(draws), next(draws))
-                   for tag in tags if not next(draws) % divisor)
+        joiners = ((tag, 0, next(rng), next(rng))
+                   for tag in tags if not next(rng) % divisor)
     responders = 0
     for tag, _, slot_draw, seq_draw in joiners:
         slot = slot_draw % slots
@@ -226,7 +224,7 @@ def run_afsa_inventory(
     tags: List[Tag],
     initial_frame: FrameConfig,
     fixed_seq_bits: Optional[int],
-    rng: RandomSource,
+    rng: Iterator[int],
     max_rounds: int = 1000,
     between_rounds: Optional[BetweenRounds] = None,
 ) -> InventoryResult:

@@ -154,8 +154,8 @@ def optimal_seq_len(e_unresolved: float, slots: int) -> SeqLenChoice:
     collision load).  The usable length rounds half-up and is floored at
     one bit.
     """
-    if e_unresolved < 0:
-        raise ValueError("e_unresolved must be >= 0")
+    if not 0 <= e_unresolved < math.inf:  # also rejects nan
+        raise ValueError("e_unresolved must be finite and >= 0")
     if not (is_int(slots) and slots >= 1):
         raise ValueError("slots must be an integer >= 1")
     arg = SEQ_ARG_COEFF * e_unresolved / slots

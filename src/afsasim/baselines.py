@@ -11,7 +11,7 @@ detectably.
 from __future__ import annotations
 
 import math
-from typing import List, NamedTuple, Optional, Sequence
+from typing import Iterator, List, NamedTuple, Optional, Sequence
 
 from .afsa import COLLIDED, BetweenRounds, InventoryResult, Rounds, run_inventory
 from .estimator import estimate_backlog
@@ -22,7 +22,6 @@ from .model import (
     active_count,  # unused here, but bench/child.py wraps it by this name
     is_int,
 )
-from .rng import RandomSource
 
 # Frame sizes EDFSA may announce; backlog beyond the largest is split
 # into EDFSA_MAX_FRAME-sized groups instead.
@@ -30,7 +29,7 @@ EDFSA_FRAME_CHOICES = (16, 32, 64, 128, 256)
 EDFSA_MAX_FRAME = EDFSA_FRAME_CHOICES[-1]
 
 
-def run_fsa_round(tags: Sequence[Tag], slots: int, rng: RandomSource) -> RoundTrace:
+def run_fsa_round(tags: Sequence[Tag], slots: int, rng: Iterator[int]) -> RoundTrace:
     """One framed-ALOHA round: every tag in `tags` sends its payload directly.
 
     The caller picks who answers, as for `afsa.run_afsa_round`.  Each tag
@@ -79,7 +78,7 @@ def run_fsa_round(tags: Sequence[Tag], slots: int, rng: RandomSource) -> RoundTr
 def run_fsa_inventory(
     tags: List[Tag],
     slots: int,
-    rng: RandomSource,
+    rng: Iterator[int],
     max_rounds: int = 1000,
     between_rounds: Optional[BetweenRounds] = None,
 ) -> InventoryResult:
@@ -123,7 +122,7 @@ def edfsa_plan(k_est: float) -> EdfsaPlan:
 
 def run_edfsa_inventory(
     tags: List[Tag],
-    rng: RandomSource,
+    rng: Iterator[int],
     max_rounds: int = 1000,
     initial_estimate: float = 128.0,
     between_rounds: Optional[BetweenRounds] = None,

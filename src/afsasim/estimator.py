@@ -145,6 +145,6 @@ def initial_seq_bits(slots: int) -> int:
     tags as slots), which yields one bit for a one-slot frame and two bits
     for every other frame size up to 65 536.
     """
-    if slots < 1:
-        raise ValueError("slots must be >= 1")
+    if not (is_int(slots) and slots >= 1):
+        raise ValueError("slots must be an integer >= 1")
     return auto_seq_bits(float(slots), slots)

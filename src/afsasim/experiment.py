@@ -14,7 +14,7 @@ from .afsa import InventoryResult, run_afsa_inventory
 from .baselines import run_edfsa_inventory, run_fsa_inventory
 from .estimator import initial_seq_bits
 from .model import MAX_SEQ_BITS, FrameConfig, Tag, is_int, make_population
-from .rng import RandomSource, RngStream, unit_cut, unit_float
+from .rng import MAX_KEY, RngStream, unit_cut, unit_float
 
 PROTOCOLS = ("afsa", "fsa", "edfsa")
 
@@ -32,9 +32,8 @@ MAX_TAGS = 1_000_000
 MAX_FRAME_SLOTS = 65_536
 MAX_TRIALS = 1_000_000
 
-# Largest master seed; `RngStream` keys on 64 bits, so a larger or negative
-# seed would alias one in range.
-MAX_SEED = (1 << 64) - 1
+# Largest master seed: `RngStream` keys on 64 bits of it.
+MAX_SEED = MAX_KEY
 
 
 class ExperimentConfig(NamedTuple):
@@ -150,14 +149,14 @@ class ExperimentResult(NamedTuple):
     aggregate: AggregateStats
 
 
-def _poisson(rate: float, rng: RandomSource) -> int:
+def _poisson(rate: float, rng: Iterator[int]) -> int:
     """Poisson draw by inverse transform on a single uniform.
 
     Past the mode the running CDF can stop growing a few ulps below 1; a
     uniform above it lies in a tail the floats cannot resolve, and the
     draw is the first count whose term no longer moves the CDF.
     """
-    u = unit_float(rng.next_u64())
+    u = unit_float(next(rng))
     k = 0
     p = math.exp(-rate)
     cdf = p

@@ -7,7 +7,6 @@ copies.
 """
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 # Longest reservation sequence a frame may announce, in bits.
@@ -146,34 +145,6 @@ class RoundTrace(NamedTuple):
     def reserved_apparent_count(self) -> int:
         """Slots the reader treats as reserved, including undetected collisions."""
         return self.reserved_true_count + self.undetected_collision_count
-
-
-def check_round_trace(trace: RoundTrace) -> None:
-    """Raise ValueError unless the trace satisfies every structural invariant.
-
-    This is the single consistency gate used by tests after every simulated
-    round, independent of how the round was produced.
-    """
-    counts = (trace.idle_count, trace.reserved_true_count,
-              trace.detected_collision_count, trace.undetected_collision_count)
-    if trace.slots < 1:
-        raise ValueError("a frame has at least one slot")
-    if min(counts) < 0:
-        raise ValueError("slot counts must be >= 0")
-    if sum(counts) != trace.slots:
-        raise ValueError("slot counts must partition the frame")
-    # a truly reserved slot holds one responder, a collided slot two or more
-    if trace.responders < (trace.reserved_true_count + 2 * (
-            trace.detected_collision_count + trace.undetected_collision_count)):
-        raise ValueError("too few responders for the occupied slots")
-    if (trace.responders == 0) != (trace.idle_count == trace.slots):
-        raise ValueError("the frame is all idle exactly when nobody responded")
-    if len(trace.identified_epcs) != trace.reserved_true_count:
-        raise ValueError("one identification per truly reserved slot")
-    if len(set(trace.identified_epcs)) != len(trace.identified_epcs):
-        raise ValueError("a tag cannot be identified twice in one round")
-    if not (math.isfinite(trace.total_us) and trace.total_us > 0):
-        raise ValueError("round time must be finite and > 0")
 
 
 def make_population(count: int) -> list[Tag]:

@@ -3,8 +3,7 @@
 Every stochastic component draws from an `RngStream` keyed by
 (seed, stream_id).  Trial t of an experiment uses stream_id = t, so trials
 are independent, reorderable, and bit-identical across runs and across
-execution orders.  `ScriptedStream` substitutes a fixed draw sequence in
-tests that pin exact protocol behaviour.
+execution orders.  The protocol code takes any iterator of u64 draws.
 """
 from __future__ import annotations
 
@@ -13,9 +12,12 @@ import random
 import sys
 from array import array
 from itertools import chain
-from typing import Callable, Iterable, Iterator, Protocol
+from typing import Callable, Iterator
 
-_MASK64 = (1 << 64) - 1
+from .model import is_int
+
+# Largest seed or stream id: a stream keys its generator on 64 bits of each.
+MAX_KEY = (1 << 64) - 1
 # A uniform float keeps the top 53 bits of a draw: `bits / 2**64` would
 # round the top 2**10 draws up to exactly 1.0.
 _ULP53 = 2.0 ** -53
@@ -37,13 +39,9 @@ def unit_cut(p: float) -> int:
     return math.ceil(p * 2.0 ** 53) << 11
 
 
-class RandomSource(Protocol):
-    """Anything the protocol code can draw from: u64 draws one at a time,
-    or by iterating it, all from one shared sequence."""
-
-    def __iter__(self) -> Iterator[int]: ...
-
-    def next_u64(self) -> int: ...
+def _check_key(field: str, value: int) -> None:
+    if not (is_int(value) and 0 <= value <= MAX_KEY):
+        raise ValueError(f"{field} must be an integer in [0, 2**64 - 1]")
 
 
 def _blocks(bits: Callable[[int], int]) -> Iterator[array]:
@@ -56,59 +54,22 @@ def _blocks(bits: Callable[[int], int]) -> Iterator[array]:
         yield block
 
 
-class RngStream:
-    """Named substream of a master seed.
+class RngStream(chain):
+    """Named substream of a master seed: an endless iterator of u64 draws.
 
     The same (seed, stream_id) pair yields the same draw sequence on any
     platform; distinct pairs are treated as independent.  Draw i is the
     i-th `getrandbits(64)` of `random.Random((seed << 64) | stream_id)`.
-    The stream fetches them BLOCK_DRAWS at a time, but only it reads its
-    generator, so fetching ahead never shifts a draw.
+    The stream is its own iterator, so `next(stream)` and every `zip` over
+    it take from one shared sequence.  It fetches the draws BLOCK_DRAWS at
+    a time, but only it reads its generator, so fetching ahead never
+    shifts a draw.
     """
 
-    __slots__ = ("seed", "stream_id", "_draws")
+    __slots__ = ()
 
-    def __init__(self, seed: int, stream_id: int = 0):
-        self.seed = seed & _MASK64
-        self.stream_id = stream_id & _MASK64
-        rng = random.Random((self.seed << 64) | self.stream_id)
-        self._draws = chain.from_iterable(_blocks(rng.getrandbits))
-
-    def __iter__(self) -> Iterator[int]:
-        """The stream's draws, shared: every iterator and `next_u64` take
-        from the same sequence, and it never ends."""
-        return self._draws
-
-    def next_u64(self) -> int:
-        return next(self._draws)
-
-    def __repr__(self) -> str:
-        return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
-
-
-class ScriptedStream:
-    """Test double that replays a fixed list of u64 draws, then raises.
-
-    It raises IndexError, never StopIteration, so a script too short for a
-    round fails loudly instead of quietly ending a `zip` over the tags.
-    """
-
-    def __init__(self, values: Iterable[int]):
-        self._values = list(values)
-        self._pos = 0
-
-    def __iter__(self) -> ScriptedStream:
-        return self
-
-    def next_u64(self) -> int:
-        if self._pos >= len(self._values):
-            raise IndexError("scripted stream exhausted")
-        value = self._values[self._pos]
-        self._pos += 1
-        return value & _MASK64
-
-    __next__ = next_u64
-
-    @property
-    def remaining(self) -> int:
-        return len(self._values) - self._pos
+    def __new__(cls, seed: int, stream_id: int = 0) -> RngStream:
+        _check_key("seed", seed)
+        _check_key("stream_id", stream_id)
+        # `from_iterable` called on a subclass builds an instance of it
+        return cls.from_iterable(_blocks(random.Random((seed << 64) | stream_id).getrandbits))

@@ -1,15 +1,81 @@
-"""Independent oracles for the closed-form expectations and the round kernels.
+"""Independent oracles and test doubles for the simulator's tests.
 
-Everything here derives its results by brute force, with exact rational
+The oracles for the closed-form expectations, the round kernels and the
+inventory loop derive their results by brute force, with exact rational
 arithmetic where possible, sharing no code or algebra with the package.
-Kept deliberately slow and obvious.
+Kept deliberately slow and obvious.  Beside them are the scripted stream,
+which replays a fixed draw sequence where a test pins exact protocol
+behaviour, and the trace checker every simulated round is put through.
 """
+import math
 from fractions import Fraction
 from itertools import product
-from typing import List, NamedTuple, Optional, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from afsasim.model import RoundTrace
+
+_MASK64 = (1 << 64) - 1
+
+
+# Test doubles and checks ----------------------------------------------------
+
+class ScriptedStream:
+    """Test double that replays a fixed list of u64 draws, then raises.
+
+    It raises IndexError, never StopIteration, so a script too short for a
+    round fails loudly instead of quietly ending a `zip` over the tags.
+    """
+
+    def __init__(self, values: Iterable[int]):
+        self._values = list(values)
+        self._pos = 0
+
+    def __iter__(self) -> "ScriptedStream":
+        return self
+
+    def __next__(self) -> int:
+        if self._pos >= len(self._values):
+            raise IndexError("scripted stream exhausted")
+        value = self._values[self._pos]
+        self._pos += 1
+        return value & _MASK64
+
+    @property
+    def remaining(self) -> int:
+        return len(self._values) - self._pos
+
+
+def check_round_trace(trace: RoundTrace) -> None:
+    """Raise ValueError unless the trace satisfies every structural invariant.
+
+    This is the single consistency gate used by tests after every simulated
+    round, independent of how the round was produced.
+    """
+    counts = (trace.idle_count, trace.reserved_true_count,
+              trace.detected_collision_count, trace.undetected_collision_count)
+    if trace.slots < 1:
+        raise ValueError("a frame has at least one slot")
+    if min(counts) < 0:
+        raise ValueError("slot counts must be >= 0")
+    if sum(counts) != trace.slots:
+        raise ValueError("slot counts must partition the frame")
+    # a truly reserved slot holds one responder, a collided slot two or more
+    if trace.responders < (trace.reserved_true_count + 2 * (
+            trace.detected_collision_count + trace.undetected_collision_count)):
+        raise ValueError("too few responders for the occupied slots")
+    if (trace.responders == 0) != (trace.idle_count == trace.slots):
+        raise ValueError("the frame is all idle exactly when nobody responded")
+    if len(trace.identified_epcs) != trace.reserved_true_count:
+        raise ValueError("one identification per truly reserved slot")
+    if len(set(trace.identified_epcs)) != len(trace.identified_epcs):
+        raise ValueError("a tag cannot be identified twice in one round")
+    if not (math.isfinite(trace.total_us) and trace.total_us > 0):
+        raise ValueError("round time must be finite and > 0")
+
+
+# Slot statistics ------------------------------------------------------------
 
 def enum_slot_stats(tags: int, slots: int):
     """Exact (E[reserved], E[idle], E[unresolved]) over all slot assignments.
@@ -155,13 +221,13 @@ def reference_round(tags, slots: int, rng, seq_bits: Optional[int] = None,
         if not tag.present or tag.identified:
             continue
         if seq_bits is None:
-            slot = rng.next_u64() % slots
+            slot = next(rng) % slots
             heard = tag.epc
         else:
-            if rng.next_u64() % divisor != 0:
+            if next(rng) % divisor != 0:
                 continue
-            slot = rng.next_u64() % slots
-            heard = rng.next_u64() % 2 ** seq_bits
+            slot = next(rng) % slots
+            heard = next(rng) % 2 ** seq_bits
         buckets[slot].append((tag, heard))
 
     observations = []

@@ -28,11 +28,11 @@ from afsasim.analytic import (
 )
 from afsasim.estimator import nearest_power_of_two
 from afsasim.experiment import ExperimentConfig, run_experiment, run_trial
-from afsasim.model import FrameConfig, check_round_trace, make_population
+from afsasim.model import FrameConfig, make_population
 from afsasim.report import result_rows, render_csv, trial_rows
 from afsasim.rng import RngStream
 
-from oracles import enum_slot_stats
+from oracles import check_round_trace, enum_slot_stats
 
 
 def _finish(num: int, title: str, failures: list, detail: str = "") -> None:

@@ -15,15 +15,16 @@ from afsasim.model import (
     FrameConfig,
     RoundTrace,
     Tag,
-    check_round_trace,
     make_population,
 )
-from afsasim.rng import BLOCK_DRAWS, RngStream, ScriptedStream, unit_float
+from afsasim.rng import BLOCK_DRAWS, RngStream, unit_float
 
 from oracles import (
     DETECTED_COLLISION,
     IDLE,
     RESERVED_APPARENT,
+    ScriptedStream,
+    check_round_trace,
     reference_inventory,
     reference_round,
 )
@@ -256,7 +257,7 @@ def test_afsa_round_matches_reference(states, slots, bits, divisor, seed):
     assert trace.identified_epcs == ref.identified_epcs
     assert [t.identified for t in tags] == [t.identified for t in ref_tags]
     # both consumed the same number of draws
-    assert rng.next_u64() == ref_rng.next_u64()
+    assert next(rng) == next(ref_rng)
 
 
 def test_round_statistics_match_expectations():
@@ -379,9 +380,9 @@ def test_every_round_of_a_churned_inventory_is_consistent(
 
     def churn():
         for tag in tags:
-            if tag.present and unit_float(churn_rng.next_u64()) < departure_prob:
+            if tag.present and unit_float(next(churn_rng)) < departure_prob:
                 tag.present = False
-        while unit_float(churn_rng.next_u64()) < arrival_rate / (1.0 + arrival_rate):
+        while unit_float(next(churn_rng)) < arrival_rate / (1.0 + arrival_rate):
             tags.append(Tag(epc=len(tags)))
 
     result = INVENTORIES[protocol](
@@ -412,9 +413,9 @@ def test_inventory_matches_the_scanning_reference(protocol, k, churned, seed):
         # churn draws from the rounds' stream, as a trial's churn does
         def churn():
             for tag in tags:
-                if tag.present and unit_float(rng.next_u64()) < 0.1:
+                if tag.present and unit_float(next(rng)) < 0.1:
                     tag.present = False
-            while unit_float(rng.next_u64()) < 0.6:
+            while unit_float(next(rng)) < 0.6:
                 tags.append(Tag(epc=len(tags)))
 
         with pytest.MonkeyPatch.context() as patch:
@@ -423,7 +424,7 @@ def test_inventory_matches_the_scanning_reference(protocol, k, churned, seed):
             result = INVENTORIES[protocol](
                 tags, rng, max_rounds=60,
                 between_rounds=churn if churned else None)
-        return result, [(t.present, t.identified) for t in tags], rng.next_u64()
+        return result, [(t.present, t.identified) for t in tags], next(rng)
 
     result, tags, next_draw = run(afsa.run_inventory)
     ref, ref_tags, ref_next_draw = run(reference_inventory)

@@ -181,6 +181,10 @@ def test_optimal_seq_len_rounds_half_up(monkeypatch):
 def test_optimal_seq_len_validation():
     with pytest.raises(ValueError):
         optimal_seq_len(-0.1, 64)
+    # nan would otherwise pass as a plausible one bit
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="^e_unresolved must be finite and >= 0$"):
+            optimal_seq_len(bad, 8)
     with pytest.raises(ValueError):
         optimal_seq_len(1.0, 0)
 

@@ -195,3 +195,7 @@ def test_first_round_seq_bits_assume_load_one():
     assert auto_seq_bits(100.0, 128) == 2
     with pytest.raises(ValueError):
         initial_seq_bits(0)
+    # the frame size is at fault, whatever the type
+    for bad in (math.nan, math.inf, 2.5, "8", True):
+        with pytest.raises(ValueError, match="^slots must be an integer >= 1$"):
+            initial_seq_bits(bad)

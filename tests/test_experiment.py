@@ -18,7 +18,9 @@ from afsasim.experiment import (
 from afsasim.afsa import run_afsa_inventory
 from afsasim.estimator import initial_seq_bits
 from afsasim.model import FrameConfig, Tag, make_population
-from afsasim.rng import RngStream, ScriptedStream, unit_float
+from afsasim.rng import RngStream, unit_float
+
+from oracles import ScriptedStream
 
 FAST = ExperimentConfig(k_initial=20, frame_slots=16, trials=5, seed=3, max_rounds=200)
 
@@ -245,7 +247,7 @@ def test_churn_draws_match_one_draw_per_present_tag():
 
         def churn():
             for tag in population:
-                if tag.present and unit_float(rng.next_u64()) < config.departure_prob:
+                if tag.present and unit_float(next(rng)) < config.departure_prob:
                     tag.present = False
             for _ in range(_poisson(config.arrival_rate, rng)):
                 population.append(Tag(epc=len(population)))

@@ -11,7 +11,6 @@ from afsasim.model import (
     Tag,
     TimingModel,
     active_count,
-    check_round_trace,
     make_population,
 )
 
@@ -20,6 +19,7 @@ from oracles import (
     IDLE,
     RESERVED_APPARENT,
     SlotObservation,
+    check_round_trace,
     check_slot_observation,
 )
 

@@ -5,22 +5,28 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from afsasim.rng import BLOCK_DRAWS, RngStream, ScriptedStream, unit_cut, unit_float
+from afsasim.afsa import run_afsa_round
+from afsasim.baselines import run_fsa_round
+from afsasim.experiment import _poisson
+from afsasim.model import FrameConfig, make_population
+from afsasim.rng import BLOCK_DRAWS, RngStream, unit_cut, unit_float
+
+from oracles import ScriptedStream
 
 
 def test_same_key_same_draws():
     a = RngStream(seed=7, stream_id=3)
     b = RngStream(seed=7, stream_id=3)
-    assert [a.next_u64() for _ in range(16)] == [b.next_u64() for _ in range(16)]
+    assert [next(a) for _ in range(16)] == [next(b) for _ in range(16)]
 
 
 def test_distinct_streams_diverge():
     a = RngStream(seed=7, stream_id=0)
     b = RngStream(seed=7, stream_id=1)
     c = RngStream(seed=8, stream_id=0)
-    draws_a = [a.next_u64() for _ in range(8)]
-    assert draws_a != [b.next_u64() for _ in range(8)]
-    assert draws_a != [c.next_u64() for _ in range(8)]
+    draws_a = [next(a) for _ in range(8)]
+    assert draws_a != [next(b) for _ in range(8)]
+    assert draws_a != [next(c) for _ in range(8)]
 
 
 @pytest.mark.parametrize("count", [
@@ -28,15 +34,65 @@ def test_distinct_streams_diverge():
     3 * 1024 + 1])
 def test_draws_equal_that_many_single_draws(count):
     # draw i of a stream is the i-th getrandbits(64) of its generator,
-    # whether taken by next_u64 or through any iterator over the stream
+    # whether taken by `next` or by `zip`
     seed, stream_id = 13, 2
     single = random.Random((seed << 64) | stream_id).getrandbits
     stream = RngStream(seed, stream_id)
     taken = []
     for i in range(count):
-        taken.append(stream.next_u64() if i % 3 == 0 else next(iter(stream)))
+        taken.append(next(stream) if i % 3 == 0 else next(iter(stream)))
     taken.extend(x for _, x in zip(range(2), stream))
     assert taken == [single(64) for _ in range(count + 2)]
+
+
+def test_the_key_bounds_are_accepted():
+    top = (1 << 64) - 1
+    stream = RngStream(top, top)
+    assert iter(stream) is stream
+    assert next(stream) == random.Random((top << 64) | top).getrandbits(64)
+    assert next(RngStream(0, 0)) == random.Random(0).getrandbits(64)
+
+
+@pytest.mark.parametrize("field, seed, stream_id", [
+    ("seed", 1 << 64, 0), ("seed", -1, 0), ("seed", True, 0), ("seed", 2.5, 0),
+    ("seed", "1", 0), ("stream_id", 1, 1 << 64), ("stream_id", 1, -1),
+    ("stream_id", 1, True), ("stream_id", 1, 2.5), ("stream_id", 1, None)])
+def test_a_key_out_of_range_or_not_an_integer_is_refused(field, seed, stream_id):
+    # masked to 64 bits, each would alias a key in range: 2**64 seed 0,
+    # -1 seed 2**64 - 1 and True seed 1
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer in \[0, 2\*\*64 - 1\]$"):
+        RngStream(seed, stream_id)
+
+
+def test_any_iterator_of_draws_is_a_source():
+    # a stdlib iterator over known draws: each kernel takes exactly the
+    # draws its contract names, in order, and leaves the rest unread
+    draws = iter([2, 5, 6, 99, 100])
+    # slots 2, 1, 2: tag 1 alone, tags 0 and 2 collide
+    trace = run_fsa_round(make_population(3), 4, draws)
+    assert (trace.identified_epcs, trace.idle_count, trace.detected_collision_count) == ((1,), 2, 1)
+    assert list(draws) == [99, 100]
+
+    # (participation, slot, sequence) per tag: tags 0 and 1 share slot 1
+    # and sequence 3, tag 2 is alone in slot 2
+    draws = iter([0, 1, 3, 7, 1, 3, 0, 6, 0, 11, 12])
+    trace = run_afsa_round(make_population(3), FrameConfig(4, 2), draws)
+    assert (trace.responders, trace.undetected_collision_count, trace.reserved_true_count,
+            trace.identified_epcs) == (3, 1, 1, (2,))
+    assert list(draws) == [11, 12]
+
+    # divisor 2: tag 0 draws an odd participation and takes no slot or
+    # sequence; tags 1 and 2 meet in slot 3 on sequences 1 and 2
+    draws = iter([1, 2, 3, 1, 4, 3, 2, 50, 51])
+    trace = run_afsa_round(make_population(3), FrameConfig(4, 2, 2), draws)
+    assert (trace.responders, trace.detected_collision_count, trace.idle_count,
+            trace.identified_epcs) == (2, 1, 3, ())
+    assert list(draws) == [50, 51]
+
+    # one uniform of 0.5: past exp(-1) = 0.37, short of 2 exp(-1) = 0.74
+    draws = iter([1 << 63, 7])
+    assert _poisson(1.0, draws) == 1
+    assert list(draws) == [7]
 
 
 @pytest.mark.parametrize("bits, value", [
@@ -68,7 +124,7 @@ def test_unit_cut_matches_unit_float(bits, p):
 
 def test_uniform01_range():
     rng = RngStream(seed=5)
-    draws = [unit_float(rng.next_u64()) for _ in range(1000)]
+    draws = [unit_float(next(rng)) for _ in range(1000)]
     assert all(0.0 <= u < 1.0 for u in draws)
     # crude sanity: mean of 1000 uniforms lands near a half
     assert abs(sum(draws) / len(draws) - 0.5) < 0.05
@@ -77,19 +133,19 @@ def test_uniform01_range():
 def test_scripted_stream_replays_then_raises():
     s = ScriptedStream([0, 2, 1])
     assert s.remaining == 3
-    assert s.next_u64() == 0
+    assert next(s) == 0
     assert next(iter(s)) == 2
-    assert s.next_u64() == 1
+    assert next(s) == 1
     assert s.remaining == 0
     with pytest.raises(IndexError):
-        s.next_u64()
+        next(s)
     with pytest.raises(IndexError):
         next(s)
 
 
 def test_scripted_stream_masks_to_64_bits():
     s = ScriptedStream([1 << 64])
-    assert s.next_u64() == 0
+    assert next(s) == 0
 
 
 def test_scripted_draws_replay_then_raise():
