@@ -5,20 +5,27 @@ a single slot is Binomial(k, 1/N).  All per-round expectations follow from
 that, so each function here is an independent check on the simulator rather
 than a restatement of it.
 
-`tags` is accepted as a float throughout (except where noted) because the
-adaptation path evaluates these formulas at non-integer backlog estimates.
+`tags` is accepted as a float throughout because the adaptation path
+evaluates these formulas at non-integer backlog estimates.
 """
 from __future__ import annotations
 
 import math
 from typing import NamedTuple
 
-from .model import MAX_SEQ_BITS, TIMING, PhaseDurations, TimingModel, is_int
+from .model import (
+    MAX_SEQ_BITS,
+    TIMING,
+    PhaseDurations,
+    TimingModel,
+    check_nonnegative,
+    is_int,
+    is_real,
+)
 
 
 def _check_args(tags: float, slots: int) -> None:
-    if not 0 <= tags < math.inf:  # also rejects nan
-        raise ValueError("tags must be finite and >= 0")
+    check_nonnegative("tags", tags)
     if not (is_int(slots) and slots >= 1):
         raise ValueError("slots must be an integer >= 1")
 
@@ -52,9 +59,9 @@ def expected_unresolved(tags: float, slots: int) -> float:
     """Expected number of slots holding two or more tags.
 
     Computed as the complement N - E[idle] - E[reserved], clamped at zero
-    so float cancellation can never produce a small negative count.
+    so float cancellation can never produce a small negative count.  Its
+    two terms check the arguments.
     """
-    _check_args(tags, slots)
     return max(0.0, slots - expected_idle(tags, slots) - expected_reserved(tags, slots))
 
 
@@ -66,44 +73,43 @@ def expected_undetected(tags: float, slots: int, seq_bits: int) -> float:
     probability 2**-seq_bits, the exact value for two occupants.  It
     ignores the lower agreement probability of 3+ occupant slots and
     therefore overestimates; `expected_undetected_exact` carries the full
-    sum.
+    sum, in closed form.
     """
     _check_seq_bits(seq_bits)
     return expected_unresolved(tags, slots) * 2.0 ** -seq_bits
 
 
-def expected_undetected_exact(tags: int, slots: int, seq_bits: int) -> float:
+def expected_undetected_exact(tags: float, slots: int, seq_bits: int) -> float:
     """Expected undetected-collision slots, exact over slot occupancy.
 
     A slot with i >= 2 occupants is undetected iff all i drew the same
-    sequence, probability 2**(-seq_bits * (i - 1)).  Summing over the
-    Binomial(k, 1/N) occupancy law:
+    sequence, probability x**(i - 1) with x = 2**-seq_bits.  Summed over
+    the Binomial(k, p) occupancy law, p = 1/N, q = 1 - p and r = px/q:
 
-        N * sum_{i=2..k} C(k,i) (1/N)^i (1-1/N)^(k-i) * 2^(-n(i-1))
+        N sum_{i=2..k} C(k,i) p^i q^(k-i) x^(i-1) = (N/x) q^k [(1+r)^k - 1 - kr].
 
-    Terms are evaluated in log space so large k cannot overflow.
-    Requires an integer tag count since it enumerates occupancies.
+    The bracket, about (kr)^2 / 2, cancels: below kr = 1e-4 it is summed as a
+    series and below kr = 1 taken through expm1; beyond, q^k (1+r)^k, which
+    can overflow, is (q + px)^k.  A real `tags` extends it; below two it is 0.
     """
-    if isinstance(tags, float):
-        if not tags.is_integer():
-            raise ValueError("exact model needs an integer tag count")
-        tags = int(tags)
     _check_args(tags, slots)
     _check_seq_bits(seq_bits)
+    x = 2.0 ** -seq_bits
     if tags < 2:
         return 0.0
     if slots == 1:
-        # all k tags share the one slot
-        return 2.0 ** (-seq_bits * (tags - 1))
-    log_p = math.log(1.0 / slots)
-    log_q = math.log1p(-1.0 / slots)
-    log_comb_k = math.lgamma(tags + 1)
-    total = 0.0
-    for i in range(2, tags + 1):
-        log_comb = log_comb_k - math.lgamma(i + 1) - math.lgamma(tags - i + 1)
-        log_term = log_comb + i * log_p + (tags - i) * log_q
-        total += math.exp(log_term) * 2.0 ** (-seq_bits * (i - 1))
-    return slots * total
+        return x ** (tags - 1)  # all k tags share the one slot
+    r = x / (slots - 1)
+    kr = tags * r
+    q_k = math.exp(tags * math.log1p(-1.0 / slots))
+    if kr >= 1.0:
+        return slots / x * (math.exp(tags * math.log1p((x - 1.0) / slots)) - (1.0 + kr) * q_k)
+    if kr < 1e-4:  # C(k,2) r^2 + C(k,3) r^3 + C(k,4) r^4; the rest is < 1e-14 of it
+        bracket = kr * (tags - 1.0) * r / 2.0 * (
+            1.0 + (tags - 2.0) * r / 3.0 * (1.0 + (tags - 3.0) * r / 4.0))
+    else:
+        bracket = math.expm1(tags * math.log1p(r)) - kr
+    return slots / x * q_k * bracket
 
 
 def expected_successful(tags: float, slots: int, seq_bits: int) -> float:
@@ -154,8 +160,7 @@ def optimal_seq_len(e_unresolved: float, slots: int) -> SeqLenChoice:
     collision load).  The usable length rounds half-up and is floored at
     one bit.
     """
-    if not 0 <= e_unresolved < math.inf:  # also rejects nan
-        raise ValueError("e_unresolved must be finite and >= 0")
+    check_nonnegative("e_unresolved", e_unresolved)
     if not (is_int(slots) and slots >= 1):
         raise ValueError("slots must be an integer >= 1")
     arg = SEQ_ARG_COEFF * e_unresolved / slots
@@ -180,7 +185,7 @@ def phase_durations_for(
     if not (is_int(slots) and slots >= 1):
         raise ValueError("slots must be an integer >= 1")
     _check_seq_bits(seq_bits)
-    if not 0 <= successes <= slots:
+    if not (is_real(successes) and 0 <= successes <= slots):
         raise ValueError("successes must be in [0, slots]")
     rb = timing.reader_bit_time_us
     return PhaseDurations(

@@ -20,6 +20,7 @@ from .model import (
     RoundTrace,
     Tag,
     active_count,  # unused here, but bench/child.py wraps it by this name
+    check_nonnegative,
     is_int,
 )
 
@@ -110,8 +111,7 @@ def edfsa_plan(k_est: float) -> EdfsaPlan:
     split into ceil(k_est / max_frame) groups that respond in separate
     rounds, one group per round within the cycle.
     """
-    if not 0 <= k_est < math.inf:  # also rejects nan
-        raise ValueError("k_est must be finite and >= 0")
+    check_nonnegative("k_est", k_est)
     slots = min(EDFSA_FRAME_CHOICES, key=lambda c: (abs(c - k_est), -c))
     if k_est > EDFSA_MAX_FRAME:
         groups = math.ceil(k_est / EDFSA_MAX_FRAME)
@@ -136,8 +136,7 @@ def run_edfsa_inventory(
     observation exists, in the same role as the initial frame size of the
     reservation protocol.
     """
-    if not 0 <= initial_estimate < math.inf:  # also rejects nan
-        raise ValueError("initial_estimate must be finite and >= 0")
+    check_nonnegative("initial_estimate", initial_estimate)
 
     def rounds() -> Rounds:
         k_est = initial_estimate

@@ -11,7 +11,7 @@ import math
 from typing import NamedTuple, Optional
 
 from .analytic import expected_unresolved, optimal_seq_len
-from .model import FrameConfig, RoundTrace, is_int
+from .model import FrameConfig, RoundTrace, check_nonnegative, is_int
 
 # Expected occupants of a slot known to hold a collision, in the Poisson
 # regime the estimator assumes.  Used when no idle slot survives.
@@ -97,6 +97,7 @@ def nearest_power_of_two(value: float) -> int:
 
     Distance is linear, and a tie between neighbours goes up.
     """
+    check_nonnegative("value", value)
     if value <= FRAME_MIN:
         return FRAME_MIN
     if value >= FRAME_MAX:
@@ -108,6 +109,7 @@ def nearest_power_of_two(value: float) -> int:
 
 def auto_seq_bits(k_est: float, slots: int) -> int:
     """Sequence length chosen for an upcoming frame of `slots` at backlog `k_est`."""
+    check_nonnegative("k_est", k_est)
     return optimal_seq_len(expected_unresolved(k_est, slots), slots).rounded
 
 
@@ -124,8 +126,7 @@ def next_frame(estimate: BacklogEstimate,
     the returned `FrameConfig` rejects a pinned length out of range.
     """
     k_est = estimate.k_est
-    if not 0 <= k_est < math.inf:  # also rejects nan
-        raise ValueError("k_est must be finite and >= 0")
+    check_nonnegative("k_est", k_est)
     slots = nearest_power_of_two(k_est)
     if k_est > OVERLOAD_RATIO * slots:
         divisor = max(1, int(math.floor(k_est / slots + 0.5)))

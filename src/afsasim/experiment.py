@@ -7,13 +7,12 @@ for any execution order.
 from __future__ import annotations
 
 import math
-import numbers
 from typing import Iterator, List, NamedTuple, Optional, Sequence
 
 from .afsa import InventoryResult, run_afsa_inventory
 from .baselines import run_edfsa_inventory, run_fsa_inventory
 from .estimator import initial_seq_bits
-from .model import MAX_SEQ_BITS, FrameConfig, Tag, is_int, make_population
+from .model import MAX_SEQ_BITS, FrameConfig, Tag, is_int, is_real, make_population
 from .rng import MAX_KEY, RngStream, unit_cut, unit_float
 
 PROTOCOLS = ("afsa", "fsa", "edfsa")
@@ -60,10 +59,6 @@ class ExperimentConfig(NamedTuple):
     departure_prob: float = 0.0
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 def validate_experiment(config: ExperimentConfig) -> List[str]:
     """All constraint violations in `config`, empty when it is runnable.
 
@@ -106,13 +101,13 @@ def validate_experiment(config: ExperimentConfig) -> List[str]:
         problems.append("max_rounds must be an integer")
     elif config.max_rounds < 1:
         problems.append("max_rounds must be >= 1")
-    if not _is_real(config.arrival_rate):
+    if not is_real(config.arrival_rate):
         problems.append("arrival_rate must be a real number")
     elif config.arrival_rate < 0:
         problems.append("arrival_rate must be >= 0")
     elif not config.arrival_rate <= MAX_ARRIVAL_RATE:  # also rejects nan
         problems.append(f"arrival_rate must be finite and <= {MAX_ARRIVAL_RATE}")
-    if not _is_real(config.departure_prob):
+    if not is_real(config.departure_prob):
         problems.append("departure_prob must be a real number")
     elif not 0.0 <= config.departure_prob <= 1.0:
         problems.append("departure_prob must be in [0, 1]")

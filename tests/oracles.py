@@ -115,6 +115,25 @@ def enum_undetected(tags: int, slots: int, seq_bits: int) -> Fraction:
     return Fraction(undetected, total)
 
 
+def exact_undetected(tags: int, slots: int, seq_bits: int) -> Fraction:
+    """Exact E[undetected collisions], summed over slot occupancy counts.
+
+    A slot holds i of the k tags with probability
+    C(k,i) (1/N)^i ((N-1)/N)^(k-i), and its i occupants all agree with
+    probability 2**(-n(i-1)).  Over the common denominator (N 2^n)^(k-1)
+    the i-th term of N * sum_{i=2..k} is the integer
+    C(k,i) ((N-1) 2^n)^(k-i), so the sum is exact for any k.
+    """
+    if tags < 2:
+        return Fraction(0)
+    ratio = (slots - 1) << seq_bits
+    total, power = 0, 1
+    for i in range(tags, 1, -1):  # power is ratio**(tags - i)
+        total += math.comb(tags, i) * power
+        power *= ratio
+    return Fraction(total, (slots << seq_bits) ** (tags - 1))
+
+
 def mc_slot_means(tags: int, slots: int, rounds: int, seed: int):
     """Monte Carlo (mean reserved, mean idle, mean unresolved) via numpy.
 

@@ -20,9 +20,10 @@ from afsasim.analytic import (
     slot_profile,
 )
 from afsasim.estimator import nearest_power_of_two
+from afsasim.experiment import MAX_FRAME_SLOTS, MAX_TAGS
 from afsasim.model import TimingModel
 
-from oracles import enum_slot_stats, enum_undetected, mc_slot_means
+from oracles import enum_slot_stats, enum_undetected, exact_undetected, mc_slot_means
 
 SMALL_CELLS = [(k, n) for k in range(0, 5) for n in range(1, 5)]
 
@@ -74,11 +75,12 @@ def test_fractional_tags_accepted():
 
 
 @pytest.mark.parametrize("bad", [(-1, 4), (2, 0), (2, -3), (math.nan, 4), (math.inf, 4),
-                                 (2, 2.5), (2, True)])
+                                 (2, 2.5), (2, True), ("5", 4), (None, 4), (True, 4)])
 def test_argument_validation(bad):
     tags, slots = bad
     for fn in (expected_reserved, expected_idle, expected_unresolved,
-               lambda tags, slots: slot_profile(tags, slots, 2)):
+               lambda tags, slots: slot_profile(tags, slots, 2),
+               lambda tags, slots: expected_undetected_exact(tags, slots, 2)):
         with pytest.raises(ValueError, match="slots" if tags == 2 else
                            r"^tags must be finite and >= 0$"):
             fn(tags, slots)
@@ -134,8 +136,71 @@ def test_exact_undetected_edge_cases():
     assert expected_undetected_exact(1, 8, 2) == 0.0
     # one slot, all tags collide there
     assert expected_undetected_exact(3, 1, 2) == pytest.approx(2.0 ** -4, rel=1e-12)
-    with pytest.raises(ValueError):
-        expected_undetected_exact(2.5, 8, 2)
+    # a real backlog lies between its integer neighbours
+    assert (expected_undetected_exact(2, 8, 2) < expected_undetected_exact(2.5, 8, 2)
+            < expected_undetected_exact(3, 8, 2))
+    assert expected_undetected_exact(2.5, 1, 2) == 2.0 ** -3
+    assert expected_undetected_exact(1.5, 8, 2) == 0.0
+
+
+def _assert_matches_exact_sum(tags, slots, bits):
+    exact = float(exact_undetected(tags, slots, bits))
+    value = expected_undetected_exact(tags, slots, bits)
+    if exact >= 1e-3:
+        assert value == pytest.approx(exact, rel=1e-10)
+    elif exact >= 1e-6:
+        assert value == pytest.approx(exact, rel=1e-8)
+    else:
+        assert value == pytest.approx(exact, abs=1e-12)
+
+
+@given(tags=st.integers(min_value=0, max_value=200),
+       slots=st.integers(min_value=1, max_value=1024),
+       bits=st.integers(min_value=1, max_value=16))
+@settings(max_examples=150, deadline=None)
+def test_exact_undetected_matches_the_occupancy_sum(tags, slots, bits):
+    _assert_matches_exact_sum(tags, slots, bits)
+
+
+@pytest.mark.parametrize("tags,slots,bits", [
+    (0, 1, 2), (1, 1, 2), (2, 1, 2), (3, 1, 2), (50, 1, 1), (50, 1, 16), (1000, 1024, 2),
+])
+def test_exact_undetected_matches_the_occupancy_sum_at_fixed_cells(tags, slots, bits):
+    _assert_matches_exact_sum(tags, slots, bits)
+
+
+@pytest.mark.parametrize("tags,slots,bits", [(300, 1024, 16), (150, 65536, 16)])
+def test_exact_undetected_keeps_precision_where_the_bracket_cancels(tags, slots, bits):
+    # kr < 1e-4, where expm1(k log1p r) - kr alone loses 1e-10 and 1.5e-9 here
+    assert expected_undetected_exact(tags, slots, bits) == pytest.approx(
+        float(exact_undetected(tags, slots, bits)), rel=1e-12)
+
+
+@pytest.mark.parametrize("slots", [1, 2, 8, 1024, 65536])
+def test_exact_undetected_is_finite_at_max_tags(slots):
+    # (1 + r)^k overflows a float here for N = 2
+    for bits in (1, 2, 16):
+        value = expected_undetected_exact(MAX_TAGS, slots, bits)
+        assert math.isfinite(value) and value >= 0.0
+
+
+@given(tags=st.floats(min_value=0.0, max_value=MAX_TAGS),
+       slots=st.integers(min_value=1, max_value=MAX_FRAME_SLOTS),
+       bits=st.integers(min_value=1, max_value=16))
+@settings(max_examples=100, deadline=None)
+def test_exact_undetected_is_finite_and_nonnegative(tags, slots, bits):
+    value = expected_undetected_exact(tags, slots, bits)
+    assert math.isfinite(value) and value >= 0.0
+
+
+@given(tags=st.integers(min_value=0, max_value=200),
+       slots=st.integers(min_value=2, max_value=1024),
+       bits=st.integers(min_value=1, max_value=16))
+@settings(max_examples=100, deadline=None)
+def test_exact_undetected_is_continuous_in_real_tags(tags, slots, bits):
+    # one slot is left out: there the value moves by bits * ln 2 per tag
+    assert expected_undetected_exact(tags + 1e-7, slots, bits) == pytest.approx(
+        expected_undetected_exact(tags, slots, bits), rel=1e-6)
 
 
 def test_undetected_rejects_zero_seq_bits():
@@ -182,7 +247,7 @@ def test_optimal_seq_len_validation():
     with pytest.raises(ValueError):
         optimal_seq_len(-0.1, 64)
     # nan would otherwise pass as a plausible one bit
-    for bad in (math.nan, math.inf, -math.inf):
+    for bad in (math.nan, math.inf, -math.inf, "8", None, True):
         with pytest.raises(ValueError, match="^e_unresolved must be finite and >= 0$"):
             optimal_seq_len(bad, 8)
     with pytest.raises(ValueError):
@@ -219,6 +284,10 @@ def test_phase_durations_validation():
         phase_durations_for(-0.5, 8, 2)
     with pytest.raises(ValueError):
         phase_durations_for(9, 8, 2)
+    # a count of successes is a number
+    for bad in ("1", None):
+        with pytest.raises(ValueError, match=r"^successes must be in \[0, slots\]$"):
+            phase_durations_for(bad, 8, 2)
     with pytest.raises(ValueError):
         phase_durations_for(1, 8, 0)
     # counts of slots and bits are integers; bool is no count

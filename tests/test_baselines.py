@@ -145,7 +145,7 @@ def test_edfsa_plan_menu_and_validation():
         assert plan.groups >= 1
         # groups are sized so that no group exceeds the largest frame
         assert estimate / plan.groups <= 256
-    for bad in (-1, math.nan, math.inf, -math.inf):
+    for bad in (-1, math.nan, math.inf, -math.inf, "5", None, True):
         with pytest.raises(ValueError, match=r"^k_est must be finite and >= 0$"):
             edfsa_plan(bad)
 
@@ -183,7 +183,7 @@ def test_edfsa_inventory_empty_population():
 def test_edfsa_validation():
     with pytest.raises(ValueError):
         run_edfsa_inventory([], RngStream(1, 0), max_rounds=0)
-    for estimate in (-5.0, math.inf, math.nan):
+    for estimate in (-5.0, math.inf, math.nan, "128", None, True):
         with pytest.raises(ValueError, match=r"^initial_estimate must be finite and >= 0$"):
             run_edfsa_inventory([], ScriptedStream([]), initial_estimate=estimate)
     # the FSA kernel takes a whole number of slots, at least one

@@ -135,6 +135,9 @@ def test_nearest_power_of_two():
     assert nearest_power_of_two(767) == 512
     assert nearest_power_of_two(769) == 1024
     assert nearest_power_of_two(5000) == 1024
+    for bad in (math.nan, math.inf, -math.inf, -3, "8", None, True):
+        with pytest.raises(ValueError, match="^value must be finite and >= 0$"):
+            nearest_power_of_two(bad)
 
 
 def test_next_frame_reference_points():
@@ -149,7 +152,7 @@ def test_next_frame_reference_points():
     assert flooded.participation_divisor == 10
 
     # rejected before any arithmetic, under either sequence policy
-    for bad in (math.nan, math.inf, -math.inf, -5.0):
+    for bad in (math.nan, math.inf, -math.inf, -5.0, "5", None, True):
         for fixed in (None, 3):
             with pytest.raises(ValueError, match="^k_est must be finite and >= 0$"):
                 next_frame(BacklogEstimate(bad, EstimateMethod.COLLISION_FLOOR), fixed)
@@ -193,6 +196,10 @@ def test_first_round_seq_bits_assume_load_one():
         assert initial_seq_bits(slots) == 2
     assert initial_seq_bits(1) == 1
     assert auto_seq_bits(100.0, 128) == 2
+    # the backlog is at fault, by the name this function gives it
+    for bad in (math.nan, -1.0, "8", None, True):
+        with pytest.raises(ValueError, match="^k_est must be finite and >= 0$"):
+            auto_seq_bits(bad, 8)
     with pytest.raises(ValueError):
         initial_seq_bits(0)
     # the frame size is at fault, whatever the type
