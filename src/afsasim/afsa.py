@@ -59,6 +59,9 @@ def _next_frame(
     return next_frame(estimate, fixed_seq_bits)
 
 
+# What a round kernel raises when `rng` ends before every tag has drawn.
+DRAWS_RAN_OUT = "rng ran out of draws before the round's last tag"
+
 # A round kernel's `heard[slot]` is None while the slot is idle, its first
 # occupant until a second arrives, and COLLIDED from then on.
 COLLIDED = object()
@@ -78,6 +81,9 @@ def run_afsa_round(
     uniform over the frame and a reservation sequence uniform over
     seq_bits-bit values.  Draw order is part of the reproducibility
     contract, and the round takes exactly those draws from `rng`, no more.
+    The trace's `responders` counts the tags that joined: all of `tags`
+    unless the divisor gates the round.  A stream that runs out before
+    the last tag has taken its draws raises ValueError.
 
     A slot is idle with no occupants, a detected collision when its
     occupants sent differing sequences, and apparently reserved
@@ -87,7 +93,9 @@ def run_afsa_round(
     but nobody is identified.
     """
     slots = frame.slots
-    seq_space = 1 << frame.seq_bits
+    seq_bits = frame.seq_bits
+    # the sequence space is a power of two, so a mask reduces a draw
+    seq_mask = (1 << seq_bits) - 1
     # per slot: see COLLIDED; and the first sequence, -1 once another differs
     heard: List[object] = [None] * slots
     first_seq = [0] * slots
@@ -97,15 +105,19 @@ def run_afsa_round(
         # every tag joins, and `_` is its participation draw; the tags come
         # first, so the zip ends at the last tag without another draw
         joiners = zip(tags, rng, rng, rng)
+        responders = len(tags)
     else:
         # a tag takes its slot and sequence draws only once it has joined
-        joiners = ((tag, 0, next(rng), next(rng))
-                   for tag in tags if not next(rng) % divisor)
-    responders = 0
+        try:
+            joiners = [(tag, 0, next(rng), next(rng))
+                       for tag in tags if not next(rng) % divisor]
+        except StopIteration:
+            raise ValueError(DRAWS_RAN_OUT) from None
+        responders = len(joiners)
+    tag = None
     for tag, _, slot_draw, seq_draw in joiners:
         slot = slot_draw % slots
-        sequence = seq_draw % seq_space
-        responders += 1
+        sequence = seq_draw & seq_mask
         if heard[slot] is None:
             heard[slot] = tag
             first_seq[slot] = sequence
@@ -113,6 +125,9 @@ def run_afsa_round(
             heard[slot] = COLLIDED
             if sequence != first_seq[slot]:
                 first_seq[slot] = -1
+    # the zip ends before the last tag when the stream runs out first
+    if divisor == 1 and tags and tag is not tags[-1]:
+        raise ValueError(DRAWS_RAN_OUT)
 
     idle = detected = undetected = 0
     identified: List[int] = []
@@ -127,17 +142,9 @@ def run_afsa_round(
         else:
             undetected += 1
 
-    return RoundTrace(
-        slots=slots,
-        seq_bits=frame.seq_bits,
-        responders=responders,
-        idle_count=idle,
-        reserved_true_count=len(identified),
-        detected_collision_count=detected,
-        undetected_collision_count=undetected,
-        identified_epcs=tuple(identified),
-        total_us=_round_time(len(identified) + undetected, slots, frame.seq_bits),
-    )
+    reserved = len(identified)
+    return RoundTrace(slots, seq_bits, responders, idle, reserved, detected, undetected,
+                      tuple(identified), _round_time(reserved + undetected, slots, seq_bits))
 
 
 class InventoryResult(NamedTuple):
@@ -193,10 +200,12 @@ def run_inventory(
     supplies only its sequence of rounds, each of which runs when it is
     sent the tags still answering.  At least one round always runs, so an
     empty population still pays for one empty frame.  After each
-    non-final round `between_rounds()` may mutate the population
-    (arrivals and departures), so population changes take effect from the
-    next round on.  `completed` is False only when the round budget ran
-    out with tags still pending.
+    non-final round `between_rounds()` may change the population, and the
+    change takes effect from the next round on.  A hook may only make
+    tags leave (set `present` to False) and append new tags to `tags`;
+    it never brings a tag back, clears `identified` or reorders `tags`.
+    `completed` is False only when the round budget ran out with tags
+    still pending.
     """
     if not (is_int(max_rounds) and max_rounds >= 1):
         raise ValueError("max_rounds must be an integer >= 1")
@@ -216,8 +225,12 @@ def run_inventory(
         if len(traces) >= max_rounds:
             return InventoryResult(traces, k_active, False, len(tags))
         if between_rounds is not None:
+            known = len(tags)
             between_rounds()
-            active = [t for t in tags if t.present and not t.identified]
+            # by the hook's contract: the tags still answering that stayed,
+            # then the arrivals, in population order
+            active = [t for t in active if t.present]
+            active += [t for t in tags[known:] if t.present and not t.identified]
 
 
 def run_afsa_inventory(

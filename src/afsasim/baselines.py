@@ -13,7 +13,14 @@ from __future__ import annotations
 import math
 from typing import Iterator, List, NamedTuple, Optional, Sequence
 
-from .afsa import COLLIDED, BetweenRounds, InventoryResult, Rounds, run_inventory
+from .afsa import (
+    COLLIDED,
+    DRAWS_RAN_OUT,
+    BetweenRounds,
+    InventoryResult,
+    Rounds,
+    run_inventory,
+)
 from .estimator import estimate_backlog
 from .model import (
     TIMING,
@@ -35,11 +42,12 @@ def run_fsa_round(tags: Sequence[Tag], slots: int, rng: Iterator[int]) -> RoundT
 
     The caller picks who answers, as for `afsa.run_afsa_round`.  Each tag
     consumes one draw (its slot), and the round takes no other draw from
-    `rng`.  Every slot of the frame costs a full data slot whether idle,
-    reserved, or collided; there is no reservation or acknowledgement
-    traffic beyond the frame advertisement.  Single-occupant slots
-    identify their tag in place; full payloads always differ, so every
-    collision is detected.
+    `rng`; a stream that runs out before the last tag raises ValueError.
+    Every slot of the frame costs a full data slot whether idle, reserved,
+    or collided; there is no reservation or acknowledgement traffic
+    beyond the frame advertisement.  Single-occupant slots identify their
+    tag in place; full payloads always differ, so every collision is
+    detected.
     """
     if not is_int(slots):
         raise ValueError("slots must be an integer")
@@ -48,9 +56,13 @@ def run_fsa_round(tags: Sequence[Tag], slots: int, rng: Iterator[int]) -> RoundT
     # per slot: None, the lone occupant or COLLIDED
     heard: List[object] = [None] * slots
     # the tags come first, so the zip ends at the last tag without a draw
+    tag = None
     for tag, draw in zip(tags, rng):
         slot = draw % slots
         heard[slot] = tag if heard[slot] is None else COLLIDED
+    # the zip ends before the last tag when the stream runs out first
+    if tags and tag is not tags[-1]:
+        raise ValueError(DRAWS_RAN_OUT)
 
     identified: List[int] = []
     idle = detected = 0
@@ -63,17 +75,8 @@ def run_fsa_round(tags: Sequence[Tag], slots: int, rng: Iterator[int]) -> RoundT
             occupant.identified = True
             identified.append(occupant.epc)
 
-    return RoundTrace(
-        slots=slots,
-        seq_bits=0,
-        responders=len(tags),
-        idle_count=idle,
-        reserved_true_count=len(identified),
-        detected_collision_count=detected,
-        undetected_collision_count=0,
-        identified_epcs=tuple(identified),
-        total_us=TIMING.advert_us + TIMING.data_slot_us * slots,
-    )
+    return RoundTrace(slots, 0, len(tags), idle, len(identified), detected, 0,
+                      tuple(identified), TIMING.advert_us + TIMING.data_slot_us * slots)
 
 
 def run_fsa_inventory(
@@ -145,7 +148,11 @@ def run_edfsa_inventory(
             plan = edfsa_plan(k_est)
             k_est = 0.0
             for group in range(plan.groups):
-                responders = [t for t in active if t.epc % plan.groups == group]
+                if plan.groups == 1:
+                    # epc mod 1 is 0 for every tag: no copy to filter
+                    responders = active
+                else:
+                    responders = [t for t in active if t.epc % plan.groups == group]
                 trace = run_fsa_round(responders, plan.slots, rng)
                 active = yield trace
                 k_est += estimate_backlog(trace).k_est

@@ -7,6 +7,7 @@ for any execution order.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Iterator, List, NamedTuple, Optional, Sequence
 
 from .afsa import InventoryResult, run_afsa_inventory
@@ -181,32 +182,52 @@ def run_trial(config: ExperimentConfig, trial_id: int) -> InventoryResult:
 
     churn = None
     if config.arrival_rate > 0 or config.departure_prob > 0:
-        next_epc = [config.k_initial]
         departs = unit_cut(config.departure_prob)
+        # the present tags in population order: only churn changes them
+        present = population.copy()
 
         def churn() -> None:
             # departure draws first, one per present tag in population
             # order, then a single arrivals draw; zero-rate parts draw
             # nothing at all
+            nonlocal present
             if config.departure_prob > 0:
-                present = [tag for tag in population if tag.present]
+                stayed = []
                 for tag, bits in zip(present, rng):
                     if bits < departs:
                         tag.present = False
+                    else:
+                        stayed.append(tag)
+                present = stayed
             if config.arrival_rate > 0:
-                for _ in range(_poisson(config.arrival_rate, rng)):
-                    population.append(Tag(epc=next_epc[0]))
-                    next_epc[0] += 1
+                # EPCs go on from the last tag's, so an EPC is its index
+                known = len(population)
+                count = _poisson(config.arrival_rate, rng)
+                arrivals = list(map(Tag, range(known, known + count)))
+                population.extend(arrivals)
+                present.extend(arrivals)
 
     return _dispatch(config, population, rng, churn)
 
 
+# Entries `_first_frame` keeps: one per (frame size, sequence length).
+_FIRST_FRAMES = 1024
+
+
+@lru_cache(maxsize=_FIRST_FRAMES)
+def _first_frame(frame_slots: int, seq_bits: Optional[int]) -> FrameConfig:
+    """The frame a trial's first round announces, built once per pair of
+    validated config fields; `seq_bits` None: `initial_seq_bits`."""
+    if seq_bits is None:
+        seq_bits = initial_seq_bits(frame_slots)
+    return FrameConfig(frame_slots, seq_bits)
+
+
 def _dispatch(config, population, rng, churn) -> InventoryResult:
     if config.protocol == "afsa":
-        seq_bits = (initial_seq_bits(config.frame_slots)
-                    if config.seq_bits is None else config.seq_bits)
         return run_afsa_inventory(
-            population, FrameConfig(config.frame_slots, seq_bits), config.seq_bits, rng,
+            population, _first_frame(config.frame_slots, config.seq_bits),
+            config.seq_bits, rng,
             max_rounds=config.max_rounds, between_rounds=churn)
     if config.protocol == "fsa":
         return run_fsa_inventory(

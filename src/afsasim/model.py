@@ -166,8 +166,7 @@ def make_population(count: int) -> list[Tag]:
     """Fresh population of `count` present, unidentified tags with distinct EPCs."""
     if not (is_int(count) and count >= 0):
         raise ValueError("count must be an integer >= 0")
-    # positional: a keyword argument costs a parse per tag
-    return [Tag(epc) for epc in range(count)]
+    return list(map(Tag, range(count)))
 
 
 def active_count(tags) -> int:

@@ -16,11 +16,9 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
-import json
 import math
 import sys
-from json.encoder import encode_basestring_ascii
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
 from .afsa import InventoryResult
 from .experiment import ExperimentConfig, ExperimentResult
@@ -71,19 +69,28 @@ def trial_rows(
                 zip(trial.traces, trial.k_active), start=1)
         ]
     traces = trial.traces
+    idle = reserved = detected = undetected = identified = 0
+    for _, _, _, t_idle, t_reserved, t_detected, t_undetected, epcs, _ in traces:
+        idle += t_idle
+        reserved += t_reserved
+        detected += t_detected
+        undetected += t_undetected
+        identified += len(epcs)
     return [{
         "trial": trial_id,
-        "round": trial.rounds_used,
+        "round": len(traces),
         "protocol": protocol,
         "N": config.frame_slots,
         "n": traces[0].seq_bits,
         "k_active": trial.ever_present,
-        "idle": sum(t.idle_count for t in traces),
-        "reserved_true": sum(t.reserved_true_count for t in traces),
-        "detected_collisions": sum(t.detected_collision_count for t in traces),
-        "undetected_collisions": sum(t.undetected_collision_count for t in traces),
-        "identified": trial.tags_identified,
-        "round_time_us": trial.total_time_us,
+        "idle": idle,
+        "reserved_true": reserved,
+        "detected_collisions": detected,
+        "undetected_collisions": undetected,
+        "identified": identified,
+        # a float sum of its own: from Python 3.12 `sum` compensates, so a
+        # running total in the loop above could differ in the last bits
+        "round_time_us": sum(t.total_us for t in traces),
     }]
 
 
@@ -103,37 +110,48 @@ def _drain(buf: io.StringIO) -> str:
     return text
 
 
-_JSON = json.JSONEncoder(indent=2)
-
 # What precedes a value in an indented JSON row object, per column.
 _JSON_KEYS = {column: f'    "{column}": ' for column in COLUMNS}
 
 
-def _json_item(row: Row) -> str:
-    """`row` as `json.dumps(rows, indent=2)` writes it inside the array.
+def _json_writer() -> Callable[[Row], str]:
+    """The function that writes one row of a JSON report.
 
-    A dict of strings, ints and finite floats under COLUMNS keys, which
-    is what a report row holds, is written here; anything else goes
-    through the stdlib encoder, which with an indent runs in pure Python
-    and is rebuilt on every call.
+    `json` is imported here, not at the top: a CSV report, the default,
+    never needs it.
     """
-    fields = []
-    for key, value in row.items() if type(row) is dict else ():
-        kind = type(value)
-        if kind is str:
-            text = encode_basestring_ascii(value)
-        elif kind is int or (kind is float and math.isfinite(value)):
-            text = repr(value)
+    import json
+    from json.encoder import encode_basestring_ascii
+
+    encoder = json.JSONEncoder(indent=2)
+
+    def item(row: Row) -> str:
+        """`row` as `json.dumps(rows, indent=2)` writes it inside the array.
+
+        A dict of strings, ints and finite floats under COLUMNS keys,
+        which is what a report row holds, is written here; anything else
+        goes through the stdlib encoder, which with an indent runs in pure
+        Python and is rebuilt on every call.
+        """
+        fields = []
+        for key, value in row.items() if type(row) is dict else ():
+            kind = type(value)
+            if kind is str:
+                text = encode_basestring_ascii(value)
+            elif kind is int or (kind is float and math.isfinite(value)):
+                text = repr(value)
+            else:
+                break
+            prefix = _JSON_KEYS.get(key)
+            if prefix is None:
+                break
+            fields.append(prefix + text)
         else:
-            break
-        prefix = _JSON_KEYS.get(key)
-        if prefix is None:
-            break
-        fields.append(prefix + text)
-    else:
-        if fields:
-            return "  {\n" + ",\n".join(fields) + "\n  }"
-    return _JSON.encode([row])[2:-2]
+            if fields:
+                return "  {\n" + ",\n".join(fields) + "\n  }"
+        return encoder.encode([row])[2:-2]
+
+    return item
 
 
 def _report_text(batches: Iterable[Sequence[Row]], fmt: str = "csv") -> Iterator[str]:
@@ -150,18 +168,26 @@ def _report_text(batches: Iterable[Sequence[Row]], fmt: str = "csv") -> Iterator
         # one writer for the whole report, its buffer emptied once per
         # batch; the header goes out with the first batch, or at the end
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=COLUMNS, lineterminator="\n")
-        writer.writeheader()
+        writer = csv.writer(buf, lineterminator="\n")
+        by_name = csv.DictWriter(buf, fieldnames=COLUMNS, lineterminator="\n")
+        writer.writerow(COLUMNS)
         for rows in batches:
             if rows:
-                writer.writerows(rows)
+                for row in rows:
+                    # every report row has exactly the columns, in order;
+                    # any other row is written as DictWriter writes it
+                    if tuple(row) == COLUMNS:
+                        writer.writerow(row.values())
+                    else:
+                        by_name.writerow(row)
                 yield _drain(buf)
         yield _drain(buf)
     elif fmt == "json":
+        json_item = _json_writer()
         opening = "[\n"
         for rows in batches:
             if rows:
-                yield opening + ",\n".join(map(_json_item, rows))
+                yield opening + ",\n".join(map(json_item, rows))
                 opening = ",\n"
         yield "[]\n" if opening == "[\n" else "\n]\n"
     else:

@@ -87,6 +87,37 @@ def test_a_script_one_draw_short_raises(divisor, script):
                        ScriptedStream(script))
 
 
+@pytest.mark.parametrize("frame, script", [
+    # ungated: tag 0 has its three draws, tag 1 two, tag 2 none
+    (FrameConfig(4, 2), [0, 1, 3, 7, 1]),
+    # gated, both join: the second tag's sequence draw is missing
+    (FrameConfig(8, 2, 2), [0, 1, 2, 4, 3]),
+    # gated: the first is gated out, the second's participation draw is missing
+    (FrameConfig(8, 2, 2), [1]),
+    # ungated: no draw at all
+    (FrameConfig(4, 2), []),
+])
+def test_a_plain_iterator_that_runs_out_mid_round_raises(frame, script):
+    # a plain iterator ends with StopIteration, which would end the zip over
+    # the tags quietly and leave the last tags without draws
+    tags = make_population(3 if frame.participation_divisor == 1 else 2)
+    with pytest.raises(ValueError, match="ran out of draws"):
+        run_afsa_round(tags, frame, iter(script))
+
+
+@pytest.mark.parametrize("frame, script, responders", [
+    (FrameConfig(4, 2), [0, 1, 3, 7, 1, 2], 2),
+    (FrameConfig(8, 2, 2), [0, 1, 2, 3], 1),
+    (FrameConfig(8, 2, 2), [1, 3], 0),
+])
+def test_a_plain_iterator_just_long_enough_plays_the_round(frame, script, responders):
+    stream = iter(script)
+    trace = run_afsa_round(make_population(2), frame, stream)
+    check_round_trace(trace)
+    assert trace.responders == responders
+    assert next(stream, None) is None
+
+
 def test_reader_observe_classifies_each_slot():
     # (participation, slot, sequence) per tag; the last tag is gated out
     script = [

@@ -86,6 +86,11 @@ def test_importing_the_cli_loads_no_module_a_plain_run_does_not_use():
     assert [name for name in _modules_after_importing_the_cli() if name in deferred] == []
 
 
+def test_importing_the_cli_loads_no_json():
+    # a CSV report, the default, needs no json; a JSON report imports it
+    assert "json" not in _modules_after_importing_the_cli()
+
+
 # Every (module, attribute) pair that bench/child.py replaces with a timing
 # wrapper, by the name it patches; a missing one makes a traced benchmark
 # run raise AttributeError.

@@ -56,6 +56,24 @@ def test_fsa_round_raises_on_a_script_one_draw_short():
         run_fsa_round(make_population(3), 8, ScriptedStream([0, 1]))
 
 
+@pytest.mark.parametrize("script", [[], [2], [2, 5]])
+def test_fsa_round_raises_when_a_plain_iterator_runs_out(script):
+    # a plain iterator's StopIteration would end the zip over the tags
+    # quietly, leaving the last tags without a slot
+    with pytest.raises(ValueError, match="ran out of draws"):
+        run_fsa_round(make_population(3), 4, iter(script))
+
+
+def test_fsa_round_on_a_plain_iterator_just_long_enough():
+    stream = iter([2, 5, 1])
+    trace = run_fsa_round(make_population(3), 4, stream)
+    assert trace.responders == 3
+    assert trace.reserved_true_count == 1
+    assert next(stream, None) is None
+    # no tag, no draw: the empty round needs nothing from the stream
+    assert run_fsa_round([], 4, iter([])).idle_count == 4
+
+
 @given(tags=st.integers(min_value=0, max_value=80),
        slots=st.integers(min_value=1, max_value=64),
        seed=st.integers(min_value=0, max_value=2**32))

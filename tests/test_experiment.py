@@ -16,7 +16,8 @@ from afsasim.experiment import (
     validate_experiment,
 )
 from afsasim.afsa import run_afsa_inventory
-from afsasim.estimator import initial_seq_bits
+from afsasim.baselines import run_edfsa_inventory, run_fsa_inventory
+from afsasim.estimator import auto_seq_bits, initial_seq_bits
 from afsasim.model import FrameConfig, Tag, make_population
 from afsasim.rng import RngStream, unit_float
 
@@ -237,10 +238,12 @@ def test_poisson_tail_draws(rate, bits, arrivals):
     assert _poisson(rate, ScriptedStream([bits])) == arrivals
 
 
-def test_churn_draws_match_one_draw_per_present_tag():
-    # the trial's churn against the plain loop it takes its draws in bulk for:
-    # one uniform per present tag in population order, then the arrivals
-    config = FAST._replace(k_initial=60, frame_slots=32, arrival_rate=1.5, departure_prob=0.2)
+def _check_churn_against_a_full_scan(protocol):
+    # the trial's churn, which keeps its own list of present tags, against
+    # the plain loop over the whole population: one uniform per present tag
+    # in population order, then the arrivals
+    config = FAST._replace(protocol=protocol, k_initial=60, frame_slots=32,
+                           arrival_rate=1.5, departure_prob=0.2)
     for trial in range(3):
         rng = RngStream(config.seed, trial)
         population = make_population(config.k_initial)
@@ -252,11 +255,45 @@ def test_churn_draws_match_one_draw_per_present_tag():
             for _ in range(_poisson(config.arrival_rate, rng)):
                 population.append(Tag(epc=len(population)))
 
-        expected = run_afsa_inventory(
-            population, FrameConfig(32, initial_seq_bits(config.frame_slots)),
-            None, rng,
-            max_rounds=config.max_rounds, between_rounds=churn)
+        inventory = {
+            "afsa": lambda: run_afsa_inventory(
+                population, FrameConfig(32, initial_seq_bits(config.frame_slots)),
+                None, rng, max_rounds=config.max_rounds, between_rounds=churn),
+            "fsa": lambda: run_fsa_inventory(
+                population, 32, rng, max_rounds=config.max_rounds, between_rounds=churn),
+            "edfsa": lambda: run_edfsa_inventory(
+                population, rng, max_rounds=config.max_rounds, initial_estimate=32.0,
+                between_rounds=churn),
+        }[protocol]
+        expected = inventory()
+        assert len(expected.traces) > 1
         assert run_trial(config, trial) == expected
+
+
+def test_churn_draws_match_one_draw_per_present_tag():
+    _check_churn_against_a_full_scan("afsa")
+
+
+@pytest.mark.parametrize("protocol", ["fsa", "edfsa"])
+def test_baseline_churn_draws_match_one_draw_per_present_tag(protocol):
+    _check_churn_against_a_full_scan(protocol)
+
+
+@pytest.mark.parametrize("slots", [
+    *range(1, 65),
+    *(1 << e for e in range(7, 17)),
+    # not powers of two
+    100, 1000, 4097, 65535,
+])
+def test_the_memoised_first_frame_assumes_load_one(slots):
+    experiment._first_frame.cache_clear()
+    auto = FrameConfig(slots, auto_seq_bits(float(slots), slots))
+    # computed, then from the memo
+    assert experiment._first_frame(slots, None) == auto
+    assert experiment._first_frame(slots, None) == auto
+    # a pinned sequence length is taken as it is
+    assert experiment._first_frame(slots, 5) == FrameConfig(slots, 5)
+    assert experiment._first_frame.cache_info().hits == 1
 
 
 def test_arrivals_with_departures_still_terminate():

@@ -123,6 +123,32 @@ def test_csv_always_has_header():
     assert text == ",".join(COLUMNS) + "\n"
 
 
+def _dict_writer_csv(rows):
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=COLUMNS, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def test_csv_rows_are_written_as_dict_writer_writes_them():
+    # report rows, keys in COLUMNS order, take a plain csv.writer; any other
+    # row must still come out as csv.DictWriter writes it
+    rows = result_rows(_fast_result()) + result_rows(_fast_result(), per_round=True)
+    assert all(tuple(row) == COLUMNS for row in rows)
+    reordered = [dict(reversed(list(row.items()))) for row in rows]
+    missing = [{k: v for k, v in row.items() if k != "n"} for row in rows]
+    for variant in (rows, reordered, missing, rows[:3] + reordered[3:6] + missing[6:9]):
+        assert render_csv(variant) == _dict_writer_csv(variant)
+    # an extra key raises, before or after a row of the plain kind
+    extra = {**rows[0], "extra": 1}
+    with pytest.raises(ValueError):
+        _dict_writer_csv([extra])
+    for variant in ([extra], [rows[0], extra]):
+        with pytest.raises(ValueError, match="extra"):
+            render_csv(variant)
+
+
 def test_csv_round_trips_full_precision():
     result = _fast_result()
     rows = result_rows(result)
