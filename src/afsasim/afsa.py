@@ -74,8 +74,8 @@ def run_afsa_round(
 ) -> RoundTrace:
     """Play one round over `tags`, the tags answering this frame.
 
-    The caller picks who answers (`run_inventory` sends the present,
-    unidentified tags).  Each tag, in order, consumes a participation draw
+    The caller picks who answers (`run_inventory` sends the tags still
+    answering).  Each tag, in order, consumes a participation draw
     and joins iff the draw is divisible by the participation divisor (a
     divisor of one admits everyone); a joining tag then draws a slot
     uniform over the frame and a reservation sequence uniform over
@@ -150,8 +150,8 @@ def run_afsa_round(
 class InventoryResult(NamedTuple):
     """Outcome of one complete inventory run.
 
-    `k_active[i]` is the number of present, unidentified tags when round
-    i started; `traces[i]` records what that round did.  `ever_present`
+    `k_active[i]` is the number of tags still answering when round i
+    started; `traces[i]` records what that round did.  `ever_present`
     counts every tag the population held by the end, arrivals included.
     """
 
@@ -180,11 +180,11 @@ class InventoryResult(NamedTuple):
         return self.total_time_us / identified
 
 
-BetweenRounds = Callable[[], None]
+BetweenRounds = Callable[[List[Tag]], List[Tag]]
 
-# A protocol's rounds: primed with `next`, then sent the present,
-# unidentified tags in population order before each round, it plays the
-# round over them and yields its trace.
+# A protocol's rounds: primed with `next`, then sent the tags still
+# answering, in population order, before each round, it plays the round
+# over them and yields its trace.
 Rounds = Generator[RoundTrace, List[Tag], None]
 
 
@@ -194,18 +194,17 @@ def run_inventory(
     max_rounds: int,
     between_rounds: Optional[BetweenRounds] = None,
 ) -> InventoryResult:
-    """Play `rounds` until every present tag is identified or the budget runs out.
+    """Play `rounds` until no tag is still answering or the budget runs out.
 
     This is the one inventory loop every protocol shares; a protocol
     supplies only its sequence of rounds, each of which runs when it is
     sent the tags still answering.  At least one round always runs, so an
     empty population still pays for one empty frame.  After each
-    non-final round `between_rounds()` may change the population, and the
-    change takes effect from the next round on.  A hook may only make
-    tags leave (set `present` to False) and append new tags to `tags`;
-    it never brings a tag back, clears `identified` or reorders `tags`.
-    `completed` is False only when the round budget ran out with tags
-    still pending.
+    non-final round `between_rounds(active)` is handed the tags still
+    answering and returns the tags that answer the next round, in
+    population order; it appends any arrival to `tags` too, so
+    `ever_present` counts it.  `completed` is False only when the round
+    budget ran out with tags still pending.
     """
     if not (is_int(max_rounds) and max_rounds >= 1):
         raise ValueError("max_rounds must be an integer >= 1")
@@ -213,7 +212,7 @@ def run_inventory(
     k_active: List[int] = []
     # A round only marks tags identified, so between population changes
     # the tags still answering are the last ones less those identified.
-    active = [t for t in tags if t.present and not t.identified]
+    active = [t for t in tags if not t.identified]
     next(rounds)
     while True:
         k_active.append(len(active))
@@ -225,12 +224,7 @@ def run_inventory(
         if len(traces) >= max_rounds:
             return InventoryResult(traces, k_active, False, len(tags))
         if between_rounds is not None:
-            known = len(tags)
-            between_rounds()
-            # by the hook's contract: the tags still answering that stayed,
-            # then the arrivals, in population order
-            active = [t for t in active if t.present]
-            active += [t for t in tags[known:] if t.present and not t.identified]
+            active = between_rounds(active)
 
 
 def run_afsa_inventory(

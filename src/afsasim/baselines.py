@@ -40,7 +40,8 @@ EDFSA_MAX_FRAME = EDFSA_FRAME_CHOICES[-1]
 def run_fsa_round(tags: Sequence[Tag], slots: int, rng: Iterator[int]) -> RoundTrace:
     """One framed-ALOHA round: every tag in `tags` sends its payload directly.
 
-    The caller picks who answers, as for `afsa.run_afsa_round`.  Each tag
+    The caller picks who answers, as for `afsa.run_afsa_round`
+    (`run_inventory` sends the tags still answering).  Each tag
     consumes one draw (its slot), and the round takes no other draw from
     `rng`; a stream that runs out before the last tag raises ValueError.
     Every slot of the frame costs a full data slot whether idle, reserved,

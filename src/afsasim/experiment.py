@@ -183,22 +183,17 @@ def run_trial(config: ExperimentConfig, trial_id: int) -> InventoryResult:
     churn = None
     if config.arrival_rate > 0 or config.departure_prob > 0:
         departs = unit_cut(config.departure_prob)
-        # the present tags in population order: only churn changes them
+        # the present tags in population order, identified ones too
         present = population.copy()
 
-        def churn() -> None:
+        def churn(active: List[Tag]) -> List[Tag]:
             # departure draws first, one per present tag in population
             # order, then a single arrivals draw; zero-rate parts draw
             # nothing at all
             nonlocal present
             if config.departure_prob > 0:
-                stayed = []
-                for tag, bits in zip(present, rng):
-                    if bits < departs:
-                        tag.present = False
-                    else:
-                        stayed.append(tag)
-                present = stayed
+                present = [tag for tag, bits in zip(present, rng) if bits >= departs]
+                active = [tag for tag in present if not tag.identified]
             if config.arrival_rate > 0:
                 # EPCs go on from the last tag's, so an EPC is its index
                 known = len(population)
@@ -206,6 +201,8 @@ def run_trial(config: ExperimentConfig, trial_id: int) -> InventoryResult:
                 arrivals = list(map(Tag, range(known, known + count)))
                 population.extend(arrivals)
                 present.extend(arrivals)
+                active = active + arrivals
+            return active
 
     return _dispatch(config, population, rng, churn)
 

@@ -99,22 +99,19 @@ class Tag:
     unhashable, as a mutable value should be.
     """
 
-    __slots__ = ("epc", "identified", "present")
+    __slots__ = ("epc", "identified")
 
-    def __init__(self, epc: int, identified: bool = False, present: bool = True) -> None:
+    def __init__(self, epc: int, identified: bool = False) -> None:
         self.epc = epc
         self.identified = identified
-        self.present = present
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return ((self.epc, self.identified, self.present)
-                == (other.epc, other.identified, other.present))
+        return (self.epc, self.identified) == (other.epc, other.identified)
 
     def __repr__(self) -> str:
-        return (f"Tag(epc={self.epc!r}, identified={self.identified!r}, "
-                f"present={self.present!r})")
+        return f"Tag(epc={self.epc!r}, identified={self.identified!r})"
 
 
 class PhaseDurations(NamedTuple):
@@ -163,12 +160,12 @@ class RoundTrace(NamedTuple):
 
 
 def make_population(count: int) -> list[Tag]:
-    """Fresh population of `count` present, unidentified tags with distinct EPCs."""
+    """Fresh population of `count` tags with distinct EPCs, all still answering."""
     if not (is_int(count) and count >= 0):
         raise ValueError("count must be an integer >= 0")
     return list(map(Tag, range(count)))
 
 
 def active_count(tags) -> int:
-    """Tags that would respond to a frame: present and not yet identified."""
-    return sum(1 for t in tags if t.present and not t.identified)
+    """Of `tags`, the ones still answering: those not yet identified."""
+    return sum(1 for t in tags if not t.identified)

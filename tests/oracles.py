@@ -10,7 +10,7 @@ behaviour, and the trace checker every simulated round is put through.
 import math
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, List, NamedTuple, Optional, Tuple
+from typing import Collection, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -228,16 +228,16 @@ def reference_round(tags, slots: int, rng, seq_bits: Optional[int] = None,
                     divisor: int = 1) -> ReferenceRound:
     """One round, slot by slot; marks the identified tags in place.
 
-    With `seq_bits` set this is the reservation protocol: each present,
-    unidentified tag draws participation (joining iff the draw is a
-    multiple of `divisor`), then a slot, then a `seq_bits`-bit sequence.
+    With `seq_bits` set this is the reservation protocol: each unidentified
+    tag draws participation (joining iff the draw is a multiple of
+    `divisor`), then a slot, then a `seq_bits`-bit sequence.
     With `seq_bits` None it is framed ALOHA: one slot draw per tag, and
     each occupant sends its full payload (its EPC), so two occupants
     always differ and every collision is detected.
     """
     buckets = [[] for _ in range(slots)]
     for tag in tags:
-        if not tag.present or tag.identified:
+        if tag.identified:
             continue
         if seq_bits is None:
             slot = next(rng) % slots
@@ -287,8 +287,9 @@ def reference_round(tags, slots: int, rng, seq_bits: Optional[int] = None,
 # A slow inventory loop that keeps no list of the tags still answering: it
 # rescans the whole population before and after every round, and sends
 # every protocol round the answering tags found by the scan before it.
-# Tests run a protocol's rounds under it and under `afsa.run_inventory`
-# and compare.
+# Which tags have left it reads from a record the test's own churn keeps,
+# never from the list the churn hook returns.  Tests run a protocol's
+# rounds under it and under `afsa.run_inventory` and compare.
 
 class ReferenceInventory(NamedTuple):
     traces: list
@@ -297,26 +298,32 @@ class ReferenceInventory(NamedTuple):
     ever_present: int
 
 
-def _answering(tags) -> list:
-    return [t for t in tags if t.present and not t.identified]
+def reference_inventory(tags, rounds, max_rounds: int, between_rounds=None,
+                        departed: Collection[int] = ()) -> ReferenceInventory:
+    """Drop-in for `afsa.run_inventory` that rescans `tags` every time.
 
-
-def reference_inventory(tags, rounds, max_rounds: int,
-                        between_rounds=None) -> ReferenceInventory:
-    """Drop-in for `afsa.run_inventory` that rescans `tags` every time."""
+    `departed` holds the EPCs of the tags that have left; the churn hook
+    adds to it.  The hook is handed the tags still answering, as the real
+    loop hands them, but what it returns is ignored.
+    """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
+
+    def answering() -> list:
+        return [t for t in tags if t.epc not in departed and not t.identified]
+
     traces: list = []
     k_active: List[int] = []
     next(rounds)
     while True:
-        answering = _answering(tags)
-        k_active.append(len(answering))
-        trace = rounds.send(answering)
+        active = answering()
+        k_active.append(len(active))
+        trace = rounds.send(active)
         traces.append(trace)
-        if not _answering(tags):
+        remaining = answering()
+        if not remaining:
             return ReferenceInventory(traces, k_active, True, len(tags))
         if len(traces) >= max_rounds:
             return ReferenceInventory(traces, k_active, False, len(tags))
         if between_rounds is not None:
-            between_rounds()
+            between_rounds(remaining)

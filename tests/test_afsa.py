@@ -1,4 +1,5 @@
 """Protocol engine: scripted rounds, trace invariants, inventory loop."""
+from functools import partial
 from itertools import accumulate
 
 import pytest
@@ -250,16 +251,16 @@ def test_round_traces_always_consistent(tags, slots, bits, divisor, seed):
     assert sum(1 for t in population if t.identified) == trace.reserved_true_count
 
 
-# Population members as (present, identified) flags, mostly active tags.
-TAG_STATES = st.sampled_from([(True, False)] * 4 + [(True, True), (False, False)])
+# Population members as identified flags, mostly tags still answering.
+TAG_STATES = st.sampled_from([False] * 4 + [True] * 2)
 
 
 def _population(states):
-    return [Tag(epc=i, present=p, identified=d) for i, (p, d) in enumerate(states)]
+    return [Tag(epc=i, identified=d) for i, d in enumerate(states)]
 
 
 def _answering(tags):
-    return [t for t in tags if t.present and not t.identified]
+    return [t for t in tags if not t.identified]
 
 
 @given(states=st.lists(TAG_STATES, max_size=70),
@@ -269,11 +270,11 @@ def _answering(tags):
        seed=st.integers(min_value=0, max_value=2**32))
 @settings(max_examples=250, deadline=None)
 # rounds spanning several of the stream's blocks, with and without gating
-@example(states=[(True, False)] * (2 * BLOCK_DRAWS + 7), slots=64, bits=2,
+@example(states=[False] * (2 * BLOCK_DRAWS + 7), slots=64, bits=2,
          divisor=1, seed=3)
-@example(states=([(True, False)] * 4 + [(True, True), (False, False)]) * 400,
+@example(states=([False] * 4 + [True] * 2) * 400,
          slots=512, bits=3, divisor=2, seed=4)
-@example(states=[(True, False)] * (3 * BLOCK_DRAWS + 1), slots=1024, bits=2,
+@example(states=[False] * (3 * BLOCK_DRAWS + 1), slots=1024, bits=2,
          divisor=5, seed=5)
 def test_afsa_round_matches_reference(states, slots, bits, divisor, seed):
     tags, ref_tags = _population(states), _population(states)
@@ -387,8 +388,11 @@ def test_between_rounds_hook_sees_each_gap(protocol):
     tags = make_population(50)
     calls = []
 
-    def hook():
+    def hook(active):
+        # handed the tags still answering, in population order
+        assert active == [tag for tag in tags if not tag.identified]
         calls.append(sum(tag.identified for tag in tags))
+        return active
 
     result = INVENTORIES[protocol](
         tags, RngStream(3, 0), max_rounds=200, between_rounds=hook)
@@ -396,6 +400,30 @@ def test_between_rounds_hook_sees_each_gap(protocol):
     # one call per gap: rounds - 1, each right after the round just played
     identified = accumulate(len(t.identified_epcs) for t in result.traces)
     assert calls == list(identified)[:-1]
+
+
+@pytest.mark.parametrize("protocol", INVENTORIES)
+def test_the_hook_returns_the_tags_that_answer_next(protocol):
+    tags = make_population(40)
+    returned, dropped = [], []
+
+    # drops every other answering tag, and one tag arrives at the first gap
+    def hook(active):
+        answering = active[::2]
+        dropped.extend(active[1::2])
+        if not returned:
+            arrival = Tag(epc=1000)
+            tags.append(arrival)
+            answering.append(arrival)
+        returned.append(len(answering))
+        return answering
+
+    result = INVENTORIES[protocol](
+        tags, RngStream(5, 0), max_rounds=200, between_rounds=hook)
+    assert result.completed
+    assert returned and result.k_active[1:] == returned
+    assert dropped and not any(tag.identified for tag in dropped)
+    assert result.ever_present == 41
 
 
 @pytest.mark.parametrize("protocol", INVENTORIES)
@@ -408,13 +436,15 @@ def test_every_round_of_a_churned_inventory_is_consistent(
         protocol, k, arrival_rate, departure_prob, seed):
     tags = make_population(k)
     churn_rng = RngStream(seed, 1)
+    departed = set()
 
-    def churn():
+    def churn(active):
         for tag in tags:
-            if tag.present and unit_float(next(churn_rng)) < departure_prob:
-                tag.present = False
+            if tag.epc not in departed and unit_float(next(churn_rng)) < departure_prob:
+                departed.add(tag.epc)
         while unit_float(next(churn_rng)) < arrival_rate / (1.0 + arrival_rate):
             tags.append(Tag(epc=len(tags)))
+        return [t for t in tags if t.epc not in departed and not t.identified]
 
     result = INVENTORIES[protocol](
         tags, RngStream(seed, 0), max_rounds=60, between_rounds=churn)
@@ -437,28 +467,34 @@ def test_every_round_of_a_churned_inventory_is_consistent(
 # AFSA engages the participation divisor at this size
 @example(k=5000, churned=True, seed=1)
 def test_inventory_matches_the_scanning_reference(protocol, k, churned, seed):
-    def run(loop):
+    def run(reference):
         tags = make_population(k)
         rng = RngStream(seed, 0)
+        departed = set()
 
-        # churn draws from the rounds' stream, as a trial's churn does
-        def churn():
+        # churn draws from the rounds' stream, as a trial's churn does; it
+        # returns the stayers of the tags it is handed, then the arrivals
+        def churn(active):
             for tag in tags:
-                if tag.present and unit_float(next(rng)) < 0.1:
-                    tag.present = False
+                if tag.epc not in departed and unit_float(next(rng)) < 0.1:
+                    departed.add(tag.epc)
+            known = len(tags)
             while unit_float(next(rng)) < 0.6:
                 tags.append(Tag(epc=len(tags)))
+            return [t for t in active if t.epc not in departed] + tags[known:]
 
+        loop = (partial(reference_inventory, departed=departed) if reference
+                else afsa.run_inventory)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(afsa, "run_inventory", loop)
             patch.setattr(baselines, "run_inventory", loop)
             result = INVENTORIES[protocol](
                 tags, rng, max_rounds=60,
                 between_rounds=churn if churned else None)
-        return result, [(t.present, t.identified) for t in tags], next(rng)
+        return result, [(t.epc in departed, t.identified) for t in tags], next(rng)
 
-    result, tags, next_draw = run(afsa.run_inventory)
-    ref, ref_tags, ref_next_draw = run(reference_inventory)
+    result, tags, next_draw = run(reference=False)
+    ref, ref_tags, ref_next_draw = run(reference=True)
     assert result.traces == ref.traces
     assert result.k_active == ref.k_active
     assert (result.completed, result.ever_present) == (ref.completed, ref.ever_present)
@@ -471,11 +507,13 @@ def test_between_rounds_arrivals_extend_the_inventory():
     tags = make_population(5)
     added = []
 
-    def hook():
+    def hook(active):
         if not added:
             tag = Tag(epc=1000)
             tags.append(tag)
             added.append(tag)
+            return active + added
+        return active
 
     result = run_afsa_inventory(
         tags, FrameConfig(8, 2), None, RngStream(21, 0),

@@ -143,6 +143,7 @@ def test_the_names_the_benchmark_gate_imports_exist(module, attr):
 @pytest.mark.parametrize("protocol, inventory, kernel", [
     ("afsa", "afsa.inventory", "afsa.round"),
     ("fsa", "baselines.fsa_inventory", "baselines.fsa_round"),
+    ("edfsa", "baselines.edfsa_inventory", "baselines.fsa_round"),
 ])
 def test_the_traced_benchmark_times_churn_on_every_gap(tmp_path, protocol, inventory, kernel):
     # bench/child.py times churn by wrapping the `between_rounds` keyword of

@@ -89,21 +89,21 @@ def test_fsa_collisions_always_detected(tags, slots, seed):
 
 
 @given(states=st.lists(
-           st.sampled_from([(True, False)] * 4 + [(True, True), (False, False)]),
+           st.sampled_from([False] * 4 + [True] * 2),
            max_size=80),
        slots=st.integers(min_value=1, max_value=64),
        seed=st.integers(min_value=0, max_value=2**32))
 @settings(max_examples=250, deadline=None)
 # a round spanning several of the stream's blocks
-@example(states=[(True, False), (True, True)] * (BLOCK_DRAWS + 5), slots=64, seed=1)
+@example(states=[False, True] * (BLOCK_DRAWS + 5), slots=64, seed=1)
 def test_fsa_round_matches_reference(states, slots, seed):
     def population():
-        return [Tag(epc=i, present=p, identified=d) for i, (p, d) in enumerate(states)]
+        return [Tag(epc=i, identified=d) for i, d in enumerate(states)]
 
     tags, ref_tags = population(), population()
     rng, ref_rng = RngStream(seed, 2), RngStream(seed, 2)
     # the kernel is handed the answering tags; the reference picks its own
-    trace = run_fsa_round([t for t in tags if t.present and not t.identified], slots, rng)
+    trace = run_fsa_round([t for t in tags if not t.identified], slots, rng)
     ref = reference_round(ref_tags, slots, ref_rng)
     assert (trace.idle_count, trace.reserved_true_count,
             trace.detected_collision_count, trace.undetected_collision_count) == (

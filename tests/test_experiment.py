@@ -241,19 +241,22 @@ def test_poisson_tail_draws(rate, bits, arrivals):
 def _check_churn_against_a_full_scan(protocol):
     # the trial's churn, which keeps its own list of present tags, against
     # the plain loop over the whole population: one uniform per present tag
-    # in population order, then the arrivals
+    # in population order, then the arrivals, and a rescan for the tags
+    # that answer next
     config = FAST._replace(protocol=protocol, k_initial=60, frame_slots=32,
                            arrival_rate=1.5, departure_prob=0.2)
     for trial in range(3):
         rng = RngStream(config.seed, trial)
         population = make_population(config.k_initial)
+        departed = set()
 
-        def churn():
+        def churn(active):
             for tag in population:
-                if tag.present and unit_float(next(rng)) < config.departure_prob:
-                    tag.present = False
+                if tag.epc not in departed and unit_float(next(rng)) < config.departure_prob:
+                    departed.add(tag.epc)
             for _ in range(_poisson(config.arrival_rate, rng)):
                 population.append(Tag(epc=len(population)))
+            return [t for t in population if t.epc not in departed and not t.identified]
 
         inventory = {
             "afsa": lambda: run_afsa_inventory(

@@ -102,12 +102,15 @@ def test_records_are_immutable():
 
 
 def test_tags_compare_by_fields_and_are_unhashable():
-    assert Tag(3) == Tag(epc=3, identified=False, present=True)
-    assert Tag(3) != Tag(3, True) and Tag(3) != Tag(3, present=False)
+    assert Tag(3) == Tag(epc=3, identified=False)
+    assert Tag(3) != Tag(3, True) and Tag(3) != Tag(4)
     assert Tag(3) != 3
-    assert repr(Tag(3, True)) == "Tag(epc=3, identified=True, present=True)"
+    assert repr(Tag(3, True)) == "Tag(epc=3, identified=True)"
     with pytest.raises(TypeError):
         hash(Tag(3))
+    # whether a tag is present is the churn's business, not the tag's
+    with pytest.raises(TypeError):
+        Tag(3, present=False)
     with pytest.raises(AttributeError):
         Tag(3).extra = 1
 
@@ -203,8 +206,8 @@ def test_make_population_and_active_count():
     assert [t.epc for t in tags] == [0, 1, 2, 3, 4]
     assert active_count(tags) == 5
     tags[0].identified = True
-    tags[1].present = False
-    assert active_count(tags) == 3
+    assert active_count(tags) == 4
+    assert active_count(tags[2:]) == 3
     with pytest.raises(ValueError):
         make_population(-1)
 
@@ -218,4 +221,4 @@ def test_make_population_rejects_a_fractional_or_bool_count(count):
 
 def test_tag_defaults():
     tag = Tag(epc=3)
-    assert tag.present and not tag.identified
+    assert not tag.identified
