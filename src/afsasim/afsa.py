@@ -10,7 +10,9 @@ wastes its data slot, and identifies nobody.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Generator, Iterator, List, NamedTuple, Optional, Sequence
+from itertools import chain, repeat
+from operator import length_hint
+from typing import Callable, Generator, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .analytic import phase_durations_for
 from .estimator import (
@@ -26,6 +28,7 @@ from .model import (
     active_count,  # unused here, but bench/child.py wraps it by this name
     is_int,
 )
+from .rng import residues, take, u64s
 
 # Entries kept by each memo below.  A round's air time and the reader's
 # next frame depend on a few small counts, whose combinations recur
@@ -59,8 +62,26 @@ def _next_frame(
     return next_frame(estimate, fixed_seq_bits)
 
 
-# What a round kernel raises when `rng` ends before every tag has drawn.
-DRAWS_RAN_OUT = "rng ran out of draws before the round's last tag"
+# Most draws a round kernel holds at once (24 KB): a large round takes its
+# draws in pieces, so its memory does not grow with the population.
+PIECE_DRAWS = 3 * 1024
+
+
+def _placed(tags: Sequence[Tag], slots: int, seq_space: int,
+            rng: Iterator[int]) -> Iterator[Tuple[Tag, int, int]]:
+    """(tag, slot, sequence) per tag of an ungated round, in order.
+
+    Every tag joins, so a piece of tags takes its three draws per tag at
+    once; a participation draw is never read.
+    """
+    if 3 * len(tags) > PIECE_DRAWS:
+        size = PIECE_DRAWS // 3
+        # each piece takes its draws only once the one before is played
+        return chain.from_iterable(_placed(tags[start:start + size], slots, seq_space, rng)
+                                   for start in range(0, len(tags), size))
+    raw = take(rng, 3 * len(tags))
+    return zip(tags, residues(raw, 1, 3, slots), residues(raw, 2, 3, seq_space))
+
 
 # A round kernel's `heard[slot]` is None while the slot is idle, its first
 # occupant until a second arrives, and COLLIDED from then on.
@@ -80,10 +101,13 @@ def run_afsa_round(
     divisor of one admits everyone); a joining tag then draws a slot
     uniform over the frame and a reservation sequence uniform over
     seq_bits-bit values.  Draw order is part of the reproducibility
-    contract, and the round takes exactly those draws from `rng`, no more.
-    The trace's `responders` counts the tags that joined: all of `tags`
-    unless the divisor gates the round.  A stream that runs out before
-    the last tag has taken its draws raises ValueError.
+    contract, and the round takes exactly those draws from `rng`, no more,
+    through `rng.take`, at most PIECE_DRAWS at a time; an ungated round
+    reduces each slot and sequence draw from its low bytes where the frame
+    allows (`rng.residues`).  The trace's `responders` counts the tags that
+    joined: all of `tags` unless the divisor gates the round.  A stream
+    that runs out before the last tag has taken its draws raises
+    ValueError.
 
     A slot is idle with no occupants, a detected collision when its
     occupants sent differing sequences, and apparently reserved
@@ -94,30 +118,26 @@ def run_afsa_round(
     """
     slots = frame.slots
     seq_bits = frame.seq_bits
-    # the sequence space is a power of two, so a mask reduces a draw
-    seq_mask = (1 << seq_bits) - 1
     # per slot: see COLLIDED; and the first sequence, -1 once another differs
     heard: List[object] = [None] * slots
     first_seq = [0] * slots
     divisor = frame.participation_divisor
-    # (tag, _, slot draw, sequence draw) per joining tag
+    # (tag, slot, sequence) per joining tag
     if divisor == 1:
-        # every tag joins, and `_` is its participation draw; the tags come
-        # first, so the zip ends at the last tag without another draw
-        joiners = zip(tags, rng, rng, rng)
+        joiners = _placed(tags, slots, 1 << seq_bits, rng)
         responders = len(tags)
     else:
-        # a tag takes its slot and sequence draws only once it has joined
-        try:
-            joiners = [(tag, 0, next(rng), next(rng))
-                       for tag in tags if not next(rng) % divisor]
-        except StopIteration:
-            raise ValueError(DRAWS_RAN_OUT) from None
+        # a tag takes its slot and sequence draws only once it has joined,
+        # so the draws come in runs no longer than the fewest still due:
+        # one for the tag in hand and one for each tag after it
+        pending = iter(tags)
+        draws = chain.from_iterable(
+            u64s(take(rng, min(length_hint(pending) + 1, PIECE_DRAWS))) for _ in repeat(None))
+        seq_mask = (1 << seq_bits) - 1
+        joiners = [(tag, next(draws) % slots, next(draws) & seq_mask)
+                   for tag in pending if not next(draws) % divisor]
         responders = len(joiners)
-    tag = None
-    for tag, _, slot_draw, seq_draw in joiners:
-        slot = slot_draw % slots
-        sequence = seq_draw & seq_mask
+    for tag, slot, sequence in joiners:
         if heard[slot] is None:
             heard[slot] = tag
             first_seq[slot] = sequence
@@ -125,9 +145,6 @@ def run_afsa_round(
             heard[slot] = COLLIDED
             if sequence != first_seq[slot]:
                 first_seq[slot] = -1
-    # the zip ends before the last tag when the stream runs out first
-    if divisor == 1 and tags and tag is not tags[-1]:
-        raise ValueError(DRAWS_RAN_OUT)
 
     idle = detected = undetected = 0
     identified: List[int] = []

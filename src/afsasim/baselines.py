@@ -15,7 +15,6 @@ from typing import Iterator, List, NamedTuple, Optional, Sequence
 
 from .afsa import (
     COLLIDED,
-    DRAWS_RAN_OUT,
     BetweenRounds,
     InventoryResult,
     Rounds,
@@ -30,6 +29,7 @@ from .model import (
     check_nonnegative,
     is_int,
 )
+from .rng import residues, take
 
 # Frame sizes EDFSA may announce; backlog beyond the largest is split
 # into EDFSA_MAX_FRAME-sized groups instead.
@@ -43,7 +43,8 @@ def run_fsa_round(tags: Sequence[Tag], slots: int, rng: Iterator[int]) -> RoundT
     The caller picks who answers, as for `afsa.run_afsa_round`
     (`run_inventory` sends the tags still answering).  Each tag
     consumes one draw (its slot), and the round takes no other draw from
-    `rng`; a stream that runs out before the last tag raises ValueError.
+    `rng`; it takes them in one piece through `rng.take`, and a stream
+    that runs out before the last tag raises ValueError.
     Every slot of the frame costs a full data slot whether idle, reserved,
     or collided; there is no reservation or acknowledgement traffic
     beyond the frame advertisement.  Single-occupant slots identify their
@@ -56,14 +57,8 @@ def run_fsa_round(tags: Sequence[Tag], slots: int, rng: Iterator[int]) -> RoundT
         raise ValueError("slots must be >= 1")
     # per slot: None, the lone occupant or COLLIDED
     heard: List[object] = [None] * slots
-    # the tags come first, so the zip ends at the last tag without a draw
-    tag = None
-    for tag, draw in zip(tags, rng):
-        slot = draw % slots
+    for tag, slot in zip(tags, residues(take(rng, len(tags)), 0, 1, slots)):
         heard[slot] = tag if heard[slot] is None else COLLIDED
-    # the zip ends before the last tag when the stream runs out first
-    if tags and tag is not tags[-1]:
-        raise ValueError(DRAWS_RAN_OUT)
 
     identified: List[int] = []
     idle = detected = 0

@@ -14,7 +14,7 @@ from .afsa import InventoryResult, run_afsa_inventory
 from .baselines import run_edfsa_inventory, run_fsa_inventory
 from .estimator import initial_seq_bits
 from .model import MAX_SEQ_BITS, FrameConfig, Tag, is_int, is_real, make_population
-from .rng import MAX_KEY, RngStream, unit_cut, unit_float
+from .rng import MAX_KEY, RngStream, u64s, unit_cut, unit_float
 
 PROTOCOLS = ("afsa", "fsa", "edfsa")
 
@@ -183,16 +183,18 @@ def run_trial(config: ExperimentConfig, trial_id: int) -> InventoryResult:
     churn = None
     if config.arrival_rate > 0 or config.departure_prob > 0:
         departs = unit_cut(config.departure_prob)
-        # the present tags in population order, identified ones too
-        present = population.copy()
+        # the present tags in population order, identified ones too; only
+        # departure draws read it, so it is kept only when tags can leave
+        present = population.copy() if config.departure_prob > 0 else None
 
         def churn(active: List[Tag]) -> List[Tag]:
             # departure draws first, one per present tag in population
             # order, then a single arrivals draw; zero-rate parts draw
             # nothing at all
             nonlocal present
-            if config.departure_prob > 0:
-                present = [tag for tag, bits in zip(present, rng) if bits >= departs]
+            if present is not None:
+                draws = u64s(rng.take(len(present)))
+                present = [tag for tag, bits in zip(present, draws) if bits >= departs]
                 active = [tag for tag in present if not tag.identified]
             if config.arrival_rate > 0:
                 # EPCs go on from the last tag's, so an EPC is its index
@@ -200,7 +202,8 @@ def run_trial(config: ExperimentConfig, trial_id: int) -> InventoryResult:
                 count = _poisson(config.arrival_rate, rng)
                 arrivals = list(map(Tag, range(known, known + count)))
                 population.extend(arrivals)
-                present.extend(arrivals)
+                if present is not None:
+                    present.extend(arrivals)
                 active = active + arrivals
             return active
 

@@ -3,7 +3,10 @@
 Every stochastic component draws from an `RngStream` keyed by
 (seed, stream_id).  Trial t of an experiment uses stream_id = t, so trials
 are independent, reorderable, and bit-identical across runs and across
-execution orders.  The protocol code takes any iterator of u64 draws.
+execution orders.  The protocol code takes any iterator of u64 draws and
+reads them through `take`, which packs the next draws as 8 little-endian
+bytes each; `residues` reduces packed draws and reads only the low bytes
+where they suffice, so a round builds no int it need not build.
 """
 from __future__ import annotations
 
@@ -11,8 +14,8 @@ import math
 import random
 import sys
 from array import array
-from itertools import chain
-from typing import Callable, Iterator
+from itertools import islice
+from typing import Iterable, Iterator
 
 from .model import is_int
 
@@ -22,8 +25,14 @@ MAX_KEY = (1 << 64) - 1
 # round the top 2**10 draws up to exactly 1.0.
 _ULP53 = 2.0 ** -53
 
-# Draws an `RngStream` fetches from its generator at once.
-BLOCK_DRAWS = 256
+# Fewest draws an `RngStream` fetches from its generator at once.
+BLOCK_DRAWS = 32
+
+# What `take`, and so a round kernel, raises when `rng` ends too soon.
+DRAWS_RAN_OUT = "rng ran out of draws before the round's last tag"
+
+# `_LOW_BYTE[m][b]` is `b % m`, for each power of two m a byte can reduce.
+_LOW_BYTE = {1 << i: bytes(range(1 << i)) * (256 >> i) for i in range(9)}
 
 
 def unit_float(bits: int) -> float:
@@ -44,32 +53,89 @@ def _check_key(field: str, value: int) -> None:
         raise ValueError(f"{field} must be an integer in [0, 2**64 - 1]")
 
 
-def _blocks(bits: Callable[[int], int]) -> Iterator[array]:
-    # One `getrandbits(64 * m)` holds the same bits as m calls of
-    # `getrandbits(64)`, the first call in its lowest 64 bits.
-    while True:
-        block = array("Q", bits(64 * BLOCK_DRAWS).to_bytes(8 * BLOCK_DRAWS, "little"))
-        if sys.byteorder == "big":
-            block.byteswap()
-        yield block
-
-
-class RngStream(chain):
+class RngStream:
     """Named substream of a master seed: an endless iterator of u64 draws.
 
     The same (seed, stream_id) pair yields the same draw sequence on any
     platform; distinct pairs are treated as independent.  Draw i is the
     i-th `getrandbits(64)` of `random.Random((seed << 64) | stream_id)`.
-    The stream is its own iterator, so `next(stream)` and every `zip` over
-    it take from one shared sequence.  It fetches the draws BLOCK_DRAWS at
-    a time, but only it reads its generator, so fetching ahead never
-    shifts a draw.
+    The stream is its own iterator, and `next(stream)` and `take` read one
+    shared sequence.  It keeps the draws it has fetched but not served as
+    bytes, and fetches only what a `take` lacks, at least BLOCK_DRAWS at
+    a time; only it reads its generator, so fetching ahead never shifts a
+    draw.
     """
 
-    __slots__ = ()
+    __slots__ = ("_bits", "_buffer", "_pos")
 
-    def __new__(cls, seed: int, stream_id: int = 0) -> RngStream:
+    def __init__(self, seed: int, stream_id: int = 0):
         _check_key("seed", seed)
         _check_key("stream_id", stream_id)
-        # `from_iterable` called on a subclass builds an instance of it
-        return cls.from_iterable(_blocks(random.Random((seed << 64) | stream_id).getrandbits))
+        self._bits = random.Random((seed << 64) | stream_id).getrandbits
+        self._buffer = b""
+        self._pos = 0
+
+    def __iter__(self) -> RngStream:
+        return self
+
+    def __next__(self) -> int:
+        return int.from_bytes(self.take(1), "little")
+
+    def take(self, count: int) -> bytes:
+        """The next `count` draws, 8 little-endian bytes each."""
+        pos = self._pos
+        end = pos + 8 * count
+        buffer = self._buffer
+        if end > len(buffer):
+            # one `getrandbits(64 * m)` holds the same bits as m calls of
+            # `getrandbits(64)`, the first call in its lowest 64 bits
+            fetch = max((end - len(buffer)) // 8, BLOCK_DRAWS)
+            buffer = buffer[pos:] + self._bits(64 * fetch).to_bytes(8 * fetch, "little")
+            end -= pos
+            pos = 0
+            self._buffer = buffer
+        self._pos = end
+        return buffer[pos:end]
+
+
+def take(rng: Iterator[int], count: int) -> bytes:
+    """The next `count` draws of `rng`, 8 little-endian bytes each.
+
+    An `RngStream` serves them from its buffer; any other iterator of u64
+    draws is advanced by exactly `count`.  An iterator that ends first
+    raises ValueError(DRAWS_RAN_OUT).
+    """
+    if isinstance(rng, RngStream):
+        return rng.take(count)
+    draws = array("Q", islice(rng, count))
+    if len(draws) < count:
+        raise ValueError(DRAWS_RAN_OUT)
+    return _little(draws).tobytes()
+
+
+def _little(words: array) -> array:
+    # packed draws are little-endian whatever the machine
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words
+
+
+def u64s(raw: bytes) -> array:
+    """Packed draws as ints, in order."""
+    return _little(array("Q", raw))
+
+
+def residues(raw: bytes, first: int, step: int, modulus: int) -> Iterable[int]:
+    """Draws first, first + step, ... of packed `raw`, each modulo `modulus`.
+
+    A power-of-two modulus up to 2**16 needs only a draw's low byte or low
+    16 bits, so no u64 is built: up to 256 each residue is a byte, whose
+    value is a cached small int.  Any other modulus reduces whole draws.
+    """
+    table = _LOW_BYTE.get(modulus)
+    if table is not None:
+        return raw[8 * first::8 * step].translate(table)
+    mask = modulus - 1
+    if not modulus & mask and modulus <= 1 << 16:
+        return [word & mask for word in _little(array("H", raw))[4 * first::4 * step]]
+    return [draw % modulus for draw in u64s(raw)[first::step]]

@@ -263,9 +263,16 @@ def _answering(tags):
     return [t for t in tags if not t.identified]
 
 
+# Frame sizes for the round-versus-reference tests: any size up to 2 048,
+# and often a power of two, whose slot comes from a draw's low byte (up to
+# 256 slots) or low 16 bits; any other size reduces the whole draw.
+FRAME_SLOTS = st.integers(min_value=1, max_value=2048) | st.sampled_from(
+    [2**i for i in range(12)])
+
+
 @given(states=st.lists(TAG_STATES, max_size=70),
-       slots=st.integers(min_value=1, max_value=64),
-       bits=st.integers(min_value=1, max_value=4),
+       slots=FRAME_SLOTS,
+       bits=st.integers(min_value=1, max_value=16),
        divisor=st.integers(min_value=1, max_value=4),
        seed=st.integers(min_value=0, max_value=2**32))
 @settings(max_examples=250, deadline=None)
@@ -276,6 +283,19 @@ def _answering(tags):
          slots=512, bits=3, divisor=2, seed=4)
 @example(states=[False] * (3 * BLOCK_DRAWS + 1), slots=1024, bits=2,
          divisor=5, seed=5)
+# each side of every reduction: the low byte up to 256 slots and 8 bits,
+# the low 16 bits above, and the whole draw for a frame of 257 or 1 000
+@example(states=[False] * 400, slots=256, bits=8, divisor=1, seed=6)
+@example(states=[False] * 400, slots=257, bits=9, divisor=1, seed=7)
+@example(states=[False] * 700, slots=512, bits=16, divisor=1, seed=8)
+@example(states=[False] * 1500, slots=1000, bits=1, divisor=1, seed=9)
+@example(states=([False] * 4 + [True] * 2) * 300, slots=1024, bits=9,
+         divisor=1, seed=10)
+@example(states=[False] * 3000, slots=65536, bits=8, divisor=1, seed=11)
+@example(states=[False] * 1200, slots=1000, bits=9, divisor=3, seed=12)
+# rounds whose draws come in several pieces, with and without gating
+@example(states=[False] * 4000, slots=1024, bits=2, divisor=4, seed=13)
+@example(states=[False] * 2500, slots=2048, bits=3, divisor=1, seed=14)
 def test_afsa_round_matches_reference(states, slots, bits, divisor, seed):
     tags, ref_tags = _population(states), _population(states)
     rng, ref_rng = RngStream(seed, 0), RngStream(seed, 0)
@@ -290,6 +310,30 @@ def test_afsa_round_matches_reference(states, slots, bits, divisor, seed):
     assert [t.identified for t in tags] == [t.identified for t in ref_tags]
     # both consumed the same number of draws
     assert next(rng) == next(ref_rng)
+
+
+@pytest.mark.parametrize("frame", [
+    FrameConfig(16, 2), FrameConfig(257, 9), FrameConfig(1024, 16),
+    FrameConfig(64, 3, 2), FrameConfig(1000, 8, 3),
+], ids=str)
+@pytest.mark.parametrize("offset", [1, BLOCK_DRAWS - 2, BLOCK_DRAWS + 1])
+def test_rounds_straddling_a_refill_match_the_reference(frame, offset):
+    # draws already fetched but not served start each round, so a round's
+    # draws come partly from the stream's buffer and partly from a refill
+    tags, ref_tags = make_population(90), make_population(90)
+    rng, ref_rng = RngStream(17, offset), RngStream(17, offset)
+    for _ in range(offset):
+        assert next(rng) == next(ref_rng)
+    for _ in range(4):
+        trace = run_afsa_round(_answering(tags), frame, rng)
+        ref = reference_round(ref_tags, frame.slots, ref_rng, seq_bits=frame.seq_bits,
+                              divisor=frame.participation_divisor)
+        assert (trace.idle_count, trace.reserved_true_count, trace.detected_collision_count,
+                trace.undetected_collision_count, trace.responders, trace.identified_epcs) == (
+            ref.idle, ref.reserved_true, ref.detected, ref.undetected, ref.responders,
+            ref.identified_epcs)
+        assert next(rng) == next(ref_rng)
+    assert [t.identified for t in tags] == [t.identified for t in ref_tags]
 
 
 def test_round_statistics_match_expectations():

@@ -91,11 +91,20 @@ def test_fsa_collisions_always_detected(tags, slots, seed):
 @given(states=st.lists(
            st.sampled_from([False] * 4 + [True] * 2),
            max_size=80),
-       slots=st.integers(min_value=1, max_value=64),
+       slots=st.integers(min_value=1, max_value=2048) | st.sampled_from(
+           [2**i for i in range(12)]),
        seed=st.integers(min_value=0, max_value=2**32))
 @settings(max_examples=250, deadline=None)
 # a round spanning several of the stream's blocks
 @example(states=[False, True] * (BLOCK_DRAWS + 5), slots=64, seed=1)
+# each side of every reduction: the low byte up to 256 slots, the low 16
+# bits above, and the whole draw for a frame of 257 or 1 000
+@example(states=[False] * 400, slots=256, seed=2)
+@example(states=[False] * 400, slots=257, seed=3)
+@example(states=[False] * 700, slots=512, seed=4)
+@example(states=[False, True] * 800, slots=1000, seed=5)
+@example(states=[False] * 1500, slots=1024, seed=6)
+@example(states=[False] * 3000, slots=65536, seed=7)
 def test_fsa_round_matches_reference(states, slots, seed):
     def population():
         return [Tag(epc=i, identified=d) for i, d in enumerate(states)]
@@ -113,6 +122,24 @@ def test_fsa_round_matches_reference(states, slots, seed):
     assert [t.identified for t in tags] == [t.identified for t in ref_tags]
     # both consumed the same number of draws
     assert next(rng) == next(ref_rng)
+
+
+@pytest.mark.parametrize("slots", [16, 1024, 100])
+@pytest.mark.parametrize("offset", [1, BLOCK_DRAWS - 2, BLOCK_DRAWS + 1])
+def test_fsa_rounds_straddling_a_refill_match_the_reference(slots, offset):
+    # draws already fetched but not served start each round, so a round's
+    # draws come partly from the stream's buffer and partly from a refill
+    tags, ref_tags = make_population(90), make_population(90)
+    rng, ref_rng = RngStream(19, offset), RngStream(19, offset)
+    for _ in range(offset):
+        assert next(rng) == next(ref_rng)
+    for _ in range(4):
+        trace = run_fsa_round([t for t in tags if not t.identified], slots, rng)
+        ref = reference_round(ref_tags, slots, ref_rng)
+        assert (trace.idle_count, trace.reserved_true_count, trace.detected_collision_count,
+                trace.responders, trace.identified_epcs) == (
+            ref.idle, ref.reserved_true, ref.detected, ref.responders, ref.identified_epcs)
+        assert next(rng) == next(ref_rng)
 
 
 def test_fsa_round_statistics_match_expectations():

@@ -1,5 +1,6 @@
 """Reproducibility contract of the random streams."""
 import random
+import struct
 
 import pytest
 from hypothesis import example, given
@@ -9,7 +10,16 @@ from afsasim.afsa import run_afsa_round
 from afsasim.baselines import run_fsa_round
 from afsasim.experiment import _poisson
 from afsasim.model import FrameConfig, make_population
-from afsasim.rng import BLOCK_DRAWS, RngStream, unit_cut, unit_float
+from afsasim.rng import (
+    BLOCK_DRAWS,
+    DRAWS_RAN_OUT,
+    RngStream,
+    residues,
+    take,
+    u64s,
+    unit_cut,
+    unit_float,
+)
 
 from oracles import ScriptedStream
 
@@ -43,6 +53,56 @@ def test_draws_equal_that_many_single_draws(count):
         taken.append(next(stream) if i % 3 == 0 else next(iter(stream)))
     taken.extend(x for _, x in zip(range(2), stream))
     assert taken == [single(64) for _ in range(count + 2)]
+
+
+def _packed(draws):
+    return struct.pack(f"<{len(draws)}Q", *draws)
+
+
+def test_take_packs_the_draws_across_refills():
+    # `take` serves the i-th getrandbits(64) as 8 little-endian bytes,
+    # whether the draws sit in the buffer, straddle its end or need a
+    # fetch larger than a block, and `next` reads the same sequence
+    seed, stream_id = 11, 4
+    single = random.Random((seed << 64) | stream_id).getrandbits
+    stream = RngStream(seed, stream_id)
+    for count in (1, 5, BLOCK_DRAWS - 7, BLOCK_DRAWS, BLOCK_DRAWS + 1, 2, 3 * BLOCK_DRAWS + 5,
+                  1, 1000, BLOCK_DRAWS - 1):
+        assert stream.take(count) == _packed([single(64) for _ in range(count)])
+        assert next(stream) == single(64)
+        assert take(stream, count) == _packed([single(64) for _ in range(count)])
+
+
+def test_take_zero_consumes_nothing():
+    stream, twin = RngStream(3, 9), RngStream(3, 9)
+    assert stream.take(0) == b""
+    assert take(stream, 0) == b""
+    assert next(stream) == next(twin)
+    draws = iter([4, 5])
+    assert take(draws, 0) == b""
+    assert list(draws) == [4, 5]
+
+
+def test_take_advances_any_other_iterator_by_exactly_count():
+    draws = iter(range(10, 20))
+    assert take(draws, 4) == _packed([10, 11, 12, 13])
+    assert next(draws) == 14
+    assert list(u64s(take(draws, 5))) == [15, 16, 17, 18, 19]
+    with pytest.raises(ValueError, match=DRAWS_RAN_OUT):
+        take(iter([1, 2]), 3)
+    # a scripted stream's own error passes through
+    with pytest.raises(IndexError):
+        take(ScriptedStream([1, 2]), 3)
+
+
+@pytest.mark.parametrize("modulus", [
+    1, 2, 3, 128, 255, 256, 257, 512, 1000, 1024, 65535, 65536, 65537, 1 << 20, 1 << 64])
+@pytest.mark.parametrize("first, step", [(0, 1), (1, 3), (2, 3)])
+def test_residues_are_the_remainders_of_whole_draws(modulus, first, step):
+    # the low-byte, low-16-bit and whole-draw paths all equal `draw % modulus`
+    draws = [next(RngStream(5, i)) for i in range(60)] + [0, 255, 256, 65535, 65536, (1 << 64) - 1]
+    raw = _packed(draws)
+    assert list(residues(raw, first, step, modulus)) == [d % modulus for d in draws[first::step]]
 
 
 def test_the_key_bounds_are_accepted():
