@@ -39,9 +39,9 @@ def test_distinct_streams_diverge():
     assert draws_a != [next(c) for _ in range(8)]
 
 
-@pytest.mark.parametrize("count", [
+@pytest.mark.parametrize("count", sorted({
     0, 1, 3, BLOCK_DRAWS - 1, BLOCK_DRAWS, BLOCK_DRAWS + 1, 3 * BLOCK_DRAWS + 1,
-    3 * 1024 + 1])
+    255, 256, 257, 769, 3 * 1024 + 1}))
 def test_draws_equal_that_many_single_draws(count):
     # draw i of a stream is the i-th getrandbits(64) of its generator,
     # whether taken by `next` or by `zip`
