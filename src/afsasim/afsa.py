@@ -12,12 +12,12 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import chain, repeat
 from operator import length_hint
-from typing import Callable, Generator, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Generator, Iterator, List, NamedTuple, Optional, Sequence
 
 from .analytic import phase_durations_for
 from .estimator import (
+    _estimate,
     estimate_backlog,  # unused here, but bench/child.py wraps it by this name
-    estimate_from_counts,
     next_frame,
 )
 from .model import (
@@ -28,7 +28,7 @@ from .model import (
     active_count,  # unused here, but bench/child.py wraps it by this name
     is_int,
 )
-from .rng import residues, take, u64s
+from .rng import PIECE_DRAWS, _in_pieces, residues, take, u64s
 
 # Entries kept by each memo below.  A round's air time and the reader's
 # next frame depend on a few small counts, whose combinations recur
@@ -55,32 +55,11 @@ def _next_frame(
 
     Equals `next_frame(estimate_backlog(trace), fixed_seq_bits)` for a trace
     with these counts, since a round identifies exactly one tag per truly
-    reserved slot.  The key holds every input of the decision.
+    reserved slot.  The key holds every input of the decision.  The counts
+    of a played round are valid, so the estimate goes unchecked.
     """
-    estimate = estimate_from_counts(
-        idle, reserved_true + undetected, detected, reserved_true, slots)
+    estimate = _estimate(idle, reserved_true + undetected, detected, reserved_true, slots)
     return next_frame(estimate, fixed_seq_bits)
-
-
-# Most draws a round kernel holds at once (24 KB): a large round takes its
-# draws in pieces, so its memory does not grow with the population.
-PIECE_DRAWS = 3 * 1024
-
-
-def _placed(tags: Sequence[Tag], slots: int, seq_space: int,
-            rng: Iterator[int]) -> Iterator[Tuple[Tag, int, int]]:
-    """(tag, slot, sequence) per tag of an ungated round, in order.
-
-    Every tag joins, so a piece of tags takes its three draws per tag at
-    once; a participation draw is never read.
-    """
-    if 3 * len(tags) > PIECE_DRAWS:
-        size = PIECE_DRAWS // 3
-        # each piece takes its draws only once the one before is played
-        return chain.from_iterable(_placed(tags[start:start + size], slots, seq_space, rng)
-                                   for start in range(0, len(tags), size))
-    raw = take(rng, 3 * len(tags))
-    return zip(tags, residues(raw, 1, 3, slots), residues(raw, 2, 3, seq_space))
 
 
 # A round kernel's `heard[slot]` is None while the slot is idle, its first
@@ -124,7 +103,10 @@ def run_afsa_round(
     divisor = frame.participation_divisor
     # (tag, slot, sequence) per joining tag
     if divisor == 1:
-        joiners = _placed(tags, slots, 1 << seq_bits, rng)
+        # every tag joins, so its participation draw is never read
+        seq_space = 1 << seq_bits
+        joiners = _in_pieces(tags, 3, rng, lambda piece, raw: zip(
+            piece, residues(raw, 1, 3, slots), residues(raw, 2, 3, seq_space)))
         responders = len(tags)
     else:
         # a tag takes its slot and sequence draws only once it has joined,

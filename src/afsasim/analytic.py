@@ -11,7 +11,7 @@ evaluates these formulas at non-integer backlog estimates.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import NamedTuple, Tuple
 
 from .model import (
     MAX_SEQ_BITS,
@@ -24,10 +24,14 @@ from .model import (
 )
 
 
-def _check_args(tags: float, slots: int) -> None:
-    check_nonnegative("tags", tags)
+def _check_slots(slots: int) -> None:
     if not (is_int(slots) and slots >= 1):
         raise ValueError("slots must be an integer >= 1")
+
+
+def _check_args(tags: float, slots: int) -> None:
+    check_nonnegative("tags", tags)
+    _check_slots(slots)
 
 
 def _check_seq_bits(seq_bits: int) -> None:
@@ -35,34 +39,36 @@ def _check_seq_bits(seq_bits: int) -> None:
         raise ValueError(f"seq_bits must be an integer in [1, {MAX_SEQ_BITS}]")
 
 
+def _occupancy(tags: float, slots: int) -> Tuple[float, float, float]:
+    # E[idle], E[reserved] and E[unresolved] of valid arguments, unchecked
+    base = 1.0 - 1.0 / slots
+    e_idle = slots * base ** tags
+    # single slot: reserved iff exactly one tag responded
+    e_reserved = tags * base ** (tags - 1.0) if base else float(tags == 1)
+    # clamped at zero so float cancellation can never give a small negative count
+    return e_idle, e_reserved, max(0.0, slots - e_idle - e_reserved)
+
+
 def expected_reserved(tags: float, slots: int) -> float:
     """Expected number of slots holding exactly one tag: k(1 - 1/N)^(k-1)."""
     _check_args(tags, slots)
-    if tags == 0:
-        return 0.0
-    base = 1.0 - 1.0 / slots
-    if base == 0.0:
-        # single slot: reserved iff exactly one tag responded
-        return 1.0 if tags == 1 else 0.0
-    return tags * base ** (tags - 1.0)
+    return _occupancy(tags, slots)[1]
 
 
 def expected_idle(tags: float, slots: int) -> float:
     """Expected number of empty slots: N(1 - 1/N)^k."""
     _check_args(tags, slots)
-    if tags == 0:
-        return float(slots)
-    return slots * (1.0 - 1.0 / slots) ** tags
+    return _occupancy(tags, slots)[0]
 
 
 def expected_unresolved(tags: float, slots: int) -> float:
     """Expected number of slots holding two or more tags.
 
     Computed as the complement N - E[idle] - E[reserved], clamped at zero
-    so float cancellation can never produce a small negative count.  Its
-    two terms check the arguments.
+    so float cancellation can never produce a small negative count.
     """
-    return max(0.0, slots - expected_idle(tags, slots) - expected_reserved(tags, slots))
+    _check_args(tags, slots)
+    return _occupancy(tags, slots)[2]
 
 
 def expected_undetected(tags: float, slots: int, seq_bits: int) -> float:
@@ -76,7 +82,8 @@ def expected_undetected(tags: float, slots: int, seq_bits: int) -> float:
     sum, in closed form.
     """
     _check_seq_bits(seq_bits)
-    return expected_unresolved(tags, slots) * 2.0 ** -seq_bits
+    _check_args(tags, slots)
+    return _occupancy(tags, slots)[2] * 2.0 ** -seq_bits
 
 
 def expected_undetected_exact(tags: float, slots: int, seq_bits: int) -> float:
@@ -114,7 +121,7 @@ def expected_undetected_exact(tags: float, slots: int, seq_bits: int) -> float:
 
 def expected_successful(tags: float, slots: int, seq_bits: int) -> float:
     """Expected apparently-reserved slots S: true reservations plus undetected."""
-    return expected_reserved(tags, slots) + expected_undetected(tags, slots, seq_bits)
+    return slot_profile(tags, slots, seq_bits).s_expected
 
 
 class ExpectedSlotProfile(NamedTuple):
@@ -129,10 +136,10 @@ class ExpectedSlotProfile(NamedTuple):
 
 def slot_profile(tags: float, slots: int, seq_bits: int) -> ExpectedSlotProfile:
     """All per-round expectations for one (tags, slots, seq_bits) cell."""
-    e_reserved = expected_reserved(tags, slots)
-    e_idle = expected_idle(tags, slots)
-    e_unresolved = expected_unresolved(tags, slots)
-    e_undetected = expected_undetected(tags, slots, seq_bits)
+    _check_args(tags, slots)
+    _check_seq_bits(seq_bits)
+    e_idle, e_reserved, e_unresolved = _occupancy(tags, slots)
+    e_undetected = e_unresolved * 2.0 ** -seq_bits
     return ExpectedSlotProfile(
         e_reserved=e_reserved,
         e_idle=e_idle,
@@ -161,8 +168,11 @@ def optimal_seq_len(e_unresolved: float, slots: int) -> SeqLenChoice:
     one bit.
     """
     check_nonnegative("e_unresolved", e_unresolved)
-    if not (is_int(slots) and slots >= 1):
-        raise ValueError("slots must be an integer >= 1")
+    _check_slots(slots)
+    return _seq_len(e_unresolved, slots)
+
+
+def _seq_len(e_unresolved: float, slots: int) -> SeqLenChoice:
     arg = SEQ_ARG_COEFF * e_unresolved / slots
     raw = SEQ_LOG_COEFF * math.log10(arg) if arg > 1.0 else 0.0
     # round() would take ties to even; the rule takes ties up
@@ -182,8 +192,7 @@ def phase_durations_for(
     (fractional count) so both sides evaluate the identical expression.
     `timing` is kept only because `bench/gate.py` passes `TimingModel()`.
     """
-    if not (is_int(slots) and slots >= 1):
-        raise ValueError("slots must be an integer >= 1")
+    _check_slots(slots)
     _check_seq_bits(seq_bits)
     if not (is_real(successes) and 0 <= successes <= slots):
         raise ValueError("successes must be in [0, slots]")

@@ -29,7 +29,7 @@ from .model import (
     check_nonnegative,
     is_int,
 )
-from .rng import residues, take
+from .rng import _in_pieces, residues
 
 # Frame sizes EDFSA may announce; backlog beyond the largest is split
 # into EDFSA_MAX_FRAME-sized groups instead.
@@ -43,8 +43,8 @@ def run_fsa_round(tags: Sequence[Tag], slots: int, rng: Iterator[int]) -> RoundT
     The caller picks who answers, as for `afsa.run_afsa_round`
     (`run_inventory` sends the tags still answering).  Each tag
     consumes one draw (its slot), and the round takes no other draw from
-    `rng`; it takes them in one piece through `rng.take`, and a stream
-    that runs out before the last tag raises ValueError.
+    `rng`; it takes them through `rng.take`, at most PIECE_DRAWS at a
+    time, and a stream that runs out before the last tag raises ValueError.
     Every slot of the frame costs a full data slot whether idle, reserved,
     or collided; there is no reservation or acknowledgement traffic
     beyond the frame advertisement.  Single-occupant slots identify their
@@ -57,7 +57,8 @@ def run_fsa_round(tags: Sequence[Tag], slots: int, rng: Iterator[int]) -> RoundT
         raise ValueError("slots must be >= 1")
     # per slot: None, the lone occupant or COLLIDED
     heard: List[object] = [None] * slots
-    for tag, slot in zip(tags, residues(take(rng, len(tags)), 0, 1, slots)):
+    for tag, slot in _in_pieces(tags, 1, rng,
+                                lambda piece, raw: zip(piece, residues(raw, 0, 1, slots))):
         heard[slot] = tag if heard[slot] is None else COLLIDED
 
     identified: List[int] = []

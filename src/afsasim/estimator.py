@@ -10,7 +10,8 @@ import enum
 import math
 from typing import NamedTuple, Optional
 
-from .analytic import expected_unresolved, optimal_seq_len
+from .analytic import _check_slots, _occupancy, _seq_len
+from .analytic import optimal_seq_len  # unused here, but bench/child.py wraps it by this name
 from .model import FrameConfig, RoundTrace, check_nonnegative, is_int
 
 # Expected occupants of a slot known to hold a collision, in the Poisson
@@ -69,7 +70,11 @@ def estimate_from_counts(
             raise ValueError(f"{name} must be an integer >= {least}")
     if idle + reserved_apparent + detected_collisions != slots:
         raise ValueError("slot counts must partition the frame")
+    return _estimate(idle, reserved_apparent, detected_collisions, identified, slots)
 
+
+def _estimate(idle: int, reserved_apparent: int, detected_collisions: int,
+              identified: int, slots: int) -> BacklogEstimate:
     if idle >= 1 and slots > 1:
         responders = math.log(idle / slots) / math.log(1.0 - 1.0 / slots)
         k_est = responders - identified
@@ -98,6 +103,10 @@ def nearest_power_of_two(value: float) -> int:
     Distance is linear, and a tie between neighbours goes up.
     """
     check_nonnegative("value", value)
+    return _frame_size(value)
+
+
+def _frame_size(value: float) -> int:
     if value <= FRAME_MIN:
         return FRAME_MIN
     if value >= FRAME_MAX:
@@ -110,7 +119,12 @@ def nearest_power_of_two(value: float) -> int:
 def auto_seq_bits(k_est: float, slots: int) -> int:
     """Sequence length chosen for an upcoming frame of `slots` at backlog `k_est`."""
     check_nonnegative("k_est", k_est)
-    return optimal_seq_len(expected_unresolved(k_est, slots), slots).rounded
+    _check_slots(slots)
+    return _seq_bits(k_est, slots)
+
+
+def _seq_bits(k_est: float, slots: int) -> int:
+    return _seq_len(_occupancy(k_est, slots)[2], slots).rounded
 
 
 def next_frame(estimate: BacklogEstimate,
@@ -127,7 +141,7 @@ def next_frame(estimate: BacklogEstimate,
     """
     k_est = estimate.k_est
     check_nonnegative("k_est", k_est)
-    slots = nearest_power_of_two(k_est)
+    slots = _frame_size(k_est)
     if k_est > OVERLOAD_RATIO * slots:
         divisor = max(1, int(math.floor(k_est / slots + 0.5)))
     else:
@@ -135,7 +149,7 @@ def next_frame(estimate: BacklogEstimate,
     if fixed_seq_bits is not None:
         seq_bits = fixed_seq_bits
     else:
-        seq_bits = auto_seq_bits(k_est, slots)
+        seq_bits = _seq_bits(k_est, slots)
     return FrameConfig(slots=slots, seq_bits=seq_bits, participation_divisor=divisor)
 
 
@@ -146,6 +160,5 @@ def initial_seq_bits(slots: int) -> int:
     tags as slots), which yields one bit for a one-slot frame and two bits
     for every other frame size up to 65 536.
     """
-    if not (is_int(slots) and slots >= 1):
-        raise ValueError("slots must be an integer >= 1")
-    return auto_seq_bits(float(slots), slots)
+    _check_slots(slots)
+    return _seq_bits(float(slots), slots)

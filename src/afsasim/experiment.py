@@ -14,7 +14,7 @@ from .afsa import InventoryResult, run_afsa_inventory
 from .baselines import run_edfsa_inventory, run_fsa_inventory
 from .estimator import initial_seq_bits
 from .model import MAX_SEQ_BITS, FrameConfig, Tag, is_int, is_real, make_population
-from .rng import MAX_KEY, RngStream, u64s, unit_cut, unit_float
+from .rng import MAX_KEY, RngStream, _in_pieces, u64s, unit_cut, unit_float
 
 PROTOCOLS = ("afsa", "fsa", "edfsa")
 
@@ -193,8 +193,8 @@ def run_trial(config: ExperimentConfig, trial_id: int) -> InventoryResult:
             # nothing at all
             nonlocal present
             if present is not None:
-                draws = u64s(rng.take(len(present)))
-                present = [tag for tag, bits in zip(present, draws) if bits >= departs]
+                draws = _in_pieces(present, 1, rng, lambda piece, raw: zip(piece, u64s(raw)))
+                present = [tag for tag, bits in draws if bits >= departs]
                 active = [tag for tag in present if not tag.identified]
             if config.arrival_rate > 0:
                 # EPCs go on from the last tag's, so an EPC is its index

@@ -14,8 +14,8 @@ import math
 import random
 import sys
 from array import array
-from itertools import islice
-from typing import Iterable, Iterator
+from itertools import chain, islice
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .model import is_int
 
@@ -27,6 +27,11 @@ _ULP53 = 2.0 ** -53
 
 # Fewest draws an `RngStream` fetches from its generator at once.
 BLOCK_DRAWS = 32
+
+# Most draws a round kernel or a churn gap holds at once (24 KB): a large
+# one takes its draws in pieces, so its memory does not grow with the
+# population.
+PIECE_DRAWS = 3 * 1024
 
 # What `take`, and so a round kernel, raises when `rng` ends too soon.
 DRAWS_RAN_OUT = "rng ran out of draws before the round's last tag"
@@ -83,6 +88,9 @@ class RngStream:
 
     def take(self, count: int) -> bytes:
         """The next `count` draws, 8 little-endian bytes each."""
+        if count < 0:
+            # a negative count would move the position back and replay draws
+            raise ValueError("count must be >= 0")
         pos = self._pos
         end = pos + 8 * count
         buffer = self._buffer
@@ -103,14 +111,29 @@ def take(rng: Iterator[int], count: int) -> bytes:
 
     An `RngStream` serves them from its buffer; any other iterator of u64
     draws is advanced by exactly `count`.  An iterator that ends first
-    raises ValueError(DRAWS_RAN_OUT).
+    raises ValueError(DRAWS_RAN_OUT), and a negative count ValueError.
     """
     if isinstance(rng, RngStream):
         return rng.take(count)
+    if count < 0:
+        raise ValueError("count must be >= 0")
     draws = array("Q", islice(rng, count))
     if len(draws) < count:
         raise ValueError(DRAWS_RAN_OUT)
     return _little(draws).tobytes()
+
+
+def _in_pieces(items: Sequence, per_item: int, rng: Iterator[int],
+               read: Callable[[Sequence, bytes], Iterable]) -> Iterable:
+    """`read(items, take(rng, per_item * len(items)))`, in order, for at most
+    PIECE_DRAWS draws at a time: more items are read a piece at a time,
+    and a piece takes its draws only once the one before has been read."""
+    count = per_item * len(items)
+    if count <= PIECE_DRAWS:
+        return read(items, take(rng, count))
+    size = PIECE_DRAWS // per_item
+    return chain.from_iterable(_in_pieces(items[start:start + size], per_item, rng, read)
+                               for start in range(0, len(items), size))
 
 
 def _little(words: array) -> array:

@@ -1,4 +1,5 @@
 """Protocol engine: scripted rounds, trace invariants, inventory loop."""
+from collections import Counter
 from functools import partial
 from itertools import accumulate
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from afsasim import afsa, baselines
+from afsasim import afsa, analytic, baselines, estimator
 from afsasim.afsa import run_afsa_inventory, run_afsa_round
 from afsasim.analytic import expected_idle, expected_reserved, phase_durations_for
 from afsasim.baselines import run_edfsa_inventory, run_fsa_inventory
@@ -638,6 +639,27 @@ def test_next_frame_memo_equals_the_uncached_decision(counts, fixed_seq_bits):
     for fixed in (None, fixed_seq_bits, None, fixed_seq_bits):
         expected = next_frame(estimate_backlog(trace), fixed)
         assert afsa._next_frame(*counts, slots, fixed) == expected
+
+
+@pytest.mark.parametrize("counts, fixed_seq_bits", [
+    ((58, 46, 20, 4), None), ((0, 5, 10, 1), None), ((58, 46, 20, 4), 3)])
+def test_a_next_frame_miss_checks_the_estimate_once(monkeypatch, counts, fixed_seq_bits):
+    # a played round's counts are valid, so the decision checks only the
+    # backlog estimate, once; FrameConfig checks the frame it builds
+    calls = Counter()
+
+    def counted(name, check):
+        def wrapper(*args):
+            calls[name] += 1
+            return check(*args)
+        return wrapper
+
+    for module in (afsa, analytic, estimator):
+        for name in ("check_nonnegative", "is_int"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    afsa._next_frame.__wrapped__(*counts, sum(counts), fixed_seq_bits)
+    assert calls == {"check_nonnegative": 1}
 
 
 def test_memos_stay_within_their_bound():

@@ -217,6 +217,33 @@ def test_slot_profile_bundles_consistently():
     assert profile.s_expected == profile.e_reserved + profile.e_undetected
 
 
+# tags 0, fractional loads below one tag, and slots from 1 to 65 536
+GRID_TAGS = [0, 0.25, 0.5, 0.999, 1, 1.5, 2, 3, 7.3, 54.3, 100, 1000, 5000.5, 100_000]
+GRID_SLOTS = [*range(1, 18), 31, 32, 33, 100, 127, 128, 129, 1000, 1023, 1024, 1025,
+              4097, 65535, 65536]
+
+
+def bit_pattern(values):
+    """Each float of `values` by its exact bits, so 0.0 and -0.0 differ too."""
+    return [v.hex() if isinstance(v, float) else v for v in values]
+
+
+@pytest.mark.parametrize("slots", GRID_SLOTS)
+def test_the_unchecked_cores_equal_the_public_names_bit_for_bit(slots):
+    for tags in GRID_TAGS:
+        occupancy = analytic._occupancy(tags, slots)
+        assert bit_pattern(occupancy) == bit_pattern([
+            expected_idle(tags, slots), expected_reserved(tags, slots),
+            expected_unresolved(tags, slots)])
+        e_unresolved = occupancy[2]
+        assert bit_pattern(analytic._seq_len(e_unresolved, slots)) == bit_pattern(
+            optimal_seq_len(e_unresolved, slots))
+        for bits in range(1, 17):
+            assert bit_pattern(slot_profile(tags, slots, bits)) == bit_pattern([
+                occupancy[1], occupancy[0], e_unresolved,
+                expected_undetected(tags, slots, bits), expected_successful(tags, slots, bits)])
+
+
 def test_optimal_seq_len_reference_points():
     at_reference = optimal_seq_len(expected_unresolved(100, 128), 128)
     assert at_reference.raw == pytest.approx(1.816, abs=1e-3)

@@ -1,5 +1,6 @@
 """FSA and EDFSA baselines: cost structure, planning, and comparisons."""
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,7 +22,7 @@ from afsasim.model import (
     Tag,
     make_population,
 )
-from afsasim.rng import BLOCK_DRAWS, RngStream
+from afsasim.rng import BLOCK_DRAWS, PIECE_DRAWS, RngStream
 
 from oracles import ScriptedStream, check_round_trace, reference_round
 
@@ -105,6 +106,9 @@ def test_fsa_collisions_always_detected(tags, slots, seed):
 @example(states=[False, True] * 800, slots=1000, seed=5)
 @example(states=[False] * 1500, slots=1024, seed=6)
 @example(states=[False] * 3000, slots=65536, seed=7)
+# past PIECE_DRAWS: the round takes its draws in pieces
+@example(states=[False] * (PIECE_DRAWS + 1), slots=1024, seed=8)
+@example(states=[False, False, True] * 2000, slots=1000, seed=9)
 def test_fsa_round_matches_reference(states, slots, seed):
     def population():
         return [Tag(epc=i, identified=d) for i, d in enumerate(states)]
@@ -140,6 +144,20 @@ def test_fsa_rounds_straddling_a_refill_match_the_reference(slots, offset):
                 trace.responders, trace.identified_epcs) == (
             ref.idle, ref.reserved_true, ref.detected, ref.responders, ref.identified_epcs)
         assert next(rng) == next(ref_rng)
+
+
+def test_a_large_fsa_round_holds_its_draws_a_piece_at_a_time():
+    tags = make_population(100_000)
+    rng = RngStream(23, 0)
+    tracemalloc.start()
+    try:
+        run_fsa_round(tags, 1024, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the round's 100 000 draws are 800 KB as bytes alone, and taken at
+    # once they peaked at 4 MB; a piece of PIECE_DRAWS is 24 KB
+    assert peak < 400 * 1024
 
 
 def test_fsa_round_statistics_match_expectations():

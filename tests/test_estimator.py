@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from afsasim import estimator
 from afsasim.analytic import expected_idle
 from afsasim.estimator import (
     COLLISION_TAG_MULTIPLIER,
@@ -20,6 +21,8 @@ from afsasim.estimator import (
 from afsasim.model import FrameConfig, make_population
 from afsasim.afsa import run_afsa_round
 from afsasim.rng import RngStream
+
+from test_analytic import GRID_SLOTS, GRID_TAGS
 
 
 def test_all_idle_means_empty_backlog():
@@ -82,6 +85,24 @@ def test_estimate_rejects_a_fractional_or_bool_count(position, field, bad):
     counts[position] = bad
     with pytest.raises(ValueError, match=f"^{field} must be an integer"):
         estimate_from_counts(*counts)
+
+
+@pytest.mark.parametrize("slots", GRID_SLOTS)
+def test_the_unchecked_cores_equal_the_public_names_bit_for_bit(slots):
+    def pattern(estimate):
+        return estimate.k_est.hex(), estimate.method
+
+    for idle in sorted({0, 1, slots // 2, slots}):
+        for detected in sorted({0, (slots - idle) // 3, slots - idle}):
+            reserved = slots - idle - detected
+            for identified in sorted({0, reserved // 2, reserved, reserved + 7}):
+                counts = (idle, reserved, detected, identified, slots)
+                assert pattern(estimator._estimate(*counts)) == pattern(
+                    estimate_from_counts(*counts))
+    for k_est in [*GRID_TAGS, float(slots), slots * 4.5]:
+        assert estimator._frame_size(k_est) == nearest_power_of_two(k_est)
+        assert estimator._seq_bits(k_est, slots) == auto_seq_bits(k_est, slots)
+    assert estimator._seq_bits(float(slots), slots) == initial_seq_bits(slots)
 
 
 def test_estimate_backlog_reads_trace():

@@ -19,7 +19,7 @@ from afsasim.afsa import run_afsa_inventory
 from afsasim.baselines import run_edfsa_inventory, run_fsa_inventory
 from afsasim.estimator import auto_seq_bits, initial_seq_bits
 from afsasim.model import FrameConfig, Tag, make_population
-from afsasim.rng import RngStream, unit_float
+from afsasim.rng import PIECE_DRAWS, RngStream, unit_float
 
 from oracles import ScriptedStream
 
@@ -238,13 +238,13 @@ def test_poisson_tail_draws(rate, bits, arrivals):
     assert _poisson(rate, ScriptedStream([bits])) == arrivals
 
 
-def _check_churn_against_a_full_scan(protocol):
+def _check_churn_against_a_full_scan(protocol, k_initial=60, max_rounds=200):
     # the trial's churn, which keeps its own list of present tags, against
     # the plain loop over the whole population: one uniform per present tag
     # in population order, then the arrivals, and a rescan for the tags
     # that answer next
-    config = FAST._replace(protocol=protocol, k_initial=60, frame_slots=32,
-                           arrival_rate=1.5, departure_prob=0.2)
+    config = FAST._replace(protocol=protocol, k_initial=k_initial, frame_slots=32,
+                           arrival_rate=1.5, departure_prob=0.2, max_rounds=max_rounds)
     for trial in range(3):
         rng = RngStream(config.seed, trial)
         population = make_population(config.k_initial)
@@ -280,6 +280,11 @@ def test_churn_draws_match_one_draw_per_present_tag():
 @pytest.mark.parametrize("protocol", ["fsa", "edfsa"])
 def test_baseline_churn_draws_match_one_draw_per_present_tag(protocol):
     _check_churn_against_a_full_scan(protocol)
+
+
+def test_churn_draws_past_one_piece_match_one_draw_per_present_tag():
+    # more present tags than PIECE_DRAWS: a gap takes its draws in pieces
+    _check_churn_against_a_full_scan("fsa", k_initial=PIECE_DRAWS + 500, max_rounds=3)
 
 
 @pytest.mark.parametrize("slots", [

@@ -83,6 +83,21 @@ def test_take_zero_consumes_nothing():
     assert list(draws) == [4, 5]
 
 
+def test_a_negative_count_is_refused_and_consumes_nothing():
+    # a negative count would rewind a stream: its next draws would replay
+    stream, twin = RngStream(1, 0), RngStream(1, 0)
+    for _ in range(3):
+        assert next(stream) == next(twin)
+    for taker in (stream.take, lambda count: take(stream, count)):
+        with pytest.raises(ValueError, match="^count must be >= 0$"):
+            taker(-2)
+        assert next(stream) == next(twin)
+    draws = iter([4, 5])
+    with pytest.raises(ValueError, match="^count must be >= 0$"):
+        take(draws, -1)
+    assert list(draws) == [4, 5]
+
+
 def test_take_advances_any_other_iterator_by_exactly_count():
     draws = iter(range(10, 20))
     assert take(draws, 4) == _packed([10, 11, 12, 13])
