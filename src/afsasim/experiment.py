@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import compress
 from typing import Iterator, List, NamedTuple, Optional, Sequence
 
 from .afsa import InventoryResult, run_afsa_inventory
 from .baselines import run_edfsa_inventory, run_fsa_inventory
 from .estimator import initial_seq_bits
 from .model import MAX_SEQ_BITS, FrameConfig, Tag, is_int, is_real, make_population
-from .rng import MAX_KEY, RngStream, _in_pieces, u64s, unit_cut, unit_float
+from .rng import MAX_KEY, RngStream, _in_pieces, at_least, unit_cut, unit_float
 
 PROTOCOLS = ("afsa", "fsa", "edfsa")
 
@@ -193,8 +194,9 @@ def run_trial(config: ExperimentConfig, trial_id: int) -> InventoryResult:
             # nothing at all
             nonlocal present
             if present is not None:
-                draws = _in_pieces(present, 1, rng, lambda piece, raw: zip(piece, u64s(raw)))
-                present = [tag for tag, bits in draws if bits >= departs]
+                stays = b"".join(_in_pieces(present, 1, rng,
+                                            lambda piece, raw: (at_least(raw, departs),)))
+                present = list(compress(present, stays))
                 active = [tag for tag in present if not tag.identified]
             if config.arrival_rate > 0:
                 # EPCs go on from the last tag's, so an EPC is its index

@@ -6,7 +6,8 @@ are independent, reorderable, and bit-identical across runs and across
 execution orders.  The protocol code takes any iterator of u64 draws and
 reads them through `take`, which packs the next draws as 8 little-endian
 bytes each; `residues` reduces packed draws and reads only the low bytes
-where they suffice, so a round builds no int it need not build.
+where they suffice, and `at_least` compares them with a bound on their top
+byte, so a round or a churn gap builds no int it need not build.
 """
 from __future__ import annotations
 
@@ -111,13 +112,19 @@ def take(rng: Iterator[int], count: int) -> bytes:
 
     An `RngStream` serves them from its buffer; any other iterator of u64
     draws is advanced by exactly `count`.  An iterator that ends first
-    raises ValueError(DRAWS_RAN_OUT), and a negative count ValueError.
+    raises ValueError(DRAWS_RAN_OUT), one that yields anything but an int
+    in [0, 2**64 - 1] ValueError, and a negative count ValueError.
     """
     if isinstance(rng, RngStream):
         return rng.take(count)
     if count < 0:
         raise ValueError("count must be >= 0")
-    draws = array("Q", islice(rng, count))
+    # drawn before the check, so an error of the iterator's own stays its own
+    drawn = list(islice(rng, count))
+    try:
+        draws = array("Q", drawn)
+    except (OverflowError, TypeError) as error:
+        raise ValueError("rng draws must be integers in [0, 2**64 - 1]") from error
     if len(draws) < count:
         raise ValueError(DRAWS_RAN_OUT)
     return _little(draws).tobytes()
@@ -162,3 +169,25 @@ def residues(raw: bytes, first: int, step: int, modulus: int) -> Iterable[int]:
     if not modulus & mask and modulus <= 1 << 16:
         return [word & mask for word in _little(array("H", raw))[4 * first::4 * step]]
     return [draw % modulus for draw in u64s(raw)[first::step]]
+
+
+def at_least(raw: bytes, cut: int) -> bytes:
+    """Byte i is 1 when packed draw i of `raw` is >= `cut`, else 0, for a
+    cut in [0, 2**64].
+
+    A draw's top byte settles the comparison unless it equals the cut's,
+    so only such a tie (one draw in 256 for a typical cut) is read whole.
+    """
+    top = cut >> 56
+    # a top byte maps to 0 below the cut's, 1 above it and 2 on a tie;
+    # cut 2**64 has no tie, as no draw reaches it
+    table = bytes(top) + b"\2" + b"\1" * (255 - top) if top < 256 else bytes(256)
+    marks = raw[7::8].translate(table)
+    tie = marks.find(2)
+    if tie < 0:
+        return marks
+    marks = bytearray(marks)
+    while tie >= 0:
+        marks[tie] = int.from_bytes(raw[8 * tie:8 * tie + 8], "little") >= cut
+        tie = marks.find(2, tie + 1)
+    return bytes(marks)

@@ -238,13 +238,15 @@ def test_poisson_tail_draws(rate, bits, arrivals):
     assert _poisson(rate, ScriptedStream([bits])) == arrivals
 
 
-def _check_churn_against_a_full_scan(protocol, k_initial=60, max_rounds=200):
+def _check_churn_against_a_full_scan(protocol, k_initial=60, max_rounds=200,
+                                     departure_prob=0.2):
     # the trial's churn, which keeps its own list of present tags, against
     # the plain loop over the whole population: one uniform per present tag
     # in population order, then the arrivals, and a rescan for the tags
     # that answer next
     config = FAST._replace(protocol=protocol, k_initial=k_initial, frame_slots=32,
-                           arrival_rate=1.5, departure_prob=0.2, max_rounds=max_rounds)
+                           arrival_rate=1.5, departure_prob=departure_prob,
+                           max_rounds=max_rounds)
     for trial in range(3):
         rng = RngStream(config.seed, trial)
         population = make_population(config.k_initial)
@@ -285,6 +287,41 @@ def test_baseline_churn_draws_match_one_draw_per_present_tag(protocol):
 def test_churn_draws_past_one_piece_match_one_draw_per_present_tag():
     # more present tags than PIECE_DRAWS: a gap takes its draws in pieces
     _check_churn_against_a_full_scan("fsa", k_initial=PIECE_DRAWS + 500, max_rounds=3)
+
+
+# 2**-60: a cut of 2048, so nobody leaves and a draw ties the cut's top
+# byte whenever its own is 0; 0.5: a cut of 2**63; 1.0: everybody leaves
+@pytest.mark.parametrize("departure_prob", [2**-60, 0.5, 1.0])
+def test_churn_draws_at_any_departure_rate_match_one_draw_per_present_tag(departure_prob):
+    _check_churn_against_a_full_scan("afsa", departure_prob=departure_prob)
+
+
+def test_churn_draws_past_one_piece_at_half_departures_match_one_draw_per_present_tag():
+    _check_churn_against_a_full_scan("fsa", k_initial=PIECE_DRAWS + 500, max_rounds=3,
+                                     departure_prob=0.5)
+
+
+def test_a_gap_where_only_the_first_present_tag_leaves(monkeypatch):
+    # scripted departure draws: 0 leaves and the top draw stays, so in each
+    # gap the first present tag alone leaves; tag 1 is identified, so it
+    # answers no round but still takes a draw until it leaves
+    top = 2**64 - 1
+    script = ScriptedStream([0, top, top, top, top] + [0, top, top, top] + [0, top, top])
+    hook = {}
+    monkeypatch.setattr(experiment, "RngStream", lambda seed, stream_id: script)
+    monkeypatch.setattr(experiment, "_dispatch",
+                        lambda config, population, rng, churn: hook.update(
+                            population=population, churn=churn))
+    run_trial(FAST._replace(k_initial=5, departure_prob=0.5), 0)
+    population, churn = hook["population"], hook["churn"]
+    population[1].identified = True
+    active = [tag for tag in population if not tag.identified]
+    answering = []
+    for _ in range(3):
+        active = churn(active)
+        answering.append([tag.epc for tag in active])
+    assert answering == [[2, 3, 4], [2, 3, 4], [3, 4]]
+    assert script.remaining == 0
 
 
 @pytest.mark.parametrize("slots", [

@@ -14,6 +14,7 @@ from afsasim.rng import (
     BLOCK_DRAWS,
     DRAWS_RAN_OUT,
     RngStream,
+    at_least,
     residues,
     take,
     u64s,
@@ -110,6 +111,30 @@ def test_take_advances_any_other_iterator_by_exactly_count():
         take(ScriptedStream([1, 2]), 3)
 
 
+@pytest.mark.parametrize("bad", [1 << 64, -1, 1.5])
+def test_a_draw_out_of_range_or_not_an_integer_is_refused(bad):
+    # as packed u64s, 2**64 and -1 would not fit and 1.5 is no integer
+    message = r"^rng draws must be integers in \[0, 2\*\*64 - 1\]$"
+    with pytest.raises(ValueError, match=message):
+        take(iter([1, bad, 3]), 3)
+    with pytest.raises(ValueError, match=message):
+        run_afsa_round(make_population(2), FrameConfig(4, 2), iter([bad] * 10))
+
+
+def _failing_draws():
+    yield 1
+    raise TypeError("the iterator's own error")
+
+
+@pytest.mark.parametrize("make_rng, message", [
+    (lambda: None, "not iterable"),
+    (_failing_draws, "the iterator's own error"),
+])
+def test_an_iterator_error_is_not_reported_as_a_bad_draw(make_rng, message):
+    with pytest.raises(TypeError, match=message):
+        take(make_rng(), 2)
+
+
 @pytest.mark.parametrize("modulus", [
     1, 2, 3, 128, 255, 256, 257, 512, 1000, 1024, 65535, 65536, 65537, 1 << 20, 1 << 64])
 @pytest.mark.parametrize("first, step", [(0, 1), (1, 3), (2, 3)])
@@ -195,6 +220,31 @@ def _at_the_edges(test):
 @_at_the_edges
 def test_unit_cut_matches_unit_float(bits, p):
     assert (bits < unit_cut(p)) == (unit_float(bits) < p)
+
+
+# a cut whose low bits are not all zero, so the draws one either side of
+# it share its top byte and only a whole-draw comparison tells them apart
+_TIED_CUT = 0x5A << 56 | 12345
+
+
+@given(draws=st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=40),
+       cut=st.integers(min_value=0, max_value=2**64))
+@example(draws=[_TIED_CUT - 1, _TIED_CUT, _TIED_CUT + 1, 0, 2**64 - 1], cut=_TIED_CUT)
+@example(draws=[2**64 - 2, 2**64 - 1], cut=2**64 - 1)
+# every draw reaches cut 0, and none reaches cut 2**64
+@example(draws=[0, 1, 2**56, 2**64 - 1], cut=0)
+@example(draws=[0, 1, 2**56, 2**64 - 1], cut=2**64)
+# below 2**56 every draw with a top byte of 0 ties
+@example(draws=[0, 2047, 2048, 2049, 2**56 - 1, 2**56], cut=2048)
+def test_at_least_compares_whole_draws(draws, cut):
+    assert at_least(_packed(draws), cut) == bytes(d >= cut for d in draws)
+
+
+@given(bits=st.integers(min_value=0, max_value=2**64 - 1),
+       p=st.floats(min_value=0.0, max_value=1.0))
+@_at_the_edges
+def test_at_least_unit_cut_matches_unit_float(bits, p):
+    assert at_least(_packed([bits]), unit_cut(p)) == bytes([unit_float(bits) >= p])
 
 
 def test_uniform01_range():
