@@ -63,8 +63,13 @@ def _next_frame(
 
 
 # A round kernel's `heard[slot]` is None while the slot is idle, its first
-# occupant until a second arrives, and COLLIDED from then on.
-COLLIDED = object()
+# occupant until a second arrives, and COLLIDED from then on.  Both markers
+# are falsy, so `filter(None, heard)` yields the lone occupants in slot order.
+COLLIDED = False
+
+# `first_seq[slot]` in an AFSA round while the slot is idle: a sequence is
+# >= 0, and -1 marks a slot where an occupant sent another sequence.
+_IDLE_SEQ = -2
 
 
 def run_afsa_round(
@@ -97,9 +102,9 @@ def run_afsa_round(
     """
     slots = frame.slots
     seq_bits = frame.seq_bits
-    # per slot: see COLLIDED; and the first sequence, -1 once another differs
+    # per slot: see COLLIDED; and the first sequence, see _IDLE_SEQ
     heard: List[object] = [None] * slots
-    first_seq = [0] * slots
+    first_seq = [_IDLE_SEQ] * slots
     divisor = frame.participation_divisor
     # (tag, slot, sequence) per joining tag
     if divisor == 1:
@@ -128,20 +133,15 @@ def run_afsa_round(
             if sequence != first_seq[slot]:
                 first_seq[slot] = -1
 
-    idle = detected = undetected = 0
+    # the counts come from C; only the lone occupants take a Python step
     identified: List[int] = []
-    for occupant, sequence in zip(heard, first_seq):
-        if occupant is None:
-            idle += 1
-        elif occupant is not COLLIDED:
-            occupant.identified = True
-            identified.append(occupant.epc)
-        elif sequence < 0:
-            detected += 1
-        else:
-            undetected += 1
-
+    for tag in filter(None, heard):
+        tag.identified = True
+        identified.append(tag.epc)
+    idle = first_seq.count(_IDLE_SEQ)
+    detected = first_seq.count(-1)
     reserved = len(identified)
+    undetected = slots - idle - reserved - detected
     return RoundTrace(slots, seq_bits, responders, idle, reserved, detected, undetected,
                       tuple(identified), _round_time(reserved + undetected, slots, seq_bits))
 

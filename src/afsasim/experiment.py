@@ -15,7 +15,7 @@ from .afsa import InventoryResult, run_afsa_inventory
 from .baselines import run_edfsa_inventory, run_fsa_inventory
 from .estimator import initial_seq_bits
 from .model import MAX_SEQ_BITS, FrameConfig, Tag, is_int, is_real, make_population
-from .rng import MAX_KEY, RngStream, _in_pieces, at_least, unit_cut, unit_float
+from .rng import MAX_KEY, RngStream, _in_pieces, at_least, take, unit_cut, unit_float
 
 PROTOCOLS = ("afsa", "fsa", "edfsa")
 
@@ -151,9 +151,11 @@ def _poisson(rate: float, rng: Iterator[int]) -> int:
 
     Past the mode the running CDF can stop growing a few ulps below 1; a
     uniform above it lies in a tail the floats cannot resolve, and the
-    draw is the first count whose term no longer moves the CDF.
+    draw is the first count whose term no longer moves the CDF.  The
+    uniform is read through `rng.take`, so a draw that is not an integer
+    in [0, 2**64 - 1] raises ValueError.
     """
-    u = unit_float(next(rng))
+    u = unit_float(int.from_bytes(take(rng, 1), "little"))
     k = 0
     p = math.exp(-rate)
     cdf = p

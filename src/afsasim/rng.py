@@ -159,15 +159,24 @@ def residues(raw: bytes, first: int, step: int, modulus: int) -> Iterable[int]:
     """Draws first, first + step, ... of packed `raw`, each modulo `modulus`.
 
     A power-of-two modulus up to 2**16 needs only a draw's low byte or low
-    16 bits, so no u64 is built: up to 256 each residue is a byte, whose
-    value is a cached small int.  Any other modulus reduces whole draws.
+    two bytes, so no u64 is built and no Python loop runs.  Up to 256 the
+    residues are `bytes`: each draw's low byte through a translate table.
+    From 512 they are an `array` of typecode 'H': each draw's low byte,
+    and its next byte through the table for `modulus >> 8`, interleaved
+    into little-endian 16-bit words.  Any other modulus reduces whole
+    draws into a list of ints.
     """
     table = _LOW_BYTE.get(modulus)
     if table is not None:
         return raw[8 * first::8 * step].translate(table)
-    mask = modulus - 1
-    if not modulus & mask and modulus <= 1 << 16:
-        return [word & mask for word in _little(array("H", raw))[4 * first::4 * step]]
+    table = _LOW_BYTE.get(modulus >> 8)
+    # a zero low byte keeps 257 or 513, say, off this path
+    if table is not None and not modulus & 0xFF:
+        low = raw[8 * first::8 * step]
+        words = bytearray(2 * len(low))
+        words[0::2] = low
+        words[1::2] = raw[8 * first + 1::8 * step].translate(table)
+        return _little(array("H", words))
     return [draw % modulus for draw in u64s(raw)[first::step]]
 
 

@@ -337,6 +337,61 @@ def test_rounds_straddling_a_refill_match_the_reference(frame, offset):
     assert [t.identified for t in tags] == [t.identified for t in ref_tags]
 
 
+def _pin_to_reference(tags, frame, make_rng):
+    # the kernel and the reference round over the same tags and draws:
+    # equal counts, identifications and flags, and the same draws taken
+    ref_tags = [Tag(t.epc, t.identified) for t in tags]
+    rng, ref_rng = make_rng(), make_rng()
+    trace = run_afsa_round(_answering(tags), frame, rng)
+    check_round_trace(trace)
+    ref = reference_round(ref_tags, frame.slots, ref_rng, seq_bits=frame.seq_bits,
+                          divisor=frame.participation_divisor)
+    assert (trace.idle_count, trace.reserved_true_count, trace.detected_collision_count,
+            trace.undetected_collision_count, trace.responders, trace.identified_epcs) == (
+        ref.idle, ref.reserved_true, ref.detected, ref.undetected, ref.responders,
+        ref.identified_epcs)
+    assert [t.identified for t in tags] == [t.identified for t in ref_tags]
+    assert next(rng) == next(ref_rng)
+    return trace
+
+
+@pytest.mark.parametrize("k, frame, least_undetected", [
+    # frames at the 1 024-slot cap with about three tags per slot: with
+    # one-bit sequences a collided slot goes undetected often
+    (3000, FrameConfig(1024, 1), 100),
+    (3000, FrameConfig(1024, 8), 1),
+    (5000, FrameConfig(1024, 8, 5), 1),
+    (2000, FrameConfig(65536, 8), 0),
+], ids=["k3000-N1024-n1", "k3000-N1024-n8", "k5000-N1024-n8-d5", "k2000-N65536-n8"])
+def test_large_rounds_match_the_reference(k, frame, least_undetected):
+    tags = _population([False] * k)
+    trace = _pin_to_reference(tags, frame, lambda: RngStream(23, k))
+    assert trace.undetected_collision_count >= least_undetected
+    assert trace.reserved_true_count > 0 and trace.idle_count > 0
+
+
+@pytest.mark.parametrize("slots_and_sequences, counts", [
+    # (idle, reserved, detected, undetected) from the derived counts
+    ((), (4, 0, 0, 0)),
+    # every slot occupied: two lone tags, a detected and an undetected pair
+    (((0, 1), (1, 2), (2, 0), (2, 3), (3, 1), (3, 1)), (0, 2, 1, 1)),
+    # only lone occupants, in reverse slot order
+    (((3, 0), (2, 0), (1, 3), (0, 3)), (0, 4, 0, 0)),
+    # sequence 0 heard alone and in an undetected pair is no idle slot
+    (((1, 0), (2, 0), (2, 0)), (2, 1, 0, 1)),
+], ids=["no tags", "no idle slot", "only lone occupants", "sequence zero"])
+def test_the_derived_slot_counts_hold_at_the_edges(slots_and_sequences, counts):
+    script = [draw for slot, seq in slots_and_sequences for draw in (0, slot, seq)] + [99]
+    tags = make_population(len(slots_and_sequences))
+    trace = _pin_to_reference(tags, FrameConfig(4, 2), lambda: ScriptedStream(script))
+    assert (trace.idle_count, trace.reserved_true_count, trace.detected_collision_count,
+            trace.undetected_collision_count) == counts
+    lone = sorted(slot for slot, _ in slots_and_sequences
+                  if sum(s == slot for s, _ in slots_and_sequences) == 1)
+    assert trace.identified_epcs == tuple(
+        epc for slot in lone for epc, (s, _) in enumerate(slots_and_sequences) if s == slot)
+
+
 def test_round_statistics_match_expectations():
     rng = RngStream(2468, 0)
     rounds = 3000

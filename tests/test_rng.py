@@ -1,6 +1,7 @@
 """Reproducibility contract of the random streams."""
 import random
 import struct
+from array import array
 
 import pytest
 from hypothesis import example, given
@@ -136,13 +137,43 @@ def test_an_iterator_error_is_not_reported_as_a_bad_draw(make_rng, message):
 
 
 @pytest.mark.parametrize("modulus", [
-    1, 2, 3, 128, 255, 256, 257, 512, 1000, 1024, 65535, 65536, 65537, 1 << 20, 1 << 64])
+    1, 2, 3, 128, 255, 256, 257, 512, 513, 768, 1000, 1024, 2048, 4096, 32768, 65535, 65536,
+    65537, 65792, 1 << 20, 1 << 64])
 @pytest.mark.parametrize("first, step", [(0, 1), (1, 3), (2, 3)])
 def test_residues_are_the_remainders_of_whole_draws(modulus, first, step):
-    # the low-byte, low-16-bit and whole-draw paths all equal `draw % modulus`
+    # the low-byte, low-16-bit and whole-draw paths all equal `draw % modulus`;
+    # 513 has a power of two above a nonzero low byte, and 768 and 65 792
+    # no power of two above a zero one, so all three reduce whole draws
     draws = [next(RngStream(5, i)) for i in range(60)] + [0, 255, 256, 65535, 65536, (1 << 64) - 1]
     raw = _packed(draws)
     assert list(residues(raw, first, step, modulus)) == [d % modulus for d in draws[first::step]]
+
+
+@given(exponent=st.integers(min_value=9, max_value=16),
+       draws=st.lists(st.integers(min_value=0, max_value=(1 << 64) - 1), max_size=40),
+       high=st.integers(min_value=1, max_value=(1 << 48) - 1),
+       first=st.integers(min_value=0, max_value=5),
+       step=st.integers(min_value=1, max_value=5))
+def test_sixteen_bit_residues_ignore_the_bits_above(exponent, draws, high, first, step):
+    # every power of two from 512 to 65 536 reads a draw's low two bytes;
+    # setting bits above them changes no residue
+    modulus = 1 << exponent
+    draws = draws + [d | high << 16 for d in draws]
+    expected = [d % modulus for d in draws[first::step]]
+    assert list(residues(_packed(draws), first, step, modulus)) == expected
+
+
+@pytest.mark.parametrize("modulus, kind", [
+    *[(1 << i, bytes) for i in range(9)],
+    *[(1 << i, array) for i in range(9, 17)],
+])
+def test_power_of_two_residues_are_never_a_list_of_ints(modulus, kind):
+    # each fast path returns its own C-built sequence; a list would mean a
+    # Python loop ran over the draws
+    got = residues(_packed(list(range(0, 3000, 7))), 1, 3, modulus)
+    assert type(got) is kind
+    if kind is array:
+        assert got.typecode == "H"
 
 
 def test_the_key_bounds_are_accepted():
