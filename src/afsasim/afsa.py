@@ -26,6 +26,7 @@ from .model import (
     RoundTrace,
     Tag,
     active_count,  # unused here, but bench/child.py wraps it by this name
+    check_int,
     is_int,
 )
 from .rng import PIECE_DRAWS, _in_pieces, residues, take, u64s
@@ -205,8 +206,7 @@ def run_inventory(
     `ever_present` counts it.  `completed` is False only when the round
     budget ran out with tags still pending.
     """
-    if not (is_int(max_rounds) and max_rounds >= 1):
-        raise ValueError("max_rounds must be an integer >= 1")
+    check_int("max_rounds", max_rounds, 1)
     traces: List[RoundTrace] = []
     k_active: List[int] = []
     # A round only marks tags identified, so between population changes

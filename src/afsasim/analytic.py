@@ -18,25 +18,15 @@ from .model import (
     TIMING,
     PhaseDurations,
     TimingModel,
+    check_int,
     check_nonnegative,
-    is_int,
     is_real,
 )
 
 
-def _check_slots(slots: int) -> None:
-    if not (is_int(slots) and slots >= 1):
-        raise ValueError("slots must be an integer >= 1")
-
-
 def _check_args(tags: float, slots: int) -> None:
     check_nonnegative("tags", tags)
-    _check_slots(slots)
-
-
-def _check_seq_bits(seq_bits: int) -> None:
-    if not (is_int(seq_bits) and 1 <= seq_bits <= MAX_SEQ_BITS):
-        raise ValueError(f"seq_bits must be an integer in [1, {MAX_SEQ_BITS}]")
+    check_int("slots", slots, 1)
 
 
 def _occupancy(tags: float, slots: int) -> Tuple[float, float, float]:
@@ -81,7 +71,7 @@ def expected_undetected(tags: float, slots: int, seq_bits: int) -> float:
     therefore overestimates; `expected_undetected_exact` carries the full
     sum, in closed form.
     """
-    _check_seq_bits(seq_bits)
+    check_int("seq_bits", seq_bits, 1, MAX_SEQ_BITS)
     _check_args(tags, slots)
     return _occupancy(tags, slots)[2] * 2.0 ** -seq_bits
 
@@ -100,7 +90,7 @@ def expected_undetected_exact(tags: float, slots: int, seq_bits: int) -> float:
     can overflow, is (q + px)^k.  A real `tags` extends it; below two it is 0.
     """
     _check_args(tags, slots)
-    _check_seq_bits(seq_bits)
+    check_int("seq_bits", seq_bits, 1, MAX_SEQ_BITS)
     x = 2.0 ** -seq_bits
     if tags < 2:
         return 0.0
@@ -137,7 +127,7 @@ class ExpectedSlotProfile(NamedTuple):
 def slot_profile(tags: float, slots: int, seq_bits: int) -> ExpectedSlotProfile:
     """All per-round expectations for one (tags, slots, seq_bits) cell."""
     _check_args(tags, slots)
-    _check_seq_bits(seq_bits)
+    check_int("seq_bits", seq_bits, 1, MAX_SEQ_BITS)
     e_idle, e_reserved, e_unresolved = _occupancy(tags, slots)
     e_undetected = e_unresolved * 2.0 ** -seq_bits
     return ExpectedSlotProfile(
@@ -168,7 +158,7 @@ def optimal_seq_len(e_unresolved: float, slots: int) -> SeqLenChoice:
     one bit.
     """
     check_nonnegative("e_unresolved", e_unresolved)
-    _check_slots(slots)
+    check_int("slots", slots, 1)
     return _seq_len(e_unresolved, slots)
 
 
@@ -192,8 +182,8 @@ def phase_durations_for(
     (fractional count) so both sides evaluate the identical expression.
     `timing` is kept only because `bench/gate.py` passes `TimingModel()`.
     """
-    _check_slots(slots)
-    _check_seq_bits(seq_bits)
+    check_int("slots", slots, 1)
+    check_int("seq_bits", seq_bits, 1, MAX_SEQ_BITS)
     if not (is_real(successes) and 0 <= successes <= slots):
         raise ValueError("successes must be in [0, slots]")
     rb = timing.reader_bit_time_us

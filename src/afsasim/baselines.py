@@ -27,7 +27,7 @@ from .model import (
     Tag,
     active_count,  # unused here, but bench/child.py wraps it by this name
     check_nonnegative,
-    is_int,
+    int_problem,
 )
 from .rng import _in_pieces, residues
 
@@ -51,10 +51,9 @@ def run_fsa_round(tags: Sequence[Tag], slots: int, rng: Iterator[int]) -> RoundT
     tag in place; full payloads always differ, so every collision is
     detected.
     """
-    if not is_int(slots):
-        raise ValueError("slots must be an integer")
-    if slots < 1:
-        raise ValueError("slots must be >= 1")
+    problem = int_problem("slots", slots, 1)
+    if problem:
+        raise ValueError(problem)
     # per slot: None, the lone occupant or COLLIDED
     heard: List[object] = [None] * slots
     for tag, slot in _in_pieces(tags, 1, rng,

@@ -10,9 +10,9 @@ import enum
 import math
 from typing import NamedTuple, Optional
 
-from .analytic import _check_slots, _occupancy, _seq_len
+from .analytic import _occupancy, _seq_len
 from .analytic import optimal_seq_len  # unused here, but bench/child.py wraps it by this name
-from .model import FrameConfig, RoundTrace, check_nonnegative, is_int
+from .model import FrameConfig, RoundTrace, check_int, check_nonnegative
 
 # Expected occupants of a slot known to hold a collision, in the Poisson
 # regime the estimator assumes.  Used when no idle slot survives.
@@ -66,8 +66,7 @@ def estimate_from_counts(
                                ("detected_collisions", detected_collisions, 0),
                                ("identified", identified, 0)):
         # a fractional or bool count would give a plausible estimate
-        if not (is_int(value) and value >= least):
-            raise ValueError(f"{name} must be an integer >= {least}")
+        check_int(name, value, least)
     if idle + reserved_apparent + detected_collisions != slots:
         raise ValueError("slot counts must partition the frame")
     return _estimate(idle, reserved_apparent, detected_collisions, identified, slots)
@@ -119,7 +118,7 @@ def _frame_size(value: float) -> int:
 def auto_seq_bits(k_est: float, slots: int) -> int:
     """Sequence length chosen for an upcoming frame of `slots` at backlog `k_est`."""
     check_nonnegative("k_est", k_est)
-    _check_slots(slots)
+    check_int("slots", slots, 1)
     return _seq_bits(k_est, slots)
 
 
@@ -151,14 +150,3 @@ def next_frame(estimate: BacklogEstimate,
     else:
         seq_bits = _seq_bits(k_est, slots)
     return FrameConfig(slots=slots, seq_bits=seq_bits, participation_divisor=divisor)
-
-
-def initial_seq_bits(slots: int) -> int:
-    """Sequence length for the first round, before any observation exists.
-
-    With nothing observed yet the reader assumes load one (about as many
-    tags as slots), which yields one bit for a one-slot frame and two bits
-    for every other frame size up to 65 536.
-    """
-    _check_slots(slots)
-    return _seq_bits(float(slots), slots)

@@ -13,8 +13,8 @@ from typing import Iterator, List, NamedTuple, Optional, Sequence
 
 from .afsa import InventoryResult, run_afsa_inventory
 from .baselines import run_edfsa_inventory, run_fsa_inventory
-from .estimator import initial_seq_bits
-from .model import MAX_SEQ_BITS, FrameConfig, Tag, is_int, is_real, make_population
+from .estimator import auto_seq_bits
+from .model import MAX_SEQ_BITS, FrameConfig, Tag, int_problem, is_int, is_real, make_population
 from .rng import MAX_KEY, RngStream, _in_pieces, at_least, take, unit_cut, unit_float
 
 PROTOCOLS = ("afsa", "fsa", "edfsa")
@@ -68,41 +68,23 @@ def validate_experiment(config: ExperimentConfig) -> List[str]:
     caller can surface the full list at once.  A field of the wrong type
     gets one message and no range check, so validation never raises.
     """
-    problems: List[str] = []
+    problems: List[Optional[str]] = []
     if not isinstance(config.protocol, str) or config.protocol not in PROTOCOLS:
         problems.append(f"protocol must be one of {', '.join(PROTOCOLS)}")
-    if not is_int(config.k_initial):
-        problems.append("k_initial must be an integer")
-    elif config.k_initial < 0:
-        problems.append("k_initial must be >= 0")
-    elif config.k_initial > MAX_TAGS:
-        problems.append(f"k_initial must be <= {MAX_TAGS}")
-    if not is_int(config.frame_slots):
-        problems.append("frame_slots must be an integer")
-    elif config.frame_slots < 1:
-        problems.append("frame_slots must be >= 1")
-    elif config.frame_slots > MAX_FRAME_SLOTS:
-        problems.append(f"frame_slots must be <= {MAX_FRAME_SLOTS}")
+    problems.append(int_problem("k_initial", config.k_initial, 0, MAX_TAGS))
+    problems.append(int_problem("frame_slots", config.frame_slots, 1, MAX_FRAME_SLOTS))
     if config.seq_bits is None:
         pass
     elif not is_int(config.seq_bits):
         problems.append("seq_bits must be an integer or None for auto")
     elif not 1 <= config.seq_bits <= MAX_SEQ_BITS:
         problems.append(f"seq_bits must be in [1, {MAX_SEQ_BITS}] or None for auto")
-    if not is_int(config.trials):
-        problems.append("trials must be an integer")
-    elif config.trials < 1:
-        problems.append("trials must be >= 1")
-    elif config.trials > MAX_TRIALS:
-        problems.append(f"trials must be <= {MAX_TRIALS}")
+    problems.append(int_problem("trials", config.trials, 1, MAX_TRIALS))
     if not is_int(config.seed):
         problems.append("seed must be an integer")
     elif not 0 <= config.seed <= MAX_SEED:
         problems.append("seed must be in [0, 2**64 - 1]")
-    if not is_int(config.max_rounds):
-        problems.append("max_rounds must be an integer")
-    elif config.max_rounds < 1:
-        problems.append("max_rounds must be >= 1")
+    problems.append(int_problem("max_rounds", config.max_rounds, 1))
     if not is_real(config.arrival_rate):
         problems.append("arrival_rate must be a real number")
     elif config.arrival_rate < 0:
@@ -113,7 +95,7 @@ def validate_experiment(config: ExperimentConfig) -> List[str]:
         problems.append("departure_prob must be a real number")
     elif not 0.0 <= config.departure_prob <= 1.0:
         problems.append("departure_prob must be in [0, 1]")
-    return problems
+    return list(filter(None, problems))
 
 
 class ExperimentConfigError(ValueError):
@@ -221,9 +203,10 @@ _FIRST_FRAMES = 1024
 @lru_cache(maxsize=_FIRST_FRAMES)
 def _first_frame(frame_slots: int, seq_bits: Optional[int]) -> FrameConfig:
     """The frame a trial's first round announces, built once per pair of
-    validated config fields; `seq_bits` None: `initial_seq_bits`."""
+    validated config fields.  With `seq_bits` None the reader has observed
+    nothing yet and assumes load one: as many tags as slots."""
     if seq_bits is None:
-        seq_bits = initial_seq_bits(frame_slots)
+        seq_bits = auto_seq_bits(frame_slots, frame_slots)
     return FrameConfig(frame_slots, seq_bits)
 
 

@@ -33,6 +33,24 @@ def check_nonnegative(name: str, value) -> None:
         raise ValueError(f"{name} must be finite and >= 0")
 
 
+def int_problem(name: str, value, least: int, most: int | None = None) -> str | None:
+    """Why `value` is no integer in [least, most] (`most` None: no bound), or None."""
+    if not is_int(value):
+        return f"{name} must be an integer"
+    if value < least:
+        return f"{name} must be >= {least}"
+    if most is not None and value > most:
+        return f"{name} must be <= {most}"
+    return None
+
+
+def check_int(name: str, value, least: int, most: int | None = None) -> None:
+    """Raise unless `value` is an integer in [least, most]; `most` None: no bound."""
+    if not (is_int(value) and least <= value and (most is None or value <= most)):
+        bounds = f">= {least}" if most is None else f"in [{least}, {most}]"
+        raise ValueError(f"{name} must be an integer {bounds}")
+
+
 class TimingModel:
     """The air interface, all durations in microseconds.
 
@@ -69,21 +87,14 @@ class FrameConfig(_FrameFields):
 
     def __new__(cls, *args, **kwargs) -> FrameConfig:
         self = super().__new__(cls, *args, **kwargs)
-        problems = []
-        if not is_int(self.slots):
-            problems.append("slots must be an integer")
-        elif self.slots < 1:
-            problems.append("slots must be >= 1")
+        problems = [int_problem("slots", self.slots, 1)]
         if not is_int(self.seq_bits):
             problems.append("seq_bits must be an integer")
         elif not 1 <= self.seq_bits <= MAX_SEQ_BITS:
             problems.append(f"seq_bits must be in [1, {MAX_SEQ_BITS}]")
-        if not is_int(self.participation_divisor):
-            problems.append("participation_divisor must be an integer")
-        elif self.participation_divisor < 1:
-            problems.append("participation_divisor must be >= 1")
-        if problems:
-            raise ValueError("; ".join(problems))
+        problems.append(int_problem("participation_divisor", self.participation_divisor, 1))
+        if any(problems):
+            raise ValueError("; ".join(filter(None, problems)))
         return self
 
     @classmethod
@@ -161,8 +172,7 @@ class RoundTrace(NamedTuple):
 
 def make_population(count: int) -> list[Tag]:
     """Fresh population of `count` tags with distinct EPCs, all still answering."""
-    if not (is_int(count) and count >= 0):
-        raise ValueError("count must be an integer >= 0")
+    check_int("count", count, 0)
     return list(map(Tag, range(count)))
 
 

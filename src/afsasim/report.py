@@ -68,9 +68,8 @@ def trial_rows(
             for round_index, (t, k_active) in enumerate(
                 zip(trial.traces, trial.k_active), start=1)
         ]
-    traces = trial.traces
     idle = reserved = detected = undetected = identified = 0
-    for _, _, _, t_idle, t_reserved, t_detected, t_undetected, epcs, _ in traces:
+    for _, _, _, t_idle, t_reserved, t_detected, t_undetected, epcs, _ in trial.traces:
         idle += t_idle
         reserved += t_reserved
         detected += t_detected
@@ -78,19 +77,19 @@ def trial_rows(
         identified += len(epcs)
     return [{
         "trial": trial_id,
-        "round": len(traces),
+        "round": trial.rounds_used,
         "protocol": protocol,
         "N": config.frame_slots,
-        "n": traces[0].seq_bits,
+        "n": trial.traces[0].seq_bits,
         "k_active": trial.ever_present,
         "idle": idle,
         "reserved_true": reserved,
         "detected_collisions": detected,
         "undetected_collisions": undetected,
         "identified": identified,
-        # a float sum of its own: from Python 3.12 `sum` compensates, so a
-        # running total in the loop above could differ in the last bits
-        "round_time_us": sum(t.total_us for t in traces),
+        # not a running total in the loop above: from Python 3.12 `sum`
+        # compensates, so the two could differ in the last bits
+        "round_time_us": trial.total_time_us,
     }]
 
 
@@ -110,8 +109,8 @@ def _drain(buf: io.StringIO) -> str:
     return text
 
 
-# What precedes a value in an indented JSON row object, per column.
-_JSON_KEYS = {column: f'    "{column}": ' for column in COLUMNS}
+# What precedes a value in an indented JSON row object, column by column.
+_JSON_KEYS = tuple(f'    "{column}": ' for column in COLUMNS)
 
 
 def _json_writer() -> Callable[[Row], str]:
@@ -128,26 +127,23 @@ def _json_writer() -> Callable[[Row], str]:
     def item(row: Row) -> str:
         """`row` as `json.dumps(rows, indent=2)` writes it inside the array.
 
-        A dict of strings, ints and finite floats under COLUMNS keys,
-        which is what a report row holds, is written here; anything else
-        goes through the stdlib encoder, which with an indent runs in pure
-        Python and is rebuilt on every call.
+        A report row, a dict with exactly the COLUMNS in order, as the
+        CSV writer tests it, holding strings, ints and finite floats, is
+        written here; anything else goes through the stdlib encoder, which
+        with an indent runs in pure Python and is rebuilt on every call.
         """
-        fields = []
-        for key, value in row.items() if type(row) is dict else ():
-            kind = type(value)
-            if kind is str:
-                text = encode_basestring_ascii(value)
-            elif kind is int or (kind is float and math.isfinite(value)):
-                text = repr(value)
+        if type(row) is dict and tuple(row) == COLUMNS:
+            fields = []
+            for prefix, value in zip(_JSON_KEYS, row.values()):
+                kind = type(value)
+                if kind is str:
+                    text = encode_basestring_ascii(value)
+                elif kind is int or (kind is float and math.isfinite(value)):
+                    text = repr(value)
+                else:
+                    break
+                fields.append(prefix + text)
             else:
-                break
-            prefix = _JSON_KEYS.get(key)
-            if prefix is None:
-                break
-            fields.append(prefix + text)
-        else:
-            if fields:
                 return "  {\n" + ",\n".join(fields) + "\n  }"
         return encoder.encode([row])[2:-2]
 

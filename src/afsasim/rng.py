@@ -34,8 +34,9 @@ BLOCK_DRAWS = 32
 # population.
 PIECE_DRAWS = 3 * 1024
 
-# What `take`, and so a round kernel, raises when `rng` ends too soon.
-DRAWS_RAN_OUT = "rng ran out of draws before the round's last tag"
+# What `take`, and so every reader of draws (a round kernel, a churn gap's
+# departures and arrivals), raises when `rng` ends too soon.
+DRAWS_RAN_OUT = "rng ran out of draws"
 
 # `_LOW_BYTE[m][b]` is `b % m`, for each power of two m a byte can reduce.
 _LOW_BYTE = {1 << i: bytes(range(1 << i)) * (256 >> i) for i in range(9)}

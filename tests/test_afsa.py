@@ -457,11 +457,11 @@ def test_inventory_respects_round_budget(protocol):
     assert result.rounds_used == 1
     assert not result.completed
     assert result.tags_identified < 100
-    with pytest.raises(ValueError, match="max_rounds must be an integer >= 1"):
+    with pytest.raises(ValueError, match="^max_rounds must be an integer >= 1$"):
         run(tags, RngStream(7, 0), max_rounds=0)
     # a non-integer budget fails before any draw from the empty script
     for bad in (2.5, True):
-        with pytest.raises(ValueError, match="max_rounds must be an integer"):
+        with pytest.raises(ValueError, match="^max_rounds must be an integer >= 1$"):
             run(make_population(100), ScriptedStream([]), max_rounds=bad)
 
 

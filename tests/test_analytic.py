@@ -1,5 +1,6 @@
 """Closed-form expectations against independent enumeration and MC oracles."""
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -81,7 +82,7 @@ def test_argument_validation(bad):
     for fn in (expected_reserved, expected_idle, expected_unresolved,
                lambda tags, slots: slot_profile(tags, slots, 2),
                lambda tags, slots: expected_undetected_exact(tags, slots, 2)):
-        with pytest.raises(ValueError, match="slots" if tags == 2 else
+        with pytest.raises(ValueError, match="^slots must be an integer >= 1$" if tags == 2 else
                            r"^tags must be finite and >= 0$"):
             fn(tags, slots)
 
@@ -281,10 +282,10 @@ def test_optimal_seq_len_validation():
         optimal_seq_len(1.0, 0)
 
 
-@pytest.mark.parametrize("slots", [2.5, True])
+@pytest.mark.parametrize("slots", [2.5, True, 0])
 def test_optimal_seq_len_rejects_a_fractional_or_bool_frame(slots):
-    # either would otherwise get a plausible length (6 and 8 bits)
-    with pytest.raises(ValueError, match="^slots must be an integer"):
+    # 2.5 and True would otherwise get a plausible length (6 and 8 bits)
+    with pytest.raises(ValueError, match="^slots must be an integer >= 1$"):
         optimal_seq_len(10, slots)
 
 
@@ -315,13 +316,15 @@ def test_phase_durations_validation():
     for bad in ("1", None):
         with pytest.raises(ValueError, match=r"^successes must be in \[0, slots\]$"):
             phase_durations_for(bad, 8, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^seq_bits must be an integer in \[1, 16\]$"):
         phase_durations_for(1, 8, 0)
     # counts of slots and bits are integers; bool is no count
-    for slots, bits in ((8.5, 2), (True, 2), (8, 2.5), (8, True)):
-        with pytest.raises(ValueError, match="must be an integer"):
+    for slots, bits in ((8.5, 2), (True, 2), (8, 2.5), (8, True), (0, 2), (8, 17)):
+        message = ("slots must be an integer >= 1" if bits == 2 else
+                   "seq_bits must be an integer in [1, 16]")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             phase_durations_for(1, slots, bits)
-    with pytest.raises(ValueError, match="seq_bits must be an integer"):
+    with pytest.raises(ValueError, match=r"^seq_bits must be an integer in \[1, 16\]$"):
         expected_undetected(10, 64, 2.5)
 
 

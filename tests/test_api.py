@@ -1,4 +1,5 @@
 """The package's public surface."""
+import ast
 import importlib
 import json
 import subprocess
@@ -138,6 +139,33 @@ BENCHMARK_GATE_IMPORTS = [
                          ids=[f"{m}.{a}" for m, a in BENCHMARK_GATE_IMPORTS])
 def test_the_names_the_benchmark_gate_imports_exist(module, attr):
     assert hasattr(importlib.import_module(f"afsasim.{module}"), attr)
+
+
+def _bench_tree(name: str) -> ast.Module:
+    return ast.parse((SRC.parent / "bench" / name).read_text(encoding="utf-8"))
+
+
+def test_the_lists_above_are_the_names_the_benchmark_uses():
+    # every `tracer.patch(module, "attr", ...)` call in bench/child.py; in a
+    # `for module in (...)` loop it patches each module the loop names
+    loops = {node.target.id: [elt.id for elt in node.iter.elts]
+             for node in ast.walk(_bench_tree("child.py"))
+             if isinstance(node, ast.For) and isinstance(node.iter, ast.Tuple)}
+    patched = set()
+    for node in ast.walk(_bench_tree("child.py")):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "patch"
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "tracer"):
+            module, attr = node.args[0].id, node.args[1].value
+            patched.update((m, attr) for m in loops.get(module, [module]))
+    assert patched == set(BENCHMARK_PATCHES)
+    assert len(BENCHMARK_PATCHES) == len(set(BENCHMARK_PATCHES)) == 22
+    # every `from afsasim.X import Y` in bench/gate.py
+    imported = {(node.module.partition(".")[2], alias.name)
+                for node in ast.walk(_bench_tree("gate.py"))
+                if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("afsasim.")
+                for alias in node.names}
+    assert imported == set(BENCHMARK_GATE_IMPORTS)
 
 
 @pytest.mark.parametrize("protocol, inventory, kernel", [

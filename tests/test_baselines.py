@@ -251,7 +251,8 @@ def test_edfsa_validation():
             run_edfsa_inventory([], ScriptedStream([]), initial_estimate=estimate)
     # the FSA kernel takes a whole number of slots, at least one
     for slots, message in ((2.5, "slots must be an integer"),
-                           (True, "slots must be an integer"), (0, "slots must be >= 1")):
+                           (True, "slots must be an integer"), (0, "slots must be >= 1"),
+                           ("8", "slots must be an integer"), (-3, "slots must be >= 1")):
         with pytest.raises(ValueError, match=f"^{message}$"):
             run_fsa_round(make_population(3), slots, ScriptedStream([]))
 

@@ -14,7 +14,6 @@ from afsasim.estimator import (
     auto_seq_bits,
     estimate_backlog,
     estimate_from_counts,
-    initial_seq_bits,
     nearest_power_of_two,
     next_frame,
 )
@@ -68,12 +67,12 @@ def test_single_slot_frame_uses_direct_count():
 def test_estimate_input_validation():
     with pytest.raises(ValueError):
         estimate_from_counts(4, 3, 2, 0, 8)  # counts do not partition the frame
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^idle must be an integer >= 0$"):
         estimate_from_counts(-1, 5, 4, 0, 8)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^slots must be an integer >= 1$"):
         estimate_from_counts(0, 0, 0, 0, 0)
     # fractional counts that sum to the frame would otherwise get an estimate
-    with pytest.raises(ValueError, match="^idle must be an integer"):
+    with pytest.raises(ValueError, match="^idle must be an integer >= 0$"):
         estimate_from_counts(1.5, 2, 0.5, 0, 4)
 
 
@@ -83,7 +82,8 @@ def test_estimate_input_validation():
 def test_estimate_rejects_a_fractional_or_bool_count(position, field, bad):
     counts = [1, 2, 1, 0, 4]
     counts[position] = bad
-    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+    least = 1 if field == "slots" else 0
+    with pytest.raises(ValueError, match=f"^{field} must be an integer >= {least}$"):
         estimate_from_counts(*counts)
 
 
@@ -102,7 +102,7 @@ def test_the_unchecked_cores_equal_the_public_names_bit_for_bit(slots):
     for k_est in [*GRID_TAGS, float(slots), slots * 4.5]:
         assert estimator._frame_size(k_est) == nearest_power_of_two(k_est)
         assert estimator._seq_bits(k_est, slots) == auto_seq_bits(k_est, slots)
-    assert estimator._seq_bits(float(slots), slots) == initial_seq_bits(slots)
+    assert estimator._seq_bits(float(slots), slots) == auto_seq_bits(slots, slots)
 
 
 def test_estimate_backlog_reads_trace():
@@ -213,17 +213,16 @@ def test_next_frame_always_valid(k_est, bits):
 
 
 def test_first_round_seq_bits_assume_load_one():
-    for slots in (8, 16, 64, 128, 512, 1024, 65536):
-        assert initial_seq_bits(slots) == 2
-    assert initial_seq_bits(1) == 1
+    # the first frame assumes as many tags as slots: two bits for every
+    # frame size a config allows, one for a one-slot frame
+    assert [slots for slots in range(2, 65537) if auto_seq_bits(slots, slots) != 2] == []
+    assert auto_seq_bits(1, 1) == 1
     assert auto_seq_bits(100.0, 128) == 2
     # the backlog is at fault, by the name this function gives it
     for bad in (math.nan, -1.0, "8", None, True):
         with pytest.raises(ValueError, match="^k_est must be finite and >= 0$"):
             auto_seq_bits(bad, 8)
-    with pytest.raises(ValueError):
-        initial_seq_bits(0)
     # the frame size is at fault, whatever the type
-    for bad in (math.nan, math.inf, 2.5, "8", True):
+    for bad in (0, math.nan, math.inf, 2.5, "8", True):
         with pytest.raises(ValueError, match="^slots must be an integer >= 1$"):
-            initial_seq_bits(bad)
+            auto_seq_bits(1.0, bad)

@@ -17,9 +17,9 @@ from afsasim.experiment import (
 )
 from afsasim.afsa import run_afsa_inventory
 from afsasim.baselines import run_edfsa_inventory, run_fsa_inventory
-from afsasim.estimator import auto_seq_bits, initial_seq_bits
+from afsasim.estimator import auto_seq_bits
 from afsasim.model import FrameConfig, Tag, make_population
-from afsasim.rng import PIECE_DRAWS, RngStream, unit_float
+from afsasim.rng import DRAWS_RAN_OUT, PIECE_DRAWS, RngStream, unit_float
 
 from oracles import ScriptedStream
 
@@ -48,6 +48,17 @@ def test_validation_reports_every_problem_at_once():
     for field in ("protocol", "k_initial", "frame_slots", "seq_bits",
                   "trials", "max_rounds", "arrival_rate", "departure_prob"):
         assert any(field in p for p in problems), field
+    # in field order, each worded in full
+    assert problems == [
+        "protocol must be one of afsa, fsa, edfsa",
+        "k_initial must be >= 0",
+        "frame_slots must be >= 1",
+        "seq_bits must be in [1, 16] or None for auto",
+        "trials must be >= 1",
+        "max_rounds must be >= 1",
+        "arrival_rate must be >= 0",
+        "departure_prob must be in [0, 1]",
+    ]
 
 
 @pytest.mark.parametrize("field,value,fragment", [
@@ -68,6 +79,11 @@ def test_validation_reports_every_problem_at_once():
     ("seed", -1, "seed must be in [0, 2**64 - 1]"),
     ("seed", MAX_SEED + 1, "seed must be in [0, 2**64 - 1]"),
     ("seed", -MAX_SEED, "seed must be in [0, 2**64 - 1]"),
+    ("k_initial", 10**7, "k_initial must be <= 1000000"),
+    ("frame_slots", 2**20, "frame_slots must be <= 65536"),
+    ("trials", 10**7, "trials must be <= 1000000"),
+    ("max_rounds", -5, "max_rounds must be >= 1"),
+    ("k_initial", -1, "k_initial must be >= 0"),
 ])
 def test_validation_messages_name_field_and_constraint(field, value, fragment):
     config = ExperimentConfig()._replace(**{field: value})
@@ -94,6 +110,8 @@ def test_validation_messages_name_field_and_constraint(field, value, fragment):
     ("departure_prob", "0.1", "departure_prob must be a real number"),
     ("departure_prob", 1j, "departure_prob must be a real number"),
     ("protocol", ["afsa"], "protocol must be one of afsa, fsa, edfsa"),
+    ("trials", True, "trials must be an integer"),
+    ("max_rounds", 2.0, "max_rounds must be an integer"),
 ])
 def test_validation_checks_types_without_raising(field, value, message):
     config = ExperimentConfig()._replace(**{field: value})
@@ -249,6 +267,12 @@ def test_a_poisson_draw_out_of_range_or_not_an_integer_is_refused(bad):
 def test_a_poisson_draw_reads_the_next_draw_and_passes_on_the_stream_errors():
     with pytest.raises(IndexError):
         _poisson(1.0, ScriptedStream([]))
+    # a plain iterator that ends: no round is being played, and the message
+    # names only the draws
+    with pytest.raises(ValueError) as err:
+        _poisson(1.0, iter([]))
+    assert str(err.value) == DRAWS_RAN_OUT
+    assert "ran out of draws" in DRAWS_RAN_OUT
     # from a stream, the draw is the stream's next one
     stream, twin = RngStream(4, 2), RngStream(4, 2)
     assert [_poisson(3.0, stream) for _ in range(40)] == [
@@ -280,7 +304,7 @@ def _check_churn_against_a_full_scan(protocol, k_initial=60, max_rounds=200,
 
         inventory = {
             "afsa": lambda: run_afsa_inventory(
-                population, FrameConfig(32, initial_seq_bits(config.frame_slots)),
+                population, FrameConfig(32, auto_seq_bits(config.frame_slots, config.frame_slots)),
                 None, rng, max_rounds=config.max_rounds, between_rounds=churn),
             "fsa": lambda: run_fsa_inventory(
                 population, 32, rng, max_rounds=config.max_rounds, between_rounds=churn),

@@ -177,6 +177,11 @@ JSON_CASES = {
     "nan": [{"trial": 0, "round_time_us": float("nan")}, {"trial": 1}],
     "other-values": [{"trial": True, "round": None, "N": [1, 2]}, {}, {"extra": 1}, [3]],
     "report": result_rows(_fast_result(), per_round=True)[:5],
+    # the report's columns, but not exactly all of them in order
+    "reordered": [dict(reversed(row.items()))
+                  for row in result_rows(_fast_result(), per_round=True)[:2]],
+    "subset": [{column: row[column] for column in COLUMNS[::2]}
+               for row in result_rows(_fast_result(), per_round=True)[:2]],
 }
 
 
