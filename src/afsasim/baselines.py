@@ -11,16 +11,22 @@ detectably.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from functools import lru_cache
 from typing import Iterator, List, NamedTuple, Optional, Sequence
 
 from .afsa import (
+    _MEMO_ENTRIES,
     COLLIDED,
     BetweenRounds,
     InventoryResult,
     Rounds,
     run_inventory,
 )
-from .estimator import estimate_backlog
+from .estimator import (
+    _estimate,
+    estimate_backlog,  # unused here, but bench/child.py wraps it by this name
+)
 from .model import (
     TIMING,
     RoundTrace,
@@ -35,6 +41,11 @@ from .rng import _in_pieces, residues
 # into EDFSA_MAX_FRAME-sized groups instead.
 EDFSA_FRAME_CHOICES = (16, 32, 64, 128, 256)
 EDFSA_MAX_FRAME = EDFSA_FRAME_CHOICES[-1]
+# Midpoints between neighbouring menu sizes: an estimate from the i-th
+# midpoint up is nearest to menu entry i + 1, a tie going to the larger
+# frame.  Near a midpoint c + c/2, k - c and 2c - k are exact (Sterbenz),
+# so the nearest-size rule flips exactly there.
+_EDFSA_MIDPOINTS = tuple((a + b) / 2 for a, b in zip(EDFSA_FRAME_CHOICES, EDFSA_FRAME_CHOICES[1:]))
 
 
 def run_fsa_round(tags: Sequence[Tag], slots: int, rng: Iterator[int]) -> RoundTrace:
@@ -111,12 +122,28 @@ def edfsa_plan(k_est: float) -> EdfsaPlan:
     rounds, one group per round within the cycle.
     """
     check_nonnegative("k_est", k_est)
-    slots = min(EDFSA_FRAME_CHOICES, key=lambda c: (abs(c - k_est), -c))
+    return _plan(k_est)
+
+
+def _plan(k_est: float) -> EdfsaPlan:
+    slots = EDFSA_FRAME_CHOICES[bisect_right(_EDFSA_MIDPOINTS, k_est)]
     if k_est > EDFSA_MAX_FRAME:
         groups = math.ceil(k_est / EDFSA_MAX_FRAME)
     else:
         groups = 1
-    return EdfsaPlan(slots=slots, groups=groups)
+    return EdfsaPlan(slots, groups)
+
+
+@lru_cache(maxsize=_MEMO_ENTRIES)
+def _backlog(idle: int, reserved: int, detected: int, slots: int) -> float:
+    """The backlog the reader estimates after an FSA round with these slot counts.
+
+    Equals `estimate_backlog(trace).k_est` for a trace with these counts,
+    since an FSA round has no undetected collision and identifies exactly
+    one tag per reserved slot.  The counts of a played round are valid, so
+    the estimate goes unchecked.
+    """
+    return _estimate(idle, reserved, detected, reserved, slots).k_est
 
 
 def run_edfsa_inventory(
@@ -138,19 +165,22 @@ def run_edfsa_inventory(
     check_nonnegative("initial_estimate", initial_estimate)
 
     def rounds() -> Rounds:
+        # every later estimate is a sum of finite estimates clamped at 0,
+        # so only the initial one needs the check above
         k_est = initial_estimate
         active = yield
         while True:
-            plan = edfsa_plan(k_est)
+            slots, groups = _plan(k_est)
             k_est = 0.0
-            for group in range(plan.groups):
-                if plan.groups == 1:
+            for group in range(groups):
+                if groups == 1:
                     # epc mod 1 is 0 for every tag: no copy to filter
                     responders = active
                 else:
-                    responders = [t for t in active if t.epc % plan.groups == group]
-                trace = run_fsa_round(responders, plan.slots, rng)
+                    responders = [t for t in active if t.epc % groups == group]
+                trace = run_fsa_round(responders, slots, rng)
                 active = yield trace
-                k_est += estimate_backlog(trace).k_est
+                k_est += _backlog(trace.idle_count, trace.reserved_true_count,
+                                  trace.detected_collision_count, slots)
 
     return run_inventory(tags, rounds(), max_rounds, between_rounds)

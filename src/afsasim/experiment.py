@@ -14,7 +14,16 @@ from typing import Iterator, List, NamedTuple, Optional, Sequence
 from .afsa import InventoryResult, run_afsa_inventory
 from .baselines import run_edfsa_inventory, run_fsa_inventory
 from .estimator import auto_seq_bits
-from .model import MAX_SEQ_BITS, FrameConfig, Tag, int_problem, is_int, is_real, make_population
+from .model import (
+    MAX_SEQ_BITS,
+    MAX_TAGS,
+    FrameConfig,
+    Tag,
+    int_problem,
+    is_int,
+    is_real,
+    make_population,
+)
 from .rng import MAX_KEY, RngStream, _in_pieces, at_least, take, unit_cut, unit_float
 
 PROTOCOLS = ("afsa", "fsa", "edfsa")
@@ -25,11 +34,10 @@ PROTOCOLS = ("afsa", "fsa", "edfsa")
 # CDF never grows and every nonzero draw returns 1.
 MAX_ARRIVAL_RATE = 700
 
-# Largest population, initial frame and trial count a config may ask for.
-# Each is allocated up front (tags, per-slot lists, the trial results
-# `run_experiment` keeps), so an unbounded value would exhaust memory
-# instead of failing validation.
-MAX_TAGS = 1_000_000
+# Largest initial frame and trial count a config may ask for (the largest
+# population, MAX_TAGS, lives in `model`).  Each is allocated up front
+# (per-slot lists, the trial results `run_experiment` keeps), so an
+# unbounded value would exhaust memory instead of failing validation.
 MAX_FRAME_SLOTS = 65_536
 MAX_TRIALS = 1_000_000
 

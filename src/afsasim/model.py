@@ -14,6 +14,11 @@ from typing import NamedTuple
 # Longest reservation sequence a frame may announce, in bits.
 MAX_SEQ_BITS = 16
 
+# Largest population a config or `make_population` may ask for.  Its tags
+# are allocated up front, so an unbounded count would exhaust memory
+# instead of failing validation.
+MAX_TAGS = 1_000_000
+
 
 def is_int(value) -> bool:
     """True for an integer; bool is an int subclass, but True is no count."""
@@ -171,8 +176,12 @@ class RoundTrace(NamedTuple):
 
 
 def make_population(count: int) -> list[Tag]:
-    """Fresh population of `count` tags with distinct EPCs, all still answering."""
-    check_int("count", count, 0)
+    """Fresh population of `count` tags with distinct EPCs, all still answering.
+
+    `count` is at most MAX_TAGS; a larger one raises ValueError before
+    anything is allocated.
+    """
+    check_int("count", count, 0, MAX_TAGS)
     return list(map(Tag, range(count)))
 
 

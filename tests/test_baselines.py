@@ -6,19 +6,24 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from afsasim import afsa, baselines, estimator
 from afsasim.afsa import run_afsa_inventory
 from afsasim.analytic import expected_reserved
 from afsasim.baselines import (
     EDFSA_FRAME_CHOICES,
+    EDFSA_MAX_FRAME,
     EdfsaPlan,
     edfsa_plan,
     run_edfsa_inventory,
     run_fsa_inventory,
     run_fsa_round,
 )
+from afsasim.estimator import estimate_backlog
+from afsasim.experiment import ExperimentConfig, run_trial
 from afsasim.model import (
     TIMING,
     FrameConfig,
+    RoundTrace,
     Tag,
     make_population,
 )
@@ -278,3 +283,128 @@ def test_reservation_beats_edfsa_per_tag():
     afsa_per_tag = afsa_total / afsa_identified
     edfsa_per_tag = edfsa_total / edfsa_identified
     assert afsa_per_tag < edfsa_per_tag
+
+
+# EDFSA's decision from slot counts: the plan by bisection and the memoised
+# backlog estimate, pinned to the checked arithmetic they replace.
+
+def _nearest_menu_plan(k_est):
+    """The nearest-size rule as a scan of the menu, ties toward the larger frame."""
+    slots = min(EDFSA_FRAME_CHOICES, key=lambda c: (abs(c - k_est), -c))
+    groups = math.ceil(k_est / EDFSA_MAX_FRAME) if k_est > EDFSA_MAX_FRAME else 1
+    return EdfsaPlan(slots, groups)
+
+
+def _near(x, ulps=50):
+    """`x` and the floats up to `ulps` steps either side of it."""
+    below, above = [x], [x]
+    for _ in range(ulps):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[1:] + above
+
+
+def test_plan_by_bisection_equals_the_nearest_menu_size_near_every_boundary():
+    points = [k for x in (0.0, 16.0, 24.0, 48.0, 96.0, 192.0, 256.0)
+              for k in _near(x) if k >= 0]
+    points += [float(k) for k in range(5000)]
+    for k in points:
+        expected = _nearest_menu_plan(k)
+        assert baselines._plan(k) == expected
+        assert edfsa_plan(k) == expected
+
+
+@given(k_est=st.floats(min_value=0.0, max_value=1e7))
+@settings(max_examples=500, deadline=None)
+def test_plan_by_bisection_equals_the_nearest_menu_size(k_est):
+    assert baselines._plan(k_est) == _nearest_menu_plan(k_est)
+
+
+def _fsa_partitions(max_slots):
+    """(idle, reserved, detected) counts that fill an FSA frame."""
+    return st.integers(min_value=1, max_value=max_slots).flatmap(
+        lambda slots: st.lists(st.integers(min_value=0, max_value=slots),
+                               min_size=2, max_size=2).map(
+            lambda cuts: [b - a for a, b in zip([0] + sorted(cuts), sorted(cuts) + [slots])]))
+
+
+@given(counts=_fsa_partitions(4096))
+@settings(max_examples=300, deadline=None)
+@example(counts=[0, 0, 1024])  # no idle slot: the collision floor
+@example(counts=[0, 40, 216])
+@example(counts=[1, 0, 0])  # one-slot frames
+@example(counts=[0, 1, 0])
+@example(counts=[0, 0, 1])
+@example(counts=[58, 46, 24])
+def test_backlog_memo_equals_the_checked_estimate(counts):
+    idle, reserved, detected = counts
+    slots = sum(counts)
+    trace = RoundTrace(
+        slots=slots, seq_bits=0, responders=reserved + 2 * detected, idle_count=idle,
+        reserved_true_count=reserved, detected_collision_count=detected,
+        undetected_collision_count=0, identified_epcs=tuple(range(reserved)),
+        total_us=TIMING.advert_us + TIMING.data_slot_us * slots)
+    expected = estimate_backlog(trace).k_est
+    baselines._backlog.cache_clear()
+    # a miss and then a hit
+    assert baselines._backlog(idle, reserved, detected, slots) == expected
+    assert baselines._backlog(idle, reserved, detected, slots) == expected
+    assert baselines._backlog.cache_info()[:2] == (1, 1)
+
+
+def _check_cycles(result, initial_estimate):
+    """Each cycle's plan is the checked plan of the summed checked estimates
+    of the cycle before; return the largest group count seen."""
+    traces = list(result.traces)
+    plan = edfsa_plan(initial_estimate)
+    most_groups = 0
+    while traces:
+        cycle, traces = traces[:plan.groups], traces[plan.groups:]
+        assert all(t.slots == plan.slots for t in cycle)
+        most_groups = max(most_groups, plan.groups)
+        plan = edfsa_plan(sum(estimate_backlog(t).k_est for t in cycle))
+    return most_groups
+
+
+def test_memoised_edfsa_cycles_equal_the_checked_arithmetic():
+    # the churn-edfsa benchmark shape at five trials
+    config = ExperimentConfig(protocol="edfsa", k_initial=300, frame_slots=128, trials=5,
+                              arrival_rate=2.0, departure_prob=0.02, seed=5)
+    baselines._backlog.cache_clear()
+    cold = [run_trial(config, t) for t in range(config.trials)]
+    warm = [run_trial(config, t) for t in range(config.trials)]
+    assert cold == warm
+    assert baselines._backlog.cache_info().hits > 0
+    most_groups = max(_check_cycles(result, float(config.frame_slots)) for result in cold)
+    assert most_groups > 1
+
+
+def test_backlog_memo_stays_within_its_bound():
+    baselines._backlog.cache_clear()
+    slots = afsa._MEMO_ENTRIES + 100
+    for reserved in range(slots + 1):
+        baselines._backlog(slots - reserved, reserved, 0, slots)
+    info = baselines._backlog.cache_info()
+    assert info.maxsize == afsa._MEMO_ENTRIES
+    assert info.currsize <= afsa._MEMO_ENTRIES
+    assert info.misses > afsa._MEMO_ENTRIES
+
+
+def test_an_edfsa_round_runs_no_checked_estimator(monkeypatch):
+    def run():
+        return run_edfsa_inventory(make_population(600), RngStream(23, 0),
+                                   initial_estimate=600.0)
+
+    before = run()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the checked estimator ran")
+
+    monkeypatch.setattr(baselines, "estimate_backlog", refuse)
+    monkeypatch.setattr(estimator, "estimate_from_counts", refuse)
+    baselines._backlog.cache_clear()
+    after = run()
+    assert after.completed
+    # the first cycle runs three groups, and more cycles follow
+    assert after.traces[0].slots == 256 and after.rounds_used > 3
+    assert after == before

@@ -1,10 +1,12 @@
 """Domain type validation, the round-trace gate, and the reference slot check."""
 import math
+import tracemalloc
 
 import pytest
 
 from afsasim.analytic import phase_durations_for
 from afsasim.model import (
+    MAX_TAGS,
     TIMING,
     FrameConfig,
     RoundTrace,
@@ -206,15 +208,28 @@ def test_make_population_and_active_count():
     tags[0].identified = True
     assert active_count(tags) == 4
     assert active_count(tags[2:]) == 3
-    with pytest.raises(ValueError, match="^count must be an integer >= 0$"):
+    with pytest.raises(ValueError, match=r"^count must be an integer in \[0, 1000000\]$"):
         make_population(-1)
 
 
 @pytest.mark.parametrize("count", [True, 2.5])
 def test_make_population_rejects_a_fractional_or_bool_count(count):
     # True would otherwise build one tag
-    with pytest.raises(ValueError, match="^count must be an integer >= 0$"):
+    with pytest.raises(ValueError, match=r"^count must be an integer in \[0, 1000000\]$"):
         make_population(count)
+
+
+@pytest.mark.parametrize("count", [MAX_TAGS + 1, 2**70], ids=["max-plus-one", "2**70"])
+def test_make_population_rejects_a_count_above_max_tags_before_allocating(count):
+    # 2**70 tags would be allocated until the process is killed
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^count must be an integer in \[0, 1000000\]$"):
+            make_population(count)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_tag_defaults():
