@@ -18,6 +18,7 @@ from .experiment import (
     MAX_TRIALS,
     PROTOCOLS,
     ExperimentConfig,
+    ExperimentConfigError,
     iter_trials,
     run_experiment,  # unused here, but bench/child.py wraps it by this name
     validate_experiment,
@@ -231,15 +232,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # whether it completed is kept
         nonlocal invalid, incomplete
         for cell in configs:
-            problems = validate_experiment(cell)
-            if problems:
+            try:
+                trials = iter_trials(cell)
+            except ExperimentConfigError as err:
                 # only a sweep cell: a single config was checked above
-                _fail(f"sweep cell {param}={getattr(cell, field)}: "
-                      + "; ".join(problems))
+                _fail(f"sweep cell {param}={getattr(cell, field)}: {err}")
                 invalid = True
                 continue
             try:
-                for trial_id, trial in enumerate(iter_trials(cell)):
+                for trial_id, trial in enumerate(trials):
                     incomplete |= not trial.completed
                     yield trial_rows(cell, trial_id, trial, per_round=ns.per_round)
             except Exception as err:  # noqa: BLE001 - CLI boundary

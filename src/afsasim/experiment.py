@@ -228,13 +228,12 @@ def _dispatch(config, population, rng, churn) -> InventoryResult:
         return run_fsa_inventory(
             population, config.frame_slots, rng,
             max_rounds=config.max_rounds, between_rounds=churn)
-    if config.protocol == "edfsa":
-        return run_edfsa_inventory(
-            population, rng,
-            max_rounds=config.max_rounds,
-            initial_estimate=float(config.frame_slots),
-            between_rounds=churn)
-    raise ExperimentConfigError([f"protocol must be one of {', '.join(PROTOCOLS)}"])
+    # "edfsa": `run_trial` has checked the protocol
+    return run_edfsa_inventory(
+        population, rng,
+        max_rounds=config.max_rounds,
+        initial_estimate=float(config.frame_slots),
+        between_rounds=churn)
 
 
 def _aggregate(trials: List[InventoryResult]) -> AggregateStats:

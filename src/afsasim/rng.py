@@ -26,9 +26,6 @@ MAX_KEY = (1 << 64) - 1
 # round the top 2**10 draws up to exactly 1.0.
 _ULP53 = 2.0 ** -53
 
-# Fewest draws an `RngStream` fetches from its generator at once.
-BLOCK_DRAWS = 32
-
 # Most draws a round kernel or a churn gap holds at once (24 KB): a large
 # one takes its draws in pieces, so its memory does not grow with the
 # population.
@@ -67,54 +64,39 @@ class RngStream:
     platform; distinct pairs are treated as independent.  Draw i is the
     i-th `getrandbits(64)` of `random.Random((seed << 64) | stream_id)`.
     The stream is its own iterator, and `next(stream)` and `take` read one
-    shared sequence.  It keeps the draws it has fetched but not served as
-    bytes, and fetches only what a `take` lacks, at least BLOCK_DRAWS at
-    a time; only it reads its generator, so fetching ahead never shifts a
-    draw.
+    shared sequence straight from the generator.
     """
 
-    __slots__ = ("_bits", "_buffer", "_pos")
+    __slots__ = ("_bits",)
 
     def __init__(self, seed: int, stream_id: int = 0):
         _check_key("seed", seed)
         _check_key("stream_id", stream_id)
         self._bits = random.Random((seed << 64) | stream_id).getrandbits
-        self._buffer = b""
-        self._pos = 0
 
     def __iter__(self) -> RngStream:
         return self
 
     def __next__(self) -> int:
-        return int.from_bytes(self.take(1), "little")
+        return self._bits(64)
 
     def take(self, count: int) -> bytes:
         """The next `count` draws, 8 little-endian bytes each."""
         if count < 0:
-            # a negative count would move the position back and replay draws
             raise ValueError("count must be >= 0")
-        pos = self._pos
-        end = pos + 8 * count
-        buffer = self._buffer
-        if end > len(buffer):
-            # one `getrandbits(64 * m)` holds the same bits as m calls of
-            # `getrandbits(64)`, the first call in its lowest 64 bits
-            fetch = max((end - len(buffer)) // 8, BLOCK_DRAWS)
-            buffer = buffer[pos:] + self._bits(64 * fetch).to_bytes(8 * fetch, "little")
-            end -= pos
-            pos = 0
-            self._buffer = buffer
-        self._pos = end
-        return buffer[pos:end]
+        # one `getrandbits(64 * m)` holds the same bits as m calls of
+        # `getrandbits(64)`, the first call in its lowest 64 bits
+        return self._bits(64 * count).to_bytes(8 * count, "little")
 
 
 def take(rng: Iterator[int], count: int) -> bytes:
     """The next `count` draws of `rng`, 8 little-endian bytes each.
 
-    An `RngStream` serves them from its buffer; any other iterator of u64
-    draws is advanced by exactly `count`.  An iterator that ends first
-    raises ValueError(DRAWS_RAN_OUT), one that yields anything but an int
-    in [0, 2**64 - 1] ValueError, and a negative count ValueError.
+    An `RngStream` draws them in one call of its generator; any other
+    iterator of u64 draws is advanced by exactly `count`.  An iterator that
+    ends first raises ValueError(DRAWS_RAN_OUT), one that yields anything
+    but an int in [0, 2**64 - 1] ValueError, and a negative count
+    ValueError.
     """
     if isinstance(rng, RngStream):
         return rng.take(count)

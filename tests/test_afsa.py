@@ -19,7 +19,7 @@ from afsasim.model import (
     Tag,
     make_population,
 )
-from afsasim.rng import BLOCK_DRAWS, RngStream, unit_float
+from afsasim.rng import RngStream, unit_float
 
 from oracles import (
     DETECTED_COLLISION,
@@ -277,12 +277,12 @@ FRAME_SLOTS = st.integers(min_value=1, max_value=2048) | st.sampled_from(
        divisor=st.integers(min_value=1, max_value=4),
        seed=st.integers(min_value=0, max_value=2**32))
 @settings(max_examples=250, deadline=None)
-# rounds spanning several of the stream's blocks, with and without gating
-@example(states=[False] * (2 * BLOCK_DRAWS + 7), slots=64, bits=2,
+# rounds of many draws, with and without gating
+@example(states=[False] * (2 * 32 + 7), slots=64, bits=2,
          divisor=1, seed=3)
 @example(states=([False] * 4 + [True] * 2) * 400,
          slots=512, bits=3, divisor=2, seed=4)
-@example(states=[False] * (3 * BLOCK_DRAWS + 1), slots=1024, bits=2,
+@example(states=[False] * (3 * 32 + 1), slots=1024, bits=2,
          divisor=5, seed=5)
 # each side of every reduction: the low byte up to 256 slots and 8 bits,
 # the low 16 bits above, and the whole draw for a frame of 257 or 1 000
@@ -317,10 +317,10 @@ def test_afsa_round_matches_reference(states, slots, bits, divisor, seed):
     FrameConfig(16, 2), FrameConfig(257, 9), FrameConfig(1024, 16),
     FrameConfig(64, 3, 2), FrameConfig(1000, 8, 3),
 ], ids=str)
-@pytest.mark.parametrize("offset", [1, BLOCK_DRAWS - 2, BLOCK_DRAWS + 1])
+@pytest.mark.parametrize("offset", [1, 32 - 2, 32 + 1])
 def test_rounds_straddling_a_refill_match_the_reference(frame, offset):
-    # draws already fetched but not served start each round, so a round's
-    # draws come partly from the stream's buffer and partly from a refill
+    # `offset` single draws read before the first round, and each round's
+    # `next`, leave the rounds' takes at varied points of the stream
     tags, ref_tags = make_population(90), make_population(90)
     rng, ref_rng = RngStream(17, offset), RngStream(17, offset)
     for _ in range(offset):

@@ -168,6 +168,37 @@ def test_the_lists_above_are_the_names_the_benchmark_uses():
     assert imported == set(BENCHMARK_GATE_IMPORTS)
 
 
+def _imported_but_unread(tree: ast.Module) -> set:
+    # names bound by the module's top-level imports (those in a top-level
+    # `if` too) that no expression in the module reads
+    bound = set()
+    statements = list(tree.body)
+    while statements:
+        node = statements.pop()
+        if isinstance(node, ast.If):
+            statements.extend(node.body + node.orelse)
+        elif isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    return bound - {node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # an unread import is dead code, unless bench/child.py wraps the name
+    # in that module; today 8 names are kept for the benchmark alone
+    dead = {}
+    for path in sorted((SRC / "afsasim").glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        patched = {attr for module, attr in BENCHMARK_PATCHES if module == path.stem}
+        unread = _imported_but_unread(ast.parse(path.read_text(encoding="utf-8"))) - patched
+        if unread:
+            dead[path.stem] = sorted(unread)
+    assert dead == {}
+
+
 @pytest.mark.parametrize("protocol, inventory, kernel", [
     ("afsa", "afsa.inventory", "afsa.round"),
     ("fsa", "baselines.fsa_inventory", "baselines.fsa_round"),

@@ -27,7 +27,7 @@ from afsasim.model import (
     Tag,
     make_population,
 )
-from afsasim.rng import BLOCK_DRAWS, PIECE_DRAWS, RngStream
+from afsasim.rng import PIECE_DRAWS, RngStream
 
 from oracles import ScriptedStream, check_round_trace, reference_round
 
@@ -101,8 +101,8 @@ def test_fsa_collisions_always_detected(tags, slots, seed):
            [2**i for i in range(12)]),
        seed=st.integers(min_value=0, max_value=2**32))
 @settings(max_examples=250, deadline=None)
-# a round spanning several of the stream's blocks
-@example(states=[False, True] * (BLOCK_DRAWS + 5), slots=64, seed=1)
+# a round of many draws
+@example(states=[False, True] * (32 + 5), slots=64, seed=1)
 # each side of every reduction: the low byte up to 256 slots, the low 16
 # bits above, and the whole draw for a frame of 257 or 1 000
 @example(states=[False] * 400, slots=256, seed=2)
@@ -134,10 +134,10 @@ def test_fsa_round_matches_reference(states, slots, seed):
 
 
 @pytest.mark.parametrize("slots", [16, 1024, 100])
-@pytest.mark.parametrize("offset", [1, BLOCK_DRAWS - 2, BLOCK_DRAWS + 1])
+@pytest.mark.parametrize("offset", [1, 32 - 2, 32 + 1])
 def test_fsa_rounds_straddling_a_refill_match_the_reference(slots, offset):
-    # draws already fetched but not served start each round, so a round's
-    # draws come partly from the stream's buffer and partly from a refill
+    # `offset` single draws read before the first round, and each round's
+    # `next`, leave the rounds' takes at varied points of the stream
     tags, ref_tags = make_population(90), make_population(90)
     rng, ref_rng = RngStream(19, offset), RngStream(19, offset)
     for _ in range(offset):

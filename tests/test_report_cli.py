@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from afsasim import cli, experiment
+from afsasim import experiment
 from afsasim.cli import MAX_SWEEP_VALUES, main, parse_cli, CliError
 from afsasim.experiment import (
     MAX_FRAME_SLOTS,
@@ -439,11 +439,12 @@ def test_main_sweep_equals_the_single_runs_in_order(capsys, per_round):
 
 
 def test_main_sweep_runtime_failure_keeps_the_invalid_cells(capsys, monkeypatch):
-    # the CLI takes each cell's trials from iter_trials; fail there
-    def fail(config):
+    # the first trial of each valid cell fails as it runs; iter_trials
+    # still checks each cell, so the invalid first cell is reported as such
+    def fail(config, trial_id):
         raise RuntimeError(f"cell seq_bits={config.seq_bits} failed")
 
-    monkeypatch.setattr(cli, "iter_trials", fail)
+    monkeypatch.setattr(experiment, "run_trial", fail)
     assert main(FAST_ARGS + ["--sweep", "seq-bits=0:1:2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

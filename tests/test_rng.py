@@ -4,7 +4,7 @@ import struct
 from array import array
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from afsasim.afsa import run_afsa_round
@@ -12,8 +12,8 @@ from afsasim.baselines import run_fsa_round
 from afsasim.experiment import _poisson
 from afsasim.model import FrameConfig, make_population
 from afsasim.rng import (
-    BLOCK_DRAWS,
     DRAWS_RAN_OUT,
+    PIECE_DRAWS,
     RngStream,
     at_least,
     residues,
@@ -42,7 +42,7 @@ def test_distinct_streams_diverge():
 
 
 @pytest.mark.parametrize("count", sorted({
-    0, 1, 3, BLOCK_DRAWS - 1, BLOCK_DRAWS, BLOCK_DRAWS + 1, 3 * BLOCK_DRAWS + 1,
+    0, 1, 3, 32 - 1, 32, 32 + 1, 3 * 32 + 1,
     255, 256, 257, 769, 3 * 1024 + 1}))
 def test_draws_equal_that_many_single_draws(count):
     # draw i of a stream is the i-th getrandbits(64) of its generator,
@@ -63,16 +63,42 @@ def _packed(draws):
 
 def test_take_packs_the_draws_across_refills():
     # `take` serves the i-th getrandbits(64) as 8 little-endian bytes,
-    # whether the draws sit in the buffer, straddle its end or need a
-    # fetch larger than a block, and `next` reads the same sequence
+    # for short and long takes in any order, and `next` reads the same
+    # sequence
     seed, stream_id = 11, 4
     single = random.Random((seed << 64) | stream_id).getrandbits
     stream = RngStream(seed, stream_id)
-    for count in (1, 5, BLOCK_DRAWS - 7, BLOCK_DRAWS, BLOCK_DRAWS + 1, 2, 3 * BLOCK_DRAWS + 5,
-                  1, 1000, BLOCK_DRAWS - 1):
+    for count in (1, 5, 32 - 7, 32, 32 + 1, 2, 3 * 32 + 5,
+                  1, 1000, 32 - 1):
         assert stream.take(count) == _packed([single(64) for _ in range(count)])
         assert next(stream) == single(64)
         assert take(stream, count) == _packed([single(64) for _ in range(count)])
+
+
+# one read of a stream: its method `take`, the module's `take`, or `next`
+STREAM_READS = st.one_of(
+    st.tuples(st.sampled_from(["method", "take"]),
+              st.integers(min_value=0, max_value=2 * PIECE_DRAWS)),
+    st.just(("next", 1)))
+
+
+@given(seed=st.integers(min_value=0, max_value=2**64 - 1),
+       stream_id=st.integers(min_value=0, max_value=2**64 - 1),
+       reads=st.lists(STREAM_READS, max_size=12))
+@settings(max_examples=150, deadline=None)
+@example(seed=0, stream_id=0, reads=[("method", 0), ("next", 1), ("take", 2 * PIECE_DRAWS)])
+def test_any_interleaving_of_reads_replays_the_generator(seed, stream_id, reads):
+    # draw i of any mix of reads is the i-th getrandbits(64) of the
+    # stream's generator, packed as 8 little-endian bytes by a take
+    single = random.Random((seed << 64) | stream_id).getrandbits
+    stream = RngStream(seed, stream_id)
+    for how, count in reads:
+        if how == "next":
+            assert next(stream) == single(64)
+        else:
+            raw = stream.take(count) if how == "method" else take(stream, count)
+            assert raw == _packed([single(64) for _ in range(count)])
+    assert next(stream) == single(64)
 
 
 def test_take_zero_consumes_nothing():
@@ -86,7 +112,7 @@ def test_take_zero_consumes_nothing():
 
 
 def test_a_negative_count_is_refused_and_consumes_nothing():
-    # a negative count would rewind a stream: its next draws would replay
+    # a negative count is refused before any draw is read
     stream, twin = RngStream(1, 0), RngStream(1, 0)
     for _ in range(3):
         assert next(stream) == next(twin)
