@@ -1,8 +1,8 @@
 """Experiment layer: multi-trial runs and population churn.
 
-A trial is one complete inventory over a fresh population.  Trial t of an
-experiment draws from RngStream(seed, t), so results are bit-identical
-for any execution order.
+A trial is one complete inventory over a population in its initial state.
+Trial t of an experiment draws from RngStream(seed, t), so results are
+bit-identical for any execution order.
 """
 from __future__ import annotations
 
@@ -158,12 +158,25 @@ def _poisson(rate: float, rng: Iterator[int]) -> int:
     return k
 
 
+# The population the last finished trial used, as a list of at most one.
+# A trial takes it with `pop`, so a trial nested in another or running on
+# another thread finds none and builds its own.
+_spare: List[List[Tag]] = []
+
+
 def run_trial(config: ExperimentConfig, trial_id: int) -> InventoryResult:
     """Run one trial.  Pure function of (config, trial_id).
 
     Raises ExperimentConfigError when `config` has problems, and
     ValueError unless `trial_id` is an integer in [0, config.trials);
     both before anything is allocated.
+
+    The trial reuses the tags the last finished trial left, when there are
+    at least `k_initial` of them: it cuts the list to its first `k_initial`
+    tags and marks each one unidentified again.  Tag i has EPC i in every
+    population, so this is the population `make_population` would build.
+    Otherwise it builds one.  When the trial returns, it keeps its tags
+    for the next trial, so they stay alive until that trial takes them.
     """
     problems = validate_experiment(config)
     if problems:
@@ -171,7 +184,16 @@ def run_trial(config: ExperimentConfig, trial_id: int) -> InventoryResult:
     if not is_int(trial_id) or not 0 <= trial_id < config.trials:
         raise ValueError(f"trial_id must be an integer in [0, {config.trials})")
     rng = RngStream(config.seed, trial_id)
-    population = make_population(config.k_initial)
+    try:
+        population = _spare.pop()
+    except IndexError:
+        population = []
+    if len(population) >= config.k_initial:
+        del population[config.k_initial:]
+        for tag in population:
+            tag.identified = False
+    else:
+        population = make_population(config.k_initial)
 
     churn = None
     if config.arrival_rate > 0 or config.departure_prob > 0:
@@ -201,7 +223,9 @@ def run_trial(config: ExperimentConfig, trial_id: int) -> InventoryResult:
                 active = active + arrivals
             return active
 
-    return _dispatch(config, population, rng, churn)
+    result = _dispatch(config, population, rng, churn)
+    _spare[:] = (population,)
+    return result
 
 
 # Entries `_first_frame` keeps: one per (frame size, sequence length).

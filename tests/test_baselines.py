@@ -135,7 +135,7 @@ def test_fsa_round_matches_reference(states, slots, seed):
 
 @pytest.mark.parametrize("slots", [16, 1024, 100])
 @pytest.mark.parametrize("offset", [1, 32 - 2, 32 + 1])
-def test_fsa_rounds_straddling_a_refill_match_the_reference(slots, offset):
+def test_fsa_rounds_at_varied_stream_offsets_match_the_reference(slots, offset):
     # `offset` single draws read before the first round, and each round's
     # `next`, leave the rounds' takes at varied points of the stream
     tags, ref_tags = make_population(90), make_population(90)

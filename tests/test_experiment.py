@@ -1,4 +1,8 @@
 """Experiment harness: validation, determinism, churn, aggregation."""
+import sys
+import threading
+from itertools import product
+
 import pytest
 
 from afsasim import experiment
@@ -280,18 +284,16 @@ def test_a_poisson_draw_reads_the_next_draw_and_passes_on_the_stream_errors():
     assert next(stream) == next(twin)
 
 
-def _check_churn_against_a_full_scan(protocol, k_initial=60, max_rounds=200,
-                                     departure_prob=0.2):
-    # the trial's churn, which keeps its own list of present tags, against
-    # the plain loop over the whole population: one uniform per present tag
-    # in population order, then the arrivals, and a rescan for the tags
-    # that answer next
-    config = FAST._replace(protocol=protocol, k_initial=k_initial, frame_slots=32,
-                           arrival_rate=1.5, departure_prob=departure_prob,
-                           max_rounds=max_rounds)
-    for trial in range(3):
-        rng = RngStream(config.seed, trial)
-        population = make_population(config.k_initial)
+def _played_afresh(config, trial):
+    # trial `trial` of `config` played from public parts: the protocol's
+    # inventory on a population built anew.  A churned config gets the
+    # plain loop over the whole population: one uniform per present tag in
+    # population order, then the arrivals, and a rescan for the tags that
+    # answer next; it draws both every gap, so it needs both rates nonzero.
+    rng = RngStream(config.seed, trial)
+    population = make_population(config.k_initial)
+    churn = None
+    if config.arrival_rate > 0 or config.departure_prob > 0:
         departed = set()
 
         def churn(active):
@@ -302,17 +304,30 @@ def _check_churn_against_a_full_scan(protocol, k_initial=60, max_rounds=200,
                 population.append(Tag(epc=len(population)))
             return [t for t in population if t.epc not in departed and not t.identified]
 
-        inventory = {
-            "afsa": lambda: run_afsa_inventory(
-                population, FrameConfig(32, auto_seq_bits(config.frame_slots, config.frame_slots)),
-                None, rng, max_rounds=config.max_rounds, between_rounds=churn),
-            "fsa": lambda: run_fsa_inventory(
-                population, 32, rng, max_rounds=config.max_rounds, between_rounds=churn),
-            "edfsa": lambda: run_edfsa_inventory(
-                population, rng, max_rounds=config.max_rounds, initial_estimate=32.0,
-                between_rounds=churn),
-        }[protocol]
-        expected = inventory()
+    slots = config.frame_slots
+    first_seq_bits = config.seq_bits or auto_seq_bits(slots, slots)
+    inventory = {
+        "afsa": lambda: run_afsa_inventory(
+            population, FrameConfig(slots, first_seq_bits), config.seq_bits, rng,
+            max_rounds=config.max_rounds, between_rounds=churn),
+        "fsa": lambda: run_fsa_inventory(
+            population, slots, rng, max_rounds=config.max_rounds, between_rounds=churn),
+        "edfsa": lambda: run_edfsa_inventory(
+            population, rng, max_rounds=config.max_rounds, initial_estimate=float(slots),
+            between_rounds=churn),
+    }[config.protocol]
+    return inventory()
+
+
+def _check_churn_against_a_full_scan(protocol, k_initial=60, max_rounds=200,
+                                     departure_prob=0.2):
+    # the trial's churn, which keeps its own list of present tags, against
+    # the plain loop over the whole population
+    config = FAST._replace(protocol=protocol, k_initial=k_initial, frame_slots=32,
+                           arrival_rate=1.5, departure_prob=departure_prob,
+                           max_rounds=max_rounds)
+    for trial in range(3):
+        expected = _played_afresh(config, trial)
         assert len(expected.traces) > 1
         assert run_trial(config, trial) == expected
 
@@ -364,6 +379,122 @@ def test_a_gap_where_only_the_first_present_tag_leaves(monkeypatch):
         answering.append([tag.epc for tag in active])
     assert answering == [[2, 3, 4], [2, 3, 4], [3, 4]]
     assert script.remaining == 0
+
+
+def test_a_trial_reuses_the_last_trials_tags(monkeypatch):
+    # at most the first trial builds tags; the others reset the last ones
+    built = []
+    monkeypatch.setattr(experiment, "make_population",
+                        lambda count: built.append(count) or make_population(count))
+    run_experiment(FAST)
+    assert built in ([], [FAST.k_initial])
+
+
+def test_a_refused_trial_leaves_the_last_trials_tags(monkeypatch):
+    # the checks come before a trial takes the last trial's tags
+    run_trial(FAST, 0)
+    monkeypatch.setattr(experiment, "make_population", _no_allocation)
+    with pytest.raises(ValueError):
+        run_trial(FAST, FAST.trials)
+    with pytest.raises(ExperimentConfigError):
+        run_trial(FAST._replace(trials=0), 0)
+    assert run_trial(FAST, 1) == _played_afresh(FAST, 1)
+
+
+def test_reused_tags_give_the_results_of_fresh_ones():
+    # the last trial's tags cut to fewer, grown to more, and emptied
+    shapes = product((30, 5, 60, 0, 30), ("afsa", "fsa", "edfsa"))
+    for trial, (k_initial, protocol) in enumerate(shapes):
+        config = FAST._replace(protocol=protocol, k_initial=k_initial, frame_slots=32,
+                               trials=15)
+        assert run_trial(config, trial) == _played_afresh(config, trial)
+
+
+def test_tags_that_arrived_in_a_churned_trial_are_reused_with_their_epcs():
+    # EDFSA groups tags by EPC, so an arrival reused with a wrong EPC
+    # would answer in the wrong group
+    churned = FAST._replace(protocol="edfsa", k_initial=60, frame_slots=32,
+                            arrival_rate=1.5, departure_prob=0.2)
+    static = churned._replace(arrival_rate=0.0, departure_prob=0.0)
+    expected = _played_afresh(churned, 0)
+    assert expected.ever_present > churned.k_initial
+    assert run_trial(churned, 0) == expected
+    # every tag the churned trial left, arrivals too
+    larger = static._replace(k_initial=expected.ever_present)
+    assert run_trial(larger, 1) == _played_afresh(larger, 1)
+    assert run_trial(churned, 2) == _played_afresh(churned, 2)
+    assert run_trial(static, 3) == _played_afresh(static, 3)
+
+
+def test_a_trial_nested_in_another_builds_its_own_tags(monkeypatch):
+    config = FAST._replace(k_initial=30, frame_slots=32)
+    run_trial(config, 0)
+    dispatch = experiment._dispatch
+    inner = []
+
+    def nested(*args):
+        # only the outer trial nests one
+        monkeypatch.setattr(experiment, "_dispatch", dispatch)
+        inner.append(run_trial(config, 1))
+        return dispatch(*args)
+
+    monkeypatch.setattr(experiment, "_dispatch", nested)
+    assert run_trial(config, 2) == _played_afresh(config, 2)
+    assert inner == [_played_afresh(config, 1)]
+
+
+def test_a_trial_after_one_that_raised_starts_from_unidentified_tags(monkeypatch):
+    config = FAST._replace(k_initial=30, frame_slots=32)
+    run_trial(config, 0)
+    kernel = experiment.run_afsa_inventory
+    marked = []
+
+    def first_round_then_fail(population, *args, **kwargs):
+        kernel(population, *args, **{**kwargs, "max_rounds": 1})
+        marked.append(sum(tag.identified for tag in population))
+        raise RuntimeError("the reader failed after its first round")
+
+    monkeypatch.setattr(experiment, "run_afsa_inventory", first_round_then_fail)
+    with pytest.raises(RuntimeError):
+        run_trial(config, 1)
+    assert marked[0] > 0
+    monkeypatch.undo()
+    assert run_trial(config, 2) == _played_afresh(config, 2)
+
+
+def test_trials_on_several_threads_share_no_tags():
+    # more threads than cores, switching often: a trial that found another
+    # thread's tags would see them marked or cut under it
+    repeats = 20
+    configs = [FAST._replace(protocol=protocol, k_initial=k_initial, frame_slots=32)
+               for protocol, k_initial in product(("afsa", "edfsa"), (30, 12))]
+    expected = {(config, t): _played_afresh(config, t)
+                for config in configs for t in range(config.trials)}
+    got, errors = [], []
+    start = threading.Barrier(len(configs))
+
+    def work(config):
+        try:
+            start.wait(timeout=60)
+            for _ in range(repeats):
+                got.extend(((config, t), run_trial(config, t)) for t in range(config.trials))
+        except Exception as err:  # reported below, as a thread cannot raise to the test
+            errors.append(err)
+
+    threads = [threading.Thread(target=work, args=(config,)) for config in configs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(got) == repeats * len(expected)
+    assert [key for key, result in got if result != expected[key]] == []
 
 
 @pytest.mark.parametrize("slots", [

@@ -61,7 +61,7 @@ def _packed(draws):
     return struct.pack(f"<{len(draws)}Q", *draws)
 
 
-def test_take_packs_the_draws_across_refills():
+def test_take_packs_the_draws_at_varied_stream_offsets():
     # `take` serves the i-th getrandbits(64) as 8 little-endian bytes,
     # for short and long takes in any order, and `next` reads the same
     # sequence
