@@ -56,7 +56,9 @@ def _next_frame(
 
     Equals `next_frame(estimate_backlog(trace), fixed_seq_bits)` for a trace
     with these counts, since a round identifies exactly one tag per truly
-    reserved slot.  The key holds every input of the decision.  The counts
+    reserved slot.  The key holds every input of the decision.  The idle
+    inversion (`idle` >= 1 and `slots` > 1) reads neither collision count,
+    so there the decision is the same with both passed as 0.  The counts
     of a played round are valid, so the estimate goes unchecked.
     """
     estimate = _estimate(idle, reserved_true + undetected, detected, reserved_true, slots)
@@ -251,9 +253,15 @@ def run_afsa_inventory(
         while True:
             trace = run_afsa_round(active, frame, rng)
             active = yield trace
-            frame = _next_frame(
-                trace.idle_count, trace.reserved_true_count,
-                trace.detected_collision_count, trace.undetected_collision_count,
-                trace.slots, fixed_seq_bits)
+            idle, slots = trace.idle_count, trace.slots
+            if idle and slots > 1:
+                # the idle inversion reads no collision count, so keying
+                # on zeros lets rounds that differ only there share a frame
+                detected = undetected = 0
+            else:
+                detected = trace.detected_collision_count
+                undetected = trace.undetected_collision_count
+            frame = _next_frame(idle, trace.reserved_true_count, detected, undetected,
+                                slots, fixed_seq_bits)
 
     return run_inventory(tags, rounds(), max_rounds, between_rounds)

@@ -19,9 +19,9 @@ from .experiment import (
     PROTOCOLS,
     ExperimentConfig,
     ExperimentConfigError,
+    _check,
     iter_trials,
     run_experiment,  # unused here, but bench/child.py wraps it by this name
-    validate_experiment,
 )
 from .model import MAX_SEQ_BITS
 from .report import (
@@ -214,9 +214,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
 
     if ns.sweep is None:
-        problems = validate_experiment(config)
-        if problems:
-            for problem in problems:
+        # before the report starts; `iter_trials` and each trial then
+        # find this config checked
+        try:
+            _check(config)
+        except ExperimentConfigError as err:
+            for problem in err.problems:
                 _fail(problem)
             return 1
         configs = [config]

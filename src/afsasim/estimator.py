@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import enum
 import math
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .analytic import _occupancy, _seq_len
@@ -24,6 +25,14 @@ FRAME_MAX = 1024
 # Divisor gating engages only when the backlog overloads the largest
 # frame by more than this factor.
 OVERLOAD_RATIO = 4.0
+
+# `next_frame` returns one shared `FrameConfig` per distinct (slots,
+# seq_bits, divisor), so each is built and checked once.  There are 8
+# frame sizes and 16 sequence lengths; the bound keeps divisors, which
+# grow with the backlog, from growing the memo.  `typed` keeps a bool or
+# float sequence length apart from the int it equals, so FrameConfig
+# still rejects it; a rejected frame raises and is never cached.
+_frame = lru_cache(maxsize=1024, typed=True)(FrameConfig)
 
 
 class EstimateMethod(enum.Enum):
@@ -137,6 +146,7 @@ def next_frame(estimate: BacklogEstimate,
     rounding go up.  Sequence length is `fixed_seq_bits` when given, and
     otherwise the collision-load rule evaluated at (k_est, next frame);
     the returned `FrameConfig` rejects a pinned length out of range.
+    Equal frames are returned as the same object.
     """
     k_est = estimate.k_est
     check_nonnegative("k_est", k_est)
@@ -149,4 +159,4 @@ def next_frame(estimate: BacklogEstimate,
         seq_bits = fixed_seq_bits
     else:
         seq_bits = _seq_bits(k_est, slots)
-    return FrameConfig(slots=slots, seq_bits=seq_bits, participation_divisor=divisor)
+    return _frame(slots, seq_bits, divisor)

@@ -114,6 +114,25 @@ class ExperimentConfigError(ValueError):
         self.problems = list(problems)
 
 
+# The config `_check` passed last, as a list of one.  Holding it keeps its
+# id from going to another object.
+_checked: List[Optional[ExperimentConfig]] = [None]
+
+
+def _check(config: ExperimentConfig) -> None:
+    """Raise ExperimentConfigError when `config` has problems.
+
+    A config is immutable, so the object that passed last is not checked
+    again: a run checks its config once, not once per trial.
+    """
+    if config is _checked[0]:
+        return
+    problems = validate_experiment(config)
+    if problems:
+        raise ExperimentConfigError(problems)
+    _checked[0] = config
+
+
 class AggregateStats(NamedTuple):
     """Cross-trial summary, recomputable exactly from the trials."""
 
@@ -178,9 +197,7 @@ def run_trial(config: ExperimentConfig, trial_id: int) -> InventoryResult:
     Otherwise it builds one.  When the trial returns, it keeps its tags
     for the next trial, so they stay alive until that trial takes them.
     """
-    problems = validate_experiment(config)
-    if problems:
-        raise ExperimentConfigError(problems)
+    _check(config)
     if not is_int(trial_id) or not 0 <= trial_id < config.trials:
         raise ValueError(f"trial_id must be an integer in [0, {config.trials})")
     rng = RngStream(config.seed, trial_id)
@@ -285,9 +302,8 @@ def iter_trials(config: ExperimentConfig) -> Iterator[InventoryResult]:
 
     The config is checked at the call, before any trial runs.
     """
-    problems = validate_experiment(config)
-    if problems:
-        raise ExperimentConfigError(problems)
+    _check(config)
+    # `run_trial` by its module-global name: bench/child.py replaces it
     return (run_trial(config, t) for t in range(config.trials))
 
 

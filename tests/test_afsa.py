@@ -318,7 +318,7 @@ def test_afsa_round_matches_reference(states, slots, bits, divisor, seed):
     FrameConfig(64, 3, 2), FrameConfig(1000, 8, 3),
 ], ids=str)
 @pytest.mark.parametrize("offset", [1, 32 - 2, 32 + 1])
-def test_rounds_straddling_a_refill_match_the_reference(frame, offset):
+def test_rounds_at_varied_stream_offsets_match_the_reference(frame, offset):
     # `offset` single draws read before the first round, and each round's
     # `next`, leave the rounds' takes at varied points of the stream
     tags, ref_tags = make_population(90), make_population(90)
@@ -694,6 +694,10 @@ def test_next_frame_memo_equals_the_uncached_decision(counts, fixed_seq_bits):
     for fixed in (None, fixed_seq_bits, None, fixed_seq_bits):
         expected = next_frame(estimate_backlog(trace), fixed)
         assert afsa._next_frame(*counts, slots, fixed) == expected
+        if idle and slots > 1:
+            # the key `run_afsa_inventory` passes when the idle inversion
+            # decides, which reads neither collision count
+            assert afsa._next_frame(idle, reserved_true, 0, 0, slots, fixed) == expected
 
 
 @pytest.mark.parametrize("counts, fixed_seq_bits", [
@@ -715,6 +719,17 @@ def test_a_next_frame_miss_checks_the_estimate_once(monkeypatch, counts, fixed_s
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     afsa._next_frame.__wrapped__(*counts, sum(counts), fixed_seq_bits)
     assert calls == {"check_nonnegative": 1}
+
+
+def test_the_papers_decisions_fit_in_the_memo():
+    # at the paper's operating point, from cold memos, the 500 trials make
+    # fewer distinct decisions than the memo holds, so none is evicted and
+    # computed again (keyed on all four slot counts there were 1 331 misses)
+    _clear_memos()
+    config = ExperimentConfig(trials=500)
+    for t in range(config.trials):
+        run_trial(config, t)
+    assert afsa._next_frame.cache_info().misses <= afsa._MEMO_ENTRIES
 
 
 def test_memos_stay_within_their_bound():

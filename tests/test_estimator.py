@@ -196,6 +196,24 @@ def test_fixed_seq_bits_policy_pins_length():
         next_frame(estimate, 0)
 
 
+def test_equal_frames_are_one_object():
+    # each distinct frame is built and checked once
+    nominal = next_frame(BacklogEstimate(100.0, EstimateMethod.IDLE_INVERSION))
+    assert next_frame(BacklogEstimate(101.5, EstimateMethod.COLLISION_FLOOR)) is nominal
+    pinned = next_frame(BacklogEstimate(100.0, EstimateMethod.IDLE_INVERSION), 5)
+    assert next_frame(BacklogEstimate(110.0, EstimateMethod.IDLE_INVERSION), 5) is pinned
+
+
+def test_a_cached_frame_admits_no_bool_or_float_length():
+    # True == 1 and 2.0 == 2 hash alike, yet neither is a sequence length
+    estimate = BacklogEstimate(100.0, EstimateMethod.IDLE_INVERSION)
+    assert next_frame(estimate, 1) == FrameConfig(128, 1)
+    assert next_frame(estimate, 2) == FrameConfig(128, 2)
+    for bad in (True, 1.0, 2.0):
+        with pytest.raises(ValueError, match="seq_bits"):
+            next_frame(estimate, bad)
+
+
 @given(k_est=st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
        bits=st.none() | st.integers(min_value=1, max_value=16))
 @settings(max_examples=200)

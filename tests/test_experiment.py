@@ -185,9 +185,27 @@ def test_run_trial_rejects_an_id_outside_the_experiment(monkeypatch, trial_id):
 def test_run_trial_rejects_an_invalid_config(monkeypatch):
     monkeypatch.setattr(experiment, "RngStream", _no_allocation)
     monkeypatch.setattr(experiment, "make_population", _no_allocation)
-    with pytest.raises(ExperimentConfigError) as err:
-        run_trial(ExperimentConfig(frame_slots=MAX_FRAME_SLOTS + 1), 0)
-    assert err.value.problems == [f"frame_slots must be <= {MAX_FRAME_SLOTS}"]
+    invalid = ExperimentConfig(frame_slots=MAX_FRAME_SLOTS + 1)
+    # a refused config is not remembered: it is refused every time
+    for _ in range(2):
+        with pytest.raises(ExperimentConfigError) as err:
+            run_trial(invalid, 0)
+        assert err.value.problems == [f"frame_slots must be <= {MAX_FRAME_SLOTS}"]
+
+
+def test_a_config_object_is_checked_once(monkeypatch):
+    calls = []
+    check = experiment.validate_experiment
+    monkeypatch.setattr(experiment, "validate_experiment",
+                        lambda config: calls.append(config) or check(config))
+    config = ExperimentConfig(*FAST)
+    run_experiment(config)
+    run_trial(config, 1)
+    assert calls == [config]
+    # an equal config that is another object is checked again
+    twin = ExperimentConfig(*config)
+    run_trial(twin, 0)
+    assert len(calls) == 2 and calls[1] is twin
 
 
 def test_static_run_completes_and_aggregates():

@@ -326,6 +326,25 @@ def test_main_invalid_config_reports_all_problems(capsys):
     assert "arrival_rate must be finite and <= 700" in captured.err
 
 
+@pytest.mark.parametrize("trials", [3, 1250])
+def test_a_single_run_checks_its_config_once(capsys, monkeypatch, trials):
+    calls = []
+    check = experiment.validate_experiment
+    monkeypatch.setattr(experiment, "validate_experiment",
+                        lambda config: calls.append(config) or check(config))
+    assert main(["--tags", "20", "--frame", "16", "--trials", str(trials)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == trials + 1
+    assert len(calls) == 1
+
+
+def test_main_invalid_config_writes_no_file(capsys, tmp_path):
+    out = tmp_path / "report.csv"
+    assert main(["--tags", "-5", "--trials", "0", "--out", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.splitlines() == [
+        "afsasim: error: k_initial must be >= 0", "afsasim: error: trials must be >= 1"]
+
+
 def test_main_over_cap_sizes_exit_one(capsys):
     # validation rejects these before anything is allocated
     code = main(["--tags", str(MAX_TAGS + 1), "--frame", str(MAX_FRAME_SLOTS + 1),
