@@ -7,15 +7,14 @@ slots gets a full data slot, and the reader acknowledges.  A collided
 slot whose occupants happened to send the same sequence looks reserved,
 wastes its data slot, and identifies nobody.
 """
-from __future__ import annotations
-
 from functools import lru_cache
 from itertools import chain, repeat
 from operator import length_hint
-from typing import Callable, Generator, Iterator, List, NamedTuple, Optional, Sequence
+from typing import Callable, Generator, List, NamedTuple, Optional, Sequence
 
 from .analytic import phase_durations_for
 from .estimator import (
+    _MEMO_ENTRIES,
     _estimate,
     estimate_backlog,  # unused here, but bench/child.py wraps it by this name
     next_frame,
@@ -29,14 +28,10 @@ from .model import (
     check_int,
     is_int,
 )
-from .rng import PIECE_DRAWS, _in_pieces, residues, take, u64s
+from .rng import PIECE_DRAWS, RngStream, _in_pieces, residues, u64s
 
-# Entries kept by each memo below.  A round's air time and the reader's
-# next frame depend on a few small counts, whose combinations recur
-# within and across trials; the bound keeps a long run's memos small.
-_MEMO_ENTRIES = 1024
-
-
+# A round's air time and the reader's next frame depend on a few small
+# counts, so both are memoised.
 @lru_cache(maxsize=_MEMO_ENTRIES)
 def _round_time(successes: int, slots: int, seq_bits: int) -> float:
     """Air time of a round with `successes` apparently-reserved slots."""
@@ -78,7 +73,7 @@ _IDLE_SEQ = -2
 def run_afsa_round(
     tags: Sequence[Tag],
     frame: FrameConfig,
-    rng: Iterator[int],
+    rng: RngStream,
 ) -> RoundTrace:
     """Play one round over `tags`, the tags answering this frame.
 
@@ -89,12 +84,10 @@ def run_afsa_round(
     uniform over the frame and a reservation sequence uniform over
     seq_bits-bit values.  Draw order is part of the reproducibility
     contract, and the round takes exactly those draws from `rng`, no more,
-    through `rng.take`, at most PIECE_DRAWS at a time; an ungated round
+    through its `take`, at most PIECE_DRAWS at a time; an ungated round
     reduces each slot and sequence draw from its low bytes where the frame
     allows (`rng.residues`).  The trace's `responders` counts the tags that
-    joined: all of `tags` unless the divisor gates the round.  A stream
-    that runs out before the last tag has taken its draws raises
-    ValueError.
+    joined: all of `tags` unless the divisor gates the round.
 
     A slot is idle with no occupants, a detected collision when its
     occupants sent differing sequences, and apparently reserved
@@ -122,7 +115,7 @@ def run_afsa_round(
         # one for the tag in hand and one for each tag after it
         pending = iter(tags)
         draws = chain.from_iterable(
-            u64s(take(rng, min(length_hint(pending) + 1, PIECE_DRAWS))) for _ in repeat(None))
+            u64s(rng.take(min(length_hint(pending) + 1, PIECE_DRAWS))) for _ in repeat(None))
         seq_mask = (1 << seq_bits) - 1
         joiners = [(tag, next(draws) % slots, next(draws) & seq_mask)
                    for tag in pending if not next(draws) % divisor]
@@ -232,7 +225,7 @@ def run_afsa_inventory(
     tags: List[Tag],
     initial_frame: FrameConfig,
     fixed_seq_bits: Optional[int],
-    rng: Iterator[int],
+    rng: RngStream,
     max_rounds: int = 1000,
     between_rounds: Optional[BetweenRounds] = None,
 ) -> InventoryResult:

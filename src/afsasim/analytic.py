@@ -8,8 +8,6 @@ than a restatement of it.
 `tags` is accepted as a float throughout because the adaptation path
 evaluates these formulas at non-integer backlog estimates.
 """
-from __future__ import annotations
-
 import math
 from typing import NamedTuple, Tuple
 

@@ -8,15 +8,12 @@ reservation phase, so their rounds never suffer undetected collisions:
 two tags sending full distinct payloads always garble each other
 detectably.
 """
-from __future__ import annotations
-
 import math
 from bisect import bisect_right
 from functools import lru_cache
-from typing import Iterator, List, NamedTuple, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 from .afsa import (
-    _MEMO_ENTRIES,
     COLLIDED,
     BetweenRounds,
     InventoryResult,
@@ -24,6 +21,7 @@ from .afsa import (
     run_inventory,
 )
 from .estimator import (
+    _MEMO_ENTRIES,
     _estimate,
     estimate_backlog,  # unused here, but bench/child.py wraps it by this name
 )
@@ -35,7 +33,7 @@ from .model import (
     check_nonnegative,
     int_problem,
 )
-from .rng import _in_pieces, residues
+from .rng import RngStream, _in_pieces, residues
 
 # Frame sizes EDFSA may announce; backlog beyond the largest is split
 # into EDFSA_MAX_FRAME-sized groups instead.
@@ -48,14 +46,14 @@ EDFSA_MAX_FRAME = EDFSA_FRAME_CHOICES[-1]
 _EDFSA_MIDPOINTS = tuple((a + b) / 2 for a, b in zip(EDFSA_FRAME_CHOICES, EDFSA_FRAME_CHOICES[1:]))
 
 
-def run_fsa_round(tags: Sequence[Tag], slots: int, rng: Iterator[int]) -> RoundTrace:
+def run_fsa_round(tags: Sequence[Tag], slots: int, rng: RngStream) -> RoundTrace:
     """One framed-ALOHA round: every tag in `tags` sends its payload directly.
 
     The caller picks who answers, as for `afsa.run_afsa_round`
     (`run_inventory` sends the tags still answering).  Each tag
     consumes one draw (its slot), and the round takes no other draw from
-    `rng`; it takes them through `rng.take`, at most PIECE_DRAWS at a
-    time, and a stream that runs out before the last tag raises ValueError.
+    `rng`; it takes them through its `take`, at most PIECE_DRAWS at a
+    time.
     Every slot of the frame costs a full data slot whether idle, reserved,
     or collided; there is no reservation or acknowledgement traffic
     beyond the frame advertisement.  Single-occupant slots identify their
@@ -89,7 +87,7 @@ def run_fsa_round(tags: Sequence[Tag], slots: int, rng: Iterator[int]) -> RoundT
 def run_fsa_inventory(
     tags: List[Tag],
     slots: int,
-    rng: Iterator[int],
+    rng: RngStream,
     max_rounds: int = 1000,
     between_rounds: Optional[BetweenRounds] = None,
 ) -> InventoryResult:
@@ -148,7 +146,7 @@ def _backlog(idle: int, reserved: int, detected: int, slots: int) -> float:
 
 def run_edfsa_inventory(
     tags: List[Tag],
-    rng: Iterator[int],
+    rng: RngStream,
     max_rounds: int = 1000,
     initial_estimate: float = 128.0,
     between_rounds: Optional[BetweenRounds] = None,

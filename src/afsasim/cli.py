@@ -141,31 +141,35 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate reservation-based framed slotted ALOHA inventories "
                     "and baseline protocols.",
     )
-    parser.add_argument("--protocol", choices=PROTOCOLS,
-                        default="afsa", help="protocol to run (default afsa)")
-    parser.add_argument("--tags", type=_int_arg, default=100, metavar="K",
-                        help=f"initial tag population, at most {MAX_TAGS} (default 100)")
-    parser.add_argument("--frame", type=_int_arg, default=128, metavar="N",
+    # each config-backed flag defaults to the config field's own default
+    defaults = ExperimentConfig._field_defaults
+    parser.add_argument("--protocol", choices=PROTOCOLS, default=defaults["protocol"],
+                        help="protocol to run (default %(default)s)")
+    parser.add_argument("--tags", type=_int_arg, default=defaults["k_initial"], metavar="K",
+                        help=f"initial tag population, at most {MAX_TAGS} (default %(default)s)")
+    parser.add_argument("--frame", type=_int_arg, default=defaults["frame_slots"], metavar="N",
                         help="initial frame size in slots, at most "
-                             f"{MAX_FRAME_SLOTS} (default 128)")
-    parser.add_argument("--seq-bits", type=_seq_bits, default=None,
+                             f"{MAX_FRAME_SLOTS} (default %(default)s)")
+    parser.add_argument("--seq-bits", type=_seq_bits, default=defaults["seq_bits"],
                         metavar=f"{{1..{MAX_SEQ_BITS}|auto}}",
                         help="reservation sequence bits, or auto to re-derive "
                              "each round (default auto)")
-    parser.add_argument("--trials", type=_int_arg, default=25,
-                        help=f"independent trials to run, at most {MAX_TRIALS} (default 25)")
-    parser.add_argument("--seed", type=_int_arg, default=1,
+    parser.add_argument("--trials", type=_int_arg, default=defaults["trials"],
+                        help=f"independent trials to run, at most {MAX_TRIALS} "
+                             "(default %(default)s)")
+    parser.add_argument("--seed", type=_int_arg, default=defaults["seed"],
                         help="master seed in [0, 2**64 - 1]; trial t uses "
-                             "stream (seed, t) (default 1)")
-    parser.add_argument("--max-rounds", type=_int_arg, default=1000,
-                        help="round budget per trial (default 1000)")
-    parser.add_argument("--arrival-rate", type=_float_arg, default=0.0,
+                             "stream (seed, t) (default %(default)s)")
+    parser.add_argument("--max-rounds", type=_int_arg, default=defaults["max_rounds"],
+                        help="round budget per trial (default %(default)s)")
+    parser.add_argument("--arrival-rate", type=_float_arg, default=defaults["arrival_rate"],
                         metavar="RATE",
                         help="mean Poisson tag arrivals per round gap, at most "
-                             f"{MAX_ARRIVAL_RATE} (default 0)")
-    parser.add_argument("--departure-prob", type=_float_arg, default=0.0,
-                        metavar="P",
-                        help="per-tag departure probability per round gap (default 0)")
+                             f"{MAX_ARRIVAL_RATE} (default %(default)g)")
+    parser.add_argument("--departure-prob", type=_float_arg,
+                        default=defaults["departure_prob"], metavar="P",
+                        help="per-tag departure probability per round gap "
+                             "(default %(default)g)")
     parser.add_argument("--sweep", type=_sweep_spec, default=None,
                         metavar="PARAM=START:STEP:END",
                         help="sweep one parameter over an inclusive range of at "

@@ -4,8 +4,6 @@ After each round the reader estimates how many unidentified tags remain
 and picks the next frame size, sequence length, and participation divisor
 from that estimate alone; nothing here peeks at ground truth.
 """
-from __future__ import annotations
-
 import enum
 import math
 from functools import lru_cache
@@ -26,13 +24,18 @@ FRAME_MAX = 1024
 # frame by more than this factor.
 OVERLOAD_RATIO = 4.0
 
+# Entries kept by each of the package's memos (`lru_cache`): their keys are
+# a few small counts, which recur within and across trials, and the bound
+# keeps a long run's memos small.
+_MEMO_ENTRIES = 1024
+
 # `next_frame` returns one shared `FrameConfig` per distinct (slots,
 # seq_bits, divisor), so each is built and checked once.  There are 8
 # frame sizes and 16 sequence lengths; the bound keeps divisors, which
 # grow with the backlog, from growing the memo.  `typed` keeps a bool or
 # float sequence length apart from the int it equals, so FrameConfig
 # still rejects it; a rejected frame raises and is never cached.
-_frame = lru_cache(maxsize=1024, typed=True)(FrameConfig)
+_frame = lru_cache(maxsize=_MEMO_ENTRIES, typed=True)(FrameConfig)
 
 
 class EstimateMethod(enum.Enum):

@@ -4,8 +4,6 @@ A trial is one complete inventory over a population in its initial state.
 Trial t of an experiment draws from RngStream(seed, t), so results are
 bit-identical for any execution order.
 """
-from __future__ import annotations
-
 import math
 from functools import lru_cache
 from itertools import compress
@@ -13,7 +11,7 @@ from typing import Iterator, List, NamedTuple, Optional, Sequence
 
 from .afsa import InventoryResult, run_afsa_inventory
 from .baselines import run_edfsa_inventory, run_fsa_inventory
-from .estimator import auto_seq_bits
+from .estimator import _MEMO_ENTRIES, auto_seq_bits
 from .model import (
     MAX_SEQ_BITS,
     MAX_TAGS,
@@ -24,7 +22,7 @@ from .model import (
     is_real,
     make_population,
 )
-from .rng import MAX_KEY, RngStream, _in_pieces, at_least, take, unit_cut, unit_float
+from .rng import MAX_KEY, RngStream, _in_pieces, at_least, unit_cut, unit_float
 
 PROTOCOLS = ("afsa", "fsa", "edfsa")
 
@@ -155,16 +153,15 @@ class ExperimentResult(NamedTuple):
     aggregate: AggregateStats
 
 
-def _poisson(rate: float, rng: Iterator[int]) -> int:
-    """Poisson draw by inverse transform on a single uniform.
+def _poisson(rate: float, rng: RngStream) -> int:
+    """Poisson draw by inverse transform on a single uniform, the stream's
+    next draw.
 
     Past the mode the running CDF can stop growing a few ulps below 1; a
     uniform above it lies in a tail the floats cannot resolve, and the
-    draw is the first count whose term no longer moves the CDF.  The
-    uniform is read through `rng.take`, so a draw that is not an integer
-    in [0, 2**64 - 1] raises ValueError.
+    draw is the first count whose term no longer moves the CDF.
     """
-    u = unit_float(int.from_bytes(take(rng, 1), "little"))
+    u = unit_float(int.from_bytes(rng.take(1), "little"))
     k = 0
     p = math.exp(-rate)
     cdf = p
@@ -245,11 +242,8 @@ def run_trial(config: ExperimentConfig, trial_id: int) -> InventoryResult:
     return result
 
 
-# Entries `_first_frame` keeps: one per (frame size, sequence length).
-_FIRST_FRAMES = 1024
-
-
-@lru_cache(maxsize=_FIRST_FRAMES)
+# one entry per (frame size, sequence length)
+@lru_cache(maxsize=_MEMO_ENTRIES)
 def _first_frame(frame_slots: int, seq_bits: Optional[int]) -> FrameConfig:
     """The frame a trial's first round announces, built once per pair of
     validated config fields.  With `seq_bits` None the reader has observed

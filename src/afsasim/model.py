@@ -5,8 +5,6 @@ Everything here is a plain value type.  Simulation state lives in `Tag`
 that traces can be stored, compared, and replayed without defensive
 copies.
 """
-from __future__ import annotations
-
 import math
 import numbers
 from typing import NamedTuple
@@ -90,7 +88,7 @@ class FrameConfig(_FrameFields):
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs) -> FrameConfig:
+    def __new__(cls, *args, **kwargs) -> "FrameConfig":
         self = super().__new__(cls, *args, **kwargs)
         problems = [int_problem("slots", self.slots, 1)]
         if not is_int(self.seq_bits):
@@ -103,7 +101,7 @@ class FrameConfig(_FrameFields):
         return self
 
     @classmethod
-    def _make(cls, iterable) -> FrameConfig:
+    def _make(cls, iterable) -> "FrameConfig":
         # `_replace` builds through `_make`, so it validates too
         return cls(*iterable)
 

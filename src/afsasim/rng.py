@@ -3,11 +3,11 @@
 Every stochastic component draws from an `RngStream` keyed by
 (seed, stream_id).  Trial t of an experiment uses stream_id = t, so trials
 are independent, reorderable, and bit-identical across runs and across
-execution orders.  The protocol code takes any iterator of u64 draws and
-reads them through `take`, which packs the next draws as 8 little-endian
-bytes each; `residues` reduces packed draws and reads only the low bytes
-where they suffice, and `at_least` compares them with a bound on their top
-byte, so a round or a churn gap builds no int it need not build.
+execution orders.  The protocol code reads its draws through the stream's
+`take`, which packs the next draws as 8 little-endian bytes each;
+`residues` reduces packed draws and reads only the low bytes where they
+suffice, and `at_least` compares them with a bound on their top byte, so
+a round or a churn gap builds no int it need not build.
 """
 from __future__ import annotations
 
@@ -15,8 +15,8 @@ import math
 import random
 import sys
 from array import array
-from itertools import chain, islice
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Sequence
 
 from .model import is_int
 
@@ -30,10 +30,6 @@ _ULP53 = 2.0 ** -53
 # one takes its draws in pieces, so its memory does not grow with the
 # population.
 PIECE_DRAWS = 3 * 1024
-
-# What `take`, and so every reader of draws (a round kernel, a churn gap's
-# departures and arrivals), raises when `rng` ends too soon.
-DRAWS_RAN_OUT = "rng ran out of draws"
 
 # `_LOW_BYTE[m][b]` is `b % m`, for each power of two m a byte can reduce.
 _LOW_BYTE = {1 << i: bytes(range(1 << i)) * (256 >> i) for i in range(9)}
@@ -63,8 +59,9 @@ class RngStream:
     The same (seed, stream_id) pair yields the same draw sequence on any
     platform; distinct pairs are treated as independent.  Draw i is the
     i-th `getrandbits(64)` of `random.Random((seed << 64) | stream_id)`.
-    The stream is its own iterator, and `next(stream)` and `take` read one
-    shared sequence straight from the generator.
+    The protocol code reads its draws through `take`; the stream is also
+    its own iterator, and `next(stream)` and `take` read one shared
+    sequence straight from the generator.
     """
 
     __slots__ = ("_bits",)
@@ -81,7 +78,8 @@ class RngStream:
         return self._bits(64)
 
     def take(self, count: int) -> bytes:
-        """The next `count` draws, 8 little-endian bytes each."""
+        """The next `count` draws, 8 little-endian bytes each; a negative
+        count raises ValueError before any draw is read."""
         if count < 0:
             raise ValueError("count must be >= 0")
         # one `getrandbits(64 * m)` holds the same bits as m calls of
@@ -89,38 +87,14 @@ class RngStream:
         return self._bits(64 * count).to_bytes(8 * count, "little")
 
 
-def take(rng: Iterator[int], count: int) -> bytes:
-    """The next `count` draws of `rng`, 8 little-endian bytes each.
-
-    An `RngStream` draws them in one call of its generator; any other
-    iterator of u64 draws is advanced by exactly `count`.  An iterator that
-    ends first raises ValueError(DRAWS_RAN_OUT), one that yields anything
-    but an int in [0, 2**64 - 1] ValueError, and a negative count
-    ValueError.
-    """
-    if isinstance(rng, RngStream):
-        return rng.take(count)
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    # drawn before the check, so an error of the iterator's own stays its own
-    drawn = list(islice(rng, count))
-    try:
-        draws = array("Q", drawn)
-    except (OverflowError, TypeError) as error:
-        raise ValueError("rng draws must be integers in [0, 2**64 - 1]") from error
-    if len(draws) < count:
-        raise ValueError(DRAWS_RAN_OUT)
-    return _little(draws).tobytes()
-
-
-def _in_pieces(items: Sequence, per_item: int, rng: Iterator[int],
+def _in_pieces(items: Sequence, per_item: int, rng: RngStream,
                read: Callable[[Sequence, bytes], Iterable]) -> Iterable:
-    """`read(items, take(rng, per_item * len(items)))`, in order, for at most
+    """`read(items, rng.take(per_item * len(items)))`, in order, for at most
     PIECE_DRAWS draws at a time: more items are read a piece at a time,
     and a piece takes its draws only once the one before has been read."""
     count = per_item * len(items)
     if count <= PIECE_DRAWS:
-        return read(items, take(rng, count))
+        return read(items, rng.take(count))
     size = PIECE_DRAWS // per_item
     return chain.from_iterable(_in_pieces(items[start:start + size], per_item, rng, read)
                                for start in range(0, len(items), size))

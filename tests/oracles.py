@@ -24,8 +24,11 @@ _MASK64 = (1 << 64) - 1
 class ScriptedStream:
     """Test double that replays a fixed list of u64 draws, then raises.
 
-    It raises IndexError, never StopIteration, so a script too short for a
-    round fails loudly instead of quietly ending a `zip` over the tags.
+    `take(count)` packs the next `count` draws as 8 little-endian bytes
+    each, as `RngStream.take` does, and `next` returns one.  Both raise
+    IndexError, never StopIteration, when the script runs out, so a script
+    too short for a round fails loudly instead of quietly ending a `zip`
+    over the tags.
     """
 
     def __init__(self, values: Iterable[int]):
@@ -41,6 +44,16 @@ class ScriptedStream:
         value = self._values[self._pos]
         self._pos += 1
         return value & _MASK64
+
+    def take(self, count: int) -> bytes:
+        if count < 0:
+            raise ValueError("count must be >= 0")
+        end = self._pos + count
+        if end > len(self._values):
+            raise IndexError("scripted stream exhausted")
+        values = self._values[self._pos:end]
+        self._pos = end
+        return b"".join((value & _MASK64).to_bytes(8, "little") for value in values)
 
     @property
     def remaining(self) -> int:

@@ -100,11 +100,11 @@ def test_a_script_one_draw_short_raises(divisor, script):
     (FrameConfig(4, 2), []),
 ])
 def test_a_plain_iterator_that_runs_out_mid_round_raises(frame, script):
-    # a plain iterator ends with StopIteration, which would end the zip over
-    # the tags quietly and leave the last tags without draws
+    # a script that runs out raises rather than ending the round early and
+    # leaving the last tags without draws
     tags = make_population(3 if frame.participation_divisor == 1 else 2)
-    with pytest.raises(ValueError, match="ran out of draws"):
-        run_afsa_round(tags, frame, iter(script))
+    with pytest.raises(IndexError):
+        run_afsa_round(tags, frame, ScriptedStream(script))
 
 
 @pytest.mark.parametrize("frame, script, responders", [
@@ -113,11 +113,12 @@ def test_a_plain_iterator_that_runs_out_mid_round_raises(frame, script):
     (FrameConfig(8, 2, 2), [1, 3], 0),
 ])
 def test_a_plain_iterator_just_long_enough_plays_the_round(frame, script, responders):
-    stream = iter(script)
+    # a script just long enough: the round takes every draw and no more
+    stream = ScriptedStream(script)
     trace = run_afsa_round(make_population(2), frame, stream)
     check_round_trace(trace)
     assert trace.responders == responders
-    assert next(stream, None) is None
+    assert stream.remaining == 0
 
 
 def test_reader_observe_classifies_each_slot():

@@ -64,20 +64,20 @@ def test_fsa_round_raises_on_a_script_one_draw_short():
 
 @pytest.mark.parametrize("script", [[], [2], [2, 5]])
 def test_fsa_round_raises_when_a_plain_iterator_runs_out(script):
-    # a plain iterator's StopIteration would end the zip over the tags
-    # quietly, leaving the last tags without a slot
-    with pytest.raises(ValueError, match="ran out of draws"):
-        run_fsa_round(make_population(3), 4, iter(script))
+    # a script that runs out raises rather than playing a shorter round,
+    # leaving the last tags without a slot
+    with pytest.raises(IndexError):
+        run_fsa_round(make_population(3), 4, ScriptedStream(script))
 
 
 def test_fsa_round_on_a_plain_iterator_just_long_enough():
-    stream = iter([2, 5, 1])
+    stream = ScriptedStream([2, 5, 1])
     trace = run_fsa_round(make_population(3), 4, stream)
     assert trace.responders == 3
     assert trace.reserved_true_count == 1
-    assert next(stream, None) is None
+    assert stream.remaining == 0
     # no tag, no draw: the empty round needs nothing from the stream
-    assert run_fsa_round([], 4, iter([])).idle_count == 4
+    assert run_fsa_round([], 4, ScriptedStream([])).idle_count == 4
 
 
 @given(tags=st.integers(min_value=0, max_value=80),

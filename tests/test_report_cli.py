@@ -205,15 +205,16 @@ def test_write_rows_to_file(tmp_path):
 
 def test_parse_cli_defaults():
     ns = parse_cli([])
-    assert ns.protocol == "afsa"
-    assert ns.tags == 100
-    assert ns.frame == 128
-    assert ns.seq_bits is None
-    assert ns.trials == 25
-    assert ns.seed == 1
-    assert ns.max_rounds == 1000
-    assert ns.arrival_rate == 0.0
-    assert ns.departure_prob == 0.0
+    # each config-backed flag defaults to the config's own default
+    config = ExperimentConfig()
+    parsed = {"protocol": ns.protocol, "k_initial": ns.tags, "frame_slots": ns.frame,
+              "seq_bits": ns.seq_bits, "trials": ns.trials, "seed": ns.seed,
+              "max_rounds": ns.max_rounds, "arrival_rate": ns.arrival_rate,
+              "departure_prob": ns.departure_prob}
+    assert list(parsed) == list(ExperimentConfig._fields)
+    for field, value in parsed.items():
+        default = getattr(config, field)
+        assert value == default and type(value) is type(default), field
     assert ns.sweep is None
     assert ns.out is None
     assert ns.fmt == "csv"

@@ -12,12 +12,10 @@ from afsasim.baselines import run_fsa_round
 from afsasim.experiment import _poisson
 from afsasim.model import FrameConfig, make_population
 from afsasim.rng import (
-    DRAWS_RAN_OUT,
     PIECE_DRAWS,
     RngStream,
     at_least,
     residues,
-    take,
     u64s,
     unit_cut,
     unit_float,
@@ -72,13 +70,11 @@ def test_take_packs_the_draws_at_varied_stream_offsets():
                   1, 1000, 32 - 1):
         assert stream.take(count) == _packed([single(64) for _ in range(count)])
         assert next(stream) == single(64)
-        assert take(stream, count) == _packed([single(64) for _ in range(count)])
 
 
-# one read of a stream: its method `take`, the module's `take`, or `next`
+# one read of a stream: `take` or `next`
 STREAM_READS = st.one_of(
-    st.tuples(st.sampled_from(["method", "take"]),
-              st.integers(min_value=0, max_value=2 * PIECE_DRAWS)),
+    st.tuples(st.just("take"), st.integers(min_value=0, max_value=2 * PIECE_DRAWS)),
     st.just(("next", 1)))
 
 
@@ -86,7 +82,7 @@ STREAM_READS = st.one_of(
        stream_id=st.integers(min_value=0, max_value=2**64 - 1),
        reads=st.lists(STREAM_READS, max_size=12))
 @settings(max_examples=150, deadline=None)
-@example(seed=0, stream_id=0, reads=[("method", 0), ("next", 1), ("take", 2 * PIECE_DRAWS)])
+@example(seed=0, stream_id=0, reads=[("take", 0), ("next", 1), ("take", 2 * PIECE_DRAWS)])
 def test_any_interleaving_of_reads_replays_the_generator(seed, stream_id, reads):
     # draw i of any mix of reads is the i-th getrandbits(64) of the
     # stream's generator, packed as 8 little-endian bytes by a take
@@ -96,19 +92,14 @@ def test_any_interleaving_of_reads_replays_the_generator(seed, stream_id, reads)
         if how == "next":
             assert next(stream) == single(64)
         else:
-            raw = stream.take(count) if how == "method" else take(stream, count)
-            assert raw == _packed([single(64) for _ in range(count)])
+            assert stream.take(count) == _packed([single(64) for _ in range(count)])
     assert next(stream) == single(64)
 
 
 def test_take_zero_consumes_nothing():
     stream, twin = RngStream(3, 9), RngStream(3, 9)
     assert stream.take(0) == b""
-    assert take(stream, 0) == b""
     assert next(stream) == next(twin)
-    draws = iter([4, 5])
-    assert take(draws, 0) == b""
-    assert list(draws) == [4, 5]
 
 
 def test_a_negative_count_is_refused_and_consumes_nothing():
@@ -116,50 +107,9 @@ def test_a_negative_count_is_refused_and_consumes_nothing():
     stream, twin = RngStream(1, 0), RngStream(1, 0)
     for _ in range(3):
         assert next(stream) == next(twin)
-    for taker in (stream.take, lambda count: take(stream, count)):
-        with pytest.raises(ValueError, match="^count must be >= 0$"):
-            taker(-2)
-        assert next(stream) == next(twin)
-    draws = iter([4, 5])
     with pytest.raises(ValueError, match="^count must be >= 0$"):
-        take(draws, -1)
-    assert list(draws) == [4, 5]
-
-
-def test_take_advances_any_other_iterator_by_exactly_count():
-    draws = iter(range(10, 20))
-    assert take(draws, 4) == _packed([10, 11, 12, 13])
-    assert next(draws) == 14
-    assert list(u64s(take(draws, 5))) == [15, 16, 17, 18, 19]
-    with pytest.raises(ValueError, match=DRAWS_RAN_OUT):
-        take(iter([1, 2]), 3)
-    # a scripted stream's own error passes through
-    with pytest.raises(IndexError):
-        take(ScriptedStream([1, 2]), 3)
-
-
-@pytest.mark.parametrize("bad", [1 << 64, -1, 1.5])
-def test_a_draw_out_of_range_or_not_an_integer_is_refused(bad):
-    # as packed u64s, 2**64 and -1 would not fit and 1.5 is no integer
-    message = r"^rng draws must be integers in \[0, 2\*\*64 - 1\]$"
-    with pytest.raises(ValueError, match=message):
-        take(iter([1, bad, 3]), 3)
-    with pytest.raises(ValueError, match=message):
-        run_afsa_round(make_population(2), FrameConfig(4, 2), iter([bad] * 10))
-
-
-def _failing_draws():
-    yield 1
-    raise TypeError("the iterator's own error")
-
-
-@pytest.mark.parametrize("make_rng, message", [
-    (lambda: None, "not iterable"),
-    (_failing_draws, "the iterator's own error"),
-])
-def test_an_iterator_error_is_not_reported_as_a_bad_draw(make_rng, message):
-    with pytest.raises(TypeError, match=message):
-        take(make_rng(), 2)
+        stream.take(-2)
+    assert next(stream) == next(twin)
 
 
 @pytest.mark.parametrize("modulus", [
@@ -222,34 +172,34 @@ def test_a_key_out_of_range_or_not_an_integer_is_refused(field, seed, stream_id)
 
 
 def test_any_iterator_of_draws_is_a_source():
-    # a stdlib iterator over known draws: each kernel takes exactly the
-    # draws its contract names, in order, and leaves the rest unread
-    draws = iter([2, 5, 6, 99, 100])
+    # a script of known draws: each kernel takes exactly the draws its
+    # contract names, in order, and leaves the rest unread
+    draws = ScriptedStream([2, 5, 6, 99, 100])
     # slots 2, 1, 2: tag 1 alone, tags 0 and 2 collide
     trace = run_fsa_round(make_population(3), 4, draws)
     assert (trace.identified_epcs, trace.idle_count, trace.detected_collision_count) == ((1,), 2, 1)
-    assert list(draws) == [99, 100]
+    assert draws.remaining == 2 and next(draws) == 99
 
     # (participation, slot, sequence) per tag: tags 0 and 1 share slot 1
     # and sequence 3, tag 2 is alone in slot 2
-    draws = iter([0, 1, 3, 7, 1, 3, 0, 6, 0, 11, 12])
+    draws = ScriptedStream([0, 1, 3, 7, 1, 3, 0, 6, 0, 11, 12])
     trace = run_afsa_round(make_population(3), FrameConfig(4, 2), draws)
     assert (trace.responders, trace.undetected_collision_count, trace.reserved_true_count,
             trace.identified_epcs) == (3, 1, 1, (2,))
-    assert list(draws) == [11, 12]
+    assert draws.remaining == 2 and next(draws) == 11
 
     # divisor 2: tag 0 draws an odd participation and takes no slot or
     # sequence; tags 1 and 2 meet in slot 3 on sequences 1 and 2
-    draws = iter([1, 2, 3, 1, 4, 3, 2, 50, 51])
+    draws = ScriptedStream([1, 2, 3, 1, 4, 3, 2, 50, 51])
     trace = run_afsa_round(make_population(3), FrameConfig(4, 2, 2), draws)
     assert (trace.responders, trace.detected_collision_count, trace.idle_count,
             trace.identified_epcs) == (2, 1, 3, ())
-    assert list(draws) == [50, 51]
+    assert draws.remaining == 2 and next(draws) == 50
 
     # one uniform of 0.5: past exp(-1) = 0.37, short of 2 exp(-1) = 0.74
-    draws = iter([1 << 63, 7])
+    draws = ScriptedStream([1 << 63, 7])
     assert _poisson(1.0, draws) == 1
-    assert list(draws) == [7]
+    assert draws.remaining == 1 and next(draws) == 7
 
 
 @pytest.mark.parametrize("bits, value", [
@@ -323,6 +273,23 @@ def test_scripted_stream_replays_then_raises():
         next(s)
     with pytest.raises(IndexError):
         next(s)
+
+
+def test_scripted_take_packs_the_next_draws_then_raises():
+    # as `RngStream.take`: 8 little-endian bytes per draw, masked to 64
+    # bits as `next` masks them; a take past the end consumes nothing
+    s = ScriptedStream([5, 1 << 64, 7, 9])
+    assert s.take(0) == b""
+    assert s.take(2) == _packed([5, 0])
+    assert next(s) == 7
+    with pytest.raises(IndexError):
+        s.take(2)
+    assert s.remaining == 1
+    with pytest.raises(ValueError, match="^count must be >= 0$"):
+        s.take(-1)
+    assert list(u64s(s.take(1))) == [9]
+    with pytest.raises(IndexError):
+        s.take(1)
 
 
 def test_scripted_stream_masks_to_64_bits():
