@@ -5,9 +5,11 @@ Trial t of an experiment draws from RngStream(seed, t), so results are
 bit-identical for any execution order.
 """
 import math
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import compress
-from typing import Iterator, List, NamedTuple, Optional, Sequence
+from operator import attrgetter
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .afsa import InventoryResult, run_afsa_inventory
 from .baselines import run_edfsa_inventory, run_fsa_inventory
@@ -31,6 +33,18 @@ PROTOCOLS = ("afsa", "fsa", "edfsa")
 # past about 708 it is subnormal, and from about 745 on it is 0, so the
 # CDF never grows and every nonzero draw returns 1.
 MAX_ARRIVAL_RATE = 700
+
+# A churn gap deletes its leavers one at a time while they are few, and
+# rebuilds its lists otherwise (`_depart`).  A deletion moves the tail of
+# its list, so the deletions cost about leavers x present steps where a
+# rebuild costs about present.
+# Few is at most one leaver per _LEAVER_SHARE present tags: at 280 tags
+# the deletions were faster up to 8 leavers and slower from 16.
+_LEAVER_SHARE = 24
+# Few is also at most _LEAVER_CAP leavers: a large population's tails are
+# long, and with a cap of 256, FSA over 20 000 tags at departure chance
+# 0.02 ran about 7 % slower than with the rebuild alone.
+_LEAVER_CAP = 64
 
 # Largest initial frame and trial count a config may ask for (the largest
 # population, MAX_TAGS, lives in `model`).  Each is allocated up front
@@ -174,6 +188,37 @@ def _poisson(rate: float, rng: RngStream) -> int:
     return k
 
 
+_EPC = attrgetter("epc")
+
+
+def _depart(present: List[Tag], active: List[Tag],
+            stays: bytes) -> Tuple[List[Tag], List[Tag]]:
+    """The present tags and the unidentified ones among them after a gap
+    whose departure marks are `stays` (byte i is 0 when present[i] leaves).
+
+    Both lists are in population order, so `active` is sorted by EPC.  A
+    few leavers are deleted from `present` in place and from a copy of
+    `active`; many rebuild both lists.  The `active` handed in is never
+    changed.
+    """
+    leaving = stays.count(0)
+    if not leaving:
+        return present, active
+    if leaving > min(len(present) // _LEAVER_SHARE, _LEAVER_CAP):
+        present = list(compress(present, stays))
+        return present, [tag for tag in present if not tag.identified]
+    kept = None
+    gone = len(stays)
+    for _ in range(leaving):
+        gone = stays.rfind(0, 0, gone)
+        tag = present.pop(gone)
+        if not tag.identified:
+            if kept is None:
+                kept = active.copy()
+            del kept[bisect_left(kept, tag.epc, key=_EPC)]
+    return present, active if kept is None else kept
+
+
 # The population the last finished trial used, as a list of at most one.
 # A trial takes it with `pop`, so a trial nested in another or running on
 # another thread finds none and builds its own.
@@ -193,6 +238,12 @@ def run_trial(config: ExperimentConfig, trial_id: int) -> InventoryResult:
     population, so this is the population `make_population` would build.
     Otherwise it builds one.  When the trial returns, it keeps its tags
     for the next trial, so they stay alive until that trial takes them.
+
+    With churn, each round gap takes one departure draw per present tag
+    in population order, identified tags too, then one arrivals draw.
+    Arrivals get the next EPCs, so the present tags and the answering ones
+    stay sorted by EPC, and `_depart` can find a leaver among the
+    answering tags by bisection instead of rescanning the present ones.
     """
     _check(config)
     if not is_int(trial_id) or not 0 <= trial_id < config.trials:
@@ -224,8 +275,7 @@ def run_trial(config: ExperimentConfig, trial_id: int) -> InventoryResult:
             if present is not None:
                 stays = b"".join(_in_pieces(present, 1, rng,
                                             lambda piece, raw: (at_least(raw, departs),)))
-                present = list(compress(present, stays))
-                active = [tag for tag in present if not tag.identified]
+                present, active = _depart(present, active, stays)
             if config.arrival_rate > 0:
                 # EPCs go on from the last tag's, so an EPC is its index
                 known = len(population)

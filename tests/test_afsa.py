@@ -99,7 +99,7 @@ def test_a_script_one_draw_short_raises(divisor, script):
     # ungated: no draw at all
     (FrameConfig(4, 2), []),
 ])
-def test_a_plain_iterator_that_runs_out_mid_round_raises(frame, script):
+def test_a_script_that_runs_out_mid_round_raises(frame, script):
     # a script that runs out raises rather than ending the round early and
     # leaving the last tags without draws
     tags = make_population(3 if frame.participation_divisor == 1 else 2)
@@ -112,7 +112,7 @@ def test_a_plain_iterator_that_runs_out_mid_round_raises(frame, script):
     (FrameConfig(8, 2, 2), [0, 1, 2, 3], 1),
     (FrameConfig(8, 2, 2), [1, 3], 0),
 ])
-def test_a_plain_iterator_just_long_enough_plays_the_round(frame, script, responders):
+def test_a_script_just_long_enough_plays_the_round(frame, script, responders):
     # a script just long enough: the round takes every draw and no more
     stream = ScriptedStream(script)
     trace = run_afsa_round(make_population(2), frame, stream)

@@ -63,14 +63,14 @@ def test_fsa_round_raises_on_a_script_one_draw_short():
 
 
 @pytest.mark.parametrize("script", [[], [2], [2, 5]])
-def test_fsa_round_raises_when_a_plain_iterator_runs_out(script):
+def test_fsa_round_raises_when_a_script_runs_out(script):
     # a script that runs out raises rather than playing a shorter round,
     # leaving the last tags without a slot
     with pytest.raises(IndexError):
         run_fsa_round(make_population(3), 4, ScriptedStream(script))
 
 
-def test_fsa_round_on_a_plain_iterator_just_long_enough():
+def test_fsa_round_on_a_script_just_long_enough():
     stream = ScriptedStream([2, 5, 1])
     trace = run_fsa_round(make_population(3), 4, stream)
     assert trace.responders == 3

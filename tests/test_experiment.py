@@ -1,9 +1,12 @@
 """Experiment harness: validation, determinism, churn, aggregation."""
+import operator
 import sys
 import threading
-from itertools import product
+from itertools import compress, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from afsasim import experiment
 from afsasim.experiment import (
@@ -360,6 +363,81 @@ def test_churn_draws_at_any_departure_rate_match_one_draw_per_present_tag(depart
 def test_churn_draws_past_one_piece_at_half_departures_match_one_draw_per_present_tag():
     _check_churn_against_a_full_scan("fsa", k_initial=PIECE_DRAWS + 500, max_rounds=3,
                                      departure_prob=0.5)
+
+
+# few leavers per gap, so most gaps delete them one at a time: the
+# benchmark's EDFSA churn, and FSA past one piece
+@pytest.mark.parametrize("protocol, k_initial, max_rounds, departure_prob", [
+    ("edfsa", 300, 200, 0.02),
+    ("fsa", PIECE_DRAWS + 500, 3, 0.01),
+])
+def test_churn_with_few_leavers_per_gap_matches_one_draw_per_present_tag(
+        monkeypatch, protocol, k_initial, max_rounds, departure_prob):
+    gaps, rebuilds = [], []
+    depart, rebuild = experiment._depart, experiment.compress
+    monkeypatch.setattr(experiment, "_depart",
+                        lambda *lists: gaps.append(1) or depart(*lists))
+    monkeypatch.setattr(experiment, "compress",
+                        lambda *args: rebuilds.append(1) or rebuild(*args))
+    _check_churn_against_a_full_scan(protocol, k_initial=k_initial, max_rounds=max_rounds,
+                                     departure_prob=departure_prob)
+    assert len(rebuilds) < len(gaps) / 2
+
+
+def _full_scan(present, stays):
+    present = list(compress(present, stays))
+    return present, [tag for tag in present if not tag.identified]
+
+
+@st.composite
+def _gaps(draw):
+    # present tags in EPC order, identified or not, and a departure mark
+    # per tag, from no leaver up to all of them
+    epcs = sorted(draw(st.sets(st.integers(0, 10**6), max_size=400)))
+    present = [Tag(epc, draw(st.booleans())) for epc in epcs]
+    leavers = draw(st.sets(st.sampled_from(range(len(present))), max_size=len(present))
+                   if present else st.just(set()))
+    return present, bytes(i not in leavers for i in range(len(present)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_gaps())
+def test_a_gap_keeps_the_stayers_in_order_and_leaves_the_handed_list(gap):
+    present, stays = gap
+    active = [tag for tag in present if not tag.identified]
+    handed = active.copy()
+    expected = _full_scan(present, stays)
+    kept, answering = experiment._depart(present.copy(), active, stays)
+    assert (kept, answering) == expected
+    assert all(map(operator.is_, kept + answering, expected[0] + expected[1]))
+    assert len(active) == len(handed) and all(map(operator.is_, active, handed))
+
+
+@pytest.mark.parametrize("count", [
+    # the share sets the limit: 2 leavers
+    2 * experiment._LEAVER_SHARE,
+    # the cap sets it
+    experiment._LEAVER_SHARE * experiment._LEAVER_CAP + 500,
+])
+@pytest.mark.parametrize("over", [0, 1])
+def test_a_gap_deletes_up_to_the_limit_and_rebuilds_past_it(count, over):
+    limit = min(count // experiment._LEAVER_SHARE, experiment._LEAVER_CAP)
+    present = make_population(count)
+    for tag in present[::3]:
+        tag.identified = True
+    active = [tag for tag in present if not tag.identified]
+    handed = active.copy()
+    # leavers spread over the list, identified ones and others
+    step = count // (limit + over)
+    leavers = {i * step + i % 2 for i in range(limit + over)}
+    stays = bytes(i not in leavers for i in range(count))
+    expected = _full_scan(present, stays)
+    kept, answering = experiment._depart(present, active, stays)
+    assert (kept, answering) == expected
+    assert len(kept) == count - limit - over
+    assert active == handed
+    # deletions work in place on `present`; a rebuild makes a new list
+    assert (kept is present) == (not over)
 
 
 def test_a_gap_where_only_the_first_present_tag_leaves(monkeypatch):

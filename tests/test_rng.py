@@ -171,7 +171,7 @@ def test_a_key_out_of_range_or_not_an_integer_is_refused(field, seed, stream_id)
         RngStream(seed, stream_id)
 
 
-def test_any_iterator_of_draws_is_a_source():
+def test_a_script_of_known_draws_is_read_in_order():
     # a script of known draws: each kernel takes exactly the draws its
     # contract names, in order, and leaves the rest unread
     draws = ScriptedStream([2, 5, 6, 99, 100])
