@@ -10,12 +10,13 @@ wastes its data slot, and identifies nobody.
 from functools import lru_cache
 from itertools import chain, repeat
 from operator import length_hint
-from typing import Callable, Generator, List, NamedTuple, Optional, Sequence
+from typing import Callable, Generator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .analytic import phase_durations_for
 from .estimator import (
     _MEMO_ENTRIES,
     _estimate,
+    _key,
     estimate_backlog,  # unused here, but bench/child.py wraps it by this name
     next_frame,
 )
@@ -39,25 +40,14 @@ def _round_time(successes: int, slots: int, seq_bits: int) -> float:
 
 
 @lru_cache(maxsize=_MEMO_ENTRIES)
-def _next_frame(
-    idle: int,
-    reserved_true: int,
-    detected: int,
-    undetected: int,
-    slots: int,
-    fixed_seq_bits: Optional[int],
-) -> FrameConfig:
-    """The frame the reader announces after a round with these slot counts.
-
-    Equals `next_frame(estimate_backlog(trace), fixed_seq_bits)` for a trace
-    with these counts, since a round identifies exactly one tag per truly
-    reserved slot.  The key holds every input of the decision.  The idle
-    inversion (`idle` >= 1 and `slots` > 1) reads neither collision count,
-    so there the decision is the same with both passed as 0.  The counts
-    of a played round are valid, so the estimate goes unchecked.
+def _next_frame(key: Tuple[int, int, int, int, int],
+                fixed_seq_bits: Optional[int]) -> FrameConfig:
+    """The frame the reader announces after a round whose `estimator._key`
+    is `key`: `next_frame(estimate_backlog(trace), fixed_seq_bits)`, with
+    the estimate unchecked.  It calls `next_frame` by this module's name,
+    which bench/child.py wraps, so a traced run counts the memo's misses.
     """
-    estimate = _estimate(idle, reserved_true + undetected, detected, reserved_true, slots)
-    return next_frame(estimate, fixed_seq_bits)
+    return next_frame(_estimate(*key), fixed_seq_bits)
 
 
 # A round kernel's `heard[slot]` is None while the slot is idle, its first
@@ -231,10 +221,10 @@ def run_afsa_inventory(
 ) -> InventoryResult:
     """Reservation-protocol inventory under `run_inventory`.
 
-    After each non-final round the reader estimates the backlog from the
-    trace's slot counts and derives the next frame with `next_frame`,
-    whose sequence length `fixed_seq_bits` pins (None: re-derived each
-    round).  A bad `fixed_seq_bits` raises ValueError before any draw.
+    After each non-final round the reader's next frame is
+    `_next_frame(estimator._key(trace), fixed_seq_bits)`; `fixed_seq_bits`
+    pins its sequence length (None: re-derived each round).  A bad
+    `fixed_seq_bits` raises ValueError before any draw.
     """
     if fixed_seq_bits is not None and not (
             is_int(fixed_seq_bits) and 1 <= fixed_seq_bits <= MAX_SEQ_BITS):
@@ -246,15 +236,6 @@ def run_afsa_inventory(
         while True:
             trace = run_afsa_round(active, frame, rng)
             active = yield trace
-            idle, slots = trace.idle_count, trace.slots
-            if idle and slots > 1:
-                # the idle inversion reads no collision count, so keying
-                # on zeros lets rounds that differ only there share a frame
-                detected = undetected = 0
-            else:
-                detected = trace.detected_collision_count
-                undetected = trace.undetected_collision_count
-            frame = _next_frame(idle, trace.reserved_true_count, detected, undetected,
-                                slots, fixed_seq_bits)
+            frame = _next_frame(_key(trace), fixed_seq_bits)
 
     return run_inventory(tags, rounds(), max_rounds, between_rounds)

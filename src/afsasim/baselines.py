@@ -10,7 +10,6 @@ detectably.
 """
 import math
 from bisect import bisect_right
-from functools import lru_cache
 from typing import List, NamedTuple, Optional, Sequence
 
 from .afsa import (
@@ -21,8 +20,8 @@ from .afsa import (
     run_inventory,
 )
 from .estimator import (
-    _MEMO_ENTRIES,
-    _estimate,
+    _backlog,
+    _key,
     estimate_backlog,  # unused here, but bench/child.py wraps it by this name
 )
 from .model import (
@@ -132,18 +131,6 @@ def _plan(k_est: float) -> EdfsaPlan:
     return EdfsaPlan(slots, groups)
 
 
-@lru_cache(maxsize=_MEMO_ENTRIES)
-def _backlog(idle: int, reserved: int, detected: int, slots: int) -> float:
-    """The backlog the reader estimates after an FSA round with these slot counts.
-
-    Equals `estimate_backlog(trace).k_est` for a trace with these counts,
-    since an FSA round has no undetected collision and identifies exactly
-    one tag per reserved slot.  The counts of a played round are valid, so
-    the estimate goes unchecked.
-    """
-    return _estimate(idle, reserved, detected, reserved, slots).k_est
-
-
 def run_edfsa_inventory(
     tags: List[Tag],
     rng: RngStream,
@@ -156,7 +143,8 @@ def run_edfsa_inventory(
     Group membership for a cycle with G groups is epc mod G, recomputed
     each round so population churn is picked up immediately.  The next
     cycle's backlog estimate is the sum of the per-round estimates of the
-    cycle just finished.  `initial_estimate` seeds planning before any
+    cycle just finished, each `estimator._backlog` of the round's
+    `estimator._key`.  `initial_estimate` seeds planning before any
     observation exists, in the same role as the initial frame size of the
     reservation protocol.
     """
@@ -178,7 +166,6 @@ def run_edfsa_inventory(
                     responders = [t for t in active if t.epc % groups == group]
                 trace = run_fsa_round(responders, slots, rng)
                 active = yield trace
-                k_est += _backlog(trace.idle_count, trace.reserved_true_count,
-                                  trace.detected_collision_count, slots)
+                k_est += _backlog(*_key(trace)).k_est
 
     return run_inventory(tags, rounds(), max_rounds, between_rounds)

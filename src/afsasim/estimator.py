@@ -3,11 +3,15 @@
 After each round the reader estimates how many unidentified tags remain
 and picks the next frame size, sequence length, and participation divisor
 from that estimate alone; nothing here peeks at ground truth.
+
+The protocols hand this module the trace: `_key` maps it to the inputs of
+`_estimate`, which both readers' memos key on (EDFSA's is `_backlog`), and
+`_first_frame` is the frame chosen before any round.
 """
 import enum
 import math
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Tuple
 
 from .analytic import _occupancy, _seq_len
 from .analytic import optimal_seq_len  # unused here, but bench/child.py wraps it by this name
@@ -97,6 +101,23 @@ def _estimate(idle: int, reserved_apparent: int, detected_collisions: int,
     return BacklogEstimate(k_est=max(0.0, k_est), method=method)
 
 
+def _key(trace: RoundTrace) -> Tuple[int, int, int, int, int]:
+    """`_estimate`'s arguments for a played round, whose counts are valid
+    and which identifies one tag per truly reserved slot.  Where the idle
+    inversion decides (the test is `_estimate`'s) no collision count is
+    read, so both are 0 and rounds differing only there share a memo entry.
+    """
+    idle, reserved, slots = trace.idle_count, trace.reserved_true_count, trace.slots
+    if idle and slots > 1:
+        return idle, reserved, 0, reserved, slots
+    return (idle, reserved + trace.undetected_collision_count,
+            trace.detected_collision_count, reserved, slots)
+
+
+# The EDFSA reader's estimate after a round, keyed by `_key(trace)`.
+_backlog = lru_cache(maxsize=_MEMO_ENTRIES)(_estimate)
+
+
 def estimate_backlog(trace: RoundTrace) -> BacklogEstimate:
     """Backlog estimate from a completed round trace."""
     return estimate_from_counts(
@@ -163,3 +184,14 @@ def next_frame(estimate: BacklogEstimate,
     else:
         seq_bits = _seq_bits(k_est, slots)
     return _frame(slots, seq_bits, divisor)
+
+
+# one entry per (frame size, sequence length)
+@lru_cache(maxsize=_MEMO_ENTRIES)
+def _first_frame(frame_slots: int, seq_bits: Optional[int]) -> FrameConfig:
+    """The frame a trial's first round announces, built once per pair of
+    validated config fields.  With `seq_bits` None the reader has observed
+    nothing yet and assumes load one: as many tags as slots."""
+    if seq_bits is None:
+        seq_bits = auto_seq_bits(frame_slots, frame_slots)
+    return FrameConfig(frame_slots, seq_bits)

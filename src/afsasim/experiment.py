@@ -6,18 +6,16 @@ bit-identical for any execution order.
 """
 import math
 from bisect import bisect_left
-from functools import lru_cache
 from itertools import compress
 from operator import attrgetter
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .afsa import InventoryResult, run_afsa_inventory
 from .baselines import run_edfsa_inventory, run_fsa_inventory
-from .estimator import _MEMO_ENTRIES, auto_seq_bits
+from .estimator import _first_frame
 from .model import (
     MAX_SEQ_BITS,
     MAX_TAGS,
-    FrameConfig,
     Tag,
     int_problem,
     is_int,
@@ -237,7 +235,8 @@ def run_trial(config: ExperimentConfig, trial_id: int) -> InventoryResult:
     tags and marks each one unidentified again.  Tag i has EPC i in every
     population, so this is the population `make_population` would build.
     Otherwise it builds one.  When the trial returns, it keeps its tags
-    for the next trial, so they stay alive until that trial takes them.
+    for the next trial, so they stay alive until that trial takes them or
+    `iter_trials`' run ends.
 
     With churn, each round gap takes one departure draw per present tag
     in population order, identified tags too, then one arrivals draw.
@@ -292,17 +291,6 @@ def run_trial(config: ExperimentConfig, trial_id: int) -> InventoryResult:
     return result
 
 
-# one entry per (frame size, sequence length)
-@lru_cache(maxsize=_MEMO_ENTRIES)
-def _first_frame(frame_slots: int, seq_bits: Optional[int]) -> FrameConfig:
-    """The frame a trial's first round announces, built once per pair of
-    validated config fields.  With `seq_bits` None the reader has observed
-    nothing yet and assumes load one: as many tags as slots."""
-    if seq_bits is None:
-        seq_bits = auto_seq_bits(frame_slots, frame_slots)
-    return FrameConfig(frame_slots, seq_bits)
-
-
 def _dispatch(config, population, rng, churn) -> InventoryResult:
     if config.protocol == "afsa":
         return run_afsa_inventory(
@@ -344,11 +332,20 @@ def _aggregate(trials: List[InventoryResult]) -> AggregateStats:
 def iter_trials(config: ExperimentConfig) -> Iterator[InventoryResult]:
     """The trials of `config` in trial order, each as soon as it is done.
 
-    The config is checked at the call, before any trial runs.
+    The config is checked at the call, before any trial runs.  Once the
+    trials are exhausted or closed, the last trial's tags are let go.
     """
     _check(config)
-    # `run_trial` by its module-global name: bench/child.py replaces it
-    return (run_trial(config, t) for t in range(config.trials))
+    return _trials(config)
+
+
+def _trials(config: ExperimentConfig) -> Iterator[InventoryResult]:
+    try:
+        for t in range(config.trials):
+            # `run_trial` by its module-global name: bench/child.py replaces it
+            yield run_trial(config, t)
+    finally:
+        _spare.clear()
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:

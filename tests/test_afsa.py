@@ -12,7 +12,7 @@ from afsasim.afsa import run_afsa_inventory, run_afsa_round
 from afsasim.analytic import expected_idle, expected_reserved, phase_durations_for
 from afsasim.baselines import run_edfsa_inventory, run_fsa_inventory
 from afsasim.estimator import estimate_backlog, next_frame
-from afsasim.experiment import ExperimentConfig, run_trial
+from afsasim.experiment import ExperimentConfig, run_experiment, run_trial
 from afsasim.model import (
     FrameConfig,
     RoundTrace,
@@ -669,6 +669,17 @@ def test_memoised_rounds_equal_the_direct_arithmetic(monkeypatch, tags, slots, s
         assert max(f.participation_divisor for f in played) > 1
 
 
+def _trace(counts):
+    """An AFSA round's trace with these (idle, reserved_true, detected,
+    undetected) counts."""
+    idle, reserved_true, detected, undetected = counts
+    return RoundTrace(
+        slots=sum(counts), seq_bits=2, responders=reserved_true + 2 * (detected + undetected),
+        idle_count=idle, reserved_true_count=reserved_true,
+        detected_collision_count=detected, undetected_collision_count=undetected,
+        identified_epcs=tuple(range(reserved_true)), total_us=1.0)
+
+
 def _partitions(max_slots):
     """(idle, reserved_true, detected, undetected) counts that fill a frame."""
     return st.integers(min_value=1, max_value=max_slots).flatmap(
@@ -686,19 +697,21 @@ def _partitions(max_slots):
 def test_next_frame_memo_equals_the_uncached_decision(counts, fixed_seq_bits):
     idle, reserved_true, detected, undetected = counts
     slots = sum(counts)
-    trace = RoundTrace(
-        slots=slots, seq_bits=2, responders=reserved_true + 2 * (detected + undetected),
-        idle_count=idle, reserved_true_count=reserved_true,
-        detected_collision_count=detected, undetected_collision_count=undetected,
-        identified_epcs=tuple(range(reserved_true)), total_us=1.0)
+    trace = _trace(counts)
+    key = estimator._key(trace)
+    # the key holds the checked estimate's inputs, bit for bit
+    checked = estimate_backlog(trace)
+    unchecked = estimator._estimate(*key)
+    assert (unchecked.k_est.hex(), unchecked.method) == (checked.k_est.hex(), checked.method)
+    if idle and slots > 1:
+        # the idle inversion decides and reads neither collision count, so a
+        # round that splits its collisions otherwise shares the key
+        assert estimator._key(_trace((idle, reserved_true, undetected, detected))) == key
+        assert estimator._key(_trace((idle, reserved_true, detected + undetected, 0))) == key
     # the same counts under both policies, each a miss and then a hit
     for fixed in (None, fixed_seq_bits, None, fixed_seq_bits):
         expected = next_frame(estimate_backlog(trace), fixed)
-        assert afsa._next_frame(*counts, slots, fixed) == expected
-        if idle and slots > 1:
-            # the key `run_afsa_inventory` passes when the idle inversion
-            # decides, which reads neither collision count
-            assert afsa._next_frame(idle, reserved_true, 0, 0, slots, fixed) == expected
+        assert afsa._next_frame(key, fixed) == expected
 
 
 @pytest.mark.parametrize("counts, fixed_seq_bits", [
@@ -718,7 +731,7 @@ def test_a_next_frame_miss_checks_the_estimate_once(monkeypatch, counts, fixed_s
         for name in ("check_nonnegative", "is_int"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-    afsa._next_frame.__wrapped__(*counts, sum(counts), fixed_seq_bits)
+    afsa._next_frame.__wrapped__(estimator._key(_trace(counts)), fixed_seq_bits)
     assert calls == {"check_nonnegative": 1}
 
 
@@ -738,7 +751,7 @@ def test_memos_stay_within_their_bound():
     slots = afsa._MEMO_ENTRIES + 100
     for successes in range(slots + 1):
         afsa._round_time(successes, slots, 2)
-        afsa._next_frame(slots - successes, successes, 0, 0, slots, None)
+        afsa._next_frame((slots - successes, successes, 0, successes, slots), None)
     for memo in (afsa._round_time, afsa._next_frame):
         info = memo.cache_info()
         assert info.maxsize == afsa._MEMO_ENTRIES
@@ -746,3 +759,22 @@ def test_memos_stay_within_their_bound():
     assert afsa._round_time.cache_info().misses > afsa._MEMO_ENTRIES
     assert afsa._next_frame.cache_info().misses > afsa._MEMO_ENTRIES
 
+
+def test_the_benchmark_wrap_counts_the_next_frame_memos_misses(monkeypatch):
+    # bench/child.py times the decision by wrapping `afsa.next_frame`, so
+    # the memo must call it by that name on every miss and nowhere else
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return next_frame(*args)
+
+    monkeypatch.setattr(afsa, "next_frame", counted)
+    _clear_memos()
+    run_experiment(ExperimentConfig(trials=5))
+    misses = afsa._next_frame.cache_info().misses
+    assert misses > 0
+    assert len(calls) == misses
+    calls.clear()
+    run_experiment(ExperimentConfig(protocol="edfsa", trials=5))
+    assert calls == []

@@ -344,12 +344,16 @@ def test_backlog_memo_equals_the_checked_estimate(counts):
         reserved_true_count=reserved, detected_collision_count=detected,
         undetected_collision_count=0, identified_epcs=tuple(range(reserved)),
         total_us=TIMING.advert_us + TIMING.data_slot_us * slots)
-    expected = estimate_backlog(trace).k_est
-    baselines._backlog.cache_clear()
+    expected = estimate_backlog(trace)
+    key = estimator._key(trace)
+    # the key holds the checked estimate's inputs, bit for bit
+    unchecked = estimator._estimate(*key)
+    assert (unchecked.k_est.hex(), unchecked.method) == (expected.k_est.hex(), expected.method)
+    estimator._backlog.cache_clear()
     # a miss and then a hit
-    assert baselines._backlog(idle, reserved, detected, slots) == expected
-    assert baselines._backlog(idle, reserved, detected, slots) == expected
-    assert baselines._backlog.cache_info()[:2] == (1, 1)
+    assert estimator._backlog(*key) == expected
+    assert estimator._backlog(*key) == expected
+    assert estimator._backlog.cache_info()[:2] == (1, 1)
 
 
 def _check_cycles(result, initial_estimate):
@@ -370,21 +374,21 @@ def test_memoised_edfsa_cycles_equal_the_checked_arithmetic():
     # the churn-edfsa benchmark shape at five trials
     config = ExperimentConfig(protocol="edfsa", k_initial=300, frame_slots=128, trials=5,
                               arrival_rate=2.0, departure_prob=0.02, seed=5)
-    baselines._backlog.cache_clear()
+    estimator._backlog.cache_clear()
     cold = [run_trial(config, t) for t in range(config.trials)]
     warm = [run_trial(config, t) for t in range(config.trials)]
     assert cold == warm
-    assert baselines._backlog.cache_info().hits > 0
+    assert estimator._backlog.cache_info().hits > 0
     most_groups = max(_check_cycles(result, float(config.frame_slots)) for result in cold)
     assert most_groups > 1
 
 
 def test_backlog_memo_stays_within_its_bound():
-    baselines._backlog.cache_clear()
+    estimator._backlog.cache_clear()
     slots = afsa._MEMO_ENTRIES + 100
     for reserved in range(slots + 1):
-        baselines._backlog(slots - reserved, reserved, 0, slots)
-    info = baselines._backlog.cache_info()
+        estimator._backlog(slots - reserved, reserved, 0, reserved, slots)
+    info = estimator._backlog.cache_info()
     assert info.maxsize == afsa._MEMO_ENTRIES
     assert info.currsize <= afsa._MEMO_ENTRIES
     assert info.misses > afsa._MEMO_ENTRIES
@@ -402,7 +406,7 @@ def test_an_edfsa_round_runs_no_checked_estimator(monkeypatch):
 
     monkeypatch.setattr(baselines, "estimate_backlog", refuse)
     monkeypatch.setattr(estimator, "estimate_from_counts", refuse)
-    baselines._backlog.cache_clear()
+    estimator._backlog.cache_clear()
     after = run()
     assert after.completed
     # the first cycle runs three groups, and more cycles follow

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from afsasim import experiment
+from afsasim import estimator, experiment
 from afsasim.experiment import (
     MAX_FRAME_SLOTS,
     MAX_SEED,
@@ -472,6 +472,22 @@ def test_a_trial_reuses_the_last_trials_tags(monkeypatch):
     assert built in ([], [FAST.k_initial])
 
 
+@pytest.mark.parametrize("take", [None, 2], ids=["exhausted", "closed"])
+def test_a_finished_run_lets_the_last_trials_tags_go(take):
+    # a 1 000 000-tag run would otherwise hold about 88 MB of tags after it
+    trials = iter_trials(FAST)
+    if take is None:
+        assert len(list(trials)) == FAST.trials
+    else:
+        for _ in zip(range(take), trials):
+            pass
+        assert experiment._spare != []
+        trials.close()
+    assert experiment._spare == []
+    run_experiment(FAST)
+    assert experiment._spare == []
+
+
 def test_a_refused_trial_leaves_the_last_trials_tags(monkeypatch):
     # the checks come before a trial takes the last trial's tags
     run_trial(FAST, 0)
@@ -586,14 +602,14 @@ def test_trials_on_several_threads_share_no_tags():
     100, 1000, 4097, 65535,
 ])
 def test_the_memoised_first_frame_assumes_load_one(slots):
-    experiment._first_frame.cache_clear()
+    estimator._first_frame.cache_clear()
     auto = FrameConfig(slots, auto_seq_bits(float(slots), slots))
     # computed, then from the memo
-    assert experiment._first_frame(slots, None) == auto
-    assert experiment._first_frame(slots, None) == auto
+    assert estimator._first_frame(slots, None) == auto
+    assert estimator._first_frame(slots, None) == auto
     # a pinned sequence length is taken as it is
-    assert experiment._first_frame(slots, 5) == FrameConfig(slots, 5)
-    assert experiment._first_frame.cache_info().hits == 1
+    assert estimator._first_frame(slots, 5) == FrameConfig(slots, 5)
+    assert estimator._first_frame.cache_info().hits == 1
 
 
 def test_arrivals_with_departures_still_terminate():
