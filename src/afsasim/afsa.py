@@ -75,6 +75,7 @@ def run_afsa_round(
     seq_bits-bit values.  Draw order is part of the reproducibility
     contract, and the round takes exactly those draws from `rng`, no more,
     through its `take`, at most PIECE_DRAWS at a time; an ungated round
+    whose draws fit in PIECE_DRAWS takes them all with one `take`, and
     reduces each slot and sequence draw from its low bytes where the frame
     allows (`rng.residues`).  The trace's `responders` counts the tags that
     joined: all of `tags` unless the divisor gates the round.
@@ -96,9 +97,14 @@ def run_afsa_round(
     if divisor == 1:
         # every tag joins, so its participation draw is never read
         seq_space = 1 << seq_bits
-        joiners = _in_pieces(tags, 3, rng, lambda piece, raw: zip(
-            piece, residues(raw, 1, 3, slots), residues(raw, 2, 3, seq_space)))
         responders = len(tags)
+        if responders <= PIECE_DRAWS // 3:
+            # one piece: the draws are read in place, with no closure
+            raw = rng.take(3 * responders)
+            joiners = zip(tags, residues(raw, 1, 3, slots), residues(raw, 2, 3, seq_space))
+        else:
+            joiners = _in_pieces(tags, 3, rng, lambda piece, raw: zip(
+                piece, residues(raw, 1, 3, slots), residues(raw, 2, 3, seq_space)))
     else:
         # a tag takes its slot and sequence draws only once it has joined,
         # so the draws come in runs no longer than the fewest still due:
@@ -128,8 +134,10 @@ def run_afsa_round(
     detected = first_seq.count(-1)
     reserved = len(identified)
     undetected = slots - idle - reserved - detected
-    return RoundTrace(slots, seq_bits, responders, idle, reserved, detected, undetected,
-                      tuple(identified), _round_time(reserved + undetected, slots, seq_bits))
+    # see `RoundTrace` for why it is built through `tuple.__new__`
+    return tuple.__new__(RoundTrace, (
+        slots, seq_bits, responders, idle, reserved, detected, undetected,
+        tuple(identified), _round_time(reserved + undetected, slots, seq_bits)))
 
 
 class InventoryResult(NamedTuple):

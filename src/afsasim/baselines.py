@@ -32,7 +32,7 @@ from .model import (
     check_nonnegative,
     int_problem,
 )
-from .rng import RngStream, _in_pieces, residues
+from .rng import PIECE_DRAWS, RngStream, _in_pieces, residues
 
 # Frame sizes EDFSA may announce; backlog beyond the largest is split
 # into EDFSA_MAX_FRAME-sized groups instead.
@@ -52,7 +52,8 @@ def run_fsa_round(tags: Sequence[Tag], slots: int, rng: RngStream) -> RoundTrace
     (`run_inventory` sends the tags still answering).  Each tag
     consumes one draw (its slot), and the round takes no other draw from
     `rng`; it takes them through its `take`, at most PIECE_DRAWS at a
-    time.
+    time, so a round of at most PIECE_DRAWS tags takes them all with one
+    `take`.
     Every slot of the frame costs a full data slot whether idle, reserved,
     or collided; there is no reservation or acknowledgement traffic
     beyond the frame advertisement.  Single-occupant slots identify their
@@ -64,8 +65,13 @@ def run_fsa_round(tags: Sequence[Tag], slots: int, rng: RngStream) -> RoundTrace
         raise ValueError(problem)
     # per slot: None, the lone occupant or COLLIDED
     heard: List[object] = [None] * slots
-    for tag, slot in _in_pieces(tags, 1, rng,
-                                lambda piece, raw: zip(piece, residues(raw, 0, 1, slots))):
+    if len(tags) <= PIECE_DRAWS:
+        # one piece: the draws are read in place, with no closure
+        placed = zip(tags, residues(rng.take(len(tags)), 0, 1, slots))
+    else:
+        placed = _in_pieces(tags, 1, rng,
+                            lambda piece, raw: zip(piece, residues(raw, 0, 1, slots)))
+    for tag, slot in placed:
         heard[slot] = tag if heard[slot] is None else COLLIDED
 
     identified: List[int] = []
@@ -79,8 +85,10 @@ def run_fsa_round(tags: Sequence[Tag], slots: int, rng: RngStream) -> RoundTrace
             occupant.identified = True
             identified.append(occupant.epc)
 
-    return RoundTrace(slots, 0, len(tags), idle, len(identified), detected, 0,
-                      tuple(identified), TIMING.advert_us + TIMING.data_slot_us * slots)
+    # see `RoundTrace` for why it is built through `tuple.__new__`
+    return tuple.__new__(RoundTrace, (
+        slots, 0, len(tags), idle, len(identified), detected, 0,
+        tuple(identified), TIMING.advert_us + TIMING.data_slot_us * slots))
 
 
 def run_fsa_inventory(

@@ -22,7 +22,7 @@ from .model import (
     is_real,
     make_population,
 )
-from .rng import MAX_KEY, RngStream, _in_pieces, at_least, unit_cut, unit_float
+from .rng import MAX_KEY, PIECE_DRAWS, RngStream, _in_pieces, at_least, unit_cut, unit_float
 
 PROTOCOLS = ("afsa", "fsa", "edfsa")
 
@@ -272,8 +272,13 @@ def run_trial(config: ExperimentConfig, trial_id: int) -> InventoryResult:
             # nothing at all
             nonlocal present
             if present is not None:
-                stays = b"".join(_in_pieces(present, 1, rng,
-                                            lambda piece, raw: (at_least(raw, departs),)))
+                # at most PIECE_DRAWS draws are taken with one `take` and
+                # read in place; more are taken in pieces
+                if len(present) <= PIECE_DRAWS:
+                    stays = at_least(rng.take(len(present)), departs)
+                else:
+                    stays = b"".join(_in_pieces(present, 1, rng,
+                                                lambda piece, raw: (at_least(raw, departs),)))
                 present, active = _depart(present, active, stays)
             if config.arrival_rate > 0:
                 # EPCs go on from the last tag's, so an EPC is its index

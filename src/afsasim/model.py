@@ -155,6 +155,11 @@ class RoundTrace(NamedTuple):
     `reserved_apparent_count`.  `total_us` is the round's air time; its
     per-phase split follows from the counts through
     `analytic.phase_durations_for`.
+
+    It has no validating `__new__`, unlike `FrameConfig`, so the round
+    kernels build it with `tuple.__new__(RoundTrace, fields)`, as the
+    namedtuple's own `_make` does, which skips the Python frame of the
+    generated `__new__`.
     """
 
     slots: int

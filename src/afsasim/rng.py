@@ -3,16 +3,20 @@
 Every stochastic component draws from an `RngStream` keyed by
 (seed, stream_id).  Trial t of an experiment uses stream_id = t, so trials
 are independent, reorderable, and bit-identical across runs and across
-execution orders.  The protocol code reads its draws through the stream's
-`take`, which packs the next draws as 8 little-endian bytes each;
-`residues` reduces packed draws and reads only the low bytes where they
-suffice, and `at_least` compares them with a bound on their top byte, so
-a round or a churn gap builds no int it need not build.
+execution orders.  A stream's generator is `_random.Random`, the C
+Mersenne Twister that `random.Random` subclasses, seeded with the same
+int, so its state is the same; it skips the Python frames of
+`random.Random.__init__` and `seed`.  The protocol code reads its draws
+through the stream's `take`, which packs the next draws as 8
+little-endian bytes each; `residues` reduces packed draws and reads only
+the low bytes where they suffice, and `at_least` compares them with a
+bound on their top byte, so a round or a churn gap builds no int it need
+not build.
 """
 from __future__ import annotations
 
+import _random
 import math
-import random
 import sys
 from array import array
 from itertools import chain
@@ -58,7 +62,8 @@ class RngStream:
 
     The same (seed, stream_id) pair yields the same draw sequence on any
     platform; distinct pairs are treated as independent.  Draw i is the
-    i-th `getrandbits(64)` of `random.Random((seed << 64) | stream_id)`.
+    i-th `getrandbits(64)` of `random.Random((seed << 64) | stream_id)`,
+    read from the C type behind `random.Random`, seeded with the same int.
     The protocol code reads its draws through `take`; the stream is also
     its own iterator, and `next(stream)` and `take` read one shared
     sequence straight from the generator.
@@ -69,7 +74,7 @@ class RngStream:
     def __init__(self, seed: int, stream_id: int = 0):
         _check_key("seed", seed)
         _check_key("stream_id", stream_id)
-        self._bits = random.Random((seed << 64) | stream_id).getrandbits
+        self._bits = _random.Random((seed << 64) | stream_id).getrandbits
 
     def __iter__(self) -> RngStream:
         return self
@@ -89,15 +94,13 @@ class RngStream:
 
 def _in_pieces(items: Sequence, per_item: int, rng: RngStream,
                read: Callable[[Sequence, bytes], Iterable]) -> Iterable:
-    """`read(items, rng.take(per_item * len(items)))`, in order, for at most
-    PIECE_DRAWS draws at a time: more items are read a piece at a time,
-    and a piece takes its draws only once the one before has been read."""
-    count = per_item * len(items)
-    if count <= PIECE_DRAWS:
-        return read(items, rng.take(count))
+    """`read(piece, rng.take(per_item * len(piece)))` chained over the
+    pieces of `items`, in order, each of at most PIECE_DRAWS draws: a piece
+    takes its draws only once the one before has been read.  Items whose
+    draws fit in one piece are cheaper read in place, with one `take`."""
     size = PIECE_DRAWS // per_item
-    return chain.from_iterable(_in_pieces(items[start:start + size], per_item, rng, read)
-                               for start in range(0, len(items), size))
+    pieces = (items[start:start + size] for start in range(0, len(items), size))
+    return chain.from_iterable(read(piece, rng.take(per_item * len(piece))) for piece in pieces)
 
 
 def _little(words: array) -> array:

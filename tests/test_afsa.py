@@ -19,7 +19,7 @@ from afsasim.model import (
     Tag,
     make_population,
 )
-from afsasim.rng import RngStream, unit_float
+from afsasim.rng import PIECE_DRAWS, RngStream, unit_float
 
 from oracles import (
     DETECTED_COLLISION,
@@ -298,12 +298,19 @@ FRAME_SLOTS = st.integers(min_value=1, max_value=2048) | st.sampled_from(
 # rounds whose draws come in several pieces, with and without gating
 @example(states=[False] * 4000, slots=1024, bits=2, divisor=4, seed=13)
 @example(states=[False] * 2500, slots=2048, bits=3, divisor=1, seed=14)
+# an ungated round of exactly one piece of draws, and of one tag more;
+# the identified tags do not answer, so they take no draw
+@example(states=[False] * (PIECE_DRAWS // 3) + [True] * 5, slots=1024, bits=4,
+         divisor=1, seed=15)
+@example(states=[False] * (PIECE_DRAWS // 3 + 1), slots=1024, bits=4, divisor=1, seed=16)
 def test_afsa_round_matches_reference(states, slots, bits, divisor, seed):
     tags, ref_tags = _population(states), _population(states)
     rng, ref_rng = RngStream(seed, 0), RngStream(seed, 0)
     # the kernel is handed the answering tags; the reference picks its own
     trace = run_afsa_round(_answering(tags), FrameConfig(slots, bits, divisor), rng)
     ref = reference_round(ref_tags, slots, ref_rng, seq_bits=bits, divisor=divisor)
+    # tuple equality cannot tell a `RoundTrace` from any other tuple
+    assert type(trace) is RoundTrace
     assert (trace.idle_count, trace.reserved_true_count,
             trace.detected_collision_count, trace.undetected_collision_count) == (
         ref.idle, ref.reserved_true, ref.detected, ref.undetected)

@@ -111,7 +111,9 @@ def test_fsa_collisions_always_detected(tags, slots, seed):
 @example(states=[False, True] * 800, slots=1000, seed=5)
 @example(states=[False] * 1500, slots=1024, seed=6)
 @example(states=[False] * 3000, slots=65536, seed=7)
-# past PIECE_DRAWS: the round takes its draws in pieces
+# exactly PIECE_DRAWS: one `take`; past it: the round takes its draws in
+# pieces
+@example(states=[False] * PIECE_DRAWS, slots=1024, seed=10)
 @example(states=[False] * (PIECE_DRAWS + 1), slots=1024, seed=8)
 @example(states=[False, False, True] * 2000, slots=1000, seed=9)
 def test_fsa_round_matches_reference(states, slots, seed):
@@ -123,6 +125,8 @@ def test_fsa_round_matches_reference(states, slots, seed):
     # the kernel is handed the answering tags; the reference picks its own
     trace = run_fsa_round([t for t in tags if not t.identified], slots, rng)
     ref = reference_round(ref_tags, slots, ref_rng)
+    # tuple equality cannot tell a `RoundTrace` from any other tuple
+    assert type(trace) is RoundTrace
     assert (trace.idle_count, trace.reserved_true_count,
             trace.detected_collision_count, trace.undetected_collision_count) == (
         ref.idle, ref.reserved_true, ref.detected, ref.undetected)

@@ -349,8 +349,11 @@ def test_baseline_churn_draws_match_one_draw_per_present_tag(protocol):
 
 
 def test_churn_draws_past_one_piece_match_one_draw_per_present_tag():
-    # more present tags than PIECE_DRAWS: a gap takes its draws in pieces
-    _check_churn_against_a_full_scan("fsa", k_initial=PIECE_DRAWS + 500, max_rounds=3)
+    # more present tags than PIECE_DRAWS: a gap takes its draws in pieces;
+    # at the boundary, the first gap takes exactly one piece with one
+    # `take`, or one draw more in two pieces
+    for k_initial in (PIECE_DRAWS, PIECE_DRAWS + 1, PIECE_DRAWS + 500):
+        _check_churn_against_a_full_scan("fsa", k_initial=k_initial, max_rounds=3)
 
 
 # 2**-60: a cut of 2048, so nobody leaves and a draw ties the cut's top
