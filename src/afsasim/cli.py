@@ -25,9 +25,9 @@ from .experiment import (
 )
 from .model import MAX_SEQ_BITS
 from .report import (
-    Row,
+    Values,
+    _trial_values,
     result_rows,  # unused here, but bench/child.py wraps it by this name
-    trial_rows,
     write_report,
     write_rows,  # unused here, but bench/child.py wraps it by this name
 )
@@ -234,9 +234,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     invalid = incomplete = False
 
-    def batches() -> Iterator[List[Row]]:
-        # each trial's rows as soon as it ends; of the trial itself only
-        # whether it completed is kept
+    def batches() -> Iterator[List[Values]]:
+        # each trial's rows, as value tuples, as soon as it ends; of the
+        # trial itself only whether it completed is kept
         nonlocal invalid, incomplete
         for cell in configs:
             try:
@@ -249,7 +249,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             try:
                 for trial_id, trial in enumerate(trials):
                     incomplete |= not trial.completed
-                    yield trial_rows(cell, trial_id, trial, per_round=ns.per_round)
+                    yield _trial_values(cell, trial_id, trial, per_round=ns.per_round)
             except Exception as err:  # noqa: BLE001 - CLI boundary
                 raise _RuntimeFailure(err) from err
 

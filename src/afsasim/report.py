@@ -9,19 +9,21 @@ with.  Baseline rounds without a reservation phase report n = 0.
 
 A report can be written as its trials end: `trial_rows` turns one trial
 into its rows, and `write_report` writes them batch by batch, so no trial
-needs to outlive its rows.
+needs to outlive its rows.  The writers also take a row as the tuple of
+its values in COLUMNS order, as `_trial_values` makes them; the CLI
+writes those, and builds no dict.
 """
 from __future__ import annotations
 
 import contextlib
 import csv
 import io
-import math
 import sys
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Union
+from math import isfinite
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .afsa import InventoryResult
-from .experiment import ExperimentConfig, ExperimentResult
+from .experiment import PROTOCOLS, ExperimentConfig, ExperimentResult
 
 COLUMNS = (
     "trial",
@@ -40,33 +42,28 @@ COLUMNS = (
 
 Row = Dict[str, Union[int, float, str]]
 
+# A report row's values in COLUMNS order, and the exact type of each.
+Values = Tuple[int, int, str, int, int, int, int, int, int, int, int, float]
+_KINDS = (int, int, str) + (int,) * 8 + (float,)
 
-def trial_rows(
+
+def _trial_values(
     config: ExperimentConfig,
     trial_id: int,
     trial: InventoryResult,
     per_round: bool = False,
-) -> List[Row]:
-    """The report rows of trial `trial_id` of an experiment run from `config`."""
+) -> List[Values]:
+    """The values of each report row of trial `trial_id` of an experiment
+    run from `config`, in COLUMNS order."""
     protocol = config.protocol
     if per_round:
         return [
-            {
-                "trial": trial_id,
-                "round": round_index,
-                "protocol": protocol,
-                "N": t.slots,
-                "n": t.seq_bits,
-                "k_active": k_active,
-                "idle": t.idle_count,
-                "reserved_true": t.reserved_true_count,
-                "detected_collisions": t.detected_collision_count,
-                "undetected_collisions": t.undetected_collision_count,
-                "identified": len(t.identified_epcs),
-                "round_time_us": t.total_us,
-            }
-            for round_index, (t, k_active) in enumerate(
-                zip(trial.traces, trial.k_active), start=1)
+            (trial_id, round_index, protocol, slots, seq_bits, k_active, idle,
+             reserved, detected, undetected, len(epcs), total_us)
+            for round_index, (
+                (slots, seq_bits, _, idle, reserved, detected, undetected, epcs, total_us),
+                k_active,
+            ) in enumerate(zip(trial.traces, trial.k_active), start=1)
         ]
     idle = reserved = detected = undetected = identified = 0
     for _, _, _, t_idle, t_reserved, t_detected, t_undetected, epcs, _ in trial.traces:
@@ -75,22 +72,22 @@ def trial_rows(
         detected += t_detected
         undetected += t_undetected
         identified += len(epcs)
-    return [{
-        "trial": trial_id,
-        "round": trial.rounds_used,
-        "protocol": protocol,
-        "N": config.frame_slots,
-        "n": trial.traces[0].seq_bits,
-        "k_active": trial.ever_present,
-        "idle": idle,
-        "reserved_true": reserved,
-        "detected_collisions": detected,
-        "undetected_collisions": undetected,
-        "identified": identified,
-        # not a running total in the loop above: from Python 3.12 `sum`
-        # compensates, so the two could differ in the last bits
-        "round_time_us": trial.total_time_us,
-    }]
+    # `round_time_us` is not a running total in the loop above: from
+    # Python 3.12 `sum` compensates, so the two could differ in the last bits
+    return [(trial_id, trial.rounds_used, protocol, config.frame_slots,
+             trial.traces[0].seq_bits, trial.ever_present, idle, reserved, detected,
+             undetected, identified, trial.total_time_us)]
+
+
+def trial_rows(
+    config: ExperimentConfig,
+    trial_id: int,
+    trial: InventoryResult,
+    per_round: bool = False,
+) -> List[Row]:
+    """The report rows of trial `trial_id` of an experiment run from `config`."""
+    return [dict(zip(COLUMNS, values))
+            for values in _trial_values(config, trial_id, trial, per_round)]
 
 
 def result_rows(result: ExperimentResult, per_round: bool = False) -> List[Row]:
@@ -109,11 +106,7 @@ def _drain(buf: io.StringIO) -> str:
     return text
 
 
-# What precedes a value in an indented JSON row object, column by column.
-_JSON_KEYS = tuple(f'    "{column}": ' for column in COLUMNS)
-
-
-def _json_writer() -> Callable[[Row], str]:
+def _json_writer() -> Callable[[Union[Row, Values]], str]:
     """The function that writes one row of a JSON report.
 
     `json` is imported here, not at the top: a CSV report, the default,
@@ -123,34 +116,43 @@ def _json_writer() -> Callable[[Row], str]:
     from json.encoder import encode_basestring_ascii
 
     encoder = json.JSONEncoder(indent=2)
+    # one `%` template of a row object per protocol: it takes a row's 12
+    # values and holds the protocol's JSON text in place of the third,
+    # which `%.0s` swallows
+    fields = [f'    "{column}": %s' for column in COLUMNS]
+    templates = {}
+    for protocol in PROTOCOLS:
+        fields[2] = f'    "protocol": {encode_basestring_ascii(protocol)}%.0s'
+        templates[protocol] = "  {\n" + ",\n".join(fields) + "\n  }"
 
-    def item(row: Row) -> str:
+    def item(row: Union[Row, Values]) -> str:
         """`row` as `json.dumps(rows, indent=2)` writes it inside the array.
 
-        A report row, a dict with exactly the COLUMNS in order, as the
-        CSV writer tests it, holding strings, ints and finite floats, is
-        written here; anything else goes through the stdlib encoder, which
-        with an indent runs in pure Python and is rebuilt on every call.
+        A value tuple, and a dict with exactly the COLUMNS in order whose
+        values have exactly the kinds of `_KINDS` and whose protocol is one
+        of PROTOCOLS, are written through the template of their protocol,
+        unless the time is not finite.  Every other row goes through the
+        stdlib encoder, which with an indent runs in pure Python and is
+        rebuilt on every call.
         """
-        if type(row) is dict and tuple(row) == COLUMNS:
-            fields = []
-            for prefix, value in zip(_JSON_KEYS, row.values()):
-                kind = type(value)
-                if kind is str:
-                    text = encode_basestring_ascii(value)
-                elif kind is int or (kind is float and math.isfinite(value)):
-                    text = repr(value)
-                else:
-                    break
-                fields.append(prefix + text)
-            else:
-                return "  {\n" + ",\n".join(fields) + "\n  }"
-        return encoder.encode([row])[2:-2]
+        if type(row) is tuple:
+            values = row
+        elif type(row) is dict and tuple(row) == COLUMNS:
+            values = tuple(row.values())
+            if tuple(map(type, values)) != _KINDS or values[2] not in templates:
+                return encoder.encode([row])[2:-2]
+        else:
+            return encoder.encode([row])[2:-2]
+        if isfinite(values[-1]):
+            return templates[values[2]] % values
+        return encoder.encode([dict(zip(COLUMNS, values))])[2:-2]
 
     return item
 
 
-def _report_text(batches: Iterable[Sequence[Row]], fmt: str = "csv") -> Iterator[str]:
+def _report_text(
+    batches: Iterable[Sequence[Union[Row, Values]]], fmt: str = "csv",
+) -> Iterator[str]:
     """The report of all rows in `batches`, as one piece of text per batch
     that holds rows and one closing piece.
 
@@ -158,7 +160,8 @@ def _report_text(batches: Iterable[Sequence[Row]], fmt: str = "csv") -> Iterator
     and its rows, or one JSON array.  A JSON batch is the encoding of its
     own array without the bracket and line break at either end, and the
     pieces join batches with a comma and a line break, as the whole
-    array's encoding joins its items.
+    array's encoding joins its items.  A value tuple is written as the
+    dict of COLUMNS and its values would be.
     """
     if fmt == "csv":
         # one writer for the whole report, its buffer emptied once per
@@ -170,9 +173,12 @@ def _report_text(batches: Iterable[Sequence[Row]], fmt: str = "csv") -> Iterator
         for rows in batches:
             if rows:
                 for row in rows:
-                    # every report row has exactly the columns, in order;
-                    # any other row is written as DictWriter writes it
-                    if tuple(row) == COLUMNS:
+                    # a value tuple, and a dict with exactly the columns,
+                    # in order, take the plain writer; any other row is
+                    # written as DictWriter writes it
+                    if type(row) is tuple:
+                        writer.writerow(row)
+                    elif tuple(row) == COLUMNS:
                         writer.writerow(row.values())
                     else:
                         by_name.writerow(row)
@@ -205,7 +211,7 @@ def render_json(rows: Sequence[Row]) -> str:
 
 
 def write_report(
-    batches: Iterable[Sequence[Row]],
+    batches: Iterable[Sequence[Union[Row, Values]]],
     fmt: str = "csv",
     destination: Optional[str] = None,
 ) -> None:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from afsasim import experiment
+from afsasim import cli, experiment, report
 from afsasim.cli import MAX_SWEEP_VALUES, main, parse_cli, CliError
 from afsasim.experiment import (
     MAX_FRAME_SLOTS,
@@ -182,6 +182,13 @@ JSON_CASES = {
                   for row in result_rows(_fast_result(), per_round=True)[:2]],
     "subset": [{column: row[column] for column in COLUMNS[::2]}
                for row in result_rows(_fast_result(), per_round=True)[:2]],
+    # the report's columns in order, but one value of another kind, or a
+    # protocol the program does not run: each row must still come out as
+    # the stdlib encoder writes it
+    "bool": [{**result_rows(_fast_result())[0], "trial": True}],
+    "float-for-int": [{**result_rows(_fast_result())[0], "N": 3.0}],
+    "infinite-time": [{**result_rows(_fast_result())[0], "round_time_us": float("inf")}],
+    "other-protocol": [{**result_rows(_fast_result())[0], "protocol": 'x "%s" \u00e9'}],
 }
 
 
@@ -490,7 +497,12 @@ FAST_CONFIG = ExperimentConfig(k_initial=20, frame_slots=16, trials=4, max_round
      [FAST_CONFIG._replace(k_initial=k) for k in (0, 10)], 0),
     # no cell is valid: the report holds no row at all
     (["--trials", "0", "--sweep", "seq-bits=0:1:1"], [], 1),
-], ids=["single", "invalid-first-cell", "empty-first-cell", "no-rows"])
+    # baseline rounds report n = 0
+    (["--protocol", "fsa"], [FAST_CONFIG._replace(protocol="fsa")], 0),
+    # arrivals and departures move k_active from round to round
+    (["--protocol", "edfsa", "--arrival-rate", "2", "--departure-prob", "0.1"],
+     [FAST_CONFIG._replace(protocol="edfsa", arrival_rate=2.0, departure_prob=0.1)], 0),
+], ids=["single", "invalid-first-cell", "empty-first-cell", "no-rows", "fsa", "churned-edfsa"])
 def test_streamed_report_equals_the_whole_list_rendered(capsys, tmp_path, fmt, per_round,
                                                         extra, configs, code):
     argv = FAST_ARGS + ["--format", fmt] + extra + (["--per-round"] if per_round else [])
@@ -504,6 +516,24 @@ def test_streamed_report_equals_the_whole_list_rendered(capsys, tmp_path, fmt, p
     out = tmp_path / "report"
     assert main(argv + ["--out", str(out)]) == code
     assert out.read_text(encoding="utf-8") == expected
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("per_round", [False, True], ids=["aggregate", "per-round"])
+def test_the_cli_writes_its_rows_without_trial_rows(capsys, monkeypatch, fmt, per_round):
+    # the CLI writes each trial's value tuples; no row dict is built
+    argv = FAST_ARGS + ["--format", fmt] + (["--per-round"] if per_round else [])
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+
+    def trial_rows(*args, **kwargs):
+        raise AssertionError("the CLI built a row dict")
+
+    monkeypatch.setattr(report, "trial_rows", trial_rows)
+    # and under that name in `cli`, should it ever import it again
+    monkeypatch.setattr(cli, "trial_rows", trial_rows, raising=False)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_memory_stays_flat_in_the_trial_count(tmp_path):
