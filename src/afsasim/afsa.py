@@ -77,8 +77,10 @@ def run_afsa_round(
     through its `take`, at most PIECE_DRAWS at a time; an ungated round
     whose draws fit in PIECE_DRAWS takes them all with one `take`, and
     reduces each slot and sequence draw from its low bytes where the frame
-    allows (`rng.residues`).  The trace's `responders` counts the tags that
-    joined: all of `tags` unless the divisor gates the round.
+    allows (`rng.residues`); a larger one still takes every piece but stops
+    reading them once every slot holds a detected collision.  The trace's
+    `responders` counts the tags that joined: all of `tags` unless the
+    divisor gates the round.
 
     A slot is idle with no occupants, a detected collision when its
     occupants sent differing sequences, and apparently reserved
@@ -103,8 +105,16 @@ def run_afsa_round(
             raw = rng.take(3 * responders)
             joiners = zip(tags, residues(raw, 1, 3, slots), residues(raw, 2, 3, seq_space))
         else:
-            joiners = _in_pieces(tags, 3, rng, lambda piece, raw: zip(
-                piece, residues(raw, 1, 3, slots), residues(raw, 2, 3, seq_space)))
+            # once every slot holds a detected collision no later tag can
+            # change a count, so a piece still takes its draws, which keeps
+            # the stream where it would be, but reads none of them;
+            # `first_seq` is bound as a default so that it stays a fast
+            # local of the loop below, not a closure cell
+            def read(piece, raw, first_seq=first_seq, saturated=[-1] * slots):
+                if first_seq == saturated:
+                    return ()
+                return zip(piece, residues(raw, 1, 3, slots), residues(raw, 2, 3, seq_space))
+            joiners = _in_pieces(tags, 3, rng, read)
     else:
         # a tag takes its slot and sequence draws only once it has joined,
         # so the draws come in runs no longer than the fewest still due:
@@ -210,7 +220,9 @@ def run_inventory(
         k_active.append(len(active))
         trace = rounds.send(active)
         traces.append(trace)
-        active = [t for t in active if not t.identified]
+        # a round that identified nobody marked no tag
+        if trace.reserved_true_count:
+            active = [t for t in active if not t.identified]
         if not active:
             return InventoryResult(traces, k_active, True, len(tags))
         if len(traces) >= max_rounds:

@@ -19,7 +19,7 @@ from afsasim.model import (
     Tag,
     make_population,
 )
-from afsasim.rng import PIECE_DRAWS, RngStream, unit_float
+from afsasim.rng import PIECE_DRAWS, RngStream, residues, unit_float
 
 from oracles import (
     DETECTED_COLLISION,
@@ -370,12 +370,44 @@ def _pin_to_reference(tags, frame, make_rng):
     (3000, FrameConfig(1024, 8), 1),
     (5000, FrameConfig(1024, 8, 5), 1),
     (2000, FrameConfig(65536, 8), 0),
-], ids=["k3000-N1024-n1", "k3000-N1024-n8", "k5000-N1024-n8-d5", "k2000-N65536-n8"])
-def test_large_rounds_match_the_reference(k, frame, least_undetected):
+    # saturated frames: every slot holds a detected collision long before
+    # the last piece of tags, so the kernel leaves the later pieces unread
+    (5000, FrameConfig(128, 2), None),
+    (4000, FrameConfig(8, 16), None),
+    (3500, FrameConfig(1, 1), None),
+], ids=["k3000-N1024-n1", "k3000-N1024-n8", "k5000-N1024-n8-d5", "k2000-N65536-n8",
+        "k5000-N128-n2-saturated", "k4000-N8-n16-saturated", "k3500-N1-n1-saturated"])
+def test_large_rounds_match_the_reference(monkeypatch, k, frame, least_undetected):
+    reads = []
+
+    def counted_residues(raw, first, step, modulus):
+        reads.append(len(raw) // 8)
+        return residues(raw, first, step, modulus)
+
+    monkeypatch.setattr(afsa, "residues", counted_residues)
+    # the reference reads its draws with `next`, so only the kernel takes
+    takes = []
+    take = RngStream.take
+    monkeypatch.setattr(RngStream, "take", lambda rng, count: takes.append(count) or take(rng, count))
     tags = _population([False] * k)
     trace = _pin_to_reference(tags, frame, lambda: RngStream(23, k))
-    assert trace.undetected_collision_count >= least_undetected
-    assert trace.reserved_true_count > 0 and trace.idle_count > 0
+    # the draws come in pieces of at most PIECE_DRAWS, all of them taken
+    assert max(takes) <= PIECE_DRAWS
+    if frame.participation_divisor == 1:
+        size = PIECE_DRAWS // 3
+        assert takes == [3 * min(size, k - start) for start in range(0, k, size)]
+        # a piece that is read calls `residues` twice, for its slots and
+        # its sequences, and the pieces are read in order
+        pieces_read = len(reads) // 2
+        assert reads == [count for count in takes[:pieces_read] for _ in range(2)]
+        # only a saturated frame leaves pieces unread
+        assert (pieces_read < len(takes)) == (least_undetected is None)
+    if least_undetected is None:
+        assert trace.detected_collision_count == frame.slots
+        assert trace.identified_epcs == () and not any(t.identified for t in tags)
+    else:
+        assert trace.undetected_collision_count >= least_undetected
+        assert trace.reserved_true_count > 0 and trace.idle_count > 0
 
 
 @pytest.mark.parametrize("slots_and_sequences, counts", [
@@ -575,6 +607,27 @@ def test_every_round_of_a_churned_inventory_is_consistent(
 # AFSA engages the participation divisor at this size
 @example(k=5000, churned=True, seed=1)
 def test_inventory_matches_the_scanning_reference(protocol, k, churned, seed):
+    _match_the_scanning_reference(INVENTORIES[protocol], k, churned, seed, max_rounds=60)
+
+
+# The first frames of the AFSA inventory saturate (5 000 tags in 128 slots)
+# and every FSA round does (400 tags in 16 slots), so rounds identify
+# nobody and `run_inventory` keeps the answering list without a rescan.
+@pytest.mark.parametrize("inventory, k, seed, max_rounds", [
+    (lambda tags, rng, **kw: run_afsa_inventory(tags, FrameConfig(128, 2), None, rng, **kw),
+     5000, 1, 1000),
+    (lambda tags, rng, **kw: run_afsa_inventory(tags, FrameConfig(128, 2), None, rng, **kw),
+     5000, 2, 1000),
+    (lambda tags, rng, **kw: run_fsa_inventory(tags, 16, rng, **kw), 400, 1, 5),
+], ids=["afsa-k5000-N128-seed1", "afsa-k5000-N128-seed2", "fsa-k400-N16"])
+@pytest.mark.parametrize("churned", [False, True], ids=["static", "churned"])
+def test_inventories_whose_rounds_identify_nobody_match_the_scanning_reference(
+        inventory, k, seed, max_rounds, churned):
+    result = _match_the_scanning_reference(inventory, k, churned, seed, max_rounds)
+    assert any(not trace.reserved_true_count for trace in result.traces[:-1])
+
+
+def _match_the_scanning_reference(inventory, k, churned, seed, max_rounds):
     def run(reference):
         tags = make_population(k)
         rng = RngStream(seed, 0)
@@ -596,8 +649,8 @@ def test_inventory_matches_the_scanning_reference(protocol, k, churned, seed):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(afsa, "run_inventory", loop)
             patch.setattr(baselines, "run_inventory", loop)
-            result = INVENTORIES[protocol](
-                tags, rng, max_rounds=60,
+            result = inventory(
+                tags, rng, max_rounds=max_rounds,
                 between_rounds=churn if churned else None)
         return result, [(t.epc in departed, t.identified) for t in tags], next(rng)
 
@@ -609,6 +662,7 @@ def test_inventory_matches_the_scanning_reference(protocol, k, churned, seed):
     assert tags == ref_tags
     # both took the same number of draws
     assert next_draw == ref_next_draw
+    return result
 
 
 def test_between_rounds_arrivals_extend_the_inventory():
