@@ -7,11 +7,12 @@ ever present, and the count columns whole-trial totals.  Per-round rows
 carry one round per row with the parameters that round actually ran
 with.  Baseline rounds without a reservation phase report n = 0.
 
-A report can be written as its trials end: `trial_rows` turns one trial
-into its rows, and `write_report` writes them batch by batch, so no trial
-needs to outlive its rows.  The writers also take a row as the tuple of
-its values in COLUMNS order, as `_trial_values` makes them; the CLI
-writes those, and builds no dict.
+Each entry point takes one row shape.  `trial_rows` and `result_rows`
+make row dicts of COLUMNS, which `render_csv` and `render_json` write as
+`csv.DictWriter` and `json.dumps(rows, indent=2)` do.  The CLI streams its
+report through `write_report`, which takes the tuples of each row's values
+in COLUMNS order that `_trial_values` makes, so no trial outlives its rows
+and no row dict is built.
 """
 from __future__ import annotations
 
@@ -42,9 +43,8 @@ COLUMNS = (
 
 Row = Dict[str, Union[int, float, str]]
 
-# A report row's values in COLUMNS order, and the exact type of each.
+# A report row's values in COLUMNS order.
 Values = Tuple[int, int, str, int, int, int, int, int, int, int, int, float]
-_KINDS = (int, int, str) + (int,) * 8 + (float,)
 
 
 def _trial_values(
@@ -106,7 +106,7 @@ def _drain(buf: io.StringIO) -> str:
     return text
 
 
-def _json_writer() -> Callable[[Union[Row, Values]], str]:
+def _json_writer() -> Callable[[Values], str]:
     """The function that writes one row of a JSON report.
 
     `json` is imported here, not at the top: a CSV report, the default,
@@ -125,24 +125,10 @@ def _json_writer() -> Callable[[Union[Row, Values]], str]:
         fields[2] = f'    "protocol": {encode_basestring_ascii(protocol)}%.0s'
         templates[protocol] = "  {\n" + ",\n".join(fields) + "\n  }"
 
-    def item(row: Union[Row, Values]) -> str:
-        """`row` as `json.dumps(rows, indent=2)` writes it inside the array.
-
-        A value tuple, and a dict with exactly the COLUMNS in order whose
-        values have exactly the kinds of `_KINDS` and whose protocol is one
-        of PROTOCOLS, are written through the template of their protocol,
-        unless the time is not finite.  Every other row goes through the
-        stdlib encoder, which with an indent runs in pure Python and is
-        rebuilt on every call.
-        """
-        if type(row) is tuple:
-            values = row
-        elif type(row) is dict and tuple(row) == COLUMNS:
-            values = tuple(row.values())
-            if tuple(map(type, values)) != _KINDS or values[2] not in templates:
-                return encoder.encode([row])[2:-2]
-        else:
-            return encoder.encode([row])[2:-2]
+    def item(values: Values) -> str:
+        """The row dict of `values` as `json.dumps(rows, indent=2)` writes
+        it inside the array: through its protocol's template, or through
+        the stdlib encoder when the time is not finite."""
         if isfinite(values[-1]):
             return templates[values[2]] % values
         return encoder.encode([dict(zip(COLUMNS, values))])[2:-2]
@@ -150,38 +136,25 @@ def _json_writer() -> Callable[[Union[Row, Values]], str]:
     return item
 
 
-def _report_text(
-    batches: Iterable[Sequence[Union[Row, Values]]], fmt: str = "csv",
-) -> Iterator[str]:
-    """The report of all rows in `batches`, as one piece of text per batch
-    that holds rows and one closing piece.
+def _report_text(batches: Iterable[Sequence[Values]], fmt: str = "csv") -> Iterator[str]:
+    """The report of all value tuples in `batches`, as one piece of text per
+    batch that holds rows and one closing piece.
 
-    The pieces join to the text of the whole list of rows: a CSV header
-    and its rows, or one JSON array.  A JSON batch is the encoding of its
-    own array without the bracket and line break at either end, and the
-    pieces join batches with a comma and a line break, as the whole
-    array's encoding joins its items.  A value tuple is written as the
-    dict of COLUMNS and its values would be.
+    The pieces join to `render_csv` or `render_json` of the row dicts of
+    all the tuples: a CSV header and its rows, or one JSON array.  A JSON
+    batch is the encoding of its own array without the bracket and line
+    break at either end, and the pieces join batches with a comma and a
+    line break, as the whole array's encoding joins its items.
     """
     if fmt == "csv":
         # one writer for the whole report, its buffer emptied once per
         # batch; the header goes out with the first batch, or at the end
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        by_name = csv.DictWriter(buf, fieldnames=COLUMNS, lineterminator="\n")
         writer.writerow(COLUMNS)
         for rows in batches:
             if rows:
-                for row in rows:
-                    # a value tuple, and a dict with exactly the columns,
-                    # in order, take the plain writer; any other row is
-                    # written as DictWriter writes it
-                    if type(row) is tuple:
-                        writer.writerow(row)
-                    elif tuple(row) == COLUMNS:
-                        writer.writerow(row.values())
-                    else:
-                        by_name.writerow(row)
+                writer.writerows(rows)
                 yield _drain(buf)
         yield _drain(buf)
     elif fmt == "json":
@@ -193,30 +166,49 @@ def _report_text(
                 opening = ",\n"
         yield "[]\n" if opening == "[\n" else "\n]\n"
     else:
-        raise ValueError(f"format must be csv or json, not {fmt!r}")
+        raise _bad_format(fmt)
+
+
+def _bad_format(fmt: str) -> ValueError:
+    return ValueError(f"format must be csv or json, not {fmt!r}")
+
+
+def _open(destination: Optional[str]) -> contextlib.AbstractContextManager:
+    """stdout when destination is None or '-', else the file at that path."""
+    if destination is None or destination == "-":
+        return contextlib.nullcontext(sys.stdout)
+    return open(destination, "w", encoding="utf-8", newline="")
 
 
 def render_csv(rows: Sequence[Row]) -> str:
-    """CSV text with a header line, always, even for zero rows.
+    """CSV text with a header line, always, even for zero rows, as
+    `csv.DictWriter` writes it over COLUMNS.
 
     Floats render via str(), which in Python is the shortest exact
     representation, so output is byte-stable and loses no precision.
     """
-    return "".join(_report_text([rows], "csv"))
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=COLUMNS, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def render_json(rows: Sequence[Row]) -> str:
-    """JSON array of row objects mirroring the CSV schema, full precision."""
-    return "".join(_report_text([rows], "json"))
+    """JSON array of row objects mirroring the CSV schema, full precision:
+    `json.dumps(rows, indent=2)` and a line break."""
+    import json
+
+    return json.dumps(rows, indent=2) + "\n"
 
 
 def write_report(
-    batches: Iterable[Sequence[Union[Row, Values]]],
+    batches: Iterable[Sequence[Values]],
     fmt: str = "csv",
     destination: Optional[str] = None,
 ) -> None:
-    """Emit the rows of `batches` as `fmt` to a path, or to stdout when
-    destination is None or '-', each batch as soon as it arrives.
+    """Emit the value tuples of `batches` as `fmt` to a path, or to stdout
+    when destination is None or '-', each batch as soon as it arrives.
 
     The destination is opened when the first batch that holds a row
     arrives, or at the end when none does, so an error raised by
@@ -225,11 +217,7 @@ def write_report(
     """
     pieces = _report_text(batches, fmt)
     first = next(pieces)
-    if destination is None or destination == "-":
-        out = contextlib.nullcontext(sys.stdout)
-    else:
-        out = open(destination, "w", encoding="utf-8", newline="")
-    with out as fh:
+    with _open(destination) as fh:
         fh.write(first)
         for piece in pieces:
             fh.write(piece)
@@ -240,5 +228,13 @@ def write_rows(
     fmt: str = "csv",
     destination: Optional[str] = None,
 ) -> None:
-    """Emit rows as `fmt` to a path, or to stdout when destination is None or '-'."""
-    write_report([rows], fmt, destination)
+    """Emit rows as `fmt` to a path, or to stdout when destination is None or '-'.
+
+    The text is rendered before the destination is opened, so a bad
+    format or row creates no file and writes nothing.
+    """
+    if fmt not in ("csv", "json"):
+        raise _bad_format(fmt)
+    text = render_csv(rows) if fmt == "csv" else render_json(rows)
+    with _open(destination) as fh:
+        fh.write(text)

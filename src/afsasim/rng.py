@@ -83,8 +83,11 @@ class RngStream:
         return self._bits(64)
 
     def take(self, count: int) -> bytes:
-        """The next `count` draws, 8 little-endian bytes each; a negative
-        count raises ValueError before any draw is read."""
+        """The next `count` draws, 8 little-endian bytes each; a count that
+        is not an int (a bool is none) or is negative raises ValueError
+        before any draw is read."""
+        if type(count) is not int:
+            raise ValueError("count must be an integer")
         if count < 0:
             raise ValueError("count must be >= 0")
         # one `getrandbits(64 * m)` holds the same bits as m calls of

@@ -46,6 +46,8 @@ class ScriptedStream:
         return value & _MASK64
 
     def take(self, count: int) -> bytes:
+        if type(count) is not int:
+            raise ValueError("count must be an integer")
         if count < 0:
             raise ValueError("count must be >= 0")
         end = self._pos + count

@@ -132,8 +132,8 @@ def _dict_writer_csv(rows):
 
 
 def test_csv_rows_are_written_as_dict_writer_writes_them():
-    # report rows, keys in COLUMNS order, take a plain csv.writer; any other
-    # row must still come out as csv.DictWriter writes it
+    # report rows, rows with their keys in another order and rows that
+    # miss a key all come out as csv.DictWriter writes them
     rows = result_rows(_fast_result()) + result_rows(_fast_result(), per_round=True)
     assert all(tuple(row) == COLUMNS for row in rows)
     reordered = [dict(reversed(list(row.items()))) for row in rows]
@@ -192,13 +192,30 @@ JSON_CASES = {
 }
 
 
-@pytest.mark.parametrize("rows", JSON_CASES.values(), ids=JSON_CASES.keys())
-def test_json_reports_equal_the_stdlib_encoding(capsys, rows):
+@pytest.mark.parametrize("case", list(JSON_CASES))
+def test_json_reports_equal_the_stdlib_encoding(capsys, case):
+    rows = JSON_CASES[case]
     expected = json.dumps(rows, indent=2) + "\n"
     assert render_json(rows) == expected
-    # streamed one row per batch, as the CLI writes a trial's rows
-    write_report(([row] for row in rows), fmt="json")
-    assert capsys.readouterr().out == expected
+    if case in ("report", "infinite-time"):
+        # report rows streamed as the CLI writes a trial's rows: as value
+        # tuples, here one row per batch; a finite time takes the template,
+        # an infinite one the stdlib encoder
+        write_report(([tuple(row[column] for column in COLUMNS)] for row in rows), fmt="json")
+        assert capsys.readouterr().out == expected
+
+
+def test_the_dict_api_is_the_stdlib_writers():
+    # a row that is no dict is not taken for a report's value tuple:
+    # `render_json` writes what `json.dumps` writes, and `render_csv` raises
+    # as `csv.DictWriter` does instead of writing a short row
+    values = tuple(result_rows(_fast_result())[0].values())
+    for row in (values, (1, 2)):
+        assert render_json([row]) == json.dumps([row], indent=2) + "\n"
+    with pytest.raises(AttributeError):
+        _dict_writer_csv([(1, 2)])
+    with pytest.raises(AttributeError):
+        render_csv([(1, 2)])
 
 
 def test_write_rows_to_file(tmp_path):
@@ -206,8 +223,11 @@ def test_write_rows_to_file(tmp_path):
     out = tmp_path / "report.csv"
     write_rows(rows, fmt="csv", destination=str(out))
     assert out.read_text().splitlines()[0] == ",".join(COLUMNS)
-    with pytest.raises(ValueError):
-        write_rows(rows, fmt="yaml")
+    # an unknown format is refused before the destination is opened
+    bad = tmp_path / "report.yaml"
+    with pytest.raises(ValueError, match="^format must be csv or json, not 'yaml'$"):
+        write_rows(rows, fmt="yaml", destination=str(bad))
+    assert not bad.exists()
 
 
 def test_parse_cli_defaults():

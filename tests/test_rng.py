@@ -103,13 +103,18 @@ def test_take_zero_consumes_nothing():
 
 
 def test_a_negative_count_is_refused_and_consumes_nothing():
-    # a negative count is refused before any draw is read
+    # a negative count, and a count that is no integer (a bool is none),
+    # is refused, naming `count`, before any draw is read
     stream, twin = RngStream(1, 0), RngStream(1, 0)
     for _ in range(3):
         assert next(stream) == next(twin)
-    with pytest.raises(ValueError, match="^count must be >= 0$"):
-        stream.take(-2)
-    assert next(stream) == next(twin)
+    for count, message in [(-2, "^count must be >= 0$"),
+                           (True, "^count must be an integer$"),
+                           (2.0, "^count must be an integer$"),
+                           ("3", "^count must be an integer$")]:
+        with pytest.raises(ValueError, match=message):
+            stream.take(count)
+        assert next(stream) == next(twin)
 
 
 @pytest.mark.parametrize("modulus", [
@@ -287,6 +292,8 @@ def test_scripted_take_packs_the_next_draws_then_raises():
     assert s.remaining == 1
     with pytest.raises(ValueError, match="^count must be >= 0$"):
         s.take(-1)
+    with pytest.raises(ValueError, match="^count must be an integer$"):
+        s.take(True)
     assert list(u64s(s.take(1))) == [9]
     with pytest.raises(IndexError):
         s.take(1)
