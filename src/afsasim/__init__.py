@@ -16,7 +16,6 @@ from .experiment import (
     ExperimentResult,
     run_experiment,
     run_trial,
-    validate_experiment,
 )
 from .report import (
     COLUMNS,
@@ -28,7 +27,7 @@ from .report import (
 
 __version__ = "0.1.0"
 
-# What a caller needs to run, check and report an experiment; every other
+# What a caller needs to run and report an experiment; every other
 # name is imported from its module (`afsasim.afsa`, `afsasim.rng`, ...).
 __all__ = [
     "AggregateStats",
@@ -42,6 +41,5 @@ __all__ = [
     "result_rows",
     "run_experiment",
     "run_trial",
-    "validate_experiment",
     "write_rows",
 ]

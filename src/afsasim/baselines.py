@@ -25,6 +25,7 @@ from .estimator import (
     estimate_backlog,  # unused here, but bench/child.py wraps it by this name
 )
 from .model import (
+    MAX_FRAME_SLOTS,
     TIMING,
     RoundTrace,
     Tag,
@@ -60,7 +61,7 @@ def run_fsa_round(tags: Sequence[Tag], slots: int, rng: RngStream) -> RoundTrace
     tag in place; full payloads always differ, so every collision is
     detected.
     """
-    problem = int_problem("slots", slots, 1)
+    problem = int_problem("slots", slots, 1, MAX_FRAME_SLOTS)
     if problem:
         raise ValueError(problem)
     # per slot: None, the lone occupant or COLLIDED

@@ -19,7 +19,6 @@ from .experiment import (
     PROTOCOLS,
     ExperimentConfig,
     ExperimentConfigError,
-    _check,
     iter_trials,
     run_experiment,  # unused here, but bench/child.py wraps it by this name
 )
@@ -205,7 +204,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _fail(str(err))
         return 1
 
-    config = ExperimentConfig(
+    fields = dict(
         protocol=ns.protocol,
         k_initial=ns.tags,
         frame_slots=ns.frame,
@@ -216,38 +215,42 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         arrival_rate=ns.arrival_rate,
         departure_prob=ns.departure_prob,
     )
+    invalid = incomplete = False
 
     if ns.sweep is None:
-        # before the report starts; `iter_trials` and each trial then
-        # find this config checked
+        # built before the report starts, so an invalid one writes nothing
         try:
-            _check(config)
+            configs = [ExperimentConfig(**fields)]
         except ExperimentConfigError as err:
             for problem in err.problems:
                 _fail(problem)
             return 1
-        configs = [config]
     else:
         param, values = ns.sweep
         field, _ = SWEEP_PARAMS[param]
-        configs = [config._replace(**{field: value}) for value in values]
 
-    invalid = incomplete = False
+        def sweep_cells() -> Iterator[ExperimentConfig]:
+            # built in turn, so a bad base field the sweep overrides still
+            # runs, and an invalid cell is reported where it falls
+            nonlocal invalid
+            for value in values:
+                try:
+                    cell = ExperimentConfig(**{**fields, field: value})
+                except ExperimentConfigError as err:
+                    _fail(f"sweep cell {param}={value}: {err}")
+                    invalid = True
+                else:
+                    yield cell
+
+        configs = sweep_cells()
 
     def batches() -> Iterator[List[Values]]:
         # each trial's rows, as value tuples, as soon as it ends; of the
         # trial itself only whether it completed is kept
-        nonlocal invalid, incomplete
+        nonlocal incomplete
         for cell in configs:
             try:
-                trials = iter_trials(cell)
-            except ExperimentConfigError as err:
-                # only a sweep cell: a single config was checked above
-                _fail(f"sweep cell {param}={getattr(cell, field)}: {err}")
-                invalid = True
-                continue
-            try:
-                for trial_id, trial in enumerate(trials):
+                for trial_id, trial in enumerate(iter_trials(cell)):
                     incomplete |= not trial.completed
                     yield _trial_values(cell, trial_id, trial, per_round=ns.per_round)
             except Exception as err:  # noqa: BLE001 - CLI boundary

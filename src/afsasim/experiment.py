@@ -14,6 +14,7 @@ from .afsa import InventoryResult, run_afsa_inventory
 from .baselines import run_edfsa_inventory, run_fsa_inventory
 from .estimator import _first_frame
 from .model import (
+    MAX_FRAME_SLOTS,
     MAX_SEQ_BITS,
     MAX_TAGS,
     Tag,
@@ -44,30 +45,24 @@ _LEAVER_SHARE = 24
 # 0.02 ran about 7 % slower than with the rebuild alone.
 _LEAVER_CAP = 64
 
-# Largest initial frame and trial count a config may ask for (the largest
-# population, MAX_TAGS, lives in `model`).  Each is allocated up front
-# (per-slot lists, the trial results `run_experiment` keeps), so an
-# unbounded value would exhaust memory instead of failing validation.
-MAX_FRAME_SLOTS = 65_536
+# Largest trial count a config may ask for (MAX_TAGS and MAX_FRAME_SLOTS
+# live in `model`): `run_experiment` keeps every trial's result, so an
+# unbounded count would exhaust memory instead of failing validation.
 MAX_TRIALS = 1_000_000
 
 # Largest master seed: `RngStream` keys on 64 bits of it.
 MAX_SEED = MAX_KEY
 
 
-class ExperimentConfig(NamedTuple):
-    """Everything one experiment depends on.
+class ExperimentConfigError(ValueError):
+    """Raised when an experiment config is built from invalid fields."""
 
-    `seq_bits=None` means the reader re-derives the sequence length every
-    round (and the first round assumes load one); an integer pins it.
-    `frame_slots` is the initial frame size; for EDFSA it doubles as the
-    initial backlog estimate that seeds planning.  `k_initial`,
-    `frame_slots` and `trials` are capped at MAX_TAGS, MAX_FRAME_SLOTS and
-    MAX_TRIALS, and `seed` lies in [0, MAX_SEED].  `arrival_rate` is the
-    Poisson mean of tag arrivals per round gap, at most MAX_ARRIVAL_RATE;
-    `departure_prob` is each present tag's chance to leave per round gap.
-    """
+    def __init__(self, problems: Sequence[str]):
+        super().__init__("; ".join(problems))
+        self.problems = list(problems)
 
+
+class _ExperimentFields(NamedTuple):
     protocol: str = "afsa"
     k_initial: int = 100
     frame_slots: int = 128
@@ -79,68 +74,62 @@ class ExperimentConfig(NamedTuple):
     departure_prob: float = 0.0
 
 
-def validate_experiment(config: ExperimentConfig) -> List[str]:
-    """All constraint violations in `config`, empty when it is runnable.
+class ExperimentConfig(_ExperimentFields):
+    """Everything one experiment depends on, valid once built.
 
-    Every message names the offending field and the constraint so a
-    caller can surface the full list at once.  A field of the wrong type
-    gets one message and no range check, so validation never raises.
+    `seq_bits=None` means the reader re-derives the sequence length every
+    round (and the first round assumes load one); an integer pins it.
+    `frame_slots` is the initial frame size; for EDFSA it doubles as the
+    initial backlog estimate that seeds planning.  `k_initial`,
+    `frame_slots` and `trials` are capped at MAX_TAGS, MAX_FRAME_SLOTS and
+    MAX_TRIALS, and `seed` lies in [0, MAX_SEED].  `arrival_rate` is the
+    Poisson mean of tag arrivals per round gap, at most MAX_ARRIVAL_RATE;
+    `departure_prob` is each present tag's chance to leave per round gap.
+
+    Invalid fields raise ExperimentConfigError, whose `problems` names each
+    field and its constraint in field order; a field of the wrong type gets
+    one message and no range check.
     """
-    problems: List[Optional[str]] = []
-    if not isinstance(config.protocol, str) or config.protocol not in PROTOCOLS:
-        problems.append(f"protocol must be one of {', '.join(PROTOCOLS)}")
-    problems.append(int_problem("k_initial", config.k_initial, 0, MAX_TAGS))
-    problems.append(int_problem("frame_slots", config.frame_slots, 1, MAX_FRAME_SLOTS))
-    if config.seq_bits is None:
-        pass
-    elif not is_int(config.seq_bits):
-        problems.append("seq_bits must be an integer or None for auto")
-    elif not 1 <= config.seq_bits <= MAX_SEQ_BITS:
-        problems.append(f"seq_bits must be in [1, {MAX_SEQ_BITS}] or None for auto")
-    problems.append(int_problem("trials", config.trials, 1, MAX_TRIALS))
-    if not is_int(config.seed):
-        problems.append("seed must be an integer")
-    elif not 0 <= config.seed <= MAX_SEED:
-        problems.append("seed must be in [0, 2**64 - 1]")
-    problems.append(int_problem("max_rounds", config.max_rounds, 1))
-    if not is_real(config.arrival_rate):
-        problems.append("arrival_rate must be a real number")
-    elif config.arrival_rate < 0:
-        problems.append("arrival_rate must be >= 0")
-    elif not config.arrival_rate <= MAX_ARRIVAL_RATE:  # also rejects nan
-        problems.append(f"arrival_rate must be finite and <= {MAX_ARRIVAL_RATE}")
-    if not is_real(config.departure_prob):
-        problems.append("departure_prob must be a real number")
-    elif not 0.0 <= config.departure_prob <= 1.0:
-        problems.append("departure_prob must be in [0, 1]")
-    return list(filter(None, problems))
 
+    __slots__ = ()
 
-class ExperimentConfigError(ValueError):
-    """Raised when an experiment is started from an invalid config."""
+    def __new__(cls, *args, **kwargs) -> "ExperimentConfig":
+        self = super().__new__(cls, *args, **kwargs)
+        problems: List[Optional[str]] = []
+        if not isinstance(self.protocol, str) or self.protocol not in PROTOCOLS:
+            problems.append(f"protocol must be one of {', '.join(PROTOCOLS)}")
+        problems.append(int_problem("k_initial", self.k_initial, 0, MAX_TAGS))
+        problems.append(int_problem("frame_slots", self.frame_slots, 1, MAX_FRAME_SLOTS))
+        if self.seq_bits is None:
+            pass
+        elif not is_int(self.seq_bits):
+            problems.append("seq_bits must be an integer or None for auto")
+        elif not 1 <= self.seq_bits <= MAX_SEQ_BITS:
+            problems.append(f"seq_bits must be in [1, {MAX_SEQ_BITS}] or None for auto")
+        problems.append(int_problem("trials", self.trials, 1, MAX_TRIALS))
+        if not is_int(self.seed):
+            problems.append("seed must be an integer")
+        elif not 0 <= self.seed <= MAX_SEED:
+            problems.append("seed must be in [0, 2**64 - 1]")
+        problems.append(int_problem("max_rounds", self.max_rounds, 1))
+        if not is_real(self.arrival_rate):
+            problems.append("arrival_rate must be a real number")
+        elif self.arrival_rate < 0:
+            problems.append("arrival_rate must be >= 0")
+        elif not self.arrival_rate <= MAX_ARRIVAL_RATE:  # also rejects nan
+            problems.append(f"arrival_rate must be finite and <= {MAX_ARRIVAL_RATE}")
+        if not is_real(self.departure_prob):
+            problems.append("departure_prob must be a real number")
+        elif not 0.0 <= self.departure_prob <= 1.0:
+            problems.append("departure_prob must be in [0, 1]")
+        if any(problems):
+            raise ExperimentConfigError(list(filter(None, problems)))
+        return self
 
-    def __init__(self, problems: Sequence[str]):
-        super().__init__("; ".join(problems))
-        self.problems = list(problems)
-
-
-# The config `_check` passed last, as a list of one.  Holding it keeps its
-# id from going to another object.
-_checked: List[Optional[ExperimentConfig]] = [None]
-
-
-def _check(config: ExperimentConfig) -> None:
-    """Raise ExperimentConfigError when `config` has problems.
-
-    A config is immutable, so the object that passed last is not checked
-    again: a run checks its config once, not once per trial.
-    """
-    if config is _checked[0]:
-        return
-    problems = validate_experiment(config)
-    if problems:
-        raise ExperimentConfigError(problems)
-    _checked[0] = config
+    @classmethod
+    def _make(cls, iterable) -> "ExperimentConfig":
+        # `_replace` builds through `_make`, so it validates too
+        return cls(*iterable)
 
 
 class AggregateStats(NamedTuple):
@@ -226,9 +215,9 @@ _spare: List[List[Tag]] = []
 def run_trial(config: ExperimentConfig, trial_id: int) -> InventoryResult:
     """Run one trial.  Pure function of (config, trial_id).
 
-    Raises ExperimentConfigError when `config` has problems, and
-    ValueError unless `trial_id` is an integer in [0, config.trials);
-    both before anything is allocated.
+    Raises ValueError unless `config` is an ExperimentConfig and
+    `trial_id` an integer in [0, config.trials), before anything is
+    allocated.
 
     The trial reuses the tags the last finished trial left, when there are
     at least `k_initial` of them: it cuts the list to its first `k_initial`
@@ -244,7 +233,8 @@ def run_trial(config: ExperimentConfig, trial_id: int) -> InventoryResult:
     stay sorted by EPC, and `_depart` can find a leaver among the
     answering tags by bisection instead of rescanning the present ones.
     """
-    _check(config)
+    if not isinstance(config, ExperimentConfig):
+        raise ValueError("config must be an ExperimentConfig")
     if not is_int(trial_id) or not 0 <= trial_id < config.trials:
         raise ValueError(f"trial_id must be an integer in [0, {config.trials})")
     rng = RngStream(config.seed, trial_id)
@@ -306,7 +296,7 @@ def _dispatch(config, population, rng, churn) -> InventoryResult:
         return run_fsa_inventory(
             population, config.frame_slots, rng,
             max_rounds=config.max_rounds, between_rounds=churn)
-    # "edfsa": `run_trial` has checked the protocol
+    # "edfsa": a config's protocol is one of PROTOCOLS
     return run_edfsa_inventory(
         population, rng,
         max_rounds=config.max_rounds,
@@ -337,10 +327,12 @@ def _aggregate(trials: List[InventoryResult]) -> AggregateStats:
 def iter_trials(config: ExperimentConfig) -> Iterator[InventoryResult]:
     """The trials of `config` in trial order, each as soon as it is done.
 
-    The config is checked at the call, before any trial runs.  Once the
-    trials are exhausted or closed, the last trial's tags are let go.
+    A `config` that is no ExperimentConfig raises ValueError at the call,
+    before any trial runs.  Once the trials are exhausted or closed, the
+    last trial's tags are let go.
     """
-    _check(config)
+    if not isinstance(config, ExperimentConfig):
+        raise ValueError("config must be an ExperimentConfig")
     return _trials(config)
 
 

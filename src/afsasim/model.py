@@ -5,17 +5,18 @@ Everything here is a plain value type.  Simulation state lives in `Tag`
 that traces can be stored, compared, and replayed without defensive
 copies.
 """
-import math
 import numbers
+import sys
 from typing import NamedTuple
 
 # Longest reservation sequence a frame may announce, in bits.
 MAX_SEQ_BITS = 16
 
-# Largest population a config or `make_population` may ask for.  Its tags
-# are allocated up front, so an unbounded count would exhaust memory
-# instead of failing validation.
+# Largest population and frame a config, `make_population` or a round may
+# ask for.  Each is allocated up front (tags, per-slot lists), so an
+# unbounded count would exhaust memory instead of failing validation.
 MAX_TAGS = 1_000_000
+MAX_FRAME_SLOTS = 65_536
 
 
 def is_int(value) -> bool:
@@ -31,8 +32,8 @@ def is_real(value) -> bool:
 
 
 def check_nonnegative(name: str, value) -> None:
-    """Raise unless `value` is a real number in [0, inf); nan is refused too."""
-    if not (is_real(value) and 0 <= value < math.inf):
+    """Raise unless `value` is a real number in [0, largest float]; nan is refused."""
+    if not (is_real(value) and 0 <= value <= sys.float_info.max):
         raise ValueError(f"{name} must be finite and >= 0")
 
 
@@ -90,7 +91,7 @@ class FrameConfig(_FrameFields):
 
     def __new__(cls, *args, **kwargs) -> "FrameConfig":
         self = super().__new__(cls, *args, **kwargs)
-        problems = [int_problem("slots", self.slots, 1)]
+        problems = [int_problem("slots", self.slots, 1, MAX_FRAME_SLOTS)]
         if not is_int(self.seq_bits):
             problems.append("seq_bits must be an integer")
         elif not 1 <= self.seq_bits <= MAX_SEQ_BITS:

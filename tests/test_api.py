@@ -26,7 +26,6 @@ def test_root_exports_what_a_caller_needs_to_run_and_report():
         "result_rows",
         "run_experiment",
         "run_trial",
-        "validate_experiment",
         "write_rows",
     ]
 

@@ -1,5 +1,6 @@
 """Experiment harness: validation, determinism, churn, aggregation."""
 import operator
+import pickle
 import sys
 import threading
 from itertools import compress, product
@@ -20,7 +21,6 @@ from afsasim.experiment import (
     run_experiment,
     run_trial,
     _poisson,
-    validate_experiment,
 )
 from afsasim.afsa import run_afsa_inventory
 from afsasim.baselines import run_edfsa_inventory, run_fsa_inventory
@@ -34,23 +34,24 @@ FAST = ExperimentConfig(k_initial=20, frame_slots=16, trials=5, seed=3, max_roun
 
 
 def test_default_config_is_valid():
-    assert validate_experiment(ExperimentConfig()) == []
+    assert ExperimentConfig() == experiment._ExperimentFields()
     # integers are real numbers too
-    assert validate_experiment(ExperimentConfig(arrival_rate=1, departure_prob=0)) == []
+    assert ExperimentConfig(arrival_rate=1, departure_prob=0).arrival_rate == 1
 
 
 def test_validation_reports_every_problem_at_once():
-    config = ExperimentConfig(
-        protocol="csma",
-        k_initial=-1,
-        frame_slots=0,
-        seq_bits=0,
-        trials=0,
-        max_rounds=0,
-        arrival_rate=-0.5,
-        departure_prob=1.5,
-    )
-    problems = validate_experiment(config)
+    with pytest.raises(ExperimentConfigError) as err:
+        ExperimentConfig(
+            protocol="csma",
+            k_initial=-1,
+            frame_slots=0,
+            seq_bits=0,
+            trials=0,
+            max_rounds=0,
+            arrival_rate=-0.5,
+            departure_prob=1.5,
+        )
+    problems = err.value.problems
     assert len(problems) == 8
     for field in ("protocol", "k_initial", "frame_slots", "seq_bits",
                   "trials", "max_rounds", "arrival_rate", "departure_prob"):
@@ -93,8 +94,9 @@ def test_validation_reports_every_problem_at_once():
     ("k_initial", -1, "k_initial must be >= 0"),
 ])
 def test_validation_messages_name_field_and_constraint(field, value, fragment):
-    config = ExperimentConfig()._replace(**{field: value})
-    problems = validate_experiment(config)
+    with pytest.raises(ExperimentConfigError) as err:
+        ExperimentConfig()._replace(**{field: value})
+    problems = err.value.problems
     assert problems == [fragment] or fragment in problems[0]
 
 
@@ -121,32 +123,56 @@ def test_validation_messages_name_field_and_constraint(field, value, fragment):
     ("max_rounds", 2.0, "max_rounds must be an integer"),
 ])
 def test_validation_checks_types_without_raising(field, value, message):
-    config = ExperimentConfig()._replace(**{field: value})
-    # one message for the field, and no range check on the wrong type
-    assert validate_experiment(config) == [message]
+    # one message for the field, and no range check on the wrong type, so
+    # the check itself never raises a TypeError
     with pytest.raises(ExperimentConfigError) as err:
-        run_experiment(config)
+        ExperimentConfig()._replace(**{field: value})
+    assert err.value.problems == [message]
+    with pytest.raises(ExperimentConfigError) as err:
+        ExperimentConfig(**{field: value})
     assert err.value.problems == [message]
 
 
 def test_caps_accept_their_own_value():
-    # validation only: a config at the caps is never run here
+    # building only: a config at the caps is never run here
     config = ExperimentConfig()._replace(
         k_initial=MAX_TAGS, frame_slots=MAX_FRAME_SLOTS, trials=MAX_TRIALS, seed=MAX_SEED)
-    assert validate_experiment(config) == []
-    assert validate_experiment(config._replace(seed=0)) == []
+    assert config.seed == MAX_SEED
+    assert config._replace(seed=0).seed == 0
 
 
 def test_run_experiment_rejects_invalid_config():
     with pytest.raises(ExperimentConfigError) as err:
-        run_experiment(ExperimentConfig(trials=0))
+        ExperimentConfig(trials=0)
     assert "trials" in str(err.value)
+    # a look-alike that skipped the checks is no config
+    with pytest.raises(ValueError, match="^config must be an ExperimentConfig$"):
+        run_experiment(experiment._ExperimentFields(trials=0))
+
+
+def test_replace_make_and_pickle_validate():
+    # each way to build a config runs the constructor's checks
+    with pytest.raises(ExperimentConfigError) as err:
+        FAST._replace(trials=0, seed=-1)
+    assert err.value.problems == ["trials must be >= 1", "seed must be in [0, 2**64 - 1]"]
+    with pytest.raises(ExperimentConfigError) as err:
+        ExperimentConfig._make((FAST._asdict() | {"trials": 0}).values())
+    assert err.value.problems == ["trials must be >= 1"]
+    # a valid config survives a pickle round trip, as worker processes need
+    copy = pickle.loads(pickle.dumps(FAST))
+    assert copy == FAST and type(copy) is ExperimentConfig
+    # one forged behind the constructor's back is refused when unpickled
+    forged = tuple.__new__(ExperimentConfig, experiment._ExperimentFields(*FAST)._replace(trials=0))
+    data = pickle.dumps(forged)
+    with pytest.raises(ExperimentConfigError) as err:
+        pickle.loads(data)
+    assert err.value.problems == ["trials must be >= 1"]
 
 
 def test_iter_trials_checks_at_the_call_and_yields_in_trial_order():
     # the check raises before the first trial is asked for
-    with pytest.raises(ExperimentConfigError):
-        iter_trials(ExperimentConfig(trials=0))
+    with pytest.raises(ValueError, match="^config must be an ExperimentConfig$"):
+        iter_trials(experiment._ExperimentFields(trials=0))
     trials = iter_trials(FAST)
     assert next(trials) == run_trial(FAST, 0)
     assert [next(trials) for _ in range(FAST.trials - 1)] == [
@@ -188,27 +214,49 @@ def test_run_trial_rejects_an_id_outside_the_experiment(monkeypatch, trial_id):
 def test_run_trial_rejects_an_invalid_config(monkeypatch):
     monkeypatch.setattr(experiment, "RngStream", _no_allocation)
     monkeypatch.setattr(experiment, "make_population", _no_allocation)
-    invalid = ExperimentConfig(frame_slots=MAX_FRAME_SLOTS + 1)
-    # a refused config is not remembered: it is refused every time
-    for _ in range(2):
-        with pytest.raises(ExperimentConfigError) as err:
-            run_trial(invalid, 0)
-        assert err.value.problems == [f"frame_slots must be <= {MAX_FRAME_SLOTS}"]
+    # an invalid config cannot be built, and a look-alike that skipped the
+    # checks is refused
+    with pytest.raises(ExperimentConfigError) as err:
+        ExperimentConfig(frame_slots=MAX_FRAME_SLOTS + 1)
+    assert err.value.problems == [f"frame_slots must be <= {MAX_FRAME_SLOTS}"]
+    look_alike = experiment._ExperimentFields(frame_slots=MAX_FRAME_SLOTS + 1)
+    with pytest.raises(ValueError, match="^config must be an ExperimentConfig$"):
+        run_trial(look_alike, 0)
+
+
+@pytest.mark.parametrize("start", [
+    lambda config: run_trial(config, 0),
+    iter_trials,
+    run_experiment,
+], ids=["run_trial", "iter_trials", "run_experiment"])
+def test_a_look_alike_config_is_refused_before_allocating(monkeypatch, start):
+    monkeypatch.setattr(experiment, "RngStream", _no_allocation)
+    monkeypatch.setattr(experiment, "make_population", _no_allocation)
+    # valid fields, but not built through the checks
+    with pytest.raises(ValueError, match="^config must be an ExperimentConfig$"):
+        start(experiment._ExperimentFields(*FAST))
 
 
 def test_a_config_object_is_checked_once(monkeypatch):
+    # every build of a config runs the `trials` check once
     calls = []
-    check = experiment.validate_experiment
-    monkeypatch.setattr(experiment, "validate_experiment",
-                        lambda config: calls.append(config) or check(config))
+    check = experiment.int_problem
+
+    def counted(name, value, *bounds):
+        calls.append(name)
+        return check(name, value, *bounds)
+
+    monkeypatch.setattr(experiment, "int_problem", counted)
     config = ExperimentConfig(*FAST)
+    assert calls.count("trials") == 1
+    # running it checks nothing again, however many trials it has
     run_experiment(config)
     run_trial(config, 1)
-    assert calls == [config]
-    # an equal config that is another object is checked again
+    assert calls.count("trials") == 1
+    # each config built is checked once, an equal one too
     twin = ExperimentConfig(*config)
     run_trial(twin, 0)
-    assert len(calls) == 2 and calls[1] is twin
+    assert calls.count("trials") == 2
 
 
 def test_static_run_completes_and_aggregates():

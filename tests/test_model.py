@@ -1,11 +1,21 @@
 """Domain type validation, the round-trace gate, and the reference slot check."""
 import math
+import sys
 import tracemalloc
 
 import pytest
 
-from afsasim.analytic import phase_durations_for
+from afsasim.analytic import expected_idle, phase_durations_for
+from afsasim.baselines import edfsa_plan, run_edfsa_inventory, run_fsa_round
+from afsasim.estimator import (
+    BacklogEstimate,
+    EstimateMethod,
+    auto_seq_bits,
+    nearest_power_of_two,
+    next_frame,
+)
 from afsasim.model import (
+    MAX_FRAME_SLOTS,
     MAX_TAGS,
     TIMING,
     FrameConfig,
@@ -13,6 +23,7 @@ from afsasim.model import (
     Tag,
     TimingModel,
     active_count,
+    check_nonnegative,
     make_population,
 )
 
@@ -20,6 +31,7 @@ from oracles import (
     DETECTED_COLLISION,
     IDLE,
     RESERVED_APPARENT,
+    ScriptedStream,
     SlotObservation,
     check_round_trace,
     check_slot_observation,
@@ -120,6 +132,41 @@ def test_tags_compare_by_fields_and_are_unhashable():
 def test_frame_config_rejects_bad_values(slots, bits):
     with pytest.raises(ValueError):
         FrameConfig(slots=slots, seq_bits=bits)
+
+
+def test_a_frame_past_max_frame_slots_is_refused_before_allocating():
+    assert FrameConfig(MAX_FRAME_SLOTS, 2).slots == MAX_FRAME_SLOTS
+    with pytest.raises(ValueError, match=f"^slots must be <= {MAX_FRAME_SLOTS}$"):
+        FrameConfig(MAX_FRAME_SLOTS + 1, 2)
+    # the round raises before its per-slot list, and reads no draw
+    stream = ScriptedStream([])
+    with pytest.raises(ValueError, match=f"^slots must be <= {MAX_FRAME_SLOTS}$"):
+        run_fsa_round(make_population(3), MAX_FRAME_SLOTS + 1, stream)
+    assert stream.remaining == 0
+
+
+# An int past the largest float passes `0 <= value < inf`, and float math
+# on it raises OverflowError; each boundary refuses it by name instead.
+@pytest.mark.parametrize("call, name", [
+    (lambda big: check_nonnegative("value", big), "value"),
+    (lambda big: expected_idle(big, 128), "tags"),
+    (lambda big: auto_seq_bits(big, 128), "k_est"),
+    (lambda big: nearest_power_of_two(big), "value"),
+    (lambda big: edfsa_plan(big), "k_est"),
+    (lambda big: next_frame(BacklogEstimate(big, EstimateMethod.IDLE_INVERSION)), "k_est"),
+    (lambda big: run_edfsa_inventory([], None, initial_estimate=big), "initial_estimate"),
+], ids=["check_nonnegative", "expected_idle", "auto_seq_bits", "nearest_power_of_two",
+        "edfsa_plan", "next_frame", "run_edfsa_inventory"])
+def test_an_int_too_large_for_a_float_is_refused_by_name(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0$"):
+        call(10**400)
+    with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0$"):
+        call(int(sys.float_info.max) + 1)
+
+
+def test_the_largest_float_and_the_int_equal_to_it_are_accepted():
+    check_nonnegative("value", sys.float_info.max)
+    check_nonnegative("value", int(sys.float_info.max))
 
 
 # The per-slot rules the reference round in oracles.py asserts on every

@@ -230,6 +230,14 @@ def test_write_rows_to_file(tmp_path):
     assert not bad.exists()
 
 
+def test_streaming_an_unknown_format_writes_nothing(tmp_path):
+    # the format is refused before the destination is opened
+    bad = tmp_path / "report.yaml"
+    with pytest.raises(ValueError, match="^format must be csv or json, not 'yaml'$"):
+        write_report([], fmt="yaml", destination=str(bad))
+    assert not bad.exists()
+
+
 def test_parse_cli_defaults():
     ns = parse_cli([])
     # each config-backed flag defaults to the config's own default
@@ -311,6 +319,7 @@ def test_parse_cli_sweeps(capsys):
     (["--sweep", "arrival-rate=-1e308:1:1e308"], f"more than {MAX_SWEEP_VALUES}"),
     (["--sweep", "arrival-rate=0:1e-300:1"], f"more than {MAX_SWEEP_VALUES}"),
     (["--sweep", f"tags=0:1:{10**30}"], f"more than {MAX_SWEEP_VALUES}"),
+    (["--sweep", "tags=1:2"], "is not START:STEP:END"),
 ])
 def test_parse_cli_rejects_malformed(argv, fragment):
     with pytest.raises(CliError) as err:
@@ -356,13 +365,18 @@ def test_main_invalid_config_reports_all_problems(capsys):
 
 @pytest.mark.parametrize("trials", [3, 1250])
 def test_a_single_run_checks_its_config_once(capsys, monkeypatch, trials):
+    # every build of a config runs the `trials` check once; no trial does
     calls = []
-    check = experiment.validate_experiment
-    monkeypatch.setattr(experiment, "validate_experiment",
-                        lambda config: calls.append(config) or check(config))
+    check = experiment.int_problem
+
+    def counted(name, value, *bounds):
+        calls.append(name)
+        return check(name, value, *bounds)
+
+    monkeypatch.setattr(experiment, "int_problem", counted)
     assert main(["--tags", "20", "--frame", "16", "--trials", str(trials)]) == 0
     assert len(capsys.readouterr().out.splitlines()) == trials + 1
-    assert len(calls) == 1
+    assert calls.count("trials") == 1
 
 
 def test_main_invalid_config_writes_no_file(capsys, tmp_path):
