@@ -153,10 +153,13 @@ def optimal_seq_len(e_unresolved: float, slots: int) -> SeqLenChoice:
     raw = SEQ_LOG_COEFF * log10(SEQ_ARG_COEFF * E[unresolved] / N) when the
     argument exceeds 1, else 0 (the overhead term dominates at light
     collision load).  The usable length rounds half-up and is floored at
-    one bit.
+    one bit.  An expected unresolved count past the frame's `slots` is
+    refused: no load makes more slots collide than there are.
     """
     check_nonnegative("e_unresolved", e_unresolved)
     check_int("slots", slots, 1)
+    if e_unresolved > slots:
+        raise ValueError("e_unresolved must be <= slots")
     return _seq_len(e_unresolved, slots)
 
 

@@ -61,9 +61,11 @@ def run_fsa_round(tags: Sequence[Tag], slots: int, rng: RngStream) -> RoundTrace
     tag in place; full payloads always differ, so every collision is
     detected.
     """
-    problem = int_problem("slots", slots, 1, MAX_FRAME_SLOTS)
-    if problem:
-        raise ValueError(problem)
+    # an exact int in range needs no `int_problem`; an int subclass does
+    if not (type(slots) is int and 1 <= slots <= MAX_FRAME_SLOTS):
+        problem = int_problem("slots", slots, 1, MAX_FRAME_SLOTS)
+        if problem:
+            raise ValueError(problem)
     # per slot: None, the lone occupant or COLLIDED
     heard: List[object] = [None] * slots
     if len(tags) <= PIECE_DRAWS:

@@ -6,6 +6,7 @@ bit-identical for any execution order.
 """
 import math
 from bisect import bisect_left
+from functools import lru_cache
 from itertools import compress
 from operator import attrgetter
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
@@ -28,10 +29,14 @@ from .rng import MAX_KEY, PIECE_DRAWS, RngStream, _in_pieces, at_least, unit_cut
 PROTOCOLS = ("afsa", "fsa", "edfsa")
 
 # Largest Poisson arrival mean per round gap.  It keeps exp(-rate), the
-# first term of the inverse-transform draw in `_poisson`, a normal float:
-# past about 708 it is subnormal, and from about 745 on it is 0, so the
-# CDF never grows and every nonzero draw returns 1.
+# first entry of the CDF table `_cdf` that `_poisson` draws from, a normal
+# float: past about 708 it is subnormal, and from about 745 on it is 0, so
+# the CDF never grows and every nonzero draw returns 1.
 MAX_ARRIVAL_RATE = 700
+
+# CDF tables `_cdf` keeps.  A run draws at one rate, and a sweep visits its
+# rates one cell at a time; at rate 700 a table holds about 1 000 floats.
+_CDF_TABLES = 16
 
 # A churn gap deletes its leavers one at a time while they are few, and
 # rebuilds its lists otherwise (`_depart`).  A deletion moves the tail of
@@ -154,25 +159,37 @@ class ExperimentResult(NamedTuple):
     aggregate: AggregateStats
 
 
-def _poisson(rate: float, rng: RngStream) -> int:
-    """Poisson draw by inverse transform on a single uniform, the stream's
-    next draw.
+@lru_cache(maxsize=_CDF_TABLES)
+def _cdf(rate: float) -> Tuple[float, ...]:
+    """The running CDF of Poisson(rate) for counts 0, 1, ..., up to the
+    first count whose term no longer moves it, which is left out.
 
-    Past the mode the running CDF can stop growing a few ulps below 1; a
-    uniform above it lies in a tail the floats cannot resolve, and the
-    draw is the first count whose term no longer moves the CDF.
+    The sums are the inverse-transform loop's, term by term in the same
+    order, so a bisection in the table returns the count that loop would
+    return.  Past the mode the CDF can stop growing a few ulps below 1.
     """
-    u = unit_float(int.from_bytes(rng.take(1), "little"))
-    k = 0
     p = math.exp(-rate)
+    table = [p]
     cdf = p
-    while u > cdf:
+    k = 0
+    while True:
         k += 1
         p *= rate / k
         if cdf + p == cdf:
-            break
+            return tuple(table)
         cdf += p
-    return k
+        table.append(cdf)
+
+
+def _poisson(rate: float, rng: RngStream) -> int:
+    """Poisson draw by inverse transform on a single uniform, the stream's
+    next draw: the first count whose CDF reaches the uniform.
+
+    A uniform above the last CDF entry lies in a tail the floats cannot
+    resolve, and the draw is the first count whose term no longer moves
+    the CDF.
+    """
+    return bisect_left(_cdf(rate), unit_float(next(rng)))
 
 
 _EPC = attrgetter("epc")
@@ -252,6 +269,7 @@ def run_trial(config: ExperimentConfig, trial_id: int) -> InventoryResult:
     churn = None
     if config.arrival_rate > 0 or config.departure_prob > 0:
         departs = unit_cut(config.departure_prob)
+        rate = config.arrival_rate
         # the present tags in population order, identified ones too; only
         # departure draws read it, so it is kept only when tags can leave
         present = population.copy() if config.departure_prob > 0 else None
@@ -270,15 +288,16 @@ def run_trial(config: ExperimentConfig, trial_id: int) -> InventoryResult:
                     stays = b"".join(_in_pieces(present, 1, rng,
                                                 lambda piece, raw: (at_least(raw, departs),)))
                 present, active = _depart(present, active, stays)
-            if config.arrival_rate > 0:
-                # EPCs go on from the last tag's, so an EPC is its index
-                known = len(population)
-                count = _poisson(config.arrival_rate, rng)
-                arrivals = list(map(Tag, range(known, known + count)))
-                population.extend(arrivals)
-                if present is not None:
-                    present.extend(arrivals)
-                active = active + arrivals
+            if rate > 0:
+                count = _poisson(rate, rng)
+                if count:
+                    # EPCs go on from the last tag's, so an EPC is its index
+                    known = len(population)
+                    arrivals = list(map(Tag, range(known, known + count)))
+                    population.extend(arrivals)
+                    if present is not None:
+                        present.extend(arrivals)
+                    active = active + arrivals
             return active
 
     result = _dispatch(config, population, rng, churn)

@@ -109,20 +109,17 @@ def _drain(buf: io.StringIO) -> str:
 def _json_writer() -> Callable[[Values], str]:
     """The function that writes one row of a JSON report.
 
-    `json` is imported here, not at the top: a CSV report, the default,
-    never needs it.
+    `json` is imported only for a row whose time is not finite: a CSV
+    report, the default, and a finite JSON one never need it.
     """
-    import json
-    from json.encoder import encode_basestring_ascii
-
-    encoder = json.JSONEncoder(indent=2)
     # one `%` template of a row object per protocol: it takes a row's 12
     # values and holds the protocol's JSON text in place of the third,
-    # which `%.0s` swallows
+    # which `%.0s` swallows; the names in PROTOCOLS are plain ASCII, so
+    # quoting them is their JSON text
     fields = [f'    "{column}": %s' for column in COLUMNS]
     templates = {}
     for protocol in PROTOCOLS:
-        fields[2] = f'    "protocol": {encode_basestring_ascii(protocol)}%.0s'
+        fields[2] = f'    "protocol": "{protocol}"%.0s'
         templates[protocol] = "  {\n" + ",\n".join(fields) + "\n  }"
 
     def item(values: Values) -> str:
@@ -131,7 +128,9 @@ def _json_writer() -> Callable[[Values], str]:
         the stdlib encoder when the time is not finite."""
         if isfinite(values[-1]):
             return templates[values[2]] % values
-        return encoder.encode([dict(zip(COLUMNS, values))])[2:-2]
+        import json
+
+        return json.dumps([dict(zip(COLUMNS, values))], indent=2)[2:-2]
 
     return item
 

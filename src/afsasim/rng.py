@@ -19,6 +19,7 @@ import _random
 import math
 import sys
 from array import array
+from functools import lru_cache
 from itertools import chain
 from typing import Callable, Iterable, Sequence
 
@@ -26,6 +27,8 @@ from .model import is_int
 
 # Largest seed or stream id: a stream keys its generator on 64 bits of each.
 MAX_KEY = (1 << 64) - 1
+# Most draws one `take` reads: `getrandbits` takes its bit count as a C int.
+MAX_TAKE = (2**31 - 1) // 64
 # A uniform float keeps the top 53 bits of a draw: `bits / 2**64` would
 # round the top 2**10 draws up to exactly 1.0.
 _ULP53 = 2.0 ** -53
@@ -84,12 +87,12 @@ class RngStream:
 
     def take(self, count: int) -> bytes:
         """The next `count` draws, 8 little-endian bytes each; a count that
-        is not an int (a bool is none) or is negative raises ValueError
-        before any draw is read."""
+        is not an int (a bool is none) or lies outside [0, MAX_TAKE] raises
+        ValueError before any draw is read."""
         if type(count) is not int:
             raise ValueError("count must be an integer")
-        if count < 0:
-            raise ValueError("count must be >= 0")
+        if not 0 <= count <= MAX_TAKE:
+            raise ValueError("count must be >= 0" if count < 0 else f"count must be <= {MAX_TAKE}")
         # one `getrandbits(64 * m)` holds the same bits as m calls of
         # `getrandbits(64)`, the first call in its lowest 64 bits
         return self._bits(64 * count).to_bytes(8 * count, "little")
@@ -143,6 +146,14 @@ def residues(raw: bytes, first: int, step: int, modulus: int) -> Iterable[int]:
     return [draw % modulus for draw in u64s(raw)[first::step]]
 
 
+# one entry per top byte of a cut in [0, 2**64]
+@lru_cache(maxsize=257)
+def _tie_table(top: int) -> bytes:
+    # a top byte maps to 0 below the cut's, 1 above it and 2 on a tie;
+    # cut 2**64 has no tie, as no draw reaches it
+    return bytes(top) + b"\2" + b"\1" * (255 - top) if top < 256 else bytes(256)
+
+
 def at_least(raw: bytes, cut: int) -> bytes:
     """Byte i is 1 when packed draw i of `raw` is >= `cut`, else 0, for a
     cut in [0, 2**64].
@@ -150,11 +161,7 @@ def at_least(raw: bytes, cut: int) -> bytes:
     A draw's top byte settles the comparison unless it equals the cut's,
     so only such a tie (one draw in 256 for a typical cut) is read whole.
     """
-    top = cut >> 56
-    # a top byte maps to 0 below the cut's, 1 above it and 2 on a tie;
-    # cut 2**64 has no tie, as no draw reaches it
-    table = bytes(top) + b"\2" + b"\1" * (255 - top) if top < 256 else bytes(256)
-    marks = raw[7::8].translate(table)
+    marks = raw[7::8].translate(_tie_table(cut >> 56))
     tie = marks.find(2)
     if tie < 0:
         return marks

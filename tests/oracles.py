@@ -5,7 +5,9 @@ inventory loop derive their results by brute force, with exact rational
 arithmetic where possible, sharing no code or algebra with the package.
 Kept deliberately slow and obvious.  Beside them are the scripted stream,
 which replays a fixed draw sequence where a test pins exact protocol
-behaviour, and the trace checker every simulated round is put through.
+behaviour, the trace checker every simulated round is put through, and
+the term-by-term Poisson loop whose counts the arrivals' CDF table must
+reproduce exactly.
 """
 import math
 from fractions import Fraction
@@ -15,6 +17,7 @@ from typing import Collection, Iterable, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from afsasim.model import RoundTrace
+from afsasim.rng import MAX_TAKE
 
 _MASK64 = (1 << 64) - 1
 
@@ -25,10 +28,10 @@ class ScriptedStream:
     """Test double that replays a fixed list of u64 draws, then raises.
 
     `take(count)` packs the next `count` draws as 8 little-endian bytes
-    each, as `RngStream.take` does, and `next` returns one.  Both raise
-    IndexError, never StopIteration, when the script runs out, so a script
-    too short for a round fails loudly instead of quietly ending a `zip`
-    over the tags.
+    each, as `RngStream.take` does, and refuses the counts it refuses;
+    `next` returns one draw.  Both raise IndexError, never StopIteration,
+    when the script runs out, so a script too short for a round fails
+    loudly instead of quietly ending a `zip` over the tags.
     """
 
     def __init__(self, values: Iterable[int]):
@@ -48,8 +51,8 @@ class ScriptedStream:
     def take(self, count: int) -> bytes:
         if type(count) is not int:
             raise ValueError("count must be an integer")
-        if count < 0:
-            raise ValueError("count must be >= 0")
+        if not 0 <= count <= MAX_TAKE:
+            raise ValueError("count must be >= 0" if count < 0 else f"count must be <= {MAX_TAKE}")
         end = self._pos + count
         if end > len(self._values):
             raise IndexError("scripted stream exhausted")
@@ -88,6 +91,29 @@ def check_round_trace(trace: RoundTrace) -> None:
         raise ValueError("a tag cannot be identified twice in one round")
     if not (math.isfinite(trace.total_us) and trace.total_us > 0):
         raise ValueError("round time must be finite and > 0")
+
+
+# Poisson arrivals ----------------------------------------------------------
+
+def reference_poisson(rate, bits: int) -> int:
+    """The Poisson count for u64 draw `bits` by inverse transform, summing
+    the CDF term by term until it reaches the draw's uniform.
+
+    Past the mode the running CDF can stop growing a few ulps below 1; a
+    uniform above it lies in a tail the floats cannot resolve, and the
+    count is the first one whose term no longer moves the CDF.
+    """
+    u = (bits >> 11) * 2.0 ** -53
+    k = 0
+    p = math.exp(-rate)
+    cdf = p
+    while u > cdf:
+        k += 1
+        p *= rate / k
+        if cdf + p == cdf:
+            break
+        cdf += p
+    return k
 
 
 # Slot statistics ------------------------------------------------------------

@@ -280,6 +280,12 @@ def test_optimal_seq_len_validation():
             optimal_seq_len(bad, 8)
     with pytest.raises(ValueError):
         optimal_seq_len(1.0, 0)
+    # no load leaves more slots unresolved than the frame has: 1e308 would
+    # overflow, and 1e30 would pick 97 bits, past MAX_SEQ_BITS
+    for load in (1e308, 1e30, 128.5):
+        with pytest.raises(ValueError, match="^e_unresolved must be <= slots$"):
+            optimal_seq_len(load, 128)
+    assert optimal_seq_len(128, 128).rounded == 4
 
 
 @pytest.mark.parametrize("slots", [2.5, True, 0])

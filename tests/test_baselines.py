@@ -264,6 +264,12 @@ def test_edfsa_validation():
                            ("8", "slots must be an integer"), (-3, "slots must be >= 1")):
         with pytest.raises(ValueError, match=f"^{message}$"):
             run_fsa_round(make_population(3), slots, ScriptedStream([]))
+    # an int subclass is a whole number of slots too
+    class Slots(int):
+        pass
+
+    assert run_fsa_round(make_population(3), Slots(4), ScriptedStream([0, 1, 1])) == (
+        run_fsa_round(make_population(3), 4, ScriptedStream([0, 1, 1])))
 
 
 def test_reservation_beats_edfsa_per_tag():

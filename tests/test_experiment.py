@@ -1,8 +1,10 @@
 """Experiment harness: validation, determinism, churn, aggregation."""
 import operator
 import pickle
+import random
 import sys
 import threading
+from fractions import Fraction
 from itertools import compress, product
 
 import pytest
@@ -28,7 +30,7 @@ from afsasim.estimator import auto_seq_bits
 from afsasim.model import FrameConfig, Tag, make_population
 from afsasim.rng import PIECE_DRAWS, RngStream, unit_float
 
-from oracles import ScriptedStream
+from oracles import ScriptedStream, reference_poisson
 
 FAST = ExperimentConfig(k_initial=20, frame_slots=16, trials=5, seed=3, max_rounds=200)
 
@@ -337,6 +339,58 @@ def test_a_poisson_draw_reads_the_next_draw_and_passes_on_the_stream_errors():
     assert [_poisson(3.0, stream) for _ in range(40)] == [
         _poisson(3.0, ScriptedStream([next(twin)])) for _ in range(40)]
     assert next(stream) == next(twin)
+
+
+@pytest.mark.parametrize("rate", [
+    1e-9, 0.5, 2, 2.0, Fraction(7, 3), 7.064220183486238, 700,
+], ids=repr)
+def test_a_poisson_draw_is_the_reference_loops_and_reads_one_draw(rate):
+    # the CDF table is summed as the loop sums it, so a bisection in it
+    # returns the loop's count: for random draws, the extremes, and the
+    # draws on either side of, and at, each entry of the table
+    uniform = random.Random(5)
+    draws = [0, 1 << 63, 2**64 - 1] + [uniform.getrandbits(64) for _ in range(200)]
+    for cdf in experiment._cdf(rate):
+        grid = int(cdf * 2.0 ** 53)
+        draws += [m << 11 for m in (grid - 1, grid, grid + 1) if 0 <= m < 2 ** 53]
+    for bits in draws:
+        stream = ScriptedStream([bits, 7])
+        assert _poisson(rate, stream) == reference_poisson(rate, bits)
+        assert stream.remaining == 1
+
+
+def test_the_cdf_memo_builds_a_rates_table_once_and_stays_within_its_bound():
+    experiment._cdf.cache_clear()
+    run_experiment(FAST._replace(arrival_rate=2.0))
+    info = experiment._cdf.cache_info()
+    assert info.misses == 1 and info.hits > 0
+    for rate in range(1, experiment._CDF_TABLES + 10):
+        experiment._cdf(rate)
+    info = experiment._cdf.cache_info()
+    assert info.maxsize == experiment._CDF_TABLES
+    assert info.currsize <= experiment._CDF_TABLES
+    assert info.misses > experiment._CDF_TABLES
+
+
+@pytest.mark.parametrize("departure_prob", [0.0, 1e-9])
+def test_a_gap_with_no_arrival_and_no_leaver_returns_the_handed_list(
+        monkeypatch, departure_prob):
+    # every tag stays (a top draw is no departure) and the arrivals draw
+    # is 0: the hook hands back the list it was handed, copying nothing
+    stays = [2**64 - 1] * 3 if departure_prob else []
+    stream = ScriptedStream(stays + [0])
+    played = []
+    monkeypatch.setattr(experiment, "_spare", [])
+    monkeypatch.setattr(experiment, "RngStream", lambda seed, trial: stream)
+    monkeypatch.setattr(experiment, "_dispatch",
+                        lambda config, population, rng, churn: played.append((population, churn)))
+    run_trial(ExperimentConfig(k_initial=3, trials=1, arrival_rate=0.5,
+                               departure_prob=departure_prob), 0)
+    [(population, churn)] = played
+    active = population.copy()
+    assert churn(active) is active
+    assert stream.remaining == 0
+    assert population == make_population(3)
 
 
 def _played_afresh(config, trial):

@@ -3,7 +3,10 @@ import contextlib
 import csv
 import io
 import json
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -216,6 +219,37 @@ def test_the_dict_api_is_the_stdlib_writers():
         _dict_writer_csv([(1, 2)])
     with pytest.raises(AttributeError):
         render_csv([(1, 2)])
+
+
+def _modules_loaded(code: str) -> set:
+    # the modules a fresh interpreter holds after running `code`, which
+    # prints nothing else to stdout; -I keeps the environment and the user
+    # site out, and what `site` loads at start is in a bare run's set too
+    out = subprocess.run([sys.executable, "-I", "-c", code + "; print(*sys.modules)"],
+                         capture_output=True, text=True, check=True).stdout
+    return set(out.split())
+
+
+@pytest.mark.parametrize("flags", [
+    [],
+    # the churn-edfsa workload's report: finite per-round JSON rows
+    ["--protocol", "edfsa", "--tags", "300", "--trials", "5", "--arrival-rate", "2",
+     "--departure-prob", "0.02", "--per-round", "--format", "json"],
+], ids=["default-csv", "per-round-json"])
+def test_a_finite_report_imports_no_lazy_module(tmp_path, flags):
+    # `json` serves only a non-finite JSON row (the infinite-time case of
+    # the JSON tests), `statistics` only the aggregate a CLI run never
+    # takes; `decimal` and `fractions` nothing a run does
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = tmp_path / "report"
+    argv = flags + ["--out", str(out)]
+    loaded = _modules_loaded(
+        f"import sys; sys.path.insert(0, {src!r}); from afsasim import cli; "
+        f"assert cli.main({argv!r}) == 0")
+    new = loaded - _modules_loaded("import sys")
+    assert out.stat().st_size > 0
+    assert "afsasim.report" in new
+    assert new.isdisjoint({"json", "statistics", "decimal", "fractions"})
 
 
 def test_write_rows_to_file(tmp_path):

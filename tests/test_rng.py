@@ -12,8 +12,10 @@ from afsasim.baselines import run_fsa_round
 from afsasim.experiment import _poisson
 from afsasim.model import FrameConfig, make_population
 from afsasim.rng import (
+    MAX_TAKE,
     PIECE_DRAWS,
     RngStream,
+    _tie_table,
     at_least,
     residues,
     u64s,
@@ -111,10 +113,15 @@ def test_a_negative_count_is_refused_and_consumes_nothing():
     for count, message in [(-2, "^count must be >= 0$"),
                            (True, "^count must be an integer$"),
                            (2.0, "^count must be an integer$"),
-                           ("3", "^count must be an integer$")]:
+                           ("3", "^count must be an integer$"),
+                           # `getrandbits` would overflow its C int; a take
+                           # at the bound itself would allocate 256 MB
+                           (2**25, "^count must be <= 33554431$"),
+                           (2**64, "^count must be <= 33554431$")]:
         with pytest.raises(ValueError, match=message):
             stream.take(count)
         assert next(stream) == next(twin)
+    assert MAX_TAKE == 33_554_431
 
 
 @pytest.mark.parametrize("modulus", [
@@ -234,6 +241,16 @@ def test_unit_cut_matches_unit_float(bits, p):
     assert (bits < unit_cut(p)) == (unit_float(bits) < p)
 
 
+def test_the_tie_table_memo_holds_each_top_bytes_table():
+    # one table per top byte of a cut in [0, 2**64]: a draw's top byte maps
+    # to 0 below it, 1 above it and 2 on a tie
+    for top in range(257):
+        assert _tie_table(top) == (
+            bytes(top) + b"\2" + b"\1" * (255 - top) if top < 256 else bytes(256))
+    info = _tie_table.cache_info()
+    assert info.maxsize == 257 and info.currsize <= 257
+
+
 # a cut whose low bits are not all zero, so the draws one either side of
 # it share its top byte and only a whole-draw comparison tells them apart
 _TIED_CUT = 0x5A << 56 | 12345
@@ -294,6 +311,8 @@ def test_scripted_take_packs_the_next_draws_then_raises():
         s.take(-1)
     with pytest.raises(ValueError, match="^count must be an integer$"):
         s.take(True)
+    with pytest.raises(ValueError, match="^count must be <= 33554431$"):
+        s.take(2**25)
     assert list(u64s(s.take(1))) == [9]
     with pytest.raises(IndexError):
         s.take(1)
