@@ -44,7 +44,8 @@ def _next_frame(key: Tuple[int, int, int, int, int],
                 fixed_seq_bits: Optional[int]) -> FrameConfig:
     """The frame the reader announces after a round whose `estimator._key`
     is `key`: `next_frame(estimate_backlog(trace), fixed_seq_bits)`, with
-    the estimate unchecked.  It calls `next_frame` by this module's name,
+    the counts unchecked: `_estimate(*key)` is the float `k_est`, passed
+    straight through.  It calls `next_frame` by this module's name,
     which bench/child.py wraps, so a traced run counts the memo's misses.
     """
     return next_frame(_estimate(*key), fixed_seq_bits)
@@ -169,7 +170,7 @@ class InventoryResult(NamedTuple):
 
     @property
     def tags_identified(self) -> int:
-        return sum(len(t.identified_epcs) for t in self.traces)
+        return sum(t.reserved_true_count for t in self.traces)
 
     @property
     def total_time_us(self) -> float:

@@ -12,6 +12,7 @@ import math
 from typing import NamedTuple, Tuple
 
 from .model import (
+    MAX_FRAME_SLOTS,
     MAX_SEQ_BITS,
     TIMING,
     PhaseDurations,
@@ -24,7 +25,7 @@ from .model import (
 
 def _check_args(tags: float, slots: int) -> None:
     check_nonnegative("tags", tags)
-    check_int("slots", slots, 1)
+    check_int("slots", slots, 1, MAX_FRAME_SLOTS)
 
 
 def _occupancy(tags: float, slots: int) -> Tuple[float, float, float]:
@@ -157,7 +158,7 @@ def optimal_seq_len(e_unresolved: float, slots: int) -> SeqLenChoice:
     refused: no load makes more slots collide than there are.
     """
     check_nonnegative("e_unresolved", e_unresolved)
-    check_int("slots", slots, 1)
+    check_int("slots", slots, 1, MAX_FRAME_SLOTS)
     if e_unresolved > slots:
         raise ValueError("e_unresolved must be <= slots")
     return _seq_len(e_unresolved, slots)
@@ -183,7 +184,7 @@ def phase_durations_for(
     (fractional count) so both sides evaluate the identical expression.
     `timing` is kept only because `bench/gate.py` passes `TimingModel()`.
     """
-    check_int("slots", slots, 1)
+    check_int("slots", slots, 1, MAX_FRAME_SLOTS)
     check_int("seq_bits", seq_bits, 1, MAX_SEQ_BITS)
     if not (is_real(successes) and 0 <= successes <= slots):
         raise ValueError("successes must be in [0, slots]")

@@ -177,6 +177,6 @@ def run_edfsa_inventory(
                     responders = [t for t in active if t.epc % groups == group]
                 trace = run_fsa_round(responders, slots, rng)
                 active = yield trace
-                k_est += _backlog(*_key(trace)).k_est
+                k_est += _backlog(*_key(trace))
 
     return run_inventory(tags, rounds(), max_rounds, between_rounds)

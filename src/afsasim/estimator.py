@@ -4,18 +4,19 @@ After each round the reader estimates how many unidentified tags remain
 and picks the next frame size, sequence length, and participation divisor
 from that estimate alone; nothing here peeks at ground truth.
 
-The protocols hand this module the trace: `_key` maps it to the inputs of
-`_estimate`, which both readers' memos key on (EDFSA's is `_backlog`), and
-`_first_frame` is the frame chosen before any round.
+An estimate is a plain float, the backlog `k_est`, and so is every input
+and output of the decision chain.  The protocols hand this module the
+trace: `_key` maps it to the inputs of `_estimate`, which both readers'
+memos key on (EDFSA's is `_backlog`), and `_first_frame` is the frame
+chosen before any round.
 """
-import enum
 import math
 from functools import lru_cache
-from typing import NamedTuple, Optional, Tuple
+from typing import Optional, Tuple
 
 from .analytic import _occupancy, _seq_len
 from .analytic import optimal_seq_len  # unused here, but bench/child.py wraps it by this name
-from .model import FrameConfig, RoundTrace, check_int, check_nonnegative
+from .model import MAX_FRAME_SLOTS, FrameConfig, RoundTrace, check_int, check_nonnegative
 
 # Expected occupants of a slot known to hold a collision, in the Poisson
 # regime the estimator assumes.  Used when no idle slot survives.
@@ -42,26 +43,14 @@ _MEMO_ENTRIES = 1024
 _frame = lru_cache(maxsize=_MEMO_ENTRIES, typed=True)(FrameConfig)
 
 
-class EstimateMethod(enum.Enum):
-    IDLE_INVERSION = "idle_inversion"
-    COLLISION_FLOOR = "collision_floor"
-
-
-class BacklogEstimate(NamedTuple):
-    """Estimated unidentified-tag count and the rule that produced it."""
-
-    k_est: float
-    method: EstimateMethod
-
-
 def estimate_from_counts(
     idle: int,
     reserved_apparent: int,
     detected_collisions: int,
     identified: int,
     slots: int,
-) -> BacklogEstimate:
-    """Backlog estimate from one round's observable slot counts.
+) -> float:
+    """Backlog estimate `k_est` from one round's observable slot counts.
 
     With at least one idle slot, invert E[idle] = N(1 - 1/N)^k for the
     number of responders k, then subtract the tags just identified:
@@ -77,28 +66,25 @@ def estimate_from_counts(
     A one-slot frame carries no idle-count information worth inverting,
     so it always uses the floor rule.  Estimates clamp at zero.
     """
-    for name, value, least in (("slots", slots, 1), ("idle", idle, 0),
-                               ("reserved_apparent", reserved_apparent, 0),
-                               ("detected_collisions", detected_collisions, 0),
-                               ("identified", identified, 0)):
-        # a fractional or bool count would give a plausible estimate
-        check_int(name, value, least)
+    # a fractional or bool count would give a plausible estimate
+    check_int("slots", slots, 1, MAX_FRAME_SLOTS)
+    for name, value in (("idle", idle), ("reserved_apparent", reserved_apparent),
+                        ("detected_collisions", detected_collisions),
+                        ("identified", identified)):
+        check_int(name, value, 0)
     if idle + reserved_apparent + detected_collisions != slots:
         raise ValueError("slot counts must partition the frame")
     return _estimate(idle, reserved_apparent, detected_collisions, identified, slots)
 
 
 def _estimate(idle: int, reserved_apparent: int, detected_collisions: int,
-              identified: int, slots: int) -> BacklogEstimate:
-    if idle >= 1 and slots > 1:
-        responders = math.log(idle / slots) / math.log(1.0 - 1.0 / slots)
-        k_est = responders - identified
-        method = EstimateMethod.IDLE_INVERSION
-    else:
+              identified: int, slots: int) -> float:
+    if idle >= 1 and slots > 1:  # the idle inversion
+        k_est = math.log(idle / slots) / math.log(1.0 - 1.0 / slots) - identified
+    else:  # the collision floor
         k_est = (COLLISION_TAG_MULTIPLIER * detected_collisions
                  + reserved_apparent - identified)
-        method = EstimateMethod.COLLISION_FLOOR
-    return BacklogEstimate(k_est=max(0.0, k_est), method=method)
+    return max(0.0, k_est)
 
 
 def _key(trace: RoundTrace) -> Tuple[int, int, int, int, int]:
@@ -118,13 +104,13 @@ def _key(trace: RoundTrace) -> Tuple[int, int, int, int, int]:
 _backlog = lru_cache(maxsize=_MEMO_ENTRIES)(_estimate)
 
 
-def estimate_backlog(trace: RoundTrace) -> BacklogEstimate:
-    """Backlog estimate from a completed round trace."""
+def estimate_backlog(trace: RoundTrace) -> float:
+    """Backlog estimate `k_est` from a completed round trace."""
     return estimate_from_counts(
         idle=trace.idle_count,
         reserved_apparent=trace.reserved_apparent_count,
         detected_collisions=trace.detected_collision_count,
-        identified=len(trace.identified_epcs),
+        identified=trace.reserved_true_count,
         slots=trace.slots,
     )
 
@@ -151,7 +137,7 @@ def _frame_size(value: float) -> int:
 def auto_seq_bits(k_est: float, slots: int) -> int:
     """Sequence length chosen for an upcoming frame of `slots` at backlog `k_est`."""
     check_nonnegative("k_est", k_est)
-    check_int("slots", slots, 1)
+    check_int("slots", slots, 1, MAX_FRAME_SLOTS)
     return _seq_bits(k_est, slots)
 
 
@@ -159,9 +145,8 @@ def _seq_bits(k_est: float, slots: int) -> int:
     return _seq_len(_occupancy(k_est, slots)[2], slots).rounded
 
 
-def next_frame(estimate: BacklogEstimate,
-               fixed_seq_bits: Optional[int] = None) -> FrameConfig:
-    """Frame parameters for the next round given the current backlog estimate.
+def next_frame(k_est: float, fixed_seq_bits: Optional[int] = None) -> FrameConfig:
+    """Frame parameters for the next round given the backlog estimate `k_est`.
 
     Frame size is the nearest power of two to k_est within [FRAME_MIN,
     FRAME_MAX].  The participation divisor engages only when the backlog
@@ -172,7 +157,6 @@ def next_frame(estimate: BacklogEstimate,
     the returned `FrameConfig` rejects a pinned length out of range.
     Equal frames are returned as the same object.
     """
-    k_est = estimate.k_est
     check_nonnegative("k_est", k_est)
     slots = _frame_size(k_est)
     if k_est > OVERLOAD_RATIO * slots:

@@ -150,7 +150,8 @@ class RoundTrace(NamedTuple):
     `seq_bits` is the reservation sequence length the frame announced, 0
     for protocols without a reservation phase.  The four slot counts
     partition the frame; `identified_epcs` lists tags identified this
-    round in slot order.  The reservation summary the reader broadcasts
+    round in slot order, as many as `reserved_true_count`, which is the
+    count the package reads.  The reservation summary the reader broadcasts
     costs one reader bit per slot (the `t_su` phase); nothing downstream
     reads which slots it marks, so only their number is kept, as
     `reserved_apparent_count`.  `total_us` is the round's air time; its

@@ -59,24 +59,23 @@ def _trial_values(
     if per_round:
         return [
             (trial_id, round_index, protocol, slots, seq_bits, k_active, idle,
-             reserved, detected, undetected, len(epcs), total_us)
+             reserved, detected, undetected, reserved, total_us)
             for round_index, (
-                (slots, seq_bits, _, idle, reserved, detected, undetected, epcs, total_us),
+                (slots, seq_bits, _, idle, reserved, detected, undetected, _, total_us),
                 k_active,
             ) in enumerate(zip(trial.traces, trial.k_active), start=1)
         ]
-    idle = reserved = detected = undetected = identified = 0
-    for _, _, _, t_idle, t_reserved, t_detected, t_undetected, epcs, _ in trial.traces:
+    idle = reserved = detected = undetected = 0
+    for _, _, _, t_idle, t_reserved, t_detected, t_undetected, _, _ in trial.traces:
         idle += t_idle
         reserved += t_reserved
         detected += t_detected
         undetected += t_undetected
-        identified += len(epcs)
     # `round_time_us` is not a running total in the loop above: from
     # Python 3.12 `sum` compensates, so the two could differ in the last bits
     return [(trial_id, trial.rounds_used, protocol, config.frame_slots,
              trial.traces[0].seq_bits, trial.ever_present, idle, reserved, detected,
-             undetected, identified, trial.total_time_us)]
+             undetected, reserved, trial.total_time_us)]
 
 
 def trial_rows(

@@ -760,10 +760,10 @@ def test_next_frame_memo_equals_the_uncached_decision(counts, fixed_seq_bits):
     slots = sum(counts)
     trace = _trace(counts)
     key = estimator._key(trace)
-    # the key holds the checked estimate's inputs, bit for bit
-    checked = estimate_backlog(trace)
-    unchecked = estimator._estimate(*key)
-    assert (unchecked.k_est.hex(), unchecked.method) == (checked.k_est.hex(), checked.method)
+    # the key holds the checked estimate's inputs, bit for bit, and the
+    # idle count and frame size that choose its rule
+    assert estimator._estimate(*key).hex() == estimate_backlog(trace).hex()
+    assert (key[0], key[4]) == (idle, slots)
     if idle and slots > 1:
         # the idle inversion decides and reads neither collision count, so a
         # round that splits its collisions otherwise shares the key

@@ -26,6 +26,10 @@ from afsasim.model import TimingModel
 
 from oracles import enum_slot_stats, enum_undetected, exact_undetected, mc_slot_means
 
+# How a function that takes a frame size refuses one; the bound is the
+# largest frame a config allows.
+SLOTS_MUST = f"^{re.escape(f'slots must be an integer in [1, {MAX_FRAME_SLOTS}]')}$"
+
 SMALL_CELLS = [(k, n) for k in range(0, 5) for n in range(1, 5)]
 
 
@@ -82,7 +86,7 @@ def test_argument_validation(bad):
     for fn in (expected_reserved, expected_idle, expected_unresolved,
                lambda tags, slots: slot_profile(tags, slots, 2),
                lambda tags, slots: expected_undetected_exact(tags, slots, 2)):
-        with pytest.raises(ValueError, match="^slots must be an integer >= 1$" if tags == 2 else
+        with pytest.raises(ValueError, match=SLOTS_MUST if tags == 2 else
                            r"^tags must be finite and >= 0$"):
             fn(tags, slots)
 
@@ -291,7 +295,7 @@ def test_optimal_seq_len_validation():
 @pytest.mark.parametrize("slots", [2.5, True, 0])
 def test_optimal_seq_len_rejects_a_fractional_or_bool_frame(slots):
     # 2.5 and True would otherwise get a plausible length (6 and 8 bits)
-    with pytest.raises(ValueError, match="^slots must be an integer >= 1$"):
+    with pytest.raises(ValueError, match=SLOTS_MUST):
         optimal_seq_len(10, slots)
 
 
@@ -326,9 +330,9 @@ def test_phase_durations_validation():
         phase_durations_for(1, 8, 0)
     # counts of slots and bits are integers; bool is no count
     for slots, bits in ((8.5, 2), (True, 2), (8, 2.5), (8, True), (0, 2), (8, 17)):
-        message = ("slots must be an integer >= 1" if bits == 2 else
-                   "seq_bits must be an integer in [1, 16]")
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        message = (SLOTS_MUST if bits == 2 else
+                   f"^{re.escape('seq_bits must be an integer in [1, 16]')}$")
+        with pytest.raises(ValueError, match=message):
             phase_durations_for(1, slots, bits)
     with pytest.raises(ValueError, match=r"^seq_bits must be an integer in \[1, 16\]$"):
         expected_undetected(10, 64, 2.5)

@@ -356,9 +356,10 @@ def test_backlog_memo_equals_the_checked_estimate(counts):
         total_us=TIMING.advert_us + TIMING.data_slot_us * slots)
     expected = estimate_backlog(trace)
     key = estimator._key(trace)
-    # the key holds the checked estimate's inputs, bit for bit
-    unchecked = estimator._estimate(*key)
-    assert (unchecked.k_est.hex(), unchecked.method) == (expected.k_est.hex(), expected.method)
+    # the key holds the checked estimate's inputs, bit for bit, and the
+    # idle count and frame size that choose its rule
+    assert estimator._estimate(*key).hex() == expected.hex()
+    assert (key[0], key[4]) == (idle, slots)
     estimator._backlog.cache_clear()
     # a miss and then a hit
     assert estimator._backlog(*key) == expected
@@ -376,7 +377,7 @@ def _check_cycles(result, initial_estimate):
         cycle, traces = traces[:plan.groups], traces[plan.groups:]
         assert all(t.slots == plan.slots for t in cycle)
         most_groups = max(most_groups, plan.groups)
-        plan = edfsa_plan(sum(estimate_backlog(t).k_est for t in cycle))
+        plan = edfsa_plan(sum(estimate_backlog(t) for t in cycle))
     return most_groups
 
 

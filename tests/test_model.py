@@ -5,12 +5,17 @@ import tracemalloc
 
 import pytest
 
-from afsasim.analytic import expected_idle, phase_durations_for
+from afsasim.analytic import (
+    expected_idle,
+    expected_undetected_exact,
+    optimal_seq_len,
+    phase_durations_for,
+    slot_profile,
+)
 from afsasim.baselines import edfsa_plan, run_edfsa_inventory, run_fsa_round
 from afsasim.estimator import (
-    BacklogEstimate,
-    EstimateMethod,
     auto_seq_bits,
+    estimate_from_counts,
     nearest_power_of_two,
     next_frame,
 )
@@ -153,7 +158,7 @@ def test_a_frame_past_max_frame_slots_is_refused_before_allocating():
     (lambda big: auto_seq_bits(big, 128), "k_est"),
     (lambda big: nearest_power_of_two(big), "value"),
     (lambda big: edfsa_plan(big), "k_est"),
-    (lambda big: next_frame(BacklogEstimate(big, EstimateMethod.IDLE_INVERSION)), "k_est"),
+    (lambda big: next_frame(big), "k_est"),
     (lambda big: run_edfsa_inventory([], None, initial_estimate=big), "initial_estimate"),
 ], ids=["check_nonnegative", "expected_idle", "auto_seq_bits", "nearest_power_of_two",
         "edfsa_plan", "next_frame", "run_edfsa_inventory"])
@@ -162,6 +167,26 @@ def test_an_int_too_large_for_a_float_is_refused_by_name(call, name):
         call(10**400)
     with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0$"):
         call(int(sys.float_info.max) + 1)
+
+
+# A frame size feeds float math too (1/slots, slots**k), so every
+# function that takes one bounds it by the largest frame a config allows.
+@pytest.mark.parametrize("call", [
+    lambda slots: expected_idle(100, slots),
+    lambda slots: expected_undetected_exact(100, slots, 2),
+    lambda slots: slot_profile(100, slots, 2),
+    lambda slots: phase_durations_for(0, slots, 2),
+    lambda slots: optimal_seq_len(0.0, slots),
+    lambda slots: auto_seq_bits(100, slots),
+    lambda slots: estimate_from_counts(slots, 0, 0, 0, slots),
+], ids=["expected_idle", "expected_undetected_exact", "slot_profile",
+        "phase_durations_for", "optimal_seq_len", "auto_seq_bits", "estimate_from_counts"])
+def test_a_frame_past_the_largest_is_refused_by_name(call):
+    for bad in (MAX_FRAME_SLOTS + 1, 10**400):
+        with pytest.raises(ValueError,
+                           match=rf"^slots must be an integer in \[1, {MAX_FRAME_SLOTS}\]$"):
+            call(bad)
+    call(MAX_FRAME_SLOTS)
 
 
 def test_the_largest_float_and_the_int_equal_to_it_are_accepted():
