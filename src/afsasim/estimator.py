@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 
 from .analytic import _occupancy, _seq_len
 from .analytic import optimal_seq_len  # unused here, but bench/child.py wraps it by this name
-from .model import MAX_FRAME_SLOTS, FrameConfig, RoundTrace, check_int, check_nonnegative
+from .model import MAX_FRAME_SLOTS, MAX_TAGS, FrameConfig, RoundTrace, check_int, check_nonnegative
 
 # Expected occupants of a slot known to hold a collision, in the Poisson
 # regime the estimator assumes.  Used when no idle slot survives.
@@ -69,9 +69,11 @@ def estimate_from_counts(
     # a fractional or bool count would give a plausible estimate
     check_int("slots", slots, 1, MAX_FRAME_SLOTS)
     for name, value in (("idle", idle), ("reserved_apparent", reserved_apparent),
-                        ("detected_collisions", detected_collisions),
-                        ("identified", identified)):
+                        ("detected_collisions", detected_collisions)):
         check_int(name, value, 0)
+    # a round identifies at most one tag per slot, so no real count comes
+    # near MAX_TAGS; a count past the floats would overflow the estimate
+    check_int("identified", identified, 0, MAX_TAGS)
     if idle + reserved_apparent + detected_collisions != slots:
         raise ValueError("slot counts must partition the frame")
     return _estimate(idle, reserved_apparent, detected_collisions, identified, slots)

@@ -5,7 +5,6 @@ Everything here is a plain value type.  Simulation state lives in `Tag`
 that traces can be stored, compared, and replayed without defensive
 copies.
 """
-import numbers
 import sys
 from typing import NamedTuple
 
@@ -26,9 +25,12 @@ def is_int(value) -> bool:
 
 def is_real(value) -> bool:
     """True for a real number: not a str or None, and not a bool either."""
-    # the exact type test spares a float or int the ABC check, ten times slower
-    return type(value) in (float, int) or (
-        isinstance(value, numbers.Real) and not isinstance(value, bool))
+    # the exact type test spares a float or int the ABC check, ten times
+    # slower, and a run the import of numbers, which only this branch needs
+    if type(value) in (float, int):
+        return True
+    import numbers
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def check_nonnegative(name: str, value) -> None:

@@ -7,12 +7,14 @@ Kept deliberately slow and obvious.  Beside them are the scripted stream,
 which replays a fixed draw sequence where a test pins exact protocol
 behaviour, the trace checker every simulated round is put through, and
 the term-by-term Poisson loop whose counts the arrivals' CDF table must
-reproduce exactly.
+reproduce exactly.  Last is the CLI's former argparse parser, which the
+flag-table parser must match token for token.
 """
+import argparse
 import math
 from fractions import Fraction
 from itertools import product
-from typing import Collection, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Collection, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -368,3 +370,51 @@ def reference_inventory(tags, rounds, max_rounds: int, between_rounds=None,
             return ReferenceInventory(traces, k_active, False, len(tags))
         if between_rounds is not None:
             between_rounds(remaining)
+
+
+# The command line ------------------------------------------------------------
+
+def _argparse_type(parse):
+    # argparse reports an ArgumentTypeError's own message, but a ValueError
+    # as "invalid <name> value"; the CLI's value parsers raise ValueError
+    def convert(text):
+        try:
+            return parse(text)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
+    return convert
+
+
+def reference_parse_cli(argv: Sequence[str]) -> argparse.Namespace:
+    """The CLI's argparse parser, as `afsasim.cli.parse_cli` was before its
+    flag table replaced it: the same flags, defaults and value parsers, and
+    every refusal raised as `CliError`.  `-h` prints argparse's own help and
+    raises SystemExit(0).  The flag table follows argparse's rules as of
+    Python 3.11, whose handling of `--` and of negative numbers later
+    versions change."""
+    from afsasim import cli
+    from afsasim.experiment import PROTOCOLS, ExperimentConfig
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message: str):
+            raise cli.CliError(message)
+
+    parser = Parser(prog="afsasim")
+    defaults = ExperimentConfig._field_defaults
+    int_arg = _argparse_type(cli._int_arg)
+    float_arg = _argparse_type(cli._float_arg)
+    parser.add_argument("--protocol", choices=PROTOCOLS, default=defaults["protocol"])
+    parser.add_argument("--tags", type=int_arg, default=defaults["k_initial"])
+    parser.add_argument("--frame", type=int_arg, default=defaults["frame_slots"])
+    parser.add_argument("--seq-bits", type=_argparse_type(cli._seq_bits),
+                        default=defaults["seq_bits"])
+    parser.add_argument("--trials", type=int_arg, default=defaults["trials"])
+    parser.add_argument("--seed", type=int_arg, default=defaults["seed"])
+    parser.add_argument("--max-rounds", type=int_arg, default=defaults["max_rounds"])
+    parser.add_argument("--arrival-rate", type=float_arg, default=defaults["arrival_rate"])
+    parser.add_argument("--departure-prob", type=float_arg, default=defaults["departure_prob"])
+    parser.add_argument("--sweep", type=_argparse_type(cli._sweep_spec), default=None)
+    parser.add_argument("--out", default=None)
+    parser.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
+    parser.add_argument("--per-round", action="store_true")
+    return parser.parse_args(list(argv))

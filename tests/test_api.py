@@ -59,11 +59,21 @@ def test_the_cli_imports_only_the_standard_library():
     assert foreign == []
 
 
+# The benchmark's paper-k100 flags at seed 1 (bench/run.py), every flag
+# explicit; a run parses them before its first trial.
+PAPER_K100_ARGV = ["--protocol", "afsa", "--tags", "100", "--frame", "128",
+                   "--seq-bits", "auto", "--trials", "500", "--max-rounds", "1000",
+                   "--arrival-rate", "0.0", "--departure-prob", "0.0", "--format", "csv",
+                   "--seed", "1"]
+
+
 def _modules_after_importing_the_cli() -> list:
+    # what a run has loaded by its first trial: the import, then the parse
     code = (
         "import sys\n"
         f"sys.path.insert(0, {str(SRC)!r})\n"
         "import afsasim.cli\n"
+        f"afsasim.cli.parse_cli({PAPER_K100_ARGV!r})\n"
         "print(*sorted(sys.modules), sep='\\n')\n"
     )
     return subprocess.run([sys.executable, "-I", "-c", code],
@@ -81,8 +91,11 @@ def test_importing_the_cli_loads_no_module_a_plain_run_does_not_use():
     # records are NamedTuples, so nothing loads dataclasses (and with it
     # inspect, ast and dis); statistics, decimal and fractions wait for the
     # calls that need them, which test_parse_cli_sweeps and the
-    # run_experiment tests exercise
-    deferred = ("dataclasses", "inspect", "statistics", "decimal", "fractions")
+    # run_experiment tests exercise.  The flags are read by a table, not by
+    # argparse (which loads gettext and, on its first message, locale), and
+    # model.is_real imports numbers only for a value neither float nor int.
+    deferred = ("dataclasses", "inspect", "statistics", "decimal", "fractions",
+                "argparse", "gettext", "locale", "numbers")
     assert [name for name in _modules_after_importing_the_cli() if name in deferred] == []
 
 

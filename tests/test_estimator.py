@@ -15,7 +15,7 @@ from afsasim.estimator import (
     nearest_power_of_two,
     next_frame,
 )
-from afsasim.model import FrameConfig, make_population
+from afsasim.model import MAX_TAGS, FrameConfig, make_population
 from afsasim.afsa import run_afsa_round
 from afsasim.rng import RngStream
 
@@ -91,9 +91,24 @@ def test_estimate_input_validation():
 def test_estimate_rejects_a_fractional_or_bool_count(position, field, bad):
     counts = [1, 2, 1, 0, 4]
     counts[position] = bad
-    bounds = r"in \[1, 65536\]" if field == "slots" else ">= 0"
+    bounds = {"slots": r"in \[1, 65536\]", "identified": r"in \[0, 1000000\]"}.get(field, ">= 0")
     with pytest.raises(ValueError, match=f"^{field} must be an integer {bounds}$"):
         estimate_from_counts(*counts)
+
+
+# A round identifies at most one tag per slot, so `identified` is bounded by
+# MAX_TAGS; past the floats, the estimate would raise OverflowError instead.
+@pytest.mark.parametrize("counts", [(1, 1, 0, 10**400, 2), (0, 1, 1, 10**400, 2),
+                                    (1, 1, 0, MAX_TAGS + 1, 2)],
+                         ids=["idle-inversion", "collision-floor", "max-tags-plus-one"])
+def test_an_identified_count_past_max_tags_is_refused_by_name(counts):
+    with pytest.raises(ValueError, match=rf"^identified must be an integer in \[0, {MAX_TAGS}\]$"):
+        estimate_from_counts(*counts)
+
+
+def test_an_identified_count_of_max_tags_clamps_to_zero():
+    assert estimate_from_counts(1, 1, 0, MAX_TAGS, 2) == 0.0
+    assert estimate_from_counts(0, 1, 1, MAX_TAGS, 2) == 0.0
 
 
 @pytest.mark.parametrize("slots", GRID_SLOTS)

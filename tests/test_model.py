@@ -2,6 +2,8 @@
 import math
 import sys
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -29,6 +31,7 @@ from afsasim.model import (
     TimingModel,
     active_count,
     check_nonnegative,
+    is_real,
     make_population,
 )
 
@@ -187,6 +190,16 @@ def test_a_frame_past_the_largest_is_refused_by_name(call):
                            match=rf"^slots must be an integer in \[1, {MAX_FRAME_SLOTS}\]$"):
             call(bad)
     call(MAX_FRAME_SLOTS)
+
+
+# A float or int answers by its exact type; every other value goes through
+# the numbers.Real check, which is imported only when one arrives.
+@pytest.mark.parametrize("value, real", [
+    (0, True), (2.5, True), (10**400, True), (Fraction(1, 3), True), (math.nan, True),
+    (Decimal("2"), False), (True, False), ("3", False), (None, False),
+], ids=repr)
+def test_is_real_answers(value, real):
+    assert is_real(value) is real
 
 
 def test_the_largest_float_and_the_int_equal_to_it_are_accepted():
