@@ -29,7 +29,7 @@ from .model import (
     check_int,
     is_int,
 )
-from .rng import PIECE_DRAWS, RngStream, _in_pieces, residues, u64s
+from .rng import PIECE_DRAWS, RngStream, _in_pieces, _residues, _u64s
 
 # A round's air time and the reader's next frame depend on a few small
 # counts, so both are memoised.
@@ -78,7 +78,7 @@ def run_afsa_round(
     through its `take`, at most PIECE_DRAWS at a time; an ungated round
     whose draws fit in PIECE_DRAWS takes them all with one `take`, and
     reduces each slot and sequence draw from its low bytes where the frame
-    allows (`rng.residues`); a larger one still takes every piece but stops
+    allows (`rng._residues`); a larger one still takes every piece but stops
     reading them once every slot holds a detected collision.  The trace's
     `responders` counts the tags that joined: all of `tags` unless the
     divisor gates the round.
@@ -104,7 +104,7 @@ def run_afsa_round(
         if responders <= PIECE_DRAWS // 3:
             # one piece: the draws are read in place, with no closure
             raw = rng.take(3 * responders)
-            joiners = zip(tags, residues(raw, 1, 3, slots), residues(raw, 2, 3, seq_space))
+            joiners = zip(tags, _residues(raw, 1, 3, slots), _residues(raw, 2, 3, seq_space))
         else:
             # once every slot holds a detected collision no later tag can
             # change a count, so a piece still takes its draws, which keeps
@@ -114,7 +114,7 @@ def run_afsa_round(
             def read(piece, raw, first_seq=first_seq, saturated=[-1] * slots):
                 if first_seq == saturated:
                     return ()
-                return zip(piece, residues(raw, 1, 3, slots), residues(raw, 2, 3, seq_space))
+                return zip(piece, _residues(raw, 1, 3, slots), _residues(raw, 2, 3, seq_space))
             joiners = _in_pieces(tags, 3, rng, read)
     else:
         # a tag takes its slot and sequence draws only once it has joined,
@@ -122,7 +122,7 @@ def run_afsa_round(
         # one for the tag in hand and one for each tag after it
         pending = iter(tags)
         draws = chain.from_iterable(
-            u64s(rng.take(min(length_hint(pending) + 1, PIECE_DRAWS))) for _ in repeat(None))
+            _u64s(rng.take(min(length_hint(pending) + 1, PIECE_DRAWS))) for _ in repeat(None))
         seq_mask = (1 << seq_bits) - 1
         joiners = [(tag, next(draws) % slots, next(draws) & seq_mask)
                    for tag in pending if not next(draws) % divisor]

@@ -33,7 +33,7 @@ from .model import (
     check_nonnegative,
     int_problem,
 )
-from .rng import PIECE_DRAWS, RngStream, _in_pieces, residues
+from .rng import PIECE_DRAWS, RngStream, _in_pieces, _residues
 
 # Frame sizes EDFSA may announce; backlog beyond the largest is split
 # into EDFSA_MAX_FRAME-sized groups instead.
@@ -70,10 +70,10 @@ def run_fsa_round(tags: Sequence[Tag], slots: int, rng: RngStream) -> RoundTrace
     heard: List[object] = [None] * slots
     if len(tags) <= PIECE_DRAWS:
         # one piece: the draws are read in place, with no closure
-        placed = zip(tags, residues(rng.take(len(tags)), 0, 1, slots))
+        placed = zip(tags, _residues(rng.take(len(tags)), 0, 1, slots))
     else:
         placed = _in_pieces(tags, 1, rng,
-                            lambda piece, raw: zip(piece, residues(raw, 0, 1, slots)))
+                            lambda piece, raw: zip(piece, _residues(raw, 0, 1, slots)))
     for tag, slot in placed:
         heard[slot] = tag if heard[slot] is None else COLLIDED
 

@@ -141,14 +141,14 @@ _DEFAULTS = ExperimentConfig._field_defaults
 # One row per flag: (flag, attribute, value parser or None for a switch,
 # default, metavar, help).  `parse_cli` reads argv by this table and
 # --help prints it, with a help text's %(default)s standing for the row's
-# default.  Each config-backed flag defaults to the config field's own
-# default.
+# default.  Each config-backed flag stores its value under the config
+# field's name and defaults to that field's own default.
 FLAGS = (
     ("--protocol", "protocol", _one_of(PROTOCOLS), _DEFAULTS["protocol"],
      "{" + ",".join(PROTOCOLS) + "}", "protocol to run (default %(default)s)"),
-    ("--tags", "tags", _int_arg, _DEFAULTS["k_initial"], "K",
+    ("--tags", "k_initial", _int_arg, _DEFAULTS["k_initial"], "K",
      f"initial tag population, at most {MAX_TAGS} (default %(default)s)"),
-    ("--frame", "frame", _int_arg, _DEFAULTS["frame_slots"], "N",
+    ("--frame", "frame_slots", _int_arg, _DEFAULTS["frame_slots"], "N",
      f"initial frame size in slots, at most {MAX_FRAME_SLOTS} (default %(default)s)"),
     ("--seq-bits", "seq_bits", _seq_bits, _DEFAULTS["seq_bits"], f"{{1..{MAX_SEQ_BITS}|auto}}",
      "reservation sequence bits, or auto to re-derive each round (default auto)"),
@@ -298,17 +298,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _fail(str(err))
         return 1
 
-    fields = dict(
-        protocol=ns.protocol,
-        k_initial=ns.tags,
-        frame_slots=ns.frame,
-        seq_bits=ns.seq_bits,
-        trials=ns.trials,
-        seed=ns.seed,
-        max_rounds=ns.max_rounds,
-        arrival_rate=ns.arrival_rate,
-        departure_prob=ns.departure_prob,
-    )
+    fields = {name: getattr(ns, name) for name in ExperimentConfig._fields}
     invalid = incomplete = False
 
     if ns.sweep is None:

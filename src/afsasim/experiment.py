@@ -24,7 +24,7 @@ from .model import (
     is_real,
     make_population,
 )
-from .rng import MAX_KEY, PIECE_DRAWS, RngStream, _in_pieces, at_least, unit_cut, unit_float
+from .rng import MAX_KEY, PIECE_DRAWS, RngStream, _in_pieces, _at_least, _unit_cut, _unit_float
 
 PROTOCOLS = ("afsa", "fsa", "edfsa")
 
@@ -189,7 +189,7 @@ def _poisson(rate: float, rng: RngStream) -> int:
     resolve, and the draw is the first count whose term no longer moves
     the CDF.
     """
-    return bisect_left(_cdf(rate), unit_float(next(rng)))
+    return bisect_left(_cdf(rate), _unit_float(next(rng)))
 
 
 _EPC = attrgetter("epc")
@@ -268,7 +268,7 @@ def run_trial(config: ExperimentConfig, trial_id: int) -> InventoryResult:
 
     churn = None
     if config.arrival_rate > 0 or config.departure_prob > 0:
-        departs = unit_cut(config.departure_prob)
+        departs = _unit_cut(config.departure_prob)
         rate = config.arrival_rate
         # the present tags in population order, identified ones too; only
         # departure draws read it, so it is kept only when tags can leave
@@ -283,10 +283,10 @@ def run_trial(config: ExperimentConfig, trial_id: int) -> InventoryResult:
                 # at most PIECE_DRAWS draws are taken with one `take` and
                 # read in place; more are taken in pieces
                 if len(present) <= PIECE_DRAWS:
-                    stays = at_least(rng.take(len(present)), departs)
+                    stays = _at_least(rng.take(len(present)), departs)
                 else:
                     stays = b"".join(_in_pieces(present, 1, rng,
-                                                lambda piece, raw: (at_least(raw, departs),)))
+                                                lambda piece, raw: (_at_least(raw, departs),)))
                 present, active = _depart(present, active, stays)
             if rate > 0:
                 count = _poisson(rate, rng)

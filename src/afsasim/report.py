@@ -17,11 +17,10 @@ and no row dict is built.
 from __future__ import annotations
 
 import contextlib
-import csv
 import io
 import sys
 from math import isfinite
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .afsa import InventoryResult
 from .experiment import PROTOCOLS, ExperimentConfig, ExperimentResult
@@ -98,40 +97,14 @@ def result_rows(result: ExperimentResult, per_round: bool = False) -> List[Row]:
     ]
 
 
-def _drain(buf: io.StringIO) -> str:
-    text = buf.getvalue()
-    buf.seek(0)
-    buf.truncate()
-    return text
-
-
-def _json_writer() -> Callable[[Values], str]:
-    """The function that writes one row of a JSON report.
-
-    `json` is imported only for a row whose time is not finite: a CSV
-    report, the default, and a finite JSON one never need it.
-    """
-    # one `%` template of a row object per protocol: it takes a row's 12
-    # values and holds the protocol's JSON text in place of the third,
-    # which `%.0s` swallows; the names in PROTOCOLS are plain ASCII, so
-    # quoting them is their JSON text
-    fields = [f'    "{column}": %s' for column in COLUMNS]
-    templates = {}
-    for protocol in PROTOCOLS:
-        fields[2] = f'    "protocol": "{protocol}"%.0s'
-        templates[protocol] = "  {\n" + ",\n".join(fields) + "\n  }"
-
-    def item(values: Values) -> str:
-        """The row dict of `values` as `json.dumps(rows, indent=2)` writes
-        it inside the array: through its protocol's template, or through
-        the stdlib encoder when the time is not finite."""
-        if isfinite(values[-1]):
-            return templates[values[2]] % values
-        import json
-
-        return json.dumps([dict(zip(COLUMNS, values))], indent=2)[2:-2]
-
-    return item
+# One `%` template of a report row per format, for a row whose protocol is
+# in PROTOCOLS and whose time is finite: `str` of an int or a finite float
+# is what `csv.writer` and `json.dumps` write, and a name in PROTOCOLS is
+# plain ASCII, so quoting it is its JSON text.
+_CSV_ROW = ",".join(["%s"] * len(COLUMNS)) + "\n"
+_JSON_ROW = "  {\n" + ",\n".join(
+    f'    "{column}": ' + ('"%s"' if column == "protocol" else "%s") for column in COLUMNS
+) + "\n  }"
 
 
 def _report_text(batches: Iterable[Sequence[Values]], fmt: str = "csv") -> Iterator[str]:
@@ -139,32 +112,30 @@ def _report_text(batches: Iterable[Sequence[Values]], fmt: str = "csv") -> Itera
     batch that holds rows and one closing piece.
 
     The pieces join to `render_csv` or `render_json` of the row dicts of
-    all the tuples: a CSV header and its rows, or one JSON array.  A JSON
-    batch is the encoding of its own array without the bracket and line
-    break at either end, and the pieces join batches with a comma and a
-    line break, as the whole array's encoding joins its items.
+    all the tuples.  A format is its framing, the text before, between and
+    after the rows and that of no row, and its row template.  A row the
+    template cannot write is its format's rendering of that row alone, cut
+    from its framing, so `csv` or `json` is imported only for such a row.
+    A CSV piece ends with a whole row.
     """
     if fmt == "csv":
-        # one writer for the whole report, its buffer emptied once per
-        # batch; the header goes out with the first batch, or at the end
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(COLUMNS)
-        for rows in batches:
-            if rows:
-                writer.writerows(rows)
-                yield _drain(buf)
-        yield _drain(buf)
+        first = empty = ",".join(COLUMNS) + "\n"
+        between = last = ""
+        template, render = _CSV_ROW, render_csv
     elif fmt == "json":
-        json_item = _json_writer()
-        opening = "[\n"
-        for rows in batches:
-            if rows:
-                yield opening + ",\n".join(map(json_item, rows))
-                opening = ",\n"
-        yield "[]\n" if opening == "[\n" else "\n]\n"
+        first, between, last, empty = "[\n", ",\n", "\n]\n", "[]\n"
+        template, render = _JSON_ROW, render_json
     else:
         raise _bad_format(fmt)
+    opening = first
+    for rows in batches:
+        if rows:
+            yield opening + between.join([
+                template % values if values[2] in PROTOCOLS and isfinite(values[-1])
+                else render([dict(zip(COLUMNS, values))]).removeprefix(first).removesuffix(last)
+                for values in rows])
+            opening = between
+    yield empty if opening is first else last
 
 
 def _bad_format(fmt: str) -> ValueError:
@@ -185,6 +156,8 @@ def render_csv(rows: Sequence[Row]) -> str:
     Floats render via str(), which in Python is the shortest exact
     representation, so output is byte-stable and loses no precision.
     """
+    import csv
+
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=COLUMNS, lineterminator="\n")
     writer.writeheader()

@@ -8,10 +8,11 @@ Mersenne Twister that `random.Random` subclasses, seeded with the same
 int, so its state is the same; it skips the Python frames of
 `random.Random.__init__` and `seed`.  The protocol code reads its draws
 through the stream's `take`, which packs the next draws as 8
-little-endian bytes each; `residues` reduces packed draws and reads only
-the low bytes where they suffice, and `at_least` compares them with a
+little-endian bytes each; `_residues` reduces packed draws and reads only
+the low bytes where they suffice, and `_at_least` compares them with a
 bound on their top byte, so a round or a churn gap builds no int it need
-not build.
+not build.  These helpers are private and check nothing: they run once
+per round or gap, on values their callers already hold in range.
 """
 from __future__ import annotations
 
@@ -42,13 +43,13 @@ PIECE_DRAWS = 3 * 1024
 _LOW_BYTE = {1 << i: bytes(range(1 << i)) * (256 >> i) for i in range(9)}
 
 
-def unit_float(bits: int) -> float:
+def _unit_float(bits: int) -> float:
     """The uniform float in [0, 1) that a u64 draw stands for, on a grid of 2**-53."""
     return (bits >> 11) * _ULP53
 
 
-def unit_cut(p: float) -> int:
-    """The bound with `bits < unit_cut(p)` exactly when `unit_float(bits) < p`,
+def _unit_cut(p: float) -> int:
+    """The bound with `bits < _unit_cut(p)` exactly when `_unit_float(bits) < p`,
     for p in [0, 1]; a loop can test its raw draws against it."""
     # m * 2**-53 < p holds for an integer m exactly when m < ceil(p * 2**53),
     # and both products are exact; `bits >> 11 < c` is `bits < c << 11`
@@ -116,12 +117,12 @@ def _little(words: array) -> array:
     return words
 
 
-def u64s(raw: bytes) -> array:
+def _u64s(raw: bytes) -> array:
     """Packed draws as ints, in order."""
     return _little(array("Q", raw))
 
 
-def residues(raw: bytes, first: int, step: int, modulus: int) -> Iterable[int]:
+def _residues(raw: bytes, first: int, step: int, modulus: int) -> Iterable[int]:
     """Draws first, first + step, ... of packed `raw`, each modulo `modulus`.
 
     A power-of-two modulus up to 2**16 needs only a draw's low byte or low
@@ -143,7 +144,7 @@ def residues(raw: bytes, first: int, step: int, modulus: int) -> Iterable[int]:
         words[0::2] = low
         words[1::2] = raw[8 * first + 1::8 * step].translate(table)
         return _little(array("H", words))
-    return [draw % modulus for draw in u64s(raw)[first::step]]
+    return [draw % modulus for draw in _u64s(raw)[first::step]]
 
 
 # one entry per top byte of a cut in [0, 2**64]
@@ -154,7 +155,7 @@ def _tie_table(top: int) -> bytes:
     return bytes(top) + b"\2" + b"\1" * (255 - top) if top < 256 else bytes(256)
 
 
-def at_least(raw: bytes, cut: int) -> bytes:
+def _at_least(raw: bytes, cut: int) -> bytes:
     """Byte i is 1 when packed draw i of `raw` is >= `cut`, else 0, for a
     cut in [0, 2**64].
 

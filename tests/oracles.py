@@ -404,8 +404,10 @@ def reference_parse_cli(argv: Sequence[str]) -> argparse.Namespace:
     int_arg = _argparse_type(cli._int_arg)
     float_arg = _argparse_type(cli._float_arg)
     parser.add_argument("--protocol", choices=PROTOCOLS, default=defaults["protocol"])
-    parser.add_argument("--tags", type=int_arg, default=defaults["k_initial"])
-    parser.add_argument("--frame", type=int_arg, default=defaults["frame_slots"])
+    parser.add_argument("--tags", type=int_arg, default=defaults["k_initial"],
+                        dest="k_initial")
+    parser.add_argument("--frame", type=int_arg, default=defaults["frame_slots"],
+                        dest="frame_slots")
     parser.add_argument("--seq-bits", type=_argparse_type(cli._seq_bits),
                         default=defaults["seq_bits"])
     parser.add_argument("--trials", type=int_arg, default=defaults["trials"])

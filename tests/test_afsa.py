@@ -19,7 +19,7 @@ from afsasim.model import (
     Tag,
     make_population,
 )
-from afsasim.rng import PIECE_DRAWS, RngStream, residues, unit_float
+from afsasim.rng import PIECE_DRAWS, RngStream, _residues, _unit_float
 
 from oracles import (
     DETECTED_COLLISION,
@@ -382,9 +382,9 @@ def test_large_rounds_match_the_reference(monkeypatch, k, frame, least_undetecte
 
     def counted_residues(raw, first, step, modulus):
         reads.append(len(raw) // 8)
-        return residues(raw, first, step, modulus)
+        return _residues(raw, first, step, modulus)
 
-    monkeypatch.setattr(afsa, "residues", counted_residues)
+    monkeypatch.setattr(afsa, "_residues", counted_residues)
     # the reference reads its draws with `next`, so only the kernel takes
     takes = []
     take = RngStream.take
@@ -396,7 +396,7 @@ def test_large_rounds_match_the_reference(monkeypatch, k, frame, least_undetecte
     if frame.participation_divisor == 1:
         size = PIECE_DRAWS // 3
         assert takes == [3 * min(size, k - start) for start in range(0, k, size)]
-        # a piece that is read calls `residues` twice, for its slots and
+        # a piece that is read calls `_residues` twice, for its slots and
         # its sequences, and the pieces are read in order
         pieces_read = len(reads) // 2
         assert reads == [count for count in takes[:pieces_read] for _ in range(2)]
@@ -580,9 +580,9 @@ def test_every_round_of_a_churned_inventory_is_consistent(
 
     def churn(active):
         for tag in tags:
-            if tag.epc not in departed and unit_float(next(churn_rng)) < departure_prob:
+            if tag.epc not in departed and _unit_float(next(churn_rng)) < departure_prob:
                 departed.add(tag.epc)
-        while unit_float(next(churn_rng)) < arrival_rate / (1.0 + arrival_rate):
+        while _unit_float(next(churn_rng)) < arrival_rate / (1.0 + arrival_rate):
             tags.append(Tag(epc=len(tags)))
         return [t for t in tags if t.epc not in departed and not t.identified]
 
@@ -637,10 +637,10 @@ def _match_the_scanning_reference(inventory, k, churned, seed, max_rounds):
         # returns the stayers of the tags it is handed, then the arrivals
         def churn(active):
             for tag in tags:
-                if tag.epc not in departed and unit_float(next(rng)) < 0.1:
+                if tag.epc not in departed and _unit_float(next(rng)) < 0.1:
                     departed.add(tag.epc)
             known = len(tags)
-            while unit_float(next(rng)) < 0.6:
+            while _unit_float(next(rng)) < 0.6:
                 tags.append(Tag(epc=len(tags)))
             return [t for t in active if t.epc not in departed] + tags[known:]
 

@@ -92,10 +92,11 @@ def test_importing_the_cli_loads_no_module_a_plain_run_does_not_use():
     # inspect, ast and dis); statistics, decimal and fractions wait for the
     # calls that need them, which test_parse_cli_sweeps and the
     # run_experiment tests exercise.  The flags are read by a table, not by
-    # argparse (which loads gettext and, on its first message, locale), and
-    # model.is_real imports numbers only for a value neither float nor int.
+    # argparse (which loads gettext and, on its first message, locale),
+    # model.is_real imports numbers only for a value neither float nor int,
+    # and the report imports csv only for a row its template cannot write.
     deferred = ("dataclasses", "inspect", "statistics", "decimal", "fractions",
-                "argparse", "gettext", "locale", "numbers")
+                "argparse", "gettext", "locale", "numbers", "csv")
     assert [name for name in _modules_after_importing_the_cli() if name in deferred] == []
 
 

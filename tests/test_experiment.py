@@ -28,7 +28,7 @@ from afsasim.afsa import run_afsa_inventory
 from afsasim.baselines import run_edfsa_inventory, run_fsa_inventory
 from afsasim.estimator import auto_seq_bits
 from afsasim.model import FrameConfig, Tag, make_population
-from afsasim.rng import PIECE_DRAWS, RngStream, unit_float
+from afsasim.rng import PIECE_DRAWS, RngStream, _unit_float
 
 from oracles import ScriptedStream, reference_poisson
 
@@ -407,7 +407,7 @@ def _played_afresh(config, trial):
 
         def churn(active):
             for tag in population:
-                if tag.epc not in departed and unit_float(next(rng)) < config.departure_prob:
+                if tag.epc not in departed and _unit_float(next(rng)) < config.departure_prob:
                     departed.add(tag.epc)
             for _ in range(_poisson(config.arrival_rate, rng)):
                 population.append(Tag(epc=len(population)))

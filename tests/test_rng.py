@@ -16,11 +16,11 @@ from afsasim.rng import (
     PIECE_DRAWS,
     RngStream,
     _tie_table,
-    at_least,
-    residues,
-    u64s,
-    unit_cut,
-    unit_float,
+    _at_least,
+    _residues,
+    _u64s,
+    _unit_cut,
+    _unit_float,
 )
 
 from oracles import ScriptedStream
@@ -134,7 +134,7 @@ def test_residues_are_the_remainders_of_whole_draws(modulus, first, step):
     # no power of two above a zero one, so all three reduce whole draws
     draws = [next(RngStream(5, i)) for i in range(60)] + [0, 255, 256, 65535, 65536, (1 << 64) - 1]
     raw = _packed(draws)
-    assert list(residues(raw, first, step, modulus)) == [d % modulus for d in draws[first::step]]
+    assert list(_residues(raw, first, step, modulus)) == [d % modulus for d in draws[first::step]]
 
 
 @given(exponent=st.integers(min_value=9, max_value=16),
@@ -148,7 +148,7 @@ def test_sixteen_bit_residues_ignore_the_bits_above(exponent, draws, high, first
     modulus = 1 << exponent
     draws = draws + [d | high << 16 for d in draws]
     expected = [d % modulus for d in draws[first::step]]
-    assert list(residues(_packed(draws), first, step, modulus)) == expected
+    assert list(_residues(_packed(draws), first, step, modulus)) == expected
 
 
 @pytest.mark.parametrize("modulus, kind", [
@@ -158,7 +158,7 @@ def test_sixteen_bit_residues_ignore_the_bits_above(exponent, draws, high, first
 def test_power_of_two_residues_are_never_a_list_of_ints(modulus, kind):
     # each fast path returns its own C-built sequence; a list would mean a
     # Python loop ran over the draws
-    got = residues(_packed(list(range(0, 3000, 7))), 1, 3, modulus)
+    got = _residues(_packed(list(range(0, 3000, 7))), 1, 3, modulus)
     assert type(got) is kind
     if kind is array:
         assert got.typecode == "H"
@@ -221,7 +221,7 @@ def test_a_script_of_known_draws_is_read_in_order():
     ((1 << 64) - 1, 1.0 - 2.0 ** -53),
 ], ids=["zero", "half", "top"])
 def test_unit_float(bits, value):
-    assert unit_float(bits) == value
+    assert _unit_float(bits) == value
 
 
 def _at_the_edges(test):
@@ -238,7 +238,7 @@ def _at_the_edges(test):
        p=st.floats(min_value=0.0, max_value=1.0))
 @_at_the_edges
 def test_unit_cut_matches_unit_float(bits, p):
-    assert (bits < unit_cut(p)) == (unit_float(bits) < p)
+    assert (bits < _unit_cut(p)) == (_unit_float(bits) < p)
 
 
 def test_the_tie_table_memo_holds_each_top_bytes_table():
@@ -266,19 +266,19 @@ _TIED_CUT = 0x5A << 56 | 12345
 # below 2**56 every draw with a top byte of 0 ties
 @example(draws=[0, 2047, 2048, 2049, 2**56 - 1, 2**56], cut=2048)
 def test_at_least_compares_whole_draws(draws, cut):
-    assert at_least(_packed(draws), cut) == bytes(d >= cut for d in draws)
+    assert _at_least(_packed(draws), cut) == bytes(d >= cut for d in draws)
 
 
 @given(bits=st.integers(min_value=0, max_value=2**64 - 1),
        p=st.floats(min_value=0.0, max_value=1.0))
 @_at_the_edges
 def test_at_least_unit_cut_matches_unit_float(bits, p):
-    assert at_least(_packed([bits]), unit_cut(p)) == bytes([unit_float(bits) >= p])
+    assert _at_least(_packed([bits]), _unit_cut(p)) == bytes([_unit_float(bits) >= p])
 
 
 def test_uniform01_range():
     rng = RngStream(seed=5)
-    draws = [unit_float(next(rng)) for _ in range(1000)]
+    draws = [_unit_float(next(rng)) for _ in range(1000)]
     assert all(0.0 <= u < 1.0 for u in draws)
     # crude sanity: mean of 1000 uniforms lands near a half
     assert abs(sum(draws) / len(draws) - 0.5) < 0.05
@@ -313,7 +313,7 @@ def test_scripted_take_packs_the_next_draws_then_raises():
         s.take(True)
     with pytest.raises(ValueError, match="^count must be <= 33554431$"):
         s.take(2**25)
-    assert list(u64s(s.take(1))) == [9]
+    assert list(_u64s(s.take(1))) == [9]
     with pytest.raises(IndexError):
         s.take(1)
 
