@@ -15,19 +15,18 @@ from typing import Callable, Generator, List, NamedTuple, Optional, Sequence, Tu
 from .analytic import phase_durations_for
 from .estimator import (
     _MEMO_ENTRIES,
+    _check_fixed_seq_bits,
     _estimate,
     _key,
     estimate_backlog,  # unused here, but bench/child.py wraps it by this name
     next_frame,
 )
 from .model import (
-    MAX_SEQ_BITS,
     FrameConfig,
     RoundTrace,
     Tag,
     active_count,  # unused here, but bench/child.py wraps it by this name
     check_int,
-    is_int,
 )
 from .rng import PIECE_DRAWS, RngStream, _in_pieces, _residues, _u64s
 
@@ -247,9 +246,7 @@ def run_afsa_inventory(
     pins its sequence length (None: re-derived each round).  A bad
     `fixed_seq_bits` raises ValueError before any draw.
     """
-    if fixed_seq_bits is not None and not (
-            is_int(fixed_seq_bits) and 1 <= fixed_seq_bits <= MAX_SEQ_BITS):
-        raise ValueError(f"fixed_seq_bits must be an integer in [1, {MAX_SEQ_BITS}] or None")
+    _check_fixed_seq_bits(fixed_seq_bits)
 
     def rounds() -> Rounds:
         frame = initial_frame

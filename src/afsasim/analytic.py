@@ -3,7 +3,9 @@
 With k tags drawing slots uniformly from a frame of N slots, occupancy of
 a single slot is Binomial(k, 1/N).  All per-round expectations follow from
 that, so each function here is an independent check on the simulator rather
-than a restatement of it.
+than a restatement of it.  The reader's rules live in `estimator`, which
+reads only `_occupancy` from here; `phase_durations_for` times a round for
+the simulator and the model alike.
 
 `tags` is accepted as a float throughout because the adaptation path
 evaluates these formulas at non-integer backlog estimates.
@@ -136,40 +138,6 @@ def slot_profile(tags: float, slots: int, seq_bits: int) -> ExpectedSlotProfile:
         e_undetected=e_undetected,
         s_expected=e_reserved + e_undetected,
     )
-
-
-# Fitted constants of the sequence-length rule in `optimal_seq_len`.
-SEQ_LOG_COEFF = 3.32
-SEQ_ARG_COEFF = 19.13
-
-
-class SeqLenChoice(NamedTuple):
-    raw: float
-    rounded: int
-
-
-def optimal_seq_len(e_unresolved: float, slots: int) -> SeqLenChoice:
-    """Reservation sequence length balancing overhead against misses.
-
-    raw = SEQ_LOG_COEFF * log10(SEQ_ARG_COEFF * E[unresolved] / N) when the
-    argument exceeds 1, else 0 (the overhead term dominates at light
-    collision load).  The usable length rounds half-up and is floored at
-    one bit.  An expected unresolved count past the frame's `slots` is
-    refused: no load makes more slots collide than there are.
-    """
-    check_nonnegative("e_unresolved", e_unresolved)
-    check_int("slots", slots, 1, MAX_FRAME_SLOTS)
-    if e_unresolved > slots:
-        raise ValueError("e_unresolved must be <= slots")
-    return _seq_len(e_unresolved, slots)
-
-
-def _seq_len(e_unresolved: float, slots: int) -> SeqLenChoice:
-    arg = SEQ_ARG_COEFF * e_unresolved / slots
-    raw = SEQ_LOG_COEFF * math.log10(arg) if arg > 1.0 else 0.0
-    # round() would take ties to even; the rule takes ties up
-    rounded = max(1, math.floor(raw + 0.5))
-    return SeqLenChoice(raw=raw, rounded=rounded)
 
 
 def phase_durations_for(

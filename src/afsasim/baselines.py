@@ -9,7 +9,6 @@ two tags sending full distinct payloads always garble each other
 detectably.
 """
 import math
-from bisect import bisect_right
 from typing import List, NamedTuple, Optional, Sequence
 
 from .afsa import (
@@ -22,6 +21,7 @@ from .afsa import (
 from .estimator import (
     _backlog,
     _key,
+    _nearest_size,
     estimate_backlog,  # unused here, but bench/child.py wraps it by this name
 )
 from .model import (
@@ -39,11 +39,8 @@ from .rng import PIECE_DRAWS, RngStream, _in_pieces, _residues
 # into EDFSA_MAX_FRAME-sized groups instead.
 EDFSA_FRAME_CHOICES = (16, 32, 64, 128, 256)
 EDFSA_MAX_FRAME = EDFSA_FRAME_CHOICES[-1]
-# Midpoints between neighbouring menu sizes: an estimate from the i-th
-# midpoint up is nearest to menu entry i + 1, a tie going to the larger
-# frame.  Near a midpoint c + c/2, k - c and 2c - k are exact (Sterbenz),
-# so the nearest-size rule flips exactly there.
-_EDFSA_MIDPOINTS = tuple((a + b) / 2 for a, b in zip(EDFSA_FRAME_CHOICES, EDFSA_FRAME_CHOICES[1:]))
+# The menu size nearest to a backlog estimate, a tie going to the larger.
+_menu_size = _nearest_size(EDFSA_FRAME_CHOICES)
 
 
 def run_fsa_round(tags: Sequence[Tag], slots: int, rng: RngStream) -> RoundTrace:
@@ -134,7 +131,7 @@ def edfsa_plan(k_est: float) -> EdfsaPlan:
 
 
 def _plan(k_est: float) -> EdfsaPlan:
-    slots = EDFSA_FRAME_CHOICES[bisect_right(_EDFSA_MIDPOINTS, k_est)]
+    slots = _menu_size(k_est)
     if k_est > EDFSA_MAX_FRAME:
         groups = math.ceil(k_est / EDFSA_MAX_FRAME)
     else:

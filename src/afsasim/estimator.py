@@ -2,7 +2,8 @@
 
 After each round the reader estimates how many unidentified tags remain
 and picks the next frame size, sequence length, and participation divisor
-from that estimate alone; nothing here peeks at ground truth.
+from that estimate alone; nothing here peeks at ground truth.  Every rule
+of that decision is stated here, and EDFSA picks its frame by `_nearest_size`.
 
 An estimate is a plain float, the backlog `k_est`, and so is every input
 and output of the decision chain.  The protocols hand this module the
@@ -11,12 +12,13 @@ memos key on (EDFSA's is `_backlog`), and `_first_frame` is the frame
 chosen before any round.
 """
 import math
+from bisect import bisect_right
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
-from .analytic import _occupancy, _seq_len
-from .analytic import optimal_seq_len  # unused here, but bench/child.py wraps it by this name
-from .model import MAX_FRAME_SLOTS, MAX_TAGS, FrameConfig, RoundTrace, check_int, check_nonnegative
+from .analytic import _occupancy
+from .model import (MAX_FRAME_SLOTS, MAX_SEQ_BITS, MAX_TAGS, FrameConfig, RoundTrace,
+                    check_int, check_nonnegative, is_int)
 
 # Expected occupants of a slot known to hold a collision, in the Poisson
 # regime the estimator assumes.  Used when no idle slot survives.
@@ -29,18 +31,20 @@ FRAME_MAX = 1024
 # frame by more than this factor.
 OVERLOAD_RATIO = 4.0
 
-# Entries kept by each of the package's memos (`lru_cache`): their keys are
-# a few small counts, which recur within and across trials, and the bound
-# keeps a long run's memos small.
+# Entries kept by each memo of the reader and the round (`lru_cache`, here
+# and in `afsa`): their keys are a few small counts, which recur within and
+# across trials, and the bound keeps a long run's memos small.
 _MEMO_ENTRIES = 1024
 
 # `next_frame` returns one shared `FrameConfig` per distinct (slots,
 # seq_bits, divisor), so each is built and checked once.  There are 8
 # frame sizes and 16 sequence lengths; the bound keeps divisors, which
-# grow with the backlog, from growing the memo.  `typed` keeps a bool or
-# float sequence length apart from the int it equals, so FrameConfig
-# still rejects it; a rejected frame raises and is never cached.
-_frame = lru_cache(maxsize=_MEMO_ENTRIES, typed=True)(FrameConfig)
+# grow with the backlog, from growing the memo.
+_frame = lru_cache(maxsize=_MEMO_ENTRIES)(FrameConfig)
+
+# Fitted constants of the sequence-length rule in `optimal_seq_len`.
+SEQ_LOG_COEFF = 3.32
+SEQ_ARG_COEFF = 19.13
 
 
 def estimate_from_counts(
@@ -117,23 +121,45 @@ def estimate_backlog(trace: RoundTrace) -> float:
     )
 
 
-def nearest_power_of_two(value: float) -> int:
-    """Power of two nearest to `value`, clamped to [FRAME_MIN, FRAME_MAX].
+def _nearest_size(sizes: Sequence[int]) -> Callable[[float], int]:
+    """Picker of the entry of the ascending `sizes` nearest to a value, a tie
+    going to the larger: from the i-th midpoint up, entry i + 1.  Each midpoint
+    of two sizes is exact, so the pick flips exactly there."""
+    midpoints = tuple((a + b) / 2 for a, b in zip(sizes, sizes[1:]))
+    return lambda value: sizes[bisect_right(midpoints, value)]
 
-    Distance is linear, and a tie between neighbours goes up.
+
+# The AFSA frame size for a backlog: the powers of two from FRAME_MIN to FRAME_MAX.
+_frame_size = _nearest_size([FRAME_MIN << i for i in range((FRAME_MAX // FRAME_MIN).bit_length())])
+
+
+class SeqLenChoice(NamedTuple):
+    raw: float
+    rounded: int
+
+
+def optimal_seq_len(e_unresolved: float, slots: int) -> SeqLenChoice:
+    """Reservation sequence length balancing overhead against misses.
+
+    raw = SEQ_LOG_COEFF * log10(SEQ_ARG_COEFF * E[unresolved] / N) when the
+    argument exceeds 1, else 0 (the overhead term dominates at light
+    collision load).  The usable length rounds half-up and is floored at
+    one bit.  An expected unresolved count past the frame's `slots` is
+    refused: no load makes more slots collide than there are.
     """
-    check_nonnegative("value", value)
-    return _frame_size(value)
+    check_nonnegative("e_unresolved", e_unresolved)
+    check_int("slots", slots, 1, MAX_FRAME_SLOTS)
+    if e_unresolved > slots:
+        raise ValueError("e_unresolved must be <= slots")
+    return _seq_len(e_unresolved, slots)
 
 
-def _frame_size(value: float) -> int:
-    if value <= FRAME_MIN:
-        return FRAME_MIN
-    if value >= FRAME_MAX:
-        return FRAME_MAX
-    below = 1 << int(math.floor(math.log2(value)))
-    above = below * 2
-    return above if (value - below) >= (above - value) else below
+def _seq_len(e_unresolved: float, slots: int) -> SeqLenChoice:
+    arg = SEQ_ARG_COEFF * e_unresolved / slots
+    raw = SEQ_LOG_COEFF * math.log10(arg) if arg > 1.0 else 0.0
+    # round() would take ties to even; the rule takes ties up
+    rounded = max(1, math.floor(raw + 0.5))
+    return SeqLenChoice(raw=raw, rounded=rounded)
 
 
 def auto_seq_bits(k_est: float, slots: int) -> int:
@@ -147,6 +173,14 @@ def _seq_bits(k_est: float, slots: int) -> int:
     return _seq_len(_occupancy(k_est, slots)[2], slots).rounded
 
 
+def _check_fixed_seq_bits(fixed_seq_bits: Optional[int]) -> None:
+    # None, or a pinned length; the exact type test spares an int `is_int`
+    if fixed_seq_bits is not None and not (
+            (type(fixed_seq_bits) is int or is_int(fixed_seq_bits))
+            and 1 <= fixed_seq_bits <= MAX_SEQ_BITS):
+        raise ValueError(f"fixed_seq_bits must be an integer in [1, {MAX_SEQ_BITS}] or None")
+
+
 def next_frame(k_est: float, fixed_seq_bits: Optional[int] = None) -> FrameConfig:
     """Frame parameters for the next round given the backlog estimate `k_est`.
 
@@ -155,11 +189,11 @@ def next_frame(k_est: float, fixed_seq_bits: Optional[int] = None) -> FrameConfi
     overloads the chosen frame by more than OVERLOAD_RATIO, thinning
     expected participation back toward one tag per slot; ties in its
     rounding go up.  Sequence length is `fixed_seq_bits` when given, and
-    otherwise the collision-load rule evaluated at (k_est, next frame);
-    the returned `FrameConfig` rejects a pinned length out of range.
+    otherwise the collision-load rule evaluated at (k_est, next frame).
     Equal frames are returned as the same object.
     """
     check_nonnegative("k_est", k_est)
+    _check_fixed_seq_bits(fixed_seq_bits)
     slots = _frame_size(k_est)
     if k_est > OVERLOAD_RATIO * slots:
         divisor = max(1, int(math.floor(k_est / slots + 0.5)))

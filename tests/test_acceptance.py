@@ -27,7 +27,7 @@ from afsasim.analytic import (
     expected_unresolved,
     phase_durations_for,
 )
-from afsasim.estimator import nearest_power_of_two
+from afsasim.estimator import next_frame
 from afsasim.experiment import ExperimentConfig, run_experiment, run_trial
 from afsasim.model import FrameConfig, make_population
 from afsasim.report import result_rows, render_csv, trial_rows
@@ -298,7 +298,7 @@ def test_criterion_9_idle_inversion_recovers_the_population():
     failures = []
     details = []
     for tags in (25, 50, 100, 200, 400):
-        slots = nearest_power_of_two(tags)
+        slots = next_frame(tags).slots
         tolerance = 1.5 + 0.02 * tags
         log_base = math.log(1.0 - 1.0 / slots)
 

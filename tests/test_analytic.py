@@ -15,12 +15,12 @@ from afsasim.analytic import (
     expected_undetected,
     expected_undetected_exact,
     expected_unresolved,
-    optimal_seq_len,
     phase_durations_for,
     round_duration,
     slot_profile,
 )
-from afsasim.estimator import nearest_power_of_two
+from afsasim import estimator
+from afsasim.estimator import next_frame, optimal_seq_len
 from afsasim.experiment import MAX_FRAME_SLOTS, MAX_TAGS
 from afsasim.model import TimingModel
 
@@ -241,8 +241,6 @@ def test_the_unchecked_cores_equal_the_public_names_bit_for_bit(slots):
             expected_idle(tags, slots), expected_reserved(tags, slots),
             expected_unresolved(tags, slots)])
         e_unresolved = occupancy[2]
-        assert bit_pattern(analytic._seq_len(e_unresolved, slots)) == bit_pattern(
-            optimal_seq_len(e_unresolved, slots))
         for bits in range(1, 17):
             assert bit_pattern(slot_profile(tags, slots, bits)) == bit_pattern([
                 occupancy[1], occupancy[0], e_unresolved,
@@ -268,8 +266,8 @@ def test_optimal_seq_len_floor_at_light_load():
 
 def test_optimal_seq_len_rounds_half_up(monkeypatch):
     # log10(arg) == 1 exactly, so raw is exactly 2.5; half-way goes up
-    monkeypatch.setattr(analytic, "SEQ_LOG_COEFF", 2.5)
-    monkeypatch.setattr(analytic, "SEQ_ARG_COEFF", 10.0)
+    monkeypatch.setattr(estimator, "SEQ_LOG_COEFF", 2.5)
+    monkeypatch.setattr(estimator, "SEQ_ARG_COEFF", 10.0)
     choice = optimal_seq_len(64.0, 64)
     assert choice.raw == 2.5
     assert choice.rounded == 3
@@ -303,7 +301,7 @@ def test_chosen_lengths_stay_small_across_loads():
     # frame adaptation keeps load near one, where 2 or 3 bits suffice
     seen = set()
     for tags in range(16, 1025):
-        slots = nearest_power_of_two(tags)
+        slots = next_frame(tags).slots
         seen.add(optimal_seq_len(expected_unresolved(tags, slots), slots).rounded)
     assert seen == {2, 3}
 

@@ -200,7 +200,7 @@ def _imported_but_unread(tree: ast.Module) -> set:
 
 def test_no_module_imports_a_name_it_never_reads():
     # an unread import is dead code, unless bench/child.py wraps the name
-    # in that module; today 8 names are kept for the benchmark alone
+    # in that module; today 7 names are kept for the benchmark alone
     dead = {}
     for path in sorted((SRC / "afsasim").glob("*.py")):
         if path.stem == "__init__":

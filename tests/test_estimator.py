@@ -1,25 +1,28 @@
 """Backlog estimation accuracy and frame adaptation rules."""
 import math
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from afsasim import estimator
-from afsasim.analytic import expected_idle
+from afsasim.analytic import expected_idle, expected_unresolved
 from afsasim.estimator import (
     COLLISION_TAG_MULTIPLIER,
     auto_seq_bits,
     estimate_backlog,
     estimate_from_counts,
-    nearest_power_of_two,
     next_frame,
+    optimal_seq_len,
 )
+from afsasim.baselines import EDFSA_FRAME_CHOICES, edfsa_plan
 from afsasim.model import MAX_TAGS, FrameConfig, make_population
 from afsasim.afsa import run_afsa_round
 from afsasim.rng import RngStream
 
-from test_analytic import GRID_SLOTS, GRID_TAGS
+from test_analytic import GRID_SLOTS, GRID_TAGS, bit_pattern
 
 
 def idle_inversion(idle, identified, slots):
@@ -121,8 +124,11 @@ def test_the_unchecked_cores_equal_the_public_names_bit_for_bit(slots):
                 assert (estimator._estimate(*counts).hex()
                         == estimate_from_counts(*counts).hex())
     for k_est in [*GRID_TAGS, float(slots), slots * 4.5]:
-        assert estimator._frame_size(k_est) == nearest_power_of_two(k_est)
+        assert estimator._frame_size(k_est) == next_frame(k_est).slots
         assert estimator._seq_bits(k_est, slots) == auto_seq_bits(k_est, slots)
+        e_unresolved = expected_unresolved(k_est, slots)
+        assert bit_pattern(estimator._seq_len(e_unresolved, slots)) == bit_pattern(
+            optimal_seq_len(e_unresolved, slots))
     assert estimator._seq_bits(float(slots), slots) == auto_seq_bits(slots, slots)
 
 
@@ -167,19 +173,20 @@ def test_idle_inversion_tracks_true_load_on_expected_rounds():
 
 
 def test_nearest_power_of_two():
-    assert nearest_power_of_two(0.0) == 8
-    assert nearest_power_of_two(1) == 8
-    assert nearest_power_of_two(8) == 8
-    assert nearest_power_of_two(11) == 8
-    assert nearest_power_of_two(12) == 16  # equidistant, ties go up
-    assert nearest_power_of_two(96) == 128  # equidistant, ties go up
-    assert nearest_power_of_two(100) == 128
-    assert nearest_power_of_two(767) == 512
-    assert nearest_power_of_two(769) == 1024
-    assert nearest_power_of_two(5000) == 1024
-    for bad in (math.nan, math.inf, -math.inf, -3, "8", None, True):
-        with pytest.raises(ValueError, match="^value must be finite and >= 0$"):
-            nearest_power_of_two(bad)
+    # a frame is the power of two in [8, 1024] nearest to the backlog
+    def slots(k_est):
+        return next_frame(k_est).slots
+
+    assert slots(0.0) == 8
+    assert slots(1) == 8
+    assert slots(8) == 8
+    assert slots(11) == 8
+    assert slots(12) == 16  # equidistant, ties go up
+    assert slots(96) == 128  # equidistant, ties go up
+    assert slots(100) == 128
+    assert slots(767) == 512
+    assert slots(769) == 1024
+    assert slots(5000) == 1024
 
 
 def test_next_frame_reference_points():
@@ -211,8 +218,12 @@ def test_divisor_engages_only_beyond_overload():
 
 def test_fixed_seq_bits_policy_pins_length():
     assert next_frame(100.0, 5).seq_bits == 5
-    with pytest.raises(ValueError, match="seq_bits"):
-        next_frame(100.0, 0)
+    # refused by its own name, as `run_afsa_inventory` refuses it; an
+    # unhashable length never reaches the frame memo
+    for bad in (0, 17, True, 2.0, "3", [2]):
+        with pytest.raises(ValueError,
+                           match=r"^fixed_seq_bits must be an integer in \[1, 16\] or None$"):
+            next_frame(100.0, bad)
 
 
 def test_equal_frames_are_one_object():
@@ -260,3 +271,53 @@ def test_first_round_seq_bits_assume_load_one():
     for bad in (0, math.nan, math.inf, 2.5, "8", True):
         with pytest.raises(ValueError, match=r"^slots must be an integer in \[1, 65536\]$"):
             auto_seq_bits(1.0, bad)
+
+
+# The sizes each reader picks from: AFSA's powers of two, EDFSA's menu.
+AFSA_SIZES = (8, 16, 32, 64, 128, 256, 512, 1024)
+
+
+def exact_nearest(sizes, value):
+    """The size nearest to `value` in exact arithmetic, a tie going up."""
+    exact = Fraction(value)
+    return min(sizes, key=lambda size: (abs(exact - size), -size))
+
+
+def picks(value):
+    """Each picker's size for `value`, with the exact nearest menu size."""
+    return [
+        (estimator._frame_size(value), exact_nearest(AFSA_SIZES, value)),
+        (next_frame(value).slots, exact_nearest(AFSA_SIZES, value)),
+        (edfsa_plan(value).slots, exact_nearest(EDFSA_FRAME_CHOICES, value)),
+    ]
+
+
+def _neighbours(point, count=40):
+    below = above = float(point)
+    yield below
+    for _ in range(count):
+        below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+        yield below
+        yield above
+
+
+# 0, the largest float, and the float neighbours of every power of two
+# from 1 to 4 096 and of every midpoint between two sizes of either menu
+EDGES = sorted({0.0, sys.float_info.max, *(
+    value for point in {*(2.0 ** e for e in range(13)),
+                        *((a + b) / 2 for sizes in (AFSA_SIZES, EDFSA_FRAME_CHOICES)
+                          for a, b in zip(sizes, sizes[1:]))}
+    for value in _neighbours(point))})
+
+
+def test_every_picker_takes_the_exact_nearest_size_at_the_edges():
+    wrong = [(value, got) for value in EDGES for got, want in picks(value) if got != want]
+    assert wrong == []
+
+
+@given(value=st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+       | st.floats(min_value=0.0, max_value=2048.0))
+@settings(max_examples=300)
+def test_every_picker_takes_the_exact_nearest_size(value):
+    for got, want in picks(value):
+        assert got == want

@@ -10,7 +10,6 @@ import pytest
 from afsasim.analytic import (
     expected_idle,
     expected_undetected_exact,
-    optimal_seq_len,
     phase_durations_for,
     slot_profile,
 )
@@ -18,8 +17,8 @@ from afsasim.baselines import edfsa_plan, run_edfsa_inventory, run_fsa_round
 from afsasim.estimator import (
     auto_seq_bits,
     estimate_from_counts,
-    nearest_power_of_two,
     next_frame,
+    optimal_seq_len,
 )
 from afsasim.model import (
     MAX_FRAME_SLOTS,
@@ -159,12 +158,11 @@ def test_a_frame_past_max_frame_slots_is_refused_before_allocating():
     (lambda big: check_nonnegative("value", big), "value"),
     (lambda big: expected_idle(big, 128), "tags"),
     (lambda big: auto_seq_bits(big, 128), "k_est"),
-    (lambda big: nearest_power_of_two(big), "value"),
     (lambda big: edfsa_plan(big), "k_est"),
     (lambda big: next_frame(big), "k_est"),
     (lambda big: run_edfsa_inventory([], None, initial_estimate=big), "initial_estimate"),
-], ids=["check_nonnegative", "expected_idle", "auto_seq_bits", "nearest_power_of_two",
-        "edfsa_plan", "next_frame", "run_edfsa_inventory"])
+], ids=["check_nonnegative", "expected_idle", "auto_seq_bits", "edfsa_plan", "next_frame",
+        "run_edfsa_inventory"])
 def test_an_int_too_large_for_a_float_is_refused_by_name(call, name):
     with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0$"):
         call(10**400)
